@@ -1,26 +1,12 @@
-"""Kernel backend selection.
+"""Numerical kernels: the Efron partial-likelihood scan and concordance counts.
 
-Imports the compiled extension when available and falls back to the numpy
-reference implementation otherwise. `SURVKIT_PURE_PYTHON=1` forces the
-fallback (useful for benchmarking and debugging); the two backends share
-the same contracts, and concordance counting returns integers in both so
-downstream ratios are bit-identical.
+Both are implemented in numpy in `_ref`. `BACKEND` names that implementation;
+run manifests record it so results stay attributable to the kernels that
+produced them.
 """
 
-import os
+from ._ref import concordance_counts, efron_loss_grad
 
-if os.environ.get("SURVKIT_PURE_PYTHON", "") not in ("", "0"):
-    from ._ref import concordance_counts, efron_loss_grad
-
-    BACKEND = "python"
-else:
-    try:
-        from ._core import concordance_counts, efron_loss_grad
-
-        BACKEND = "compiled"
-    except ImportError:
-        from ._ref import concordance_counts, efron_loss_grad
-
-        BACKEND = "python"
+BACKEND = "python"
 
 __all__ = ["efron_loss_grad", "concordance_counts", "BACKEND"]

@@ -1,11 +1,9 @@
-"""Pure-numpy reference kernels.
-
-Same contracts as the compiled extension in `_core.pyx`:
+"""Pure-numpy kernels.
 
 - efron_loss_grad: Efron-tie negative log partial likelihood of a score
   vector plus its gradient with respect to the scores.
 - concordance_counts: exact integer pair counts for Harrell's C, so the
-  final division is bit-identical across backends.
+  final ratio does not depend on summation order.
 """
 
 from __future__ import annotations

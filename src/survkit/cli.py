@@ -173,8 +173,6 @@ def cmd_experiment(args):
         if unknown:
             raise ConfigError(f"--models not in config families: {unknown}")
         doc["families"] = {k: families[k] for k in wanted}
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
 
     config_dir = Path(args.config).resolve().parent
     inputs = [args.config]
@@ -219,7 +217,7 @@ def cmd_experiment(args):
 
     _write_manifest(
         out_dir, "experiment",
-        {"models": args.models, "jobs": args.jobs, "plot_patients": args.plot_patients},
+        {"models": args.models, "plot_patients": args.plot_patients},
         inputs, config.seed, started,
         extra={"wall_clock_seconds": report.wall_clock_seconds},
     )
@@ -298,10 +296,6 @@ def build_parser():
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--models", default=None, help="comma-separated subset of config families")
     p.add_argument("--plot-patients", default=None, help="comma-separated test patient ids")
-    p.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker hint; replicate seeds make results independent of it",
-    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_experiment)
 

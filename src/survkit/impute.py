@@ -234,8 +234,9 @@ def fit_mice(ds, iterations, seed):
 def apply_mice(model, ds):
     """Complete a new dataset with a fitted imputer (no refitting, no noise).
 
-    Columns that were complete at fit time but are missing here fall back to
-    their training mean when available, else error.
+    Only columns that had missing cells at fit time have a fitted model. A
+    covariate that was complete at fit time but has missing cells here
+    raises DataError.
     """
     _check_numeric_covariates(ds)
     if ds.column_names != model.column_names:
@@ -252,8 +253,7 @@ def apply_mice(model, ds):
         if mask[:, j].any():
             values[mask[:, j], j] = model.means[name]
             modeled.append((name, j))
-    # anything else missing has no fitted model: train mean if the column was
-    # observed at fit time is unavailable, so this is a schema-level problem
+    # anything else missing has no fitted model and no stored training mean
     for j, c in enumerate(ds.columns):
         if c.role == "covariate" and mask[:, j].any() and c.name not in model.means:
             raise DataError(

@@ -229,11 +229,6 @@ def test_experiment_config_validation(tmp_path, capsys):
     assert main(["experiment", "--config", str(incomplete)]) == 2
     assert "needs data and schema" in capsys.readouterr().err
 
-    write_cohort(tmp_path, missing=False, n=160)
-    config = experiment_config(tmp_path)
-    assert main(["experiment", "--config", str(config), "--jobs", "0"]) == 2
-    assert "--jobs" in capsys.readouterr().err
-
 
 def test_experiment_plot_patients(tmp_path, capsys):
     write_cohort(tmp_path, missing=False, n=160)

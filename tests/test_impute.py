@@ -201,6 +201,17 @@ def test_apply_mice_schema_check():
         apply_mice(model, other)
 
 
+def test_apply_mice_rejects_missing_in_column_complete_at_fit():
+    train, _ = mar_linear_dataset(seed=3)
+    model = fit_mice(train, iterations=2, seed=1)
+    new, _ = mar_linear_dataset(seed=99, n=50)
+    j = new.col_index("y")
+    new.values[0, j] = np.nan
+    new.missing_mask[0, j] = True
+    with pytest.raises(DataError, match="'y'"):
+        apply_mice(model, new)
+
+
 # -- Rubin pooling -----------------------------------------------------------------
 
 

@@ -6,9 +6,10 @@ written independently of the shipped kernels, so agreement is meaningful.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survkit._kernels import BACKEND, concordance_counts, efron_loss_grad
-from survkit._kernels import _ref
 
 
 def slow_efron(times, events, eta):
@@ -152,29 +153,11 @@ def test_underflow_reports_infeasible():
     assert np.all(np.isnan(grad))
 
 
-# -- backend agreement ---------------------------------------------------------
-
-
-def test_backends_agree():
-    """Compiled extension and numpy fallback agree to summation-order noise;
-    concordance counts are integers and therefore exactly equal."""
-    rng = np.random.default_rng(19)
-    for _ in range(25):
-        n = int(rng.integers(3, 80))
-        times, events, eta = random_survival(rng, n, scale=1.5)
-        v_active, g_active = efron_loss_grad(times, events, eta)
-        v_ref, g_ref = _ref.efron_loss_grad(times, events, eta)
-        assert v_active == pytest.approx(v_ref, rel=1e-13)
-        np.testing.assert_allclose(g_active, g_ref, rtol=1e-12, atol=1e-13)
-        scores = rng.normal(size=n)
-        scores[rng.random(n) < 0.2] = scores[0]  # force some exact score ties
-        assert concordance_counts(times, events, scores) == _ref.concordance_counts(
-            times, events, scores
-        )
+# -- backend -------------------------------------------------------------------
 
 
 def test_backend_is_known():
-    assert BACKEND in ("compiled", "python")
+    assert BACKEND == "python"
 
 
 # -- concordance counts --------------------------------------------------------
@@ -226,3 +209,26 @@ def test_concordance_returns_integers():
     assert isinstance(conc, int)
     assert isinstance(tied, int)
     assert isinstance(comp, int)
+
+
+# Small integer times and scores make tied times and tied scores common.
+cohorts = st.integers(1, 30).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(0, 5), min_size=n, max_size=n),
+        st.lists(st.booleans(), min_size=n, max_size=n),
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cohorts)
+def test_concordance_properties(cohort):
+    times, events, scores = (np.asarray(c, dtype=float) for c in cohort)
+    conc, tied, comp = concordance_counts(times, events, scores)
+    # reversing the scores swaps concordant and discordant comparable pairs
+    conc_rev, tied_rev, comp_rev = concordance_counts(times, events, -scores)
+    assert (tied_rev, comp_rev) == (tied, comp)
+    assert conc + tied + conc_rev == comp
+    # a strictly increasing map, exact on small integers, changes no count
+    assert concordance_counts(times, events, 3.0 * scores + 7.0) == (conc, tied, comp)
