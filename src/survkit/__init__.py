@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from ._kernels import BACKEND as KERNEL_BACKEND
 from .coxph import fit_coxph, neg_log_partial_likelihood, wald_stats
-from .curves import CumHazardFn, KmCurve, SurvivalCurve
+from .curves import CumHazardFn, SurvivalCurve
 from .deephit import DeepHitParams, deephit_loss, fit_deephit, make_time_grid
 from .deepsurv import DeepSurvParams, deepsurv_loss, fit_deepsurv
 from .harness import (
@@ -82,7 +82,6 @@ __all__ = [
     "make_time_grid",
     "CumHazardFn",
     "SurvivalCurve",
-    "KmCurve",
     "kaplan_meier",
     "concordance_index",
     "brier_score",

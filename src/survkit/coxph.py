@@ -306,9 +306,9 @@ def breslow_baseline(model, x, times, events):
 
 
 def predict_survival(model, x, times):
-    """Per-row survival curves S(t|x) = exp(-H0(t) * exp(x . beta)).
+    """Survival curves S(t|x) = exp(-H0(t) * exp(x . beta)), one row per x row.
 
-    `times` must be sorted ascending; each returned curve holds the values
+    `times` must be sorted ascending; the returned curves hold the values
     at exactly those times.
     """
     if model.baseline is None:
@@ -319,4 +319,4 @@ def predict_survival(model, x, times):
         raise DataError("times must be sorted ascending")
     h0 = model.baseline(times)
     risk = np.exp(model.linear_predictor(x))
-    return [SurvivalCurve(times=times, values=np.exp(-h0 * r), kind="step") for r in risk]
+    return SurvivalCurve(times=times, values=np.exp(-h0 * risk[:, None]), kind="step")

@@ -2,13 +2,15 @@
 
 All time-indexed outputs (cumulative hazards, survival curves, censoring
 curves) are represented as knot arrays plus values, evaluated either as
-right-continuous step functions or by linear interpolation.
+right-continuous step functions or by linear interpolation. Values may
+carry leading subject axes; evaluation acts on the last axis.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,38 +22,45 @@ def _as_1d_float(x, name):
     return arr
 
 
-def step_eval(knots: np.ndarray, values: np.ndarray, t, baseline: float):
-    """Evaluate a right-continuous step function.
+def _scalar_or_array(out):
+    return float(out) if out.ndim == 0 else out
 
-    Returns `values[i]` for the largest knot <= t, and `baseline` for
-    t before the first knot.
+
+def step_eval(knots: np.ndarray, values: np.ndarray, t, baseline: float, side="right"):
+    """Evaluate a right-continuous step function along the last axis of values.
+
+    side="right" returns `values[..., i]` for the largest knot <= t;
+    side="left" gives the left limit, from the largest knot strictly < t
+    (inverse-probability weights G(t-) at event times). Before the first
+    knot the value is `baseline`.
     """
     t_arr = np.asarray(t, dtype=float)
     if len(knots) == 0:
-        out = np.full(t_arr.shape, baseline)
+        out = np.full(values.shape[:-1] + t_arr.shape, baseline)
     else:
-        idx = np.searchsorted(knots, t_arr, side="right") - 1
-        out = np.where(idx >= 0, values[np.clip(idx, 0, len(values) - 1)], baseline)
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(out)
-    return out
+        idx = np.searchsorted(knots, t_arr, side=side) - 1
+        out = np.where(idx >= 0, values[..., np.clip(idx, 0, len(knots) - 1)], baseline)
+    return _scalar_or_array(out)
 
 
-def step_eval_left(knots: np.ndarray, values: np.ndarray, t, baseline: float):
-    """Evaluate the left limit of a right-continuous step function at t.
+def interp_rows(t, xp, fp):
+    """`np.interp(t, xp, row)` for every row of fp, bit for bit.
 
-    Returns `values[i]` for the largest knot strictly < t; used for
-    inverse-probability weights G(t-) at event times.
+    Same rule as numpy: the exact knot value at a knot, clamping to the end
+    values outside [xp[0], xp[-1]], and slope * (t - xp[j]) + fp[j] inside.
+    Returns fp.shape[:-1] + t.shape.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if len(knots) == 0:
-        out = np.full(t_arr.shape, baseline)
-    else:
-        idx = np.searchsorted(knots, t_arr, side="left") - 1
-        out = np.where(idx >= 0, values[np.clip(idx, 0, len(values) - 1)], baseline)
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(out)
-    return out
+    t = np.asarray(t, dtype=float)
+    x = t.reshape(-1)
+    k = np.searchsorted(xp, x, side="right") - 1
+    at = np.clip(k, 0, len(xp) - 1)
+    out = fp[..., at]
+    inside = (k >= 0) & (k < len(xp) - 1) & (xp[at] != x)
+    if inside.any():
+        j = k[inside]
+        slope = (fp[..., j + 1] - fp[..., j]) / (xp[j + 1] - xp[j])
+        out[..., inside] = slope * (x[inside] - xp[j]) + fp[..., j]
+    return out.reshape(fp.shape[:-1] + t.shape)
 
 
 @dataclass
@@ -80,40 +89,16 @@ class CumHazardFn:
 
 
 @dataclass
-class KmCurve:
-    """Kaplan-Meier product-limit curve, a non-increasing step function.
-
-    S(t) = 1 before the first knot. `at_risk` and `n_events` record the
-    risk-set size and event count at each knot for downstream variance or
-    reporting needs.
-    """
-
-    knots: np.ndarray
-    values: np.ndarray
-    at_risk: np.ndarray = field(default=None)
-    n_events: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        self.knots = _as_1d_float(self.knots, "knots")
-        self.values = _as_1d_float(self.values, "values")
-        if self.knots.shape != self.values.shape:
-            raise ValueError("knots and values must have equal length")
-
-    def __call__(self, t):
-        return step_eval(self.knots, self.values, t, 1.0)
-
-    def left(self, t):
-        """Left limit S(t-): the value just before t."""
-        return step_eval_left(self.knots, self.values, t, 1.0)
-
-
-@dataclass
 class SurvivalCurve:
-    """Predicted survival probability S(t) on a time grid.
+    """Survival probabilities S(t) of n subjects on one time grid.
+
+    `times` is (T,); `values` is (n, T), or (T,) for a single subject.
+    len(), indexing and iteration select subjects: `curves[idx]` is a
+    batch, `curves[i]` and iteration give single-subject curves.
 
     kind="step": right-continuous step function, S=1 before the first knot.
     kind="linear": piecewise-linear between grid points, clamped to the
-    terminal value beyond the grid.
+    end values beyond the grid.
     """
 
     times: np.ndarray
@@ -122,25 +107,46 @@ class SurvivalCurve:
 
     def __post_init__(self):
         self.times = _as_1d_float(self.times, "times")
-        self.values = _as_1d_float(self.values, "values")
-        if self.times.shape != self.values.shape:
-            raise ValueError("times and values must have equal length")
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.ndim not in (1, 2) or self.values.shape[-1] != len(self.times):
+            raise ValueError(
+                f"values must be (T,) or (n, T) with T={len(self.times)}, "
+                f"got shape {self.values.shape}"
+            )
         if self.kind not in ("step", "linear"):
             raise ValueError(f"unknown curve kind {self.kind!r}")
-        if len(self.values):
+        if self.values.size:
             if np.any(self.values < -1e-12) or np.any(self.values > 1 + 1e-12):
                 raise ValueError("survival values must lie in [0, 1]")
-            if np.any(np.diff(self.values) > 1e-12):
+            if np.any(np.diff(self.values, axis=-1) > 1e-12):
                 raise ValueError("survival values must be non-increasing")
 
+    def __len__(self):
+        if self.values.ndim == 1:
+            raise TypeError("a single-subject curve has no len()")
+        return len(self.values)
+
+    def __getitem__(self, idx):
+        if self.values.ndim == 1:
+            raise TypeError("a single-subject curve cannot be indexed")
+        sub = copy.copy(self)  # rows of a checked matrix need no re-check
+        sub.values = self.values[idx]
+        return sub
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
     def __call__(self, t):
+        """S(t): (n, len(t)) for a batch, len(t) values for one subject."""
         if self.kind == "step":
             return step_eval(self.times, self.values, t, 1.0)
-        t_arr = np.asarray(t, dtype=float)
-        out = np.interp(t_arr, self.times, self.values)
-        if np.isscalar(t) or t_arr.ndim == 0:
-            return float(out)
-        return out
+        return _scalar_or_array(interp_rows(t, self.times, self.values))
+
+    def left(self, t):
+        """Left limit S(t-); equal to S(t) for a linear curve."""
+        if self.kind == "step":
+            return step_eval(self.times, self.values, t, 1.0, side="left")
+        return self(t)
 
 
 def curves_to_csv(ids, curves, path):
@@ -148,6 +154,6 @@ def curves_to_csv(ids, curves, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["patient_id", "t", "S"])
-        for pid, curve in zip(ids, curves):
-            for t, s in zip(curve.times, curve.values):
+        for pid, row in zip(ids, curves.values):
+            for t, s in zip(curves.times, row):
                 writer.writerow([pid, repr(float(t)), repr(float(s))])

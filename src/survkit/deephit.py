@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .curves import SurvivalCurve
+from .curves import SurvivalCurve, interp_rows
 from .errors import DataError
 from .nnet import (
     MlpModel,
@@ -219,7 +219,7 @@ def predict_pmf(model, x):
 
 
 def predict_survival(model, x, n_points=None):
-    """Per-row survival curves on an equidistant grid over [0, last cut].
+    """Survival curves, one row per x row, on an equidistant grid over [0, last cut].
 
     Survival steps down by each bin's mass at the bin's right edge and is
     linearly interpolated inside bins (constant event density). S(0) = 1
@@ -233,19 +233,15 @@ def predict_survival(model, x, n_points=None):
     cuts = model.grid.cuts
     knot_times = np.r_[0.0, cuts]
     surv_at_cuts = np.clip(1.0 - np.cumsum(pmf, axis=1), 0.0, 1.0)
+    knots = np.minimum.accumulate(np.c_[np.ones(len(pmf)), surv_at_cuts], axis=1)
     grid_t = np.linspace(0.0, cuts[-1], n_points)
-    curves = []
-    for row in surv_at_cuts:
-        knots = np.r_[1.0, row]
-        vals = np.interp(grid_t, knot_times, np.minimum.accumulate(knots))
-        curves.append(SurvivalCurve(times=grid_t, values=vals, kind="linear"))
-    return curves
+    values = interp_rows(grid_t, knot_times, knots)
+    return SurvivalCurve(times=grid_t, values=values, kind="linear")
 
 
 def predict_risk(model, x):
     """Scalar risk per row: negative mean of the survival curve values."""
-    curves = predict_survival(model, x)
-    return np.array([-c.values.mean() for c in curves])
+    return -predict_survival(model, x).values.mean(axis=1)
 
 
 def save_checkpoint(model, path):

@@ -22,6 +22,7 @@ from .errors import DataError
 from .nnet import (
     MlpModel,
     adam_step,
+    backward,
     epoch_batches,
     forward,
     init_mlp,
@@ -97,15 +98,15 @@ def fit_deepsurv(x, times, events, params, seed):
                 continue
             out, cache = forward(net, x[idx], mode="train", seed=[seed, epoch, b])
             value, g_eta = deepsurv_loss(out[:, 0], t[idx], e[idx])
-            grads = backward_through(net, cache, g_eta)
+            grads = backward(net, cache, g_eta[:, None])
             net, state = adam_step(net, grads, state)
             total += value
         epoch_losses.append(float(total))
     if skipped:
         warnings.warn(f"skipped {skipped} event-free batches during training")
 
-    scores = predict_risk_net(net, x)
-    baseline = breslow_from_scores(t, e, scores)
+    out, _ = forward(net, x, mode="eval")
+    baseline = breslow_from_scores(t, e, out[:, 0])
     return DeepSurvModel(
         net=net,
         baseline=baseline,
@@ -116,31 +117,20 @@ def fit_deepsurv(x, times, events, params, seed):
     )
 
 
-def backward_through(net, cache, g_eta):
-    """Backprop the per-row score gradient through the single-output net."""
-    from .nnet import backward
-
-    return backward(net, cache, np.asarray(g_eta, dtype=float)[:, None])
-
-
-def predict_risk_net(net, x):
-    out, _ = forward(net, np.asarray(x, dtype=float), mode="eval")
+def predict_risk(model, x):
+    """Per-row log-risk score f(x) in eval mode (no dropout)."""
+    out, _ = forward(model.net, np.asarray(x, dtype=float), mode="eval")
     return out[:, 0]
 
 
-def predict_risk(model, x):
-    """Per-row log-risk score f(x) in eval mode (no dropout)."""
-    return predict_risk_net(model.net, x)
-
-
 def predict_survival(model, x, times):
-    """Per-row curves S(t|x) = exp(-H0(t) * exp(f(x))); times sorted."""
+    """Curves S(t|x) = exp(-H0(t) * exp(f(x))), one row per x row; times sorted."""
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) < 0):
         raise DataError("times must be sorted ascending")
     h0 = model.baseline(times)
     risk = np.exp(predict_risk(model, x))
-    return [SurvivalCurve(times=times, values=np.exp(-h0 * r), kind="step") for r in risk]
+    return SurvivalCurve(times=times, values=np.exp(-h0 * risk[:, None]), kind="step")
 
 
 def save_checkpoint(model, path):

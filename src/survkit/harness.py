@@ -568,9 +568,7 @@ def run_experiment(ds, config):
             t_test, e_test, n_boot=config.n_boot, seed=boot_seed, name="c_index",
         )
         ibs_res = bootstrap_ci(
-            lambda idx: integrated_brier(
-                t_test[idx], e_test[idx], [curves[i] for i in idx]
-            ),
+            lambda idx: integrated_brier(t_test[idx], e_test[idx], curves[idx]),
             t_test, e_test, n_boot=config.n_boot, seed=boot_seed, name="ibs",
         )
         tauc_res = bootstrap_ci(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import concordance_counts
-from .curves import KmCurve
+from .curves import SurvivalCurve
 from .errors import ComputationError, DataError
 
 
@@ -42,12 +42,7 @@ def kaplan_meier(times, events):
     at_risk = n - starts
     has_event = d > 0
     factors = 1.0 - d[has_event] / at_risk[has_event]
-    return KmCurve(
-        knots=ts[starts][has_event],
-        values=np.cumprod(factors),
-        at_risk=at_risk[has_event].astype(float),
-        n_events=d[has_event],
-    )
+    return SurvivalCurve(times=ts[starts][has_event], values=np.cumprod(factors))
 
 
 def censoring_km(times, events):
@@ -110,6 +105,7 @@ def brier_score(times, events, surv_probs, horizon, censor_curve=None):
 def integrated_brier(times, events, curves, t_range=None, censor_curve=None):
     """Trapezoidal integral of the Brier score over an event-time grid.
 
+    `curves` is a SurvivalCurve with one row per subject.
     The grid is the distinct event times inside t_range (default: from the
     earliest event to the 90th percentile of follow-up); the integral is
     normalized by the grid span. Needs at least two grid points.
@@ -129,7 +125,7 @@ def integrated_brier(times, events, curves, t_range=None, censor_curve=None):
     if censor_curve is None:
         censor_curve = censoring_km(t, e)
 
-    preds = np.array([np.asarray(c(grid), dtype=float) for c in curves])
+    preds = curves(grid)
     scores = np.array(
         [
             brier_score(t, e, preds[:, j], grid[j], censor_curve=censor_curve)

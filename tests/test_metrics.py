@@ -7,6 +7,7 @@ oracle written from the definitions, not against the library's own code.
 import numpy as np
 import pytest
 
+from survkit.curves import SurvivalCurve
 from survkit.errors import ComputationError, DataError
 from survkit.metrics import (
     bootstrap_ci,
@@ -33,10 +34,8 @@ def censored_sample(rng, n, censor_prob=0.35):
 def test_km_hand_values_with_ties_and_censoring():
     # risk sets 4 then 2: S = (1 - 2/4), then * (1 - 1/2); censoring adds no knot
     km = kaplan_meier([1.0, 1.0, 2.0, 4.0], [1.0, 1.0, 1.0, 0.0])
-    np.testing.assert_array_equal(km.knots, [1.0, 2.0])
+    np.testing.assert_array_equal(km.times, [1.0, 2.0])
     np.testing.assert_allclose(km.values, [0.5, 0.25])
-    np.testing.assert_array_equal(km.at_risk, [4.0, 2.0])
-    np.testing.assert_array_equal(km.n_events, [2.0, 1.0])
 
 
 def test_km_evaluation_is_right_continuous_with_left_limits():
@@ -48,7 +47,7 @@ def test_km_evaluation_is_right_continuous_with_left_limits():
 
 def test_km_all_censored_is_flat_one():
     km = kaplan_meier([1.0, 2.0], [0.0, 0.0])
-    assert len(km.knots) == 0
+    assert len(km.times) == 0
     np.testing.assert_allclose(km([0.5, 5.0]), [1.0, 1.0])
 
 
@@ -57,7 +56,7 @@ def test_censoring_km_flips_the_indicator():
     e = np.array([1.0, 0.0, 1.0, 0.0])
     g = censoring_km(t, e)
     direct = kaplan_meier(t, 1.0 - e)
-    np.testing.assert_array_equal(g.knots, direct.knots)
+    np.testing.assert_array_equal(g.times, direct.times)
     np.testing.assert_allclose(g.values, direct.values)
 
 
@@ -162,54 +161,45 @@ def test_brier_fully_uncensored_has_unit_weights():
 # -- integrated Brier --------------------------------------------------------------
 
 
-class StepCurve:
-    """Minimal callable curve: S(t) = 1 while t < event time, else 0."""
-
-    def __init__(self, t_i):
-        self.t_i = t_i
-
-    def __call__(self, times):
-        return (np.asarray(times, dtype=float) < self.t_i).astype(float)
+def step_curves(times, drop_times):
+    """Step curves on `times`: row i is 1 while t < drop_times[i], else 0."""
+    times = np.unique(times)
+    values = (times[None, :] < np.asarray(drop_times, dtype=float)[:, None]).astype(float)
+    return SurvivalCurve(times=times, values=values, kind="step")
 
 
 def test_ibs_perfect_predictions_score_zero():
     t = np.arange(1.0, 9.0)
     e = np.ones(8)
-    curves = [StepCurve(ti) for ti in t]
-    assert integrated_brier(t, e, curves) == pytest.approx(0.0, abs=1e-15)
+    assert integrated_brier(t, e, step_curves(t, t)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_ibs_constant_half_is_quarter():
-    class Flat:
-        def __call__(self, times):
-            return np.full(np.asarray(times).shape, 0.5)
-
     t = np.arange(1.0, 11.0)
     e = np.ones(10)
-    assert integrated_brier(t, e, [Flat()] * 10) == pytest.approx(0.25)
+    flat = SurvivalCurve(times=t, values=np.full((10, 10), 0.5), kind="linear")
+    assert integrated_brier(t, e, flat) == pytest.approx(0.25)
 
 
 def test_ibs_matches_trapezoid_of_pointwise_brier():
     rng = np.random.default_rng(13)
     n = 60
     t, e = censored_sample(rng, n)
-    horizon_obj = [StepCurve(ti + rng.random() * 3) for ti in t]
+    drop = t + rng.random(n) * 3
+    curves = step_curves(t, drop)
     lo, hi = 1.0, float(np.quantile(t, 0.9))
     grid = np.unique(t[e == 1.0])
     grid = grid[(grid >= lo) & (grid <= hi)]
     g = censoring_km(t, e)
-    scores = [
-        brier_score(t, e, np.array([c(np.array([u]))[0] for c in horizon_obj]), u, censor_curve=g)
-        for u in grid
-    ]
+    scores = [brier_score(t, e, (u < drop).astype(float), u, censor_curve=g) for u in grid]
     expected = np.trapezoid(scores, grid) / (grid[-1] - grid[0])
-    got = integrated_brier(t, e, horizon_obj, t_range=(lo, hi))
+    got = integrated_brier(t, e, curves, t_range=(lo, hi))
     assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_ibs_needs_enough_grid():
     with pytest.raises(DataError):
-        integrated_brier([1.0, 2.0], [1.0, 0.0], [StepCurve(1.0)] * 2)
+        integrated_brier([1.0, 2.0], [1.0, 0.0], step_curves([1.0, 2.0], [1.0, 1.0]))
 
 
 # -- time-dependent AUC -------------------------------------------------------------
