@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -248,19 +248,7 @@ def save_checkpoint(model, path):
     doc = {
         "net": model_to_dict(model.net),
         "cuts": model.grid.cuts.tolist(),
-        "params": {
-            "hidden": list(model.params.hidden),
-            "n_bins": model.params.n_bins,
-            "dropout": model.params.dropout,
-            "epochs": model.params.epochs,
-            "batch_size": model.params.batch_size,
-            "lr": model.params.lr,
-            "lr_decay": model.params.lr_decay,
-            "weight_decay": model.params.weight_decay,
-            "alpha": model.params.alpha,
-            "sigma": model.params.sigma,
-            "n_interp": model.params.n_interp,
-        },
+        "params": asdict(model.params),
         "seed": model.seed,
     }
     with open(path, "w", encoding="utf-8") as fh:

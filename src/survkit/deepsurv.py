@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -140,15 +140,7 @@ def save_checkpoint(model, path):
             "knots": model.baseline.knots.tolist(),
             "values": model.baseline.values.tolist(),
         },
-        "params": {
-            "hidden": list(model.params.hidden),
-            "dropout": model.params.dropout,
-            "epochs": model.params.epochs,
-            "batch_size": model.params.batch_size,
-            "lr": model.params.lr,
-            "lr_decay": model.params.lr_decay,
-            "weight_decay": model.params.weight_decay,
-        },
+        "params": asdict(model.params),
         "seed": model.seed,
     }
     with open(path, "w", encoding="utf-8") as fh:

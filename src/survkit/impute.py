@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as sstats
 
+from .coxph import breslow_from_scores
 from .curves import CumHazardFn
 from .errors import DataError, SchemaError
 from .tabular import SurvivalDataset
@@ -28,6 +29,7 @@ def nelson_aalen(times, events):
     """Nelson-Aalen cumulative hazard estimate H(t) = sum d_i / n_i.
 
     Knots are the distinct event times; ties add d/n in one increment.
+    This is the Breslow baseline at all-zero scores.
     """
     t = np.asarray(times, dtype=float)
     e = np.asarray(events, dtype=float)
@@ -36,16 +38,7 @@ def nelson_aalen(times, events):
     if np.isnan(t).any() or np.isnan(e).any():
         raise DataError("outcomes must be complete for the Nelson-Aalen estimate")
 
-    order = np.argsort(t, kind="stable")
-    ts, es = t[order], e[order]
-    n = len(ts)
-    starts = np.flatnonzero(np.r_[True, ts[1:] != ts[:-1]])
-    d = np.add.reduceat(es, starts)
-    at_risk = n - starts
-    has_event = d > 0
-    knots = ts[starts][has_event]
-    increments = d[has_event] / at_risk[has_event]
-    return CumHazardFn(knots=knots, values=np.cumsum(increments))
+    return breslow_from_scores(t, e, np.zeros(len(t)))
 
 
 def _check_numeric_covariates(ds):

@@ -66,6 +66,35 @@ def concordance_index(times, events, scores):
     return (conc + 0.5 * tied) / comp
 
 
+def _warn_dropped(dropped):
+    if dropped:
+        warnings.warn(f"dropped {dropped} observations with zero censoring weight")
+
+
+def _brier_grid(t, e, preds, grid, censor_curve):
+    """IPCW Brier score at every grid time, as one (n, G) masked matrix.
+
+    preds[i, j] is subject i's predicted S(grid[j]). Events at or before
+    grid[j] contribute S^2 / G(t_i-); subjects still at risk contribute
+    (1-S)^2 / G(grid[j]); censored-before-grid[j] subjects contribute zero.
+    Returns the (G,) scores, each averaged over all n subjects.
+    """
+    g_died = censor_curve.left(t)[:, None]
+    g_alive = censor_curve(grid)
+    died = t[:, None] <= grid
+    died &= (e == 1.0)[:, None]
+    alive = t[:, None] > grid
+    n_terms = died.sum() + alive.sum()
+    died &= g_died > 0
+    alive &= g_alive > 0
+    _warn_dropped(int(n_terms - died.sum() - alive.sum()))
+    contrib = np.zeros_like(preds)
+    np.divide(np.square(preds), g_died, out=contrib, where=died)
+    rest = np.subtract(1.0, preds)
+    np.divide(np.square(rest, out=rest), g_alive, out=contrib, where=alive)
+    return contrib.sum(axis=0) / len(t)
+
+
 def brier_score(times, events, surv_probs, horizon, censor_curve=None):
     """IPCW Brier score at one horizon.
 
@@ -80,26 +109,7 @@ def brier_score(times, events, surv_probs, horizon, censor_curve=None):
         raise DataError("surv_probs must match times in length")
     if censor_curve is None:
         censor_curve = censoring_km(t, e)
-
-    n = len(t)
-    total = 0.0
-    dropped = 0
-    died = (t <= horizon) & (e == 1.0)
-    if died.any():
-        g_left = censor_curve.left(t[died])
-        ok = g_left > 0
-        dropped += int((~ok).sum())
-        total += float(((s[died][ok] ** 2) / g_left[ok]).sum())
-    alive = t > horizon
-    if alive.any():
-        g_h = censor_curve(horizon)
-        if g_h > 0:
-            total += float((((1.0 - s[alive]) ** 2) / g_h).sum())
-        else:
-            dropped += int(alive.sum())
-    if dropped:
-        warnings.warn(f"dropped {dropped} observations with zero censoring weight")
-    return total / n
+    return float(_brier_grid(t, e, s[:, None], np.array([float(horizon)]), censor_curve)[0])
 
 
 def integrated_brier(times, events, curves, t_range=None, censor_curve=None):
@@ -124,14 +134,7 @@ def integrated_brier(times, events, curves, t_range=None, censor_curve=None):
         raise DataError("fewer than 2 event times in t_range; integral is undefined")
     if censor_curve is None:
         censor_curve = censoring_km(t, e)
-
-    preds = curves(grid)
-    scores = np.array(
-        [
-            brier_score(t, e, preds[:, j], grid[j], censor_curve=censor_curve)
-            for j in range(len(grid))
-        ]
-    )
+    scores = _brier_grid(t, e, curves(grid), grid, censor_curve)
     return float(np.trapezoid(scores, grid) / (grid[-1] - grid[0]))
 
 
@@ -146,8 +149,9 @@ def cumulative_dynamic_auc(times, events, scores, eval_times=None, censor_curve=
     """IPCW cumulative/dynamic AUC at each horizon, plus the plain mean.
 
     Cases at horizon t are subjects with an event at or before t, weighted
-    by 1/G(t_i-); controls are subjects still at risk after t. Score ties
-    count half. Horizons without both cases and controls are skipped.
+    by 1/G(t_i-); a case with G(t_i-) = 0 is dropped with a warning.
+    Controls are subjects still at risk after t. Score ties count half.
+    Horizons without both (weighted) cases and controls are skipped.
     Defaults to the deciles (10%..90%) of the observed event times.
     """
     t, e = _check_outcomes(times, events)
@@ -163,14 +167,20 @@ def cumulative_dynamic_auc(times, events, scores, eval_times=None, censor_curve=
     if censor_curve is None:
         censor_curve = censoring_km(t, e)
 
+    g_case = censor_curve.left(t)
+    weighted = g_case > 0
+    dropped = 0
     kept = []
     aucs = []
     for horizon in eval_times:
         cases = (t <= horizon) & (e == 1.0)
         controls = t > horizon
+        if controls.any():
+            dropped += int((cases & ~weighted).sum())
+        cases &= weighted
         if not cases.any() or not controls.any():
             continue
-        w = 1.0 / np.maximum(censor_curve.left(t[cases]), 1e-300)
+        w = 1.0 / g_case[cases]
         ctrl_sorted = np.sort(s[controls])
         n_less = np.searchsorted(ctrl_sorted, s[cases], side="left")
         n_leq = np.searchsorted(ctrl_sorted, s[cases], side="right")
@@ -178,6 +188,7 @@ def cumulative_dynamic_auc(times, events, scores, eval_times=None, censor_curve=
         denom = w.sum() * len(ctrl_sorted)
         kept.append(float(horizon))
         aucs.append(float((w * wins).sum() / denom))
+    _warn_dropped(dropped)
     if not kept:
         raise ComputationError("no horizon had both cases and controls")
     values = np.array(aucs)

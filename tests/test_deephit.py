@@ -1,5 +1,8 @@
 """Discrete-time model tests: time grid, combined loss, curve properties."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -229,6 +232,10 @@ def test_checkpoint_round_trip(tmp_path):
     p = tmp_path / "dh.json"
     save_checkpoint(model, p)
     back = load_checkpoint(p)
+    # every DeepHitParams field is saved, so a new field cannot be dropped
+    saved = json.loads(p.read_text(encoding="utf-8"))["params"]
+    assert set(saved) == {f.name for f in dataclasses.fields(DeepHitParams)}
+    assert back.params == model.params
     np.testing.assert_array_equal(back.grid.cuts, model.grid.cuts)
     np.testing.assert_array_equal(
         predict_pmf(back, x[:8]), predict_pmf(model, x[:8])

@@ -1,5 +1,8 @@
 """Score-network model tests: loss, training determinism, linear equivalence."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -158,6 +161,10 @@ def test_checkpoint_round_trip(tmp_path):
     p = tmp_path / "net.json"
     save_checkpoint(model, p)
     back = load_checkpoint(p)
+    # every DeepSurvParams field is saved, so a new field cannot be dropped
+    saved = json.loads(p.read_text(encoding="utf-8"))["params"]
+    assert set(saved) == {f.name for f in dataclasses.fields(DeepSurvParams)}
+    assert back.params == model.params
     np.testing.assert_array_equal(back.net.weights[0], model.net.weights[0])
     np.testing.assert_array_equal(back.baseline.knots, model.baseline.knots)
     np.testing.assert_array_equal(

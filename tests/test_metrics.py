@@ -4,8 +4,13 @@ Every IPCW quantity is checked against a deliberately plain double-loop
 oracle written from the definitions, not against the library's own code.
 """
 
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survkit.curves import SurvivalCurve
 from survkit.errors import ComputationError, DataError
@@ -114,20 +119,26 @@ def test_concordance_no_comparable_pairs():
 # -- Brier score -------------------------------------------------------------------
 
 
-def brier_oracle(t, e, s, horizon):
-    """Direct IPCW double sum from the definition."""
-    g = censoring_km(t, e)
+def brier_oracle(t, e, s, horizon, g=None):
+    """Direct IPCW double sum from the definition: (score, dropped terms)."""
+    if g is None:
+        g = censoring_km(t, e)
     total = 0.0
+    dropped = 0
     for i in range(len(t)):
         if t[i] <= horizon and e[i] == 1.0:
             gi = float(g.left(np.array([t[i]]))[0])
             if gi > 0:
                 total += s[i] ** 2 / gi
+            else:
+                dropped += 1
         elif t[i] > horizon:
             gh = float(g(horizon))
             if gh > 0:
                 total += (1.0 - s[i]) ** 2 / gh
-    return total / len(t)
+            else:
+                dropped += 1
+    return total / len(t), dropped
 
 
 def test_brier_constant_half_prediction_uncensored():
@@ -145,7 +156,7 @@ def test_brier_matches_double_sum_oracle():
         s = rng.random(n)
         for horizon in np.quantile(t, [0.2, 0.4, 0.6, 0.8]):
             mine = brier_score(t, e, s, horizon)
-            assert mine == pytest.approx(brier_oracle(t, e, s, horizon), abs=1e-12)
+            assert mine == pytest.approx(brier_oracle(t, e, s, horizon)[0], abs=1e-12)
 
 
 def test_brier_fully_uncensored_has_unit_weights():
@@ -190,8 +201,7 @@ def test_ibs_matches_trapezoid_of_pointwise_brier():
     lo, hi = 1.0, float(np.quantile(t, 0.9))
     grid = np.unique(t[e == 1.0])
     grid = grid[(grid >= lo) & (grid <= hi)]
-    g = censoring_km(t, e)
-    scores = [brier_score(t, e, (u < drop).astype(float), u, censor_curve=g) for u in grid]
+    scores = [brier_oracle(t, e, (u < drop).astype(float), u)[0] for u in grid]
     expected = np.trapezoid(scores, grid) / (grid[-1] - grid[0])
     got = integrated_brier(t, e, curves, t_range=(lo, hi))
     assert got == pytest.approx(expected, rel=1e-12)
@@ -200,6 +210,79 @@ def test_ibs_matches_trapezoid_of_pointwise_brier():
 def test_ibs_needs_enough_grid():
     with pytest.raises(DataError):
         integrated_brier([1.0, 2.0], [1.0, 0.0], step_curves([1.0, 2.0], [1.0, 1.0]))
+
+
+def dropped_counts(fn):
+    """fn()'s value and the counts its zero-weight warnings report."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = fn()
+    counts = [
+        int(m.group(1))
+        for w in caught
+        if (m := re.search(r"dropped (\d+) observations", str(w.message)))
+    ]
+    return value, counts
+
+
+# Tied integer times 1..6; censoring knots on and between them, with
+# weights in [0.05, 1] (so abs 1e-12 is a tight check) and the last one at
+# G = 0 so the zero-weight drop runs; horizons before, at, between and
+# past the times.
+CENSOR_KNOTS = [1.0, 1.5, 2.0, 3.0, 3.5, 4.0, 5.0, 6.0]
+HORIZONS = np.r_[0.5, np.arange(1.0, 6.5, 0.5), 7.0]
+
+brier_cases = st.integers(2, 25).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(1, 6), min_size=n, max_size=n),
+        st.lists(st.booleans(), min_size=n, max_size=n),
+        st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6), min_size=n, max_size=n
+        ),
+        st.lists(st.sampled_from(CENSOR_KNOTS), min_size=1, unique=True).flatmap(
+            lambda knots: st.tuples(
+                st.just(sorted(knots)),
+                st.lists(
+                    st.floats(0.05, 1.0), min_size=len(knots) - 1, max_size=len(knots) - 1
+                ),
+            )
+        ),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(brier_cases)
+def test_brier_grid_matches_oracle_with_zero_weights(case):
+    times, events, rows, (knots, g_values) = case
+    t = np.asarray(times, dtype=float)
+    e = np.asarray(events, dtype=float)
+    curves = SurvivalCurve(
+        times=np.arange(1.0, 7.0), values=-np.sort(-np.asarray(rows), axis=1), kind="step"
+    )
+    g = SurvivalCurve(times=knots, values=[*sorted(g_values, reverse=True), 0.0], kind="step")
+
+    def oracle(u):
+        return brier_oracle(t, e, curves(np.array([u]))[:, 0], u, g)
+
+    for u in HORIZONS:
+        got, counts = dropped_counts(
+            lambda: brier_score(t, e, curves(np.array([u]))[:, 0], u, censor_curve=g)
+        )
+        expected, dropped = oracle(u)
+        assert got == pytest.approx(expected, abs=1e-12)
+        assert counts == ([dropped] if dropped else [])
+
+    grid = np.unique(t[e == 1.0])
+    if len(grid) < 2:
+        return
+    got, counts = dropped_counts(
+        lambda: integrated_brier(t, e, curves, t_range=(0.0, 10.0), censor_curve=g)
+    )
+    scores, drops = zip(*(oracle(u) for u in grid))
+    expected = np.trapezoid(scores, grid) / (grid[-1] - grid[0])
+    assert got == pytest.approx(expected, rel=1e-12)
+    assert counts == ([sum(drops)] if sum(drops) else [])
 
 
 # -- time-dependent AUC -------------------------------------------------------------
@@ -257,6 +340,21 @@ def test_tauc_skips_degenerate_horizons():
     np.testing.assert_array_equal(res.eval_times, [2.0])
     with pytest.raises(ComputationError):
         cumulative_dynamic_auc(t, e, -t, eval_times=[0.5])
+
+
+def test_tauc_drops_cases_with_zero_censoring_weight():
+    # G(t-) is 0 past 2.5: the cases at t=3 (horizons 3.5 and 4.5) and t=4
+    # (horizon 4.5) are dropped with one warning, so only cases 1 and 2
+    # count. Weighed at 1e300, the low-scoring case at 3 would pull the
+    # AUCs at 3.5 and 4.5 to about 0.
+    t = np.arange(1.0, 7.0)
+    e = np.ones(6)
+    s = np.array([6.0, 5.0, 0.0, 3.0, 2.0, 1.0])
+    g = SurvivalCurve(times=[2.5], values=[0.0], kind="step")
+    with pytest.warns(UserWarning, match="dropped 3 observations"):
+        res = cumulative_dynamic_auc(t, e, s, eval_times=[2.0, 3.5, 4.5], censor_curve=g)
+    np.testing.assert_array_equal(res.eval_times, [2.0, 3.5, 4.5])
+    np.testing.assert_array_equal(res.values, [1.0, 1.0, 1.0])
 
 
 # -- bootstrap ----------------------------------------------------------------------
