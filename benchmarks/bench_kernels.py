@@ -1,7 +1,11 @@
 """Benchmark the numpy survival kernels.
 
 Runs the Efron loss/gradient and the concordance pair counts on random
-inputs at several cohort sizes and prints the best per-call timing.
+inputs at several cohort sizes and prints the best per-call timing. The
+concordance counts are also timed weighted by B rows of bootstrap
+multiplicities at once (the batch bootstrap's call), and the script
+asserts that each weighted row equals the unweighted counts of its
+expanded sample.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--sizes 500,2000,8000] [--repeats 7]
@@ -13,6 +17,10 @@ import time
 import numpy as np
 
 from survkit._kernels import concordance_counts, efron_loss_grad
+
+# bootstrap rows per weighted concordance call: one sample, and the
+# replicate count of the survbench `boot` workload
+BOOTS = (1, 150)
 
 
 def survival_inputs(rng, n):
@@ -26,6 +34,21 @@ def survival_inputs(rng, n):
     return times, events, scores
 
 
+def multiplicities(rng, n, rows):
+    """`rows` bootstrap count rows: how often each subject is drawn."""
+    return np.array([np.bincount(rng.integers(0, n, n), minlength=n) for _ in range(rows)],
+                    dtype=float)
+
+
+def check_weighted(times, events, scores, weights):
+    """Each weighted row must equal the unweighted counts on the expanded sample."""
+    got = concordance_counts(times, events, scores, weights=weights)
+    for r, row in enumerate(weights.astype(int)):
+        idx = np.repeat(np.arange(len(times)), row)
+        want = concordance_counts(times[idx], events[idx], scores[idx])
+        assert tuple(int(c[r]) for c in got) == want, (r, want)
+
+
 def best_of(fn, repeats):
     best = float("inf")
     for _ in range(repeats):
@@ -36,7 +59,7 @@ def best_of(fn, repeats):
 
 
 def run(sizes, repeats):
-    header = f"{'kernel':<22}{'n':>8}{'time':>12}"
+    header = f"{'kernel':<28}{'n':>8}{'time':>12}"
     print(header)
     print("-" * len(header))
     rng = np.random.default_rng(0)
@@ -44,7 +67,14 @@ def run(sizes, repeats):
         times, events, scores = survival_inputs(rng, n)
         for kernel in (efron_loss_grad, concordance_counts):
             t = best_of(lambda: kernel(times, events, scores), repeats)
-            print(f"{kernel.__name__:<22}{n:>8}{t * 1e3:>10.2f}ms")
+            print(f"{kernel.__name__:<28}{n:>8}{t * 1e3:>10.2f}ms")
+        for b in BOOTS:
+            weights = multiplicities(rng, n, b)
+            check_weighted(times, events, scores, weights[:2])
+            t = best_of(lambda: concordance_counts(times, events, scores, weights=weights),
+                        repeats)
+            label = f"concordance_counts B={b}"
+            print(f"{label:<28}{n:>8}{t * 1e3:>10.2f}ms")
 
 
 def main():

@@ -25,6 +25,7 @@ from .harness import (
 from .impute import mice_impute, nelson_aalen, pool_rubin
 from .metrics import (
     bootstrap_ci,
+    bootstrap_counts,
     brier_score,
     concordance_index,
     cumulative_dynamic_auc,
@@ -88,6 +89,7 @@ __all__ = [
     "integrated_brier",
     "cumulative_dynamic_auc",
     "bootstrap_ci",
+    "bootstrap_counts",
     "SplitPlan",
     "PrepConfig",
     "ExperimentConfig",

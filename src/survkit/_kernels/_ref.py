@@ -3,12 +3,17 @@
 - efron_loss_grad: Efron-tie negative log partial likelihood of a score
   vector plus its gradient with respect to the scores.
 - concordance_counts: exact integer pair counts for Harrell's C, so the
-  final ratio does not depend on summation order.
+  final ratio does not depend on summation order; optionally weighted by
+  an (R, n) multiplicity matrix, all R samples in one pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# pair-mask cells per concordance block (cases x subjects), which bounds the
+# float masks the weighted sums multiply
+BLOCK_CELLS = 2**17
 
 
 def efron_loss_grad(times, events, eta):
@@ -86,13 +91,19 @@ def efron_loss_grad(times, events, eta):
     return value, grad
 
 
-def concordance_counts(times, events, scores):
+def concordance_counts(times, events, scores, weights=None):
     """Exact Harrell pair counts: (concordant, tied_score, comparable).
 
     A pair is comparable when the earlier subject has an event, including
     tied times where the other subject is censored; tied times with two
     events are excluded. Concordant means the earlier-event subject has the
     strictly higher score; exact score ties are counted separately.
+
+    `weights` (R, n) gives R weighted counts in one pass: sample r counts
+    pair (i, j) weights[r, i] * weights[r, j] times, and each result is an
+    (R,) float array. For integer weights summing to n per row (bootstrap
+    multiplicities) every partial sum is an integer below n^2, so the
+    counts are exact. Without weights the counts are Python ints.
     """
     t = np.asarray(times, dtype=float)
     e = np.asarray(events, dtype=bool)
@@ -100,19 +111,23 @@ def concordance_counts(times, events, scores):
     n = len(t)
     if n == 0 or t.shape != e.shape or t.shape != s.shape:
         raise ValueError("times, events, scores must be equal-length non-empty 1-D arrays")
+    w = np.ones((1, n)) if weights is None else np.asarray(weights, dtype=float)
+    if w.ndim != 2 or w.shape[1] != n:
+        raise ValueError("weights must be an (R, n) matrix")
 
+    wt = np.ascontiguousarray(w.T)
     case_idx = np.flatnonzero(e)
-    conc = 0
-    tied = 0
-    comp = 0
-    block = 256
+    counts = np.zeros((3, len(w)))
+    block = max(1, BLOCK_CELLS // n)
     for lo in range(0, len(case_idx), block):
         idx = case_idx[lo : lo + block]
         tc = t[idx][:, None]
         sc = s[idx][:, None]
         # comparable: later time, or same time with the other subject censored
-        mask = (t[None, :] > tc) | ((t[None, :] == tc) & ~e[None, :])
-        conc += int(((sc > s[None, :]) & mask).sum())
-        tied += int(((sc == s[None, :]) & mask).sum())
-        comp += int(mask.sum())
-    return conc, tied, comp
+        comp = (t[None, :] > tc) | ((t[None, :] == tc) & ~e[None, :])
+        for k, mask in enumerate(((sc > s[None, :]) & comp, (sc == s[None, :]) & comp, comp)):
+            # each case's weighted partner mass, times the case's own weight
+            counts[k] += ((mask @ wt) * wt[idx]).sum(axis=0)
+    if weights is None:
+        return tuple(int(c) for c in counts[:, 0])
+    return counts[0], counts[1], counts[2]

@@ -30,6 +30,7 @@ from .errors import ComputationError, ConfigError, DataError
 from .impute import apply_mice, fit_mice, mice_impute, pool_rubin
 from .metrics import (
     bootstrap_ci,
+    bootstrap_counts,
     censoring_km,
     concordance_index,
     cumulative_dynamic_auc,
@@ -520,6 +521,27 @@ def _data_digest(ds):
     return h.hexdigest()
 
 
+def _test_metrics(t, e, risk, curves, counts):
+    """Test-split C-index, IBS and mean tAUC with bootstrap CIs.
+
+    One set of resamples, and its censoring KM, serves all three metrics;
+    the sample alone (counts None) builds its own.
+    """
+    censor = censoring_km(t, e, counts=counts)
+
+    def shared(w):
+        return None if w is None else censor
+
+    metric_fns = {
+        "c_index": lambda w: concordance_index(t, e, risk, counts=w),
+        "ibs": lambda w: integrated_brier(t, e, curves, censor_curve=shared(w), counts=w),
+        "tauc_mean": lambda w: cumulative_dynamic_auc(
+            t, e, risk, censor_curve=shared(w), counts=w
+        ).mean,
+    }
+    return [bootstrap_ci(fn, counts, name=name) for name, fn in metric_fns.items()]
+
+
 def run_experiment(ds, config):
     """Split, grid-search each family, refit winners, evaluate on test.
 
@@ -563,19 +585,8 @@ def run_experiment(ds, config):
         curves = family.curves(model, x_test, curve_times)
 
         boot_seed = seed + 300 + fi
-        c_res = bootstrap_ci(
-            lambda idx: concordance_index(t_test[idx], e_test[idx], risk[idx]),
-            t_test, e_test, n_boot=config.n_boot, seed=boot_seed, name="c_index",
-        )
-        ibs_res = bootstrap_ci(
-            lambda idx: integrated_brier(t_test[idx], e_test[idx], curves[idx]),
-            t_test, e_test, n_boot=config.n_boot, seed=boot_seed, name="ibs",
-        )
-        tauc_res = bootstrap_ci(
-            lambda idx: cumulative_dynamic_auc(
-                t_test[idx], e_test[idx], risk[idx]
-            ).mean,
-            t_test, e_test, n_boot=config.n_boot, seed=boot_seed, name="tauc_mean",
+        results = _test_metrics(
+            t_test, e_test, risk, curves, bootstrap_counts(e_test, config.n_boot, boot_seed)
         )
 
         families_out[family_name] = {
@@ -589,9 +600,10 @@ def run_experiment(ds, config):
                     "ci_low": r.ci_low,
                     "ci_high": r.ci_high,
                     "n_boot": r.n_boot,
-                    "seed": r.seed,
+                    "seed": boot_seed,
+                    "n_failed": r.n_failed,
                 }
-                for r in (c_res, ibs_res, tauc_res)
+                for r in results
             },
         }
         models[family_name] = {"model": model, "pipeline": pipeline, "family": family}

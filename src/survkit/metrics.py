@@ -5,6 +5,13 @@ distribution (event indicator flipped). Weights at an observed event time
 use the left limit G(t-), weights for being at risk at the horizon use
 G(t). Subjects whose required weight is zero are dropped from the sum with
 a warning but stay in the denominator, matching the usual Graf estimator.
+
+Every metric also scores R resamples of the same subjects in one pass:
+`counts` is an (R, n) matrix of subject multiplicities (row r says how
+often each subject occurs in sample r), and the metric returns R values,
+NaN where a sample's metric is undefined. Without `counts` a metric scores
+the sample itself as the one-row, all-ones case, and raises where that
+value is undefined. The bootstrap draws its replicates as such a matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +23,11 @@ import numpy as np
 
 from ._kernels import concordance_counts
 from .curves import SurvivalCurve
-from .errors import ComputationError, DataError
+from .errors import ComputationError, ConfigError, DataError
+
+# samples scored per pass; bounds the (rows, n) intermediates of IBS and tAUC
+ROW_CHUNK = 64
+DECILES = np.arange(1, 10) / 10.0
 
 
 def _check_outcomes(times, events):
@@ -31,39 +42,112 @@ def _check_outcomes(times, events):
     return t, e
 
 
-def kaplan_meier(times, events):
-    """Product-limit survival estimate; steps down at distinct event times."""
-    t, e = _check_outcomes(times, events)
+def _count_rows(counts, n):
+    """(R, n) float multiplicities; one row of ones when counts is None."""
+    if counts is None:
+        return np.ones((1, n))
+    w = np.asarray(counts, dtype=float)
+    if w.ndim != 2 or w.shape[1] != n:
+        raise DataError(f"counts must be an (R, {n}) matrix, got shape {w.shape}")
+    if not (np.isfinite(w).all() and (w >= 0).all() and (w == np.round(w)).all()):
+        raise DataError("counts must be non-negative integers")
+    return w
+
+
+def _row_chunks(n_rows):
+    return (slice(lo, lo + ROW_CHUNK) for lo in range(0, n_rows, ROW_CHUNK))
+
+
+def _row_quantiles(x, w, q):
+    """np.quantile(q) of each row's sample, x[i] repeated w[r, i] times: (R, len(q)).
+
+    Rows of equal size are expanded into one sorted matrix, so every value
+    is numpy's own quantile of that sample. A row of size 0 gives NaN.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    c = w[:, order].astype(np.int64)
+    size = c.sum(axis=1)
+    out = np.full((len(c), len(q)), np.nan)
+    for m in np.unique(size[size > 0]):
+        rows = np.flatnonzero(size == m)
+        take = np.repeat(np.tile(np.arange(len(xs)), len(rows)), c[rows].ravel())
+        out[rows] = np.quantile(xs[take].reshape(len(rows), m), q, axis=1).T
+    return out
+
+
+def _km_rows(t, e, w):
+    """Product-limit estimates of R weighted samples at the distinct times of t.
+
+    Returns (times (U,), events (R, U), S (R, U)). Event counts and risk
+    sets are integers and the factor is exactly 1.0 where a sample has no
+    event, so each row equals the estimate of its expanded sample.
+    """
     order = np.argsort(t, kind="stable")
-    ts, es = t[order], e[order]
-    n = len(ts)
+    ts = t[order]
     starts = np.flatnonzero(np.r_[True, ts[1:] != ts[:-1]])
-    d = np.add.reduceat(es, starts)
-    at_risk = n - starts
-    has_event = d > 0
-    factors = 1.0 - d[has_event] / at_risk[has_event]
-    return SurvivalCurve(times=ts[starts][has_event], values=np.cumprod(factors))
+    wo = w[:, order]
+    at_risk = np.cumsum(np.add.reduceat(wo, starts, axis=1)[:, ::-1], axis=1)[:, ::-1]
+    d = np.add.reduceat(np.multiply(wo, e[order], out=wo), starts, axis=1)
+    factors = np.divide(d, at_risk, out=at_risk, where=d > 0)
+    factors[d == 0] = 0.0
+    return ts[starts], d, np.cumprod(np.subtract(1.0, factors, out=factors), axis=1, out=factors)
 
 
-def censoring_km(times, events):
+def kaplan_meier(times, events, counts=None):
+    """Product-limit survival estimate; steps down at distinct event times.
+
+    With `counts`, one row per sample, on the distinct times where any
+    sample has an event (flat where that sample has none).
+    """
+    t, e = _check_outcomes(times, events)
+    knots, d, values = _km_rows(t, e, _count_rows(counts, len(t)))
+    steps = (d > 0).any(axis=0)
+    values = values[:, steps]
+    return SurvivalCurve(times=knots[steps], values=values[0] if counts is None else values)
+
+
+def censoring_km(times, events, counts=None):
     """KM estimate of the censoring distribution (indicator flipped)."""
     t, e = _check_outcomes(times, events)
-    return kaplan_meier(t, 1.0 - e)
+    return kaplan_meier(t, 1.0 - e, counts=counts)
 
 
-def concordance_index(times, events, scores):
+def _censoring(t, e, counts, censor_curve, n_rows):
+    """The censoring curve to weigh with: one row per sample, or one for all."""
+    if censor_curve is None:
+        return censoring_km(t, e, counts=counts)
+    if censor_curve.values.ndim == 2 and len(censor_curve) != n_rows:
+        raise DataError("censor_curve needs one row per sample, or a single row")
+    return censor_curve
+
+
+def _curve_rows(curve, rows):
+    return curve if curve.values.ndim == 1 else curve[rows]
+
+
+def concordance_index(times, events, scores, counts=None):
     """Harrell's C: concordant pairs plus half the score ties, over
-    comparable pairs. Tied-time pairs with two events are not comparable."""
+    comparable pairs. Tied-time pairs with two events are not comparable.
+
+    With `counts`, sample r weighs pair (i, j) by counts[r, i] * counts[r, j],
+    the pair count of its expanded sample (two copies of one subject are
+    never comparable); a sample without comparable pairs gives NaN.
+    """
     t, e = _check_outcomes(times, events)
     s = np.asarray(scores, dtype=float)
     if s.shape != t.shape:
         raise DataError("scores must match times in length")
     if np.isnan(s).any():
         raise DataError("scores must be complete")
-    conc, tied, comp = concordance_counts(t, e, s)
-    if comp == 0:
+    conc, tied, comp = concordance_counts(t, e, s, weights=_count_rows(counts, len(t)))
+    with np.errstate(invalid="ignore"):
+        c = (conc + 0.5 * tied) / comp
+    if counts is not None:
+        return c
+    if comp[0] == 0:
         raise ComputationError("no comparable pairs; cannot compute a concordance index")
-    return (conc + 0.5 * tied) / comp
+    return float(c[0])
 
 
 def _warn_dropped(dropped):
@@ -71,28 +155,43 @@ def _warn_dropped(dropped):
         warnings.warn(f"dropped {dropped} observations with zero censoring weight")
 
 
-def _brier_grid(t, e, preds, grid, censor_curve):
-    """IPCW Brier score at every grid time, as one (n, G) masked matrix.
+def _mass_upto(w, t, grid):
+    """(R, G) sums of w[r, i] over the subjects with t_i <= grid[j]."""
+    order = np.argsort(t, kind="stable")
+    cum = np.zeros((len(w), len(t) + 1))
+    np.cumsum(w[:, order], axis=1, out=cum[:, 1:])
+    return cum[:, np.searchsorted(t[order], grid, side="right")]
 
-    preds[i, j] is subject i's predicted S(grid[j]). Events at or before
-    grid[j] contribute S^2 / G(t_i-); subjects still at risk contribute
-    (1-S)^2 / G(grid[j]); censored-before-grid[j] subjects contribute zero.
-    Returns the (G,) scores, each averaged over all n subjects.
+
+def _brier_grid(t, e, preds, grid, w, censor_curve):
+    """IPCW Brier scores of R weighted samples at every grid time.
+
+    w (R, n) holds subject multiplicities, preds[i, j] is subject i's
+    predicted S(grid[j]), and censor_curve has one row per sample or one
+    for all. Events at or before grid[j] contribute S^2 / G(t_i-); subjects
+    still at risk contribute (1-S)^2 / G(grid[j]); censored-before-grid[j]
+    subjects contribute zero. Zero-weight terms are dropped but stay in
+    the denominator, the sample size. Returns the (R, G) scores and the
+    (R, G) counts of dropped terms.
     """
-    g_died = censor_curve.left(t)[:, None]
-    g_alive = censor_curve(grid)
-    died = t[:, None] <= grid
-    died &= (e == 1.0)[:, None]
+    died = (t[:, None] <= grid) & (e == 1.0)[:, None]
     alive = t[:, None] > grid
-    n_terms = died.sum() + alive.sum()
-    died &= g_died > 0
-    alive &= g_alive > 0
-    _warn_dropped(int(n_terms - died.sum() - alive.sum()))
-    contrib = np.zeros_like(preds)
-    np.divide(np.square(preds), g_died, out=contrib, where=died)
-    rest = np.subtract(1.0, preds)
-    np.divide(np.square(rest, out=rest), g_alive, out=contrib, where=alive)
-    return contrib.sum(axis=0) / len(t)
+    g_died = censor_curve.left(t)
+    g_alive = censor_curve(grid)
+    weighted = (g_died > 0) & (e == 1.0)
+    inv = np.divide(w, g_died, out=np.zeros_like(w), where=weighted)
+    terms = np.zeros_like(preds)
+    scores = inv @ np.square(preds, out=terms, where=died)
+    terms.fill(0.0)
+    np.subtract(1.0, preds, out=terms, where=alive)
+    rest = w @ np.square(terms, out=terms)
+    scores += np.divide(rest, g_alive, out=np.zeros_like(rest), where=g_alive > 0)
+    size = w.sum(axis=1, keepdims=True)
+    scores /= size
+    # zero-weight events up to grid[j], and everyone at risk where G(grid[j]) = 0
+    dropped = _mass_upto(np.where(weighted, 0.0, w * e), t, grid)
+    dropped += np.where(g_alive > 0, 0.0, size - _mass_upto(w, t, grid))
+    return scores, dropped
 
 
 def brier_score(times, events, surv_probs, horizon, censor_curve=None):
@@ -109,43 +208,96 @@ def brier_score(times, events, surv_probs, horizon, censor_curve=None):
         raise DataError("surv_probs must match times in length")
     if censor_curve is None:
         censor_curve = censoring_km(t, e)
-    return float(_brier_grid(t, e, s[:, None], np.array([float(horizon)]), censor_curve)[0])
+    scores, dropped = _brier_grid(
+        t, e, s[:, None], np.array([float(horizon)]), np.ones((1, len(t))), censor_curve
+    )
+    _warn_dropped(int(dropped.sum()))
+    return float(scores[0, 0])
 
 
-def integrated_brier(times, events, curves, t_range=None, censor_curve=None):
+def _masked_trapezoid(y, x, mask):
+    """Per row r, np.trapezoid(y[r, mask[r]], x[mask[r]]) over that grid's
+    span; NaN where the row has fewer than two grid points."""
+    rows, cols = np.nonzero(mask)
+    pair = rows[1:] == rows[:-1]
+    r, a, b = rows[1:][pair], cols[:-1][pair], cols[1:][pair]
+    area = np.bincount(r, weights=(x[b] - x[a]) * (y[r, b] + y[r, a]) / 2.0, minlength=len(y))
+    first = mask.argmax(axis=1)
+    last = mask.shape[1] - 1 - mask[:, ::-1].argmax(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(mask.sum(axis=1) >= 2, area / (x[last] - x[first]), np.nan)
+
+
+def integrated_brier(times, events, curves, t_range=None, censor_curve=None, counts=None):
     """Trapezoidal integral of the Brier score over an event-time grid.
 
     `curves` is a SurvivalCurve with one row per subject.
     The grid is the distinct event times inside t_range (default: from the
     earliest event to the 90th percentile of follow-up); the integral is
     normalized by the grid span. Needs at least two grid points.
+
+    With `counts`, every sample takes its grid from its own event times and
+    follow-up; a sample with fewer than two grid points gives NaN.
     """
     t, e = _check_outcomes(times, events)
     if len(curves) != len(t):
         raise DataError("need one predicted curve per subject")
-    event_times = np.unique(t[e == 1.0])
-    if t_range is None:
-        if len(event_times) == 0:
-            raise DataError("no events; cannot choose a default range")
-        t_range = (float(event_times.min()), float(np.quantile(t, 0.9)))
-    lo, hi = float(t_range[0]), float(t_range[1])
-    grid = event_times[(event_times >= lo) & (event_times <= hi)]
-    if len(grid) < 2:
+    w = _count_rows(counts, len(t))
+    ev = np.flatnonzero(e == 1.0)
+    if t_range is None and len(ev) == 0:
+        raise DataError("no events; cannot choose a default range")
+    censor_curve = _censoring(t, e, counts, censor_curve, len(w))
+    ev = ev[np.argsort(t[ev], kind="stable")]
+    event_times, ev_starts = np.unique(t[ev], return_index=True)
+    values = np.full(len(w), np.nan)
+    dropped = 0
+    if len(event_times) >= 2:
+        preds = curves(event_times)
+        for rows in _row_chunks(len(w)):
+            wc = w[rows]
+            # a sample's grid: the event times it contains, inside its range
+            grid = np.add.reduceat(wc[:, ev], ev_starts, axis=1) > 0
+            if t_range is None:
+                grid &= event_times <= _row_quantiles(t, wc, [0.9])
+            else:
+                grid &= (event_times >= float(t_range[0])) & (event_times <= float(t_range[1]))
+            with np.errstate(invalid="ignore", divide="ignore"):
+                scores, drops = _brier_grid(
+                    t, e, preds, event_times, wc, _curve_rows(censor_curve, rows)
+                )
+            values[rows] = _masked_trapezoid(scores, event_times, grid)
+            scored = grid.sum(axis=1) >= 2
+            dropped += int(drops[grid & scored[:, None]].sum())
+    _warn_dropped(dropped)
+    if counts is not None:
+        return values
+    if np.isnan(values[0]):
         raise DataError("fewer than 2 event times in t_range; integral is undefined")
-    if censor_curve is None:
-        censor_curve = censoring_km(t, e)
-    scores = _brier_grid(t, e, curves(grid), grid, censor_curve)
-    return float(np.trapezoid(scores, grid) / (grid[-1] - grid[0]))
+    return float(values[0])
 
 
 @dataclass
 class TaucResult:
+    """Kept horizons, their AUCs and the mean of one sample; with `counts`,
+    (R, H) horizons and AUCs (NaN where skipped) and (R,) means."""
+
     eval_times: np.ndarray
     values: np.ndarray
     mean: float
 
 
-def cumulative_dynamic_auc(times, events, scores, eval_times=None, censor_curve=None):
+def _default_horizons(event_times, w):
+    """Each row's distinct deciles (10%..90%) of its event times, ascending,
+    with NaN in place of repeats."""
+    h = np.sort(_row_quantiles(event_times, w, DECILES), axis=1)
+    repeat = np.zeros(h.shape, dtype=bool)
+    repeat[:, 1:] = h[:, 1:] == h[:, :-1]
+    h[repeat] = np.nan
+    return h
+
+
+def cumulative_dynamic_auc(times, events, scores, eval_times=None, censor_curve=None,
+                           counts=None):
     """IPCW cumulative/dynamic AUC at each horizon, plus the plain mean.
 
     Cases at horizon t are subjects with an event at or before t, weighted
@@ -153,46 +305,69 @@ def cumulative_dynamic_auc(times, events, scores, eval_times=None, censor_curve=
     Controls are subjects still at risk after t. Score ties count half.
     Horizons without both (weighted) cases and controls are skipped.
     Defaults to the deciles (10%..90%) of the observed event times.
+
+    With `counts`, every sample takes its default horizons from its own
+    event times; a sample without a usable horizon has a NaN mean.
     """
     t, e = _check_outcomes(times, events)
     s = np.asarray(scores, dtype=float)
     if s.shape != t.shape:
         raise DataError("scores must match times in length")
-    if eval_times is None:
-        event_times = t[e == 1.0]
-        if len(event_times) == 0:
-            raise DataError("no events; cannot choose default horizons")
-        eval_times = np.unique(np.quantile(event_times, np.arange(1, 10) / 10.0))
-    eval_times = np.asarray(eval_times, dtype=float)
-    if censor_curve is None:
-        censor_curve = censoring_km(t, e)
+    w = _count_rows(counts, len(t))
+    event = e == 1.0
+    if eval_times is None and not event.any():
+        raise DataError("no events; cannot choose default horizons")
+    censor_curve = _censoring(t, e, counts, censor_curve, len(w))
 
-    g_case = censor_curve.left(t)
-    weighted = g_case > 0
+    # a case's wins: control mass with a lower score plus half the tied mass
+    order = np.argsort(s, kind="stable")
+    new_score = np.r_[True, s[order][1:] != s[order][:-1]]
+    starts = np.flatnonzero(new_score)
+    group = np.empty(len(s), dtype=np.intp)
+    group[order] = np.cumsum(new_score) - 1
+
+    if eval_times is not None:
+        eval_times = np.atleast_1d(np.asarray(eval_times, dtype=float))
+    n_h = len(DECILES) if eval_times is None else len(eval_times)
+    horizons = np.full((len(w), n_h), np.nan)
+    values = np.full((len(w), n_h), np.nan)
     dropped = 0
-    kept = []
-    aucs = []
-    for horizon in eval_times:
-        cases = (t <= horizon) & (e == 1.0)
-        controls = t > horizon
-        if controls.any():
-            dropped += int((cases & ~weighted).sum())
-        cases &= weighted
-        if not cases.any() or not controls.any():
-            continue
-        w = 1.0 / g_case[cases]
-        ctrl_sorted = np.sort(s[controls])
-        n_less = np.searchsorted(ctrl_sorted, s[cases], side="left")
-        n_leq = np.searchsorted(ctrl_sorted, s[cases], side="right")
-        wins = n_less + 0.5 * (n_leq - n_less)
-        denom = w.sum() * len(ctrl_sorted)
-        kept.append(float(horizon))
-        aucs.append(float((w * wins).sum() / denom))
+    for rows in _row_chunks(len(w)):
+        wc = w[rows]
+        g_case = _curve_rows(censor_curve, rows).left(t)
+        weighted = g_case > 0
+        inv = np.divide(1.0, g_case, out=np.zeros(np.shape(g_case)), where=weighted)
+        if eval_times is None:
+            horizons[rows] = _default_horizons(t[event], wc[:, event])
+        else:
+            horizons[rows] = eval_times
+        for k in range(n_h):
+            h = horizons[rows, k : k + 1]
+            cases = (t <= h) & event
+            controls = np.where(t > h, wc, 0.0)
+            n_controls = controls.sum(axis=1)
+            dropped += int((wc * (cases & ~weighted))[n_controls > 0].sum())
+            case_w = np.where(cases, wc * inv, 0.0)
+            mass = np.add.reduceat(controls[:, order], starts, axis=1)
+            wins = (np.cumsum(mass, axis=1) - 0.5 * mass)[:, group]
+            total = case_w.sum(axis=1)
+            usable = (total > 0) & (n_controls > 0)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                auc = (case_w * wins).sum(axis=1) / (total * n_controls)
+            values[rows, k] = np.where(usable, auc, np.nan)
     _warn_dropped(dropped)
-    if not kept:
+    kept = ~np.isnan(values)
+    with np.errstate(invalid="ignore"):
+        mean = np.where(kept, values, 0.0).sum(axis=1) / kept.sum(axis=1)
+    if counts is not None:
+        return TaucResult(
+            eval_times=np.where(kept, horizons, np.nan), values=values, mean=mean
+        )
+    if not kept[0].any():
         raise ComputationError("no horizon had both cases and controls")
-    values = np.array(aucs)
-    return TaucResult(eval_times=np.array(kept), values=values, mean=float(values.mean()))
+    return TaucResult(
+        eval_times=horizons[0, kept[0]], values=values[0, kept[0]], mean=float(mean[0])
+    )
 
 
 @dataclass
@@ -202,48 +377,59 @@ class MetricResult:
     ci_low: float
     ci_high: float
     n_boot: int
-    seed: int
     n_failed: int = 0
 
 
-def bootstrap_ci(metric_fn, times, events, n_boot=1000, seed=0, name="metric"):
-    """Stratified percentile bootstrap of a metric over subject indices.
+def bootstrap_counts(events, n_boot, seed):
+    """Subject multiplicities of a stratified bootstrap, (n_boot + 1, n).
 
-    metric_fn maps an index array to a float. Replicates resample events
-    and censored subjects separately (stratum sizes preserved) from a
-    per-replicate generator seeded with (seed, replicate). Replicates may
-    fail (e.g. no comparable pairs); more than 10% failures is an error.
+    Row 0 is the sample itself (all ones). Row r + 1 is replicate r: events
+    and censored subjects are resampled separately (stratum sizes
+    preserved), one `choice` per stratum from a generator seeded with
+    (seed, r), and the row counts how often each subject was drawn.
     """
-    t, e = _check_outcomes(times, events)
-    idx_event = np.flatnonzero(e == 1.0)
-    idx_cens = np.flatnonzero(e == 0.0)
-    point = float(metric_fn(np.arange(len(t))))
-
-    values = []
-    failed = 0
+    e = np.asarray(events, dtype=float)
+    if e.ndim != 1 or len(e) == 0 or not np.isin(e, (0.0, 1.0)).all():
+        raise DataError("events must be a non-empty 1-D array of 0/1")
+    if n_boot < 1:
+        raise ConfigError("n_boot must be >= 1")
+    strata = [s for s in (np.flatnonzero(e == 1.0), np.flatnonzero(e == 0.0)) if len(s)]
+    counts = np.ones((n_boot + 1, len(e)))
     for rep in range(n_boot):
         rng = np.random.default_rng([seed, rep])
-        parts = []
-        if len(idx_event):
-            parts.append(rng.choice(idx_event, size=len(idx_event), replace=True))
-        if len(idx_cens):
-            parts.append(rng.choice(idx_cens, size=len(idx_cens), replace=True))
-        idx = np.concatenate(parts)
-        try:
-            values.append(float(metric_fn(idx)))
-        except (ComputationError, DataError):
-            failed += 1
+        drawn = np.concatenate([rng.choice(s, size=len(s), replace=True) for s in strata])
+        counts[rep + 1] = np.bincount(drawn, minlength=len(e))
+    return counts
+
+
+def bootstrap_ci(metric_fn, counts, name="metric"):
+    """Stratified percentile bootstrap of a metric scored on all replicates at once.
+
+    `counts` comes from `bootstrap_counts`: row 0 is the sample, each
+    further row one replicate. metric_fn maps the whole matrix to one value
+    per row, NaN where the metric is undefined, and maps None to the value
+    of the sample alone. Row 0 gives the point estimate; where it is NaN,
+    metric_fn(None) raises the metric's own error. Replicates may fail
+    (e.g. no comparable pairs); more than 10% failures is an error.
+    """
+    values = np.asarray(metric_fn(counts), dtype=float)
+    point, replicates = values[0], values[1:]
+    if np.isnan(point):
+        metric_fn(None)
+        raise ComputationError(f"{name} is undefined on the full sample")
+    n_boot = len(replicates)
+    scored = replicates[~np.isnan(replicates)]
+    failed = n_boot - len(scored)
     if failed > 0.1 * n_boot:
         raise ComputationError(
             f"bootstrap metric failed on {failed}/{n_boot} replicates"
         )
-    lo, hi = np.quantile(np.array(values), [0.025, 0.975])
+    lo, hi = np.quantile(scored, [0.025, 0.975])
     return MetricResult(
         name=name,
-        point=point,
+        point=float(point),
         ci_low=float(lo),
         ci_high=float(hi),
         n_boot=n_boot,
-        seed=seed,
         n_failed=failed,
     )

@@ -462,8 +462,9 @@ def test_run_experiment_report_structure():
     metrics = fam["test_metrics"]
     assert set(metrics) == {"c_index", "ibs", "tauc_mean"}
     for rec in metrics.values():
-        assert set(rec) == {"point", "ci_low", "ci_high", "n_boot", "seed"}
+        assert set(rec) == {"point", "ci_low", "ci_high", "n_boot", "seed", "n_failed"}
         assert rec["n_boot"] == 40
+        assert rec["n_failed"] == 0
         assert rec["ci_low"] <= rec["ci_high"]
     assert metrics["c_index"]["point"] > 0.55
 
@@ -478,6 +479,15 @@ def test_run_experiment_bytes_are_deterministic():
     assert b1 == b2
     b3 = run_experiment(ds, fast_config(seed=12)).to_json_bytes()
     assert b1 != b3
+
+
+def test_run_experiment_single_test_event_time_is_a_data_error():
+    # every event at one time: the test split's IBS has no grid
+    ds, _ = cohort(missing=False, n=200, seed=2)
+    t = np.where(ds.event == 1.0, 0.5 * ds.time.min(), ds.time)
+    ds = replace_column_values(ds, "time", t)
+    with pytest.raises(DataError, match="fewer than 2 event times"):
+        run_experiment(ds, fast_config())
 
 
 def test_run_experiment_empty_grid_uses_family_defaults():

@@ -232,3 +232,24 @@ def test_concordance_properties(cohort):
     assert conc + tied + conc_rev == comp
     # a strictly increasing map, exact on small integers, changes no count
     assert concordance_counts(times, events, 3.0 * scores + 7.0) == (conc, tied, comp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cohorts, st.data())
+def test_weighted_counts_equal_expanded_sample(cohort, data):
+    times, events, scores = (np.asarray(c, dtype=float) for c in cohort)
+    n = len(times)
+    weights = np.array(
+        data.draw(
+            st.lists(
+                st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=1, max_size=4
+            )
+        ),
+        dtype=float,
+    )
+    conc, tied, comp = concordance_counts(times, events, scores, weights=weights)
+    for r, row in enumerate(weights.astype(int)):
+        # copies of one subject are never comparable with each other
+        idx = np.repeat(np.arange(n), row)
+        want = slow_concordance(times[idx], events[idx], scores[idx]) if len(idx) else (0, 0, 0)
+        assert (conc[r], tied[r], comp[r]) == want

@@ -12,10 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from survkit import metrics
 from survkit.curves import SurvivalCurve
 from survkit.errors import ComputationError, DataError
 from survkit.metrics import (
+    DECILES,
     bootstrap_ci,
+    bootstrap_counts,
     brier_score,
     censoring_km,
     concordance_index,
@@ -85,30 +88,32 @@ def test_concordance_perfect_and_inverted():
     assert concordance_index(t, e, np.zeros(4)) == 0.5
 
 
+def c_oracle(t, e, s):
+    """Harrell's C by an O(n^2) enumeration with half-credit ties; NaN
+    without comparable pairs."""
+    conc = comp = 0.0
+    n = len(t)
+    for i in range(n):
+        for j in range(n):
+            if i == j or e[i] != 1.0:
+                continue
+            if t[j] > t[i] or (t[j] == t[i] and e[j] == 0.0):
+                comp += 1
+                if s[i] > s[j]:
+                    conc += 1
+                elif s[i] == s[j]:
+                    conc += 0.5
+    return conc / comp if comp else np.nan
+
+
 def test_concordance_bit_equal_to_bruteforce():
     """Same float as an O(n^2) enumeration, including half-credit ties."""
-
-    def brute(t, e, s):
-        conc = comp = 0.0
-        n = len(t)
-        for i in range(n):
-            for j in range(n):
-                if i == j or e[i] != 1.0:
-                    continue
-                if t[j] > t[i] or (t[j] == t[i] and e[j] == 0.0):
-                    comp += 1
-                    if s[i] > s[j]:
-                        conc += 1
-                    elif s[i] == s[j]:
-                        conc += 0.5
-        return conc / comp
-
     rng = np.random.default_rng(31)
     for _ in range(20):
         n = int(rng.integers(5, 200))
         t, e = censored_sample(rng, n)
         s = np.round(rng.normal(size=n), 1)
-        assert concordance_index(t, e, s) == brute(t, e, s)
+        assert concordance_index(t, e, s) == c_oracle(t, e, s)
 
 
 def test_concordance_no_comparable_pairs():
@@ -288,19 +293,27 @@ def test_brier_grid_matches_oracle_with_zero_weights(case):
 # -- time-dependent AUC -------------------------------------------------------------
 
 
-def tauc_oracle(t, e, s, horizons):
-    """Weighted case/control double loop from the definition."""
-    g = censoring_km(t, e)
+def tauc_oracle(t, e, s, horizons, g=None):
+    """Weighted case/control double loop from the definition: (AUCs at the
+    kept horizons, cases dropped for zero weight at horizons with controls)."""
+    if g is None:
+        g = censoring_km(t, e)
     out = []
+    dropped = 0
     for h in horizons:
-        cases = np.flatnonzero((t <= h) & (e == 1.0))
         controls = np.flatnonzero(t > h)
-        if len(cases) == 0 or len(controls) == 0:
+        cases = []
+        for i in np.flatnonzero((t <= h) & (e == 1.0)):
+            gi = float(g.left(np.array([t[i]]))[0])
+            if gi > 0:
+                cases.append((i, 1.0 / gi))
+            elif len(controls):
+                dropped += 1
+        if not cases or len(controls) == 0:
             continue
         num = 0.0
         wsum = 0.0
-        for i in cases:
-            w = 1.0 / float(g.left(np.array([t[i]]))[0])
+        for i, w in cases:
             wsum += w
             for j in controls:
                 if s[i] > s[j]:
@@ -308,7 +321,7 @@ def tauc_oracle(t, e, s, horizons):
                 elif s[i] == s[j]:
                     num += 0.5 * w
         out.append(num / (wsum * len(controls)))
-    return np.array(out)
+    return np.array(out), dropped
 
 
 def test_tauc_perfect_and_inverted_ranking():
@@ -329,7 +342,7 @@ def test_tauc_matches_double_loop_oracle():
         s = np.round(rng.normal(size=n), 1)
         horizons = np.quantile(t[e == 1.0], [0.3, 0.6]) if e.sum() > 1 else [t.mean()]
         res = cumulative_dynamic_auc(t, e, s, eval_times=horizons)
-        np.testing.assert_allclose(res.values, tauc_oracle(t, e, s, horizons), atol=1e-12)
+        np.testing.assert_allclose(res.values, tauc_oracle(t, e, s, horizons)[0], atol=1e-12)
 
 
 def test_tauc_skips_degenerate_horizons():
@@ -360,24 +373,39 @@ def test_tauc_drops_cases_with_zero_censoring_weight():
 # -- bootstrap ----------------------------------------------------------------------
 
 
+def legacy_draws(e, n_boot, seed):
+    """The bootstrap's replicate index arrays: one generator per replicate,
+    seeded (seed, replicate), one `choice` per event/censored stratum."""
+    idx_event = np.flatnonzero(e == 1.0)
+    idx_cens = np.flatnonzero(e == 0.0)
+    for rep in range(n_boot):
+        rng = np.random.default_rng([seed, rep])
+        parts = []
+        if len(idx_event):
+            parts.append(rng.choice(idx_event, size=len(idx_event), replace=True))
+        if len(idx_cens):
+            parts.append(rng.choice(idx_cens, size=len(idx_cens), replace=True))
+        yield np.concatenate(parts)
+
+
 def test_bootstrap_is_deterministic_and_stratified():
     rng = np.random.default_rng(23)
     t, e = censored_sample(rng, 60)
     s = rng.normal(size=60)
 
-    def metric(idx):
+    def metric(counts):
         # stratified resampling must preserve the event count exactly
-        assert e[idx].sum() == e.sum()
-        assert len(idx) == len(t)
-        return concordance_index(t[idx], e[idx], s[idx])
+        assert (counts @ e == e.sum()).all()
+        assert (counts.sum(axis=1) == len(t)).all()
+        return concordance_index(t, e, s, counts=counts)
 
-    r1 = bootstrap_ci(metric, t, e, n_boot=100, seed=5, name="c")
-    r2 = bootstrap_ci(metric, t, e, n_boot=100, seed=5, name="c")
+    r1 = bootstrap_ci(metric, bootstrap_counts(e, 100, 5), name="c")
+    r2 = bootstrap_ci(metric, bootstrap_counts(e, 100, 5), name="c")
     assert (r1.point, r1.ci_low, r1.ci_high) == (r2.point, r2.ci_low, r2.ci_high)
     assert r1.ci_low <= r1.point <= r1.ci_high
     assert r1.point == concordance_index(t, e, s)
     assert r1.n_failed == 0
-    r3 = bootstrap_ci(metric, t, e, n_boot=100, seed=6, name="c")
+    r3 = bootstrap_ci(metric, bootstrap_counts(e, 100, 6), name="c")
     assert (r1.ci_low, r1.ci_high) != (r3.ci_low, r3.ci_high)
 
 
@@ -385,11 +413,142 @@ def test_bootstrap_failure_threshold():
     rng = np.random.default_rng(29)
     t, e = censored_sample(rng, 30)
 
-    def fragile(idx):
-        # fine on the identity pass, fails on any resample with duplicates
-        if len(np.unique(idx)) < len(idx):
-            raise ComputationError("degenerate resample")
-        return 1.0
+    def fragile(counts):
+        # fine on the sample itself, fails on any resample with duplicates
+        return np.where((counts > 1).any(axis=1), np.nan, 1.0)
 
     with pytest.raises(ComputationError, match="failed on"):
-        bootstrap_ci(fragile, t, e, n_boot=50, seed=1)
+        bootstrap_ci(fragile, bootstrap_counts(e, 50, 1))
+
+    def undefined(counts):
+        # NaN on the sample, also when it is scored alone
+        return np.nan if counts is None else np.full(len(counts), np.nan)
+
+    with pytest.raises(ComputationError, match="undefined on the full sample"):
+        bootstrap_ci(undefined, bootstrap_counts(e, 5, 1))
+
+
+def test_bootstrap_raises_the_metrics_own_error_on_the_sample():
+    # one distinct event time: IBS has no grid on the sample itself
+    t = np.array([1.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    e = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    curves = SurvivalCurve(times=[1.0], values=np.full((6, 1), 0.5), kind="step")
+    with pytest.raises(DataError, match="fewer than 2 event times"):
+        bootstrap_ci(lambda w: integrated_brier(t, e, curves, counts=w),
+                     bootstrap_counts(e, 5, 1), name="ibs")
+
+
+@pytest.mark.parametrize("censor_prob", [0.0, 0.35, 1.0])
+def test_bootstrap_counts_are_the_legacy_draws(censor_prob):
+    rng = np.random.default_rng(37)
+    t, e = censored_sample(rng, 40, censor_prob)
+    if censor_prob == 1.0:
+        e[:] = 0.0
+    counts = bootstrap_counts(e, 30, 9)
+    assert counts.shape == (31, 40)
+    np.testing.assert_array_equal(counts[0], np.ones(40))
+    for row, idx in zip(counts[1:], legacy_draws(e, 30, 9), strict=True):
+        np.testing.assert_array_equal(row, np.bincount(idx, minlength=40))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1000])
+def test_batch_values_do_not_depend_on_row_chunks(monkeypatch, chunk):
+    rng = np.random.default_rng(41)
+    t, e = censored_sample(rng, 80)
+    s = np.round(rng.normal(size=80), 1)
+    curves = step_curves(t, t + rng.random(80) * 3)
+    counts = bootstrap_counts(e, 40, 2)
+
+    def evaluate():
+        return (
+            concordance_index(t, e, s, counts=counts),
+            integrated_brier(t, e, curves, counts=counts),
+            cumulative_dynamic_auc(t, e, s, counts=counts).mean,
+        )
+
+    c, ibs, tauc = evaluate()
+    monkeypatch.setattr(metrics, "ROW_CHUNK", chunk)
+    c_chunked, ibs_chunked, tauc_chunked = evaluate()
+    np.testing.assert_array_equal(c_chunked, c)
+    np.testing.assert_array_equal(tauc_chunked, tauc)
+    # BLAS may round a product of a few rows differently from the same rows
+    # inside a larger product
+    np.testing.assert_allclose(ibs_chunked, ibs, rtol=1e-14)
+
+
+def ibs_oracle(t, e, curves, g):
+    """One sample's IBS from the definition: its own grid, the pointwise
+    Brier oracle, a trapezoid; (value or NaN, dropped terms)."""
+    event_times = np.unique(t[e == 1.0])
+    grid = event_times[event_times <= np.quantile(t, 0.9)]
+    if len(grid) < 2:
+        return np.nan, 0
+    scores, drops = zip(*(brier_oracle(t, e, curves(np.array([u]))[:, 0], u, g) for u in grid))
+    return np.trapezoid(scores, grid) / (grid[-1] - grid[0]), sum(drops)
+
+
+def tauc_mean_oracle(t, e, s, g):
+    """One sample's mean AUC over its distinct event-time deciles; (value
+    or NaN, dropped cases)."""
+    values, dropped = tauc_oracle(t, e, s, np.unique(np.quantile(t[e == 1.0], DECILES)), g)
+    return (values.mean() if len(values) else np.nan), dropped
+
+
+N_BOOT = 12
+
+# Tied times 1..6, tied scores, any censoring share (the first subject is
+# an event); curve rows on the six times.
+boot_cases = st.integers(2, 24).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(1, 6), min_size=n, max_size=n),
+        st.lists(st.booleans(), min_size=n, max_size=n),
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6), min_size=n, max_size=n
+        ),
+        st.integers(0, 2**16),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(boot_cases, st.booleans())
+def test_batch_bootstrap_matches_per_replicate_oracle(case, passed_censoring):
+    times, events, scores, rows, seed = case
+    t = np.asarray(times, dtype=float)
+    e = np.asarray(events, dtype=float)
+    e[0] = 1.0
+    s = np.asarray(scores, dtype=float)
+    curves = SurvivalCurve(
+        times=np.arange(1.0, 7.0), values=-np.sort(-np.asarray(rows), axis=1), kind="step"
+    )
+    # a passed censoring curve with a zero tail makes zero-weight terms
+    g = SurvivalCurve(times=[2.0, 3.5, 5.0], values=[0.8, 0.4, 0.0]) if passed_censoring else None
+    counts = bootstrap_counts(e, N_BOOT, seed)
+    draws = [np.arange(len(t)), *legacy_draws(e, N_BOOT, seed)]
+
+    np.testing.assert_array_equal(
+        concordance_index(t, e, s, counts=counts), [c_oracle(t[i], e[i], s[i]) for i in draws]
+    )
+
+    def per_replicate(oracle):
+        values, drops = zip(
+            *(oracle(i, censoring_km(t[i], e[i]) if g is None else g) for i in draws)
+        )
+        return np.array(values), sum(drops)
+
+    for batch, oracle in (
+        (
+            lambda: integrated_brier(t, e, curves, censor_curve=g, counts=counts),
+            lambda i, gi: ibs_oracle(t[i], e[i], curves[i], gi),
+        ),
+        (
+            lambda: cumulative_dynamic_auc(t, e, s, censor_curve=g, counts=counts).mean,
+            lambda i, gi: tauc_mean_oracle(t[i], e[i], s[i], gi),
+        ),
+    ):
+        got, warned = dropped_counts(batch)
+        want, dropped = per_replicate(oracle)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        assert warned == ([dropped] if dropped else [])
