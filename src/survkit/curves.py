@@ -38,8 +38,11 @@ def step_eval(knots: np.ndarray, values: np.ndarray, t, baseline: float, side="r
     if len(knots) == 0:
         out = np.full(values.shape[:-1] + t_arr.shape, baseline)
     else:
-        idx = np.searchsorted(knots, t_arr, side=side) - 1
-        out = np.where(idx >= 0, values[..., np.clip(idx, 0, len(knots) - 1)], baseline)
+        # a 1-D index makes the gather a copy, which takes the baseline in place
+        idx = np.searchsorted(knots, t_arr.reshape(-1), side=side) - 1
+        out = values[..., np.clip(idx, 0, len(knots) - 1)]
+        out[..., idx < 0] = baseline
+        out = out.reshape(values.shape[:-1] + t_arr.shape)
     return _scalar_or_array(out)
 
 

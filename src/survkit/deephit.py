@@ -11,24 +11,15 @@ per-bin survival linearly, i.e. constant density within each bin.
 from __future__ import annotations
 
 import json
+import math
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import nnet
 from .curves import SurvivalCurve, interp_rows
 from .errors import DataError
-from .nnet import (
-    MlpModel,
-    adam_step,
-    backward,
-    epoch_batches,
-    forward,
-    init_mlp,
-    init_optimizer,
-    model_from_dict,
-    model_to_dict,
-)
 
 LOG_FLOOR = 1e-12
 
@@ -135,10 +126,14 @@ def deephit_loss(pmf, bin_labels, events, alpha=0.2, sigma=0.1):
 
             g_f = np.zeros_like(p)  # d L_rank / d F_s(col)
             scale = 1.0 / (sigma * n_pairs)
-            for i in np.flatnonzero(valid.any(axis=1)):
-                row = terms[i]
-                g_f[i, k[i]] -= row.sum() * scale
-                np.add.at(g_f[:, k[i]], np.flatnonzero(valid[i]), row[valid[i]] * scale)
+            # a valid pair needs k_i < k_j, so no pair term lands on an own-bin
+            # cell (s, k_s): each of those gets only its row's sum (`-=` on
+            # zeros, as a per-row loop would), and the pair terms accumulate
+            # in the row-major order of the (i, j) pairs
+            has = valid.any(axis=1)
+            g_f[rows[has], k[has]] -= terms[has].sum(axis=1) * scale
+            pi, pj = np.nonzero(valid)
+            np.add.at(g_f, (pj, k[pi]), terms[pi, pj] * scale)
             # dF_s(c)/dz_sm = p_sm (1[m <= c] - F_s(c))
             tail = np.cumsum(g_f[:, ::-1], axis=1)[:, ::-1]
             grad_z += alpha * p * (tail - (g_f * f_cum).sum(axis=1, keepdims=True))
@@ -148,7 +143,7 @@ def deephit_loss(pmf, bin_labels, events, alpha=0.2, sigma=0.1):
 
 @dataclass
 class DeepHitParams:
-    hidden: list
+    hidden: list = field(default_factory=lambda: [64, 128, 64])
     n_bins: int = 60
     dropout: float = 0.0
     epochs: int = 25
@@ -163,7 +158,7 @@ class DeepHitParams:
 
 @dataclass
 class DeepHitModel:
-    net: MlpModel
+    net: nnet.MlpModel
     grid: TimeGrid
     params: DeepHitParams
     seed: int
@@ -189,32 +184,19 @@ def fit_deephit(x, times, events, params, seed):
 
     grid = make_time_grid(t, params.n_bins)
     labels = grid.bin_index(t)
-    net = init_mlp([x.shape[1], *params.hidden, grid.n_bins], params.dropout, seed)
-    state = init_optimizer(net, params.lr, params.lr_decay, params.weight_decay)
-
-    epoch_losses = []
-    for epoch in range(params.epochs):
-        state = replace(state, epoch=epoch)
-        rng = np.random.default_rng([seed, 7, epoch])
-        total = 0.0
-        n_batches = 0
-        for b, idx in enumerate(epoch_batches(n, params.batch_size, rng)):
-            z, cache = forward(net, x[idx], mode="train", seed=[seed, epoch, b])
-            value, g_z = deephit_loss(
-                _softmax(z), labels[idx], e[idx], params.alpha, params.sigma
-            )
-            grads = backward(net, cache, g_z)
-            net, state = adam_step(net, grads, state)
-            total += value
-            n_batches += 1
-        epoch_losses.append(float(total / max(n_batches, 1)))
+    net, sums, _ = nnet._train(
+        x, grid.n_bins, params, seed,
+        lambda z, idx: deephit_loss(_softmax(z), labels[idx], e[idx], params.alpha, params.sigma),
+    )
+    # the mean batch loss of each epoch (no batch is skipped)
+    epoch_losses = [float(total / math.ceil(n / params.batch_size)) for total in sums]
 
     return DeepHitModel(net=net, grid=grid, params=params, seed=seed, epoch_losses=epoch_losses)
 
 
 def predict_pmf(model, x):
     """Per-row event-bin probabilities (rows sum to 1 up to float error)."""
-    z, _ = forward(model.net, np.asarray(x, dtype=float), mode="eval")
+    z, _ = nnet.forward(model.net, np.asarray(x, dtype=float), mode="eval")
     return _softmax(z)
 
 
@@ -246,7 +228,7 @@ def predict_risk(model, x):
 
 def save_checkpoint(model, path):
     doc = {
-        "net": model_to_dict(model.net),
+        "net": nnet.model_to_dict(model.net),
         "cuts": model.grid.cuts.tolist(),
         "params": asdict(model.params),
         "seed": model.seed,
@@ -260,7 +242,7 @@ def load_checkpoint(path):
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     return DeepHitModel(
-        net=model_from_dict(doc["net"]),
+        net=nnet.model_from_dict(doc["net"]),
         grid=TimeGrid(cuts=np.asarray(doc["cuts"], dtype=float)),
         params=DeepHitParams(**doc["params"]),
         seed=int(doc["seed"]),

@@ -11,30 +11,20 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import nnet
 from ._kernels import efron_loss_grad
 from .coxph import breslow_from_scores
 from .curves import CumHazardFn, SurvivalCurve
 from .errors import DataError
-from .nnet import (
-    MlpModel,
-    adam_step,
-    backward,
-    epoch_batches,
-    forward,
-    init_mlp,
-    init_optimizer,
-    model_from_dict,
-    model_to_dict,
-)
 
 
 @dataclass
 class DeepSurvParams:
-    hidden: list
+    hidden: list = field(default_factory=lambda: [64, 64])
     dropout: float = 0.0
     epochs: int = 50
     batch_size: int = 64
@@ -45,7 +35,7 @@ class DeepSurvParams:
 
 @dataclass
 class DeepSurvModel:
-    net: MlpModel
+    net: nnet.MlpModel
     baseline: CumHazardFn
     params: DeepSurvParams
     seed: int
@@ -84,28 +74,17 @@ def fit_deepsurv(x, times, events, params, seed):
     if not np.any(e == 1.0):
         raise DataError("no events in the training data")
 
-    net = init_mlp([x.shape[1], *params.hidden, 1], params.dropout, seed)
-    state = init_optimizer(net, params.lr, params.lr_decay, params.weight_decay)
-    skipped = 0
-    epoch_losses = []
-    for epoch in range(params.epochs):
-        state = replace(state, epoch=epoch)
-        rng = np.random.default_rng([seed, 7, epoch])
-        total = 0.0
-        for b, idx in enumerate(epoch_batches(n, params.batch_size, rng)):
-            if not np.any(e[idx] == 1.0):
-                skipped += 1
-                continue
-            out, cache = forward(net, x[idx], mode="train", seed=[seed, epoch, b])
-            value, g_eta = deepsurv_loss(out[:, 0], t[idx], e[idx])
-            grads = backward(net, cache, g_eta[:, None])
-            net, state = adam_step(net, grads, state)
-            total += value
-        epoch_losses.append(float(total))
+    def batch_loss(out, idx):
+        value, g_eta = deepsurv_loss(out[:, 0], t[idx], e[idx])
+        return value, g_eta[:, None]
+
+    net, epoch_losses, skipped = nnet._train(
+        x, 1, params, seed, batch_loss, usable=lambda idx: np.any(e[idx] == 1.0)
+    )
     if skipped:
         warnings.warn(f"skipped {skipped} event-free batches during training")
 
-    out, _ = forward(net, x, mode="eval")
+    out, _ = nnet.forward(net, x, mode="eval")
     baseline = breslow_from_scores(t, e, out[:, 0])
     return DeepSurvModel(
         net=net,
@@ -119,7 +98,7 @@ def fit_deepsurv(x, times, events, params, seed):
 
 def predict_risk(model, x):
     """Per-row log-risk score f(x) in eval mode (no dropout)."""
-    out, _ = forward(model.net, np.asarray(x, dtype=float), mode="eval")
+    out, _ = nnet.forward(model.net, np.asarray(x, dtype=float), mode="eval")
     return out[:, 0]
 
 
@@ -135,7 +114,7 @@ def predict_survival(model, x, times):
 
 def save_checkpoint(model, path):
     doc = {
-        "net": model_to_dict(model.net),
+        "net": nnet.model_to_dict(model.net),
         "baseline": {
             "knots": model.baseline.knots.tolist(),
             "values": model.baseline.values.tolist(),
@@ -152,7 +131,7 @@ def load_checkpoint(path):
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     return DeepSurvModel(
-        net=model_from_dict(doc["net"]),
+        net=nnet.model_from_dict(doc["net"]),
         baseline=CumHazardFn(
             knots=np.asarray(doc["baseline"]["knots"], dtype=float),
             values=np.asarray(doc["baseline"]["values"], dtype=float),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -193,6 +193,15 @@ def _digest_imputer(imputer):
 
 # -- model family adapters -----------------------------------------------------
 
+def _params_from(cls, d):
+    """`cls` from the keys of `d` it has, each coerced by the type of its
+    default; keys `d` leaves out keep the dataclass defaults."""
+    defaults = cls()
+    return cls(**{
+        f.name: type(getattr(defaults, f.name))(d[f.name]) for f in fields(cls) if f.name in d
+    })
+
+
 class _CoxFamily:
     name = "coxph"
     default_grid = {"l1": [0.0], "l2": [0.0]}
@@ -224,15 +233,7 @@ class _DeepSurvFamily:
                     "weight_decay": [0.05]}
 
     def make_params(self, d):
-        return DeepSurvParams(
-            hidden=list(d.get("hidden", [64, 64])),
-            dropout=float(d.get("dropout", 0.0)),
-            epochs=int(d.get("epochs", 50)),
-            batch_size=int(d.get("batch_size", 64)),
-            lr=float(d.get("lr", 0.1)),
-            lr_decay=float(d.get("lr_decay", 0.7)),
-            weight_decay=float(d.get("weight_decay", 0.0)),
-        )
+        return _params_from(DeepSurvParams, d)
 
     def fit(self, x, times, events, params, seed, names=None):
         return fit_deepsurv(x, times, events, params, seed)
@@ -257,19 +258,7 @@ class _DeepHitFamily:
                     "weight_decay": [0.05], "n_bins": [60]}
 
     def make_params(self, d):
-        return DeepHitParams(
-            hidden=list(d.get("hidden", [64, 128, 64])),
-            n_bins=int(d.get("n_bins", 60)),
-            dropout=float(d.get("dropout", 0.0)),
-            epochs=int(d.get("epochs", 25)),
-            batch_size=int(d.get("batch_size", 64)),
-            lr=float(d.get("lr", 0.005)),
-            lr_decay=float(d.get("lr_decay", 0.7)),
-            weight_decay=float(d.get("weight_decay", 0.0)),
-            alpha=float(d.get("alpha", 0.2)),
-            sigma=float(d.get("sigma", 0.1)),
-            n_interp=int(d.get("n_interp", 50)),
-        )
+        return _params_from(DeepHitParams, d)
 
     def fit(self, x, times, events, params, seed, names=None):
         return fit_deephit(x, times, events, params, seed)
@@ -493,12 +482,15 @@ class ExperimentConfig:
         for name in families:
             if name not in FAMILY_REGISTRY:
                 raise ConfigError(f"unknown model family {name!r}")
+        n_boot = int(doc.get("n_boot", 1000))
+        if n_boot < 1:
+            raise ConfigError("n_boot must be >= 1")
         return cls(
             seed=int(doc.get("seed", 0)),
             plan=plan,
             prep=prep,
             families={k: dict(v) for k, v in families.items()},
-            n_boot=int(doc.get("n_boot", 1000)),
+            n_boot=n_boot,
         )
 
 

@@ -1,15 +1,18 @@
 """Minimal dense network with explicit backprop, dropout, and Adam.
 
-Everything is double precision numpy. Hidden layers are ReLU with inverted
-dropout (activations scaled by 1/(1-p) at train time so evaluation needs no
-rescaling); the output layer is linear. Models are immutable between
-optimizer steps: adam_step returns a fresh model, and a forward cache is
-only valid for the exact model object that produced it.
+Everything is double precision numpy. A model keeps all its parameters in
+one flat vector laid out W0, b0, W1, b1, ...; `weights[l]` and `biases[l]`
+are reshaped views into it, so writing through a view changes the model
+and Adam updates the whole vector at once. Hidden layers are ReLU with
+inverted dropout (activations scaled by 1/(1-p) at train time so
+evaluation needs no rescaling); the output layer is linear. Models are
+immutable between optimizer steps: adam_step returns a fresh model, and a
+forward cache is only valid for the exact model object that produced it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,12 +23,30 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def _layer_ends(layer_sizes):
+    """Offset just past each layer's (W, b) block in the flat vector."""
+    return np.cumsum([(a + 1) * b for a, b in zip(layer_sizes[:-1], layer_sizes[1:])])
+
+
 @dataclass
 class MlpModel:
     layer_sizes: list
-    weights: list
-    biases: list
+    params: np.ndarray
     dropout: float
+    weights: list = field(init=False, repr=False)
+    biases: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.params = np.asarray(self.params, dtype=float)
+        ends = _layer_ends(self.layer_sizes)
+        if self.params.shape != (ends[-1],):
+            raise DataError(f"params must have {ends[-1]} entries, got {self.params.shape}")
+        self.weights, self.biases = [], []
+        start = 0
+        for fan_in, fan_out, end in zip(self.layer_sizes[:-1], self.layer_sizes[1:], ends):
+            self.weights.append(self.params[start : end - fan_out].reshape(fan_in, fan_out))
+            self.biases.append(self.params[end - fan_out : end])
+            start = end
 
     @property
     def n_layers(self):
@@ -41,13 +62,11 @@ def init_mlp(layer_sizes, dropout=0.0, seed=0):
     if not 0.0 <= dropout < 1.0:
         raise DataError("dropout must be in [0, 1)")
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        bound = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(list(layer_sizes), weights, biases, float(dropout))
+    model = MlpModel(list(layer_sizes), np.zeros(_layer_ends(layer_sizes)[-1]), float(dropout))
+    for w in model.weights:
+        bound = np.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return model
 
 
 @dataclass
@@ -56,7 +75,6 @@ class ForwardCache:
     inputs: list = field(repr=False)   # input to each layer
     pre_acts: list = field(repr=False) # z = a W + b per layer
     masks: list = field(repr=False)    # dropout masks (None in eval mode)
-    mode: str = "train"
 
 
 def forward(model, batch, mode="train", seed=None):
@@ -94,7 +112,7 @@ def forward(model, batch, mode="train", seed=None):
         else:
             a = z
             masks.append(None)
-    return a, ForwardCache(model=model, inputs=inputs, pre_acts=pre_acts, masks=masks, mode=mode)
+    return a, ForwardCache(model=model, inputs=inputs, pre_acts=pre_acts, masks=masks)
 
 
 def backward(model, cache, output_gradient):
@@ -123,12 +141,11 @@ def backward(model, cache, output_gradient):
     return weight_grads, bias_grads
 
 
+
 @dataclass
 class OptimizerState:
-    m_w: list
-    v_w: list
-    m_b: list
-    v_b: list
+    m: np.ndarray
+    v: np.ndarray
     step: int
     base_lr: float
     gamma: float
@@ -144,10 +161,8 @@ def init_optimizer(model, base_lr, gamma=1.0, weight_decay=0.0):
     if base_lr <= 0:
         raise DataError("base_lr must be positive")
     return OptimizerState(
-        m_w=[np.zeros_like(w) for w in model.weights],
-        v_w=[np.zeros_like(w) for w in model.weights],
-        m_b=[np.zeros_like(b) for b in model.biases],
-        v_b=[np.zeros_like(b) for b in model.biases],
+        m=np.zeros_like(model.params),
+        v=np.zeros_like(model.params),
         step=0,
         base_lr=float(base_lr),
         gamma=float(gamma),
@@ -163,43 +178,25 @@ def adam_step(model, grads, state):
     state.epoch once per epoch). Non-finite gradients abort with the layer
     index in the message.
     """
-    weight_grads, bias_grads = grads
-    for l, (gw, gb) in enumerate(zip(weight_grads, bias_grads)):
-        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
-            raise ComputationError(f"non-finite gradient in layer {l}")
+    g = np.concatenate([a.ravel() for pair in zip(*grads) for a in pair])
+    if g.shape != model.params.shape:
+        raise DataError(f"gradients must have {model.params.size} entries, got {g.size}")
+    finite = np.isfinite(g)
+    if not finite.all():
+        bad = np.argmin(finite)
+        layer = int(np.searchsorted(_layer_ends(model.layer_sizes), bad, side="right"))
+        raise ComputationError(f"non-finite gradient in layer {layer}")
 
     lr = state.effective_lr
     t = state.step + 1
-    new_w, new_b = [], []
-    m_w, v_w, m_b, v_b = [], [], [], []
+    theta = model.params * (1.0 - lr * state.weight_decay)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for l in range(model.n_layers):
-        for theta, g, m_old, v_old, out_theta, out_m, out_v in (
-            (model.weights[l], weight_grads[l], state.m_w[l], state.v_w[l], new_w, m_w, v_w),
-            (model.biases[l], bias_grads[l], state.m_b[l], state.v_b[l], new_b, m_b, v_b),
-        ):
-            theta = theta * (1.0 - lr * state.weight_decay)
-            m = ADAM_BETA1 * m_old + (1.0 - ADAM_BETA1) * g
-            v = ADAM_BETA2 * v_old + (1.0 - ADAM_BETA2) * g * g
-            theta = theta - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            out_theta.append(theta)
-            out_m.append(m)
-            out_v.append(v)
-
-    new_model = MlpModel(list(model.layer_sizes), new_w, new_b, model.dropout)
-    new_state = OptimizerState(
-        m_w=m_w,
-        v_w=v_w,
-        m_b=m_b,
-        v_b=v_b,
-        step=t,
-        base_lr=state.base_lr,
-        gamma=state.gamma,
-        weight_decay=state.weight_decay,
-        epoch=state.epoch,
-    )
-    return new_model, new_state
+    theta = theta - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    new_model = MlpModel(list(model.layer_sizes), theta, model.dropout)
+    return new_model, replace(state, m=m, v=v, step=t)
 
 
 def epoch_batches(n, batch_size, rng):
@@ -208,6 +205,37 @@ def epoch_batches(n, batch_size, rng):
         raise DataError("batch_size must be >= 1")
     perm = rng.permutation(n)
     return [perm[i : i + batch_size] for i in range(0, n, batch_size)]
+
+
+def _train(x, n_out, params, seed, batch_loss, usable=None):
+    """Minibatch Adam training of an MLP; returns (net, epoch loss sums, skipped).
+
+    `params` carries hidden, dropout, epochs, batch_size, lr, lr_decay and
+    weight_decay. Each epoch reshuffles the rows from a generator seeded
+    with (seed, 7, epoch); batch b of the epoch draws its dropout masks
+    from (seed, epoch, b), so the trajectory is a deterministic function of
+    (seed, data order). `batch_loss(outputs, idx)` returns the batch loss
+    and its gradient with respect to the outputs. Batches for which
+    `usable(idx)` is false are skipped before the forward pass and counted.
+    """
+    net = init_mlp([x.shape[1], *params.hidden, n_out], params.dropout, seed)
+    state = init_optimizer(net, params.lr, params.lr_decay, params.weight_decay)
+    sums = []
+    skipped = 0
+    for epoch in range(params.epochs):
+        state = replace(state, epoch=epoch)
+        rng = np.random.default_rng([seed, 7, epoch])
+        total = 0.0
+        for b, idx in enumerate(epoch_batches(len(x), params.batch_size, rng)):
+            if usable is not None and not usable(idx):
+                skipped += 1
+                continue
+            out, cache = forward(net, x[idx], mode="train", seed=[seed, epoch, b])
+            value, grad = batch_loss(out, idx)
+            net, state = adam_step(net, backward(net, cache, grad), state)
+            total += value
+        sums.append(float(total))
+    return net, sums, skipped
 
 
 def model_to_dict(model):
@@ -221,9 +249,9 @@ def model_to_dict(model):
 
 
 def model_from_dict(doc):
+    blocks = zip(doc["weights"], doc["biases"])
     return MlpModel(
         layer_sizes=[int(s) for s in doc["layer_sizes"]],
-        weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
-        biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
+        params=np.concatenate([np.ravel(a) for pair in blocks for a in pair], dtype=float),
         dropout=float(doc["dropout"]),
     )

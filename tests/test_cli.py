@@ -230,6 +230,21 @@ def test_experiment_config_validation(tmp_path, capsys):
     assert "needs data and schema" in capsys.readouterr().err
 
 
+def test_experiment_rejects_n_boot_zero_before_any_fit(tmp_path, capsys, monkeypatch):
+    import survkit.harness
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fit before the config was validated")
+
+    monkeypatch.setattr(survkit.harness, "fit_coxph", no_fit)
+    write_cohort(tmp_path, missing=False, n=120)
+    config = experiment_config(tmp_path, n_boot=0)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
+    assert "n_boot must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_plot_patients(tmp_path, capsys):
     write_cohort(tmp_path, missing=False, n=160)
     config = experiment_config(tmp_path)

@@ -121,3 +121,16 @@ def test_shapes_of_batches_and_single_subjects():
     # a linear curve is continuous: its left limit is its value
     lin = SurvivalCurve(times=[1.0, 2.0], values=[[1.0, 0.5]], kind="linear")
     np.testing.assert_array_equal(lin.left([1.5, 2.0]), lin([1.5, 2.0]))
+
+
+def test_step_evaluation_leaves_the_curve_unchanged():
+    """Scalar and array queries before the first knot return a new array."""
+    curves = SurvivalCurve(times=[1.0, 2.0], values=[[0.9, 0.5], [0.8, 0.2]])
+    one = curves[0]
+    before = curves.values.copy(), one.values.copy()
+    np.testing.assert_array_equal(curves(0.5), [1.0, 1.0])
+    np.testing.assert_array_equal(curves.left(1.0), [1.0, 1.0])
+    assert one(0.5) == 1.0 and one.left([1.0, 1.5]).tolist() == [1.0, 0.9]
+    np.testing.assert_array_equal(curves.values, before[0])
+    np.testing.assert_array_equal(one.values, before[1])
+    np.testing.assert_array_equal(curves(1.0), [0.9, 0.8])

@@ -1,7 +1,9 @@
 """Discrete-time model tests: time grid, combined loss, curve properties."""
 
 import dataclasses
+import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +201,24 @@ def test_training_is_deterministic():
     for wa, wb in zip(a.net.weights, b.net.weights):
         np.testing.assert_array_equal(wa, wb)
     assert a.epoch_losses == b.epoch_losses
+
+
+def test_training_trajectory_is_pinned():
+    """Losses and final parameters of a short run, bit for bit."""
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(50, 4))
+    t = np.round(rng.exponential(5.0, size=50) * np.exp(-0.5 * x[:, 0]), 1) + 0.1
+    e = (rng.random(50) < 0.6).astype(float)
+    params = small_params(hidden=[6], n_bins=6, dropout=0.1, epochs=3, batch_size=16,
+                          lr_decay=0.7, weight_decay=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = fit_deephit(x, t, e, params, seed=5)
+    assert model.grid.n_bins == 6
+    assert model.epoch_losses == [18.969393090085983, 10.770979098677948, 5.291708143448397]
+    assert hashlib.sha256(model.net.params.tobytes()).hexdigest() == (
+        "10241403a6e98d1a1d02db1b76dc0244bc24964cb47b92967983217a9881f343"
+    )
 
 
 def test_training_reduces_loss_and_learns_ranking():

@@ -1,7 +1,9 @@
 """Score-network model tests: loss, training determinism, linear equivalence."""
 
 import dataclasses
+import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +86,31 @@ def test_training_is_deterministic():
     assert a.epoch_losses == b.epoch_losses
     c = fit_deepsurv(x, t, e, small_params(dropout=0.1), seed=6)
     assert not np.array_equal(a.net.weights[0], c.net.weights[0])
+
+
+def sparse_event_cohort(seed, n, p, event_rate):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p))
+    t = np.round(rng.exponential(5.0, size=n) * np.exp(-0.5 * x[:, 0]), 1) + 0.1
+    e = (rng.random(n) < event_rate).astype(float)
+    return x, t, e
+
+
+def test_training_trajectory_is_pinned():
+    """Losses and final parameters, bit for bit, of a run with skipped batches."""
+    x, t, e = sparse_event_cohort(11, 60, 4, 0.15)
+    params = DeepSurvParams(hidden=[6, 5], dropout=0.2, epochs=4, batch_size=4, lr=0.05,
+                            lr_decay=0.8, weight_decay=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = fit_deepsurv(x, t, e, params, seed=3)
+    assert model.skipped_batches == 25
+    assert model.epoch_losses == [
+        10.852290432760189, 11.940128475226148, 9.771000501910889, 9.149240179535466,
+    ]
+    assert hashlib.sha256(model.net.params.tobytes()).hexdigest() == (
+        "f00cba4d06fc1637696cfce3b26e488639ba3c7f97140dd2bd3130aac73ed847"
+    )
 
 
 def test_training_reduces_the_loss():

@@ -6,10 +6,13 @@ of that fold's fitting rows only.
 """
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
+from survkit.deephit import DeepHitParams
+from survkit.deepsurv import DeepSurvParams
 from survkit.errors import ConfigError, DataError
 from survkit.harness import (
     FAMILY_REGISTRY,
@@ -423,6 +426,21 @@ def test_config_from_dict_defaults_and_overrides():
 def test_config_rejects_unknown_family():
     with pytest.raises(ConfigError, match="unknown model family"):
         ExperimentConfig.from_dict({"families": {"forest": {}}})
+
+
+def test_config_rejects_n_boot_below_one():
+    for n_boot in (0, -3):
+        with pytest.raises(ConfigError, match="n_boot"):
+            ExperimentConfig.from_dict({"n_boot": n_boot})
+
+
+def test_neural_make_params_fall_back_to_the_dataclass_defaults():
+    for name, cls in (("deepsurv", DeepSurvParams), ("deephit", DeepHitParams)):
+        family = FAMILY_REGISTRY[name]
+        assert family.make_params({}) == cls()
+        partial = family.make_params({"epochs": 3.0, "lr": "0.02", "hidden": (4, 2)})
+        assert partial == dataclasses.replace(cls(), epochs=3, lr=0.02, hidden=[4, 2])
+        assert type(partial.epochs) is int and type(partial.lr) is float
 
 
 # -- end-to-end experiment --------------------------------------------------------------------

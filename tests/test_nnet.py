@@ -1,10 +1,14 @@
 """Network tests: init, forward/backward, dropout, Adam, checkpoints."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from survkit.errors import ComputationError, DataError
 from survkit.nnet import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_EPS,
     MlpModel,
     adam_step,
@@ -21,7 +25,7 @@ from survkit.nnet import (
 def linear_model(w, b):
     w = np.asarray(w, dtype=float)
     b = np.asarray(b, dtype=float)
-    return MlpModel([w.shape[0], w.shape[1]], [w], [b], 0.0)
+    return MlpModel([w.shape[0], w.shape[1]], np.concatenate([w.ravel(), b]), 0.0)
 
 
 # -- initialization ----------------------------------------------------------------
@@ -253,6 +257,55 @@ def test_nonfinite_gradient_names_the_layer():
     wg[1][0, 0] = np.nan
     with pytest.raises(ComputationError, match="layer 1"):
         adam_step(model, (wg, bg), state)
+    wg[1][0, 0] = 0.0
+    bg[0][2] = np.inf  # the last entry of layer 0's block
+    with pytest.raises(ComputationError, match="layer 0"):
+        adam_step(model, (wg, bg), state)
+
+
+def flat(weights, biases):
+    """Per-layer arrays in the model's flat layout W0, b0, W1, b1, ..."""
+    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+
+
+def test_flat_adam_equals_per_layer_reference():
+    """Five steps against Adam written out array by array, bit for bit."""
+    rng = np.random.default_rng(21)
+    model = init_mlp([3, 5, 4, 2], seed=21)
+    state = init_optimizer(model, base_lr=0.03, gamma=0.8, weight_decay=0.05)
+    thetas = [a.copy() for a in [*model.weights, *model.biases]]
+    ms = [np.zeros_like(a) for a in thetas]
+    vs = [np.zeros_like(a) for a in thetas]
+    for step in range(5):
+        state = replace(state, epoch=step // 2)
+        wg = [rng.normal(size=w.shape) for w in model.weights]
+        bg = [rng.normal(size=b.shape) for b in model.biases]
+        wg[1][2, 3] = 0.0  # one entry never gets a gradient
+        lr, t = state.effective_lr, step + 1
+        for i, g in enumerate([*wg, *bg]):
+            theta = thetas[i] * (1.0 - lr * 0.05)
+            ms[i] = ADAM_BETA1 * ms[i] + (1.0 - ADAM_BETA1) * g
+            vs[i] = ADAM_BETA2 * vs[i] + (1.0 - ADAM_BETA2) * g * g
+            m_hat = ms[i] / (1.0 - ADAM_BETA1**t)
+            v_hat = vs[i] / (1.0 - ADAM_BETA2**t)
+            thetas[i] = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        model, state = adam_step(model, (wg, bg), state)
+        np.testing.assert_array_equal(model.params, flat(thetas[:3], thetas[3:]))
+    assert state.step == 5
+    np.testing.assert_array_equal(state.m, flat(ms[:3], ms[3:]))
+    np.testing.assert_array_equal(state.v, flat(vs[:3], vs[3:]))
+
+
+def test_layer_views_share_the_flat_vector():
+    model = init_mlp([4, 6, 2], seed=3)
+    assert model.params.shape == (4 * 6 + 6 + 6 * 2 + 2,)
+    np.testing.assert_array_equal(flat(model.weights, model.biases), model.params)
+    for view in [*model.weights, *model.biases]:
+        assert np.shares_memory(view, model.params)
+    model.weights[1][5, 1] = 7.5
+    assert model.params[4 * 6 + 6 + 5 * 2 + 1] == 7.5
+    with pytest.raises(DataError):
+        MlpModel([4, 6, 2], np.zeros(5), 0.0)
 
 
 # -- training loop pieces -----------------------------------------------------------
@@ -319,3 +372,4 @@ def test_checkpoint_round_trip():
     assert back.dropout == model.dropout
     for w0, w1 in zip(model.weights, back.weights):
         np.testing.assert_array_equal(w0, w1)
+    np.testing.assert_array_equal(back.params, model.params)
