@@ -2,13 +2,16 @@
 
 Runs the Efron loss/gradient and the concordance pair counts on random
 inputs at several cohort sizes and prints the best per-call timing. The
-concordance counts are also timed weighted by B rows of bootstrap
-multiplicities at once (the batch bootstrap's call), and the script
-asserts that each weighted row equals the unweighted counts of its
-expanded sample.
+Efron scan is timed twice: `efron_loss_grad`, which builds the tie
+structure on every call, and `efron_eval` on an `efron_ties` record built
+beforehand, as a Cox fit evaluates it; the script asserts that the two give
+the same bits. The concordance counts are also timed weighted by B rows of
+bootstrap multiplicities at once (the batch bootstrap's call) on cohorts
+of up to WEIGHTED_MAX_N rows, and the script asserts that each weighted
+row equals the unweighted counts of its expanded sample.
 
 Usage:
-    python3 benchmarks/bench_kernels.py [--sizes 500,2000,8000] [--repeats 7]
+    python3 benchmarks/bench_kernels.py [--sizes 500,2000,8000,20000] [--repeats 7]
 """
 
 import argparse
@@ -16,11 +19,15 @@ import time
 
 import numpy as np
 
-from survkit._kernels import concordance_counts, efron_loss_grad
+from survkit._kernels import concordance_counts, efron_eval, efron_loss_grad, efron_ties
 
 # bootstrap rows per weighted concordance call: one sample, and the
 # replicate count of the survbench `boot` workload
 BOOTS = (1, 150)
+# the bootstrap scores test splits of a few thousand rows; the O(n^2 B)
+# weighted counts are not timed on larger cohorts (25 s per B=150 call at
+# n=20000 on a 2-CPU VM)
+WEIGHTED_MAX_N = 8000
 
 
 def survival_inputs(rng, n):
@@ -65,10 +72,19 @@ def run(sizes, repeats):
     rng = np.random.default_rng(0)
     for n in sizes:
         times, events, scores = survival_inputs(rng, n)
-        for kernel in (efron_loss_grad, concordance_counts):
-            t = best_of(lambda: kernel(times, events, scores), repeats)
-            print(f"{kernel.__name__:<28}{n:>8}{t * 1e3:>10.2f}ms")
-        for b in BOOTS:
+        ties = efron_ties(times, events)
+        value, grad = efron_loss_grad(times, events, scores)
+        prepared = efron_eval(ties, scores)
+        assert prepared[0] == value and prepared[1].tobytes() == grad.tobytes()
+        for label, call in (
+            ("efron_loss_grad", lambda: efron_loss_grad(times, events, scores)),
+            ("efron_eval (prepared ties)", lambda: efron_eval(ties, scores)),
+            ("efron_ties", lambda: efron_ties(times, events)),
+            ("concordance_counts", lambda: concordance_counts(times, events, scores)),
+        ):
+            t = best_of(call, repeats)
+            print(f"{label:<28}{n:>8}{t * 1e3:>10.2f}ms")
+        for b in BOOTS if n <= WEIGHTED_MAX_N else ():
             weights = multiplicities(rng, n, b)
             check_weighted(times, events, scores, weights[:2])
             t = best_of(lambda: concordance_counts(times, events, scores, weights=weights),
@@ -79,7 +95,7 @@ def run(sizes, repeats):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", default="500,2000,8000",
+    parser.add_argument("--sizes", default="500,2000,8000,20000",
                         help="comma-separated cohort sizes")
     parser.add_argument("--repeats", type=int, default=7,
                         help="timing repeats; the best run is reported")

@@ -1,13 +1,18 @@
 """Pure-numpy kernels.
 
-- efron_loss_grad: Efron-tie negative log partial likelihood of a score
-  vector plus its gradient with respect to the scores.
+- efron_ties / efron_eval: the Efron-tie negative log partial likelihood
+  of a score vector plus its gradient with respect to the scores, split
+  into the time-only work (sort order, tie groups, tied-term fractions,
+  cover indices), done once per set of outcomes, and the score-dependent
+  scan, done per evaluation. efron_loss_grad is both in one call.
 - concordance_counts: exact integer pair counts for Harrell's C, so the
   final ratio does not depend on summation order; optionally weighted by
   an (R, n) multiplicity matrix, all R samples in one pass.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,8 +21,86 @@ import numpy as np
 BLOCK_CELLS = 2**17
 
 
-def efron_loss_grad(times, events, eta):
-    """Efron negative log partial likelihood and gradient wrt scores.
+@dataclass(frozen=True)
+class EfronTies:
+    """The time-only structure of an Efron scan, built once by `efron_ties`.
+
+    Positions are in stable time order. An event group is a distinct time
+    with at least one event; its d tied events give d flat terms
+    l = 0..d-1, in position order, so events and flat terms share one index.
+    """
+
+    order: np.ndarray  # (n,) stable argsort of the times
+    events: np.ndarray  # (n,) event indicator in time order (bool)
+    starts: np.ndarray  # (G,) first position of each distinct time
+    has_event: np.ndarray  # (G,) distinct times with at least one event
+    sizes: np.ndarray  # (E,) tied event count d of each event group
+    frac: np.ndarray  # (D,) l/d of each flat term; D is the event count
+    bounds: np.ndarray  # (E,) first flat term of each event group (reduceat bounds)
+    cover: np.ndarray  # (n,) last event group at or before each time, -1 if none
+    own: np.ndarray  # (D,) event group of each event (and flat term)
+
+    def denominators(self, phi):
+        """Flat Efron denominators (D,) for relative hazards `phi` in time
+        order: the risk-set sum of the term's group minus l/d times its
+        tied-event sum."""
+        rev = np.cumsum(phi[::-1])[::-1]
+        risk = rev[self.starts][self.has_event]
+        tie = np.add.reduceat(np.where(self.events, phi, 0.0), self.starts)[self.has_event]
+        return risk[self.own] - self.frac * tie[self.own]
+
+    def hazard_weights(self, phi, denom):
+        """phi_i * (a_i - b_i) in time order: a_i sums 1/denom over the terms
+        of every event group at or before t_i, and b_i (events only) sums
+        l/d / denom over the subject's own group. The gradient of the NLPL
+        in the scores is these weights minus the event indicator."""
+        a_g = np.add.reduceat(1.0 / denom, self.bounds)
+        b_g = np.add.reduceat(self.frac / denom, self.bounds)
+        a_i = np.where(self.cover >= 0, np.cumsum(a_g)[self.cover], 0.0)
+        b_i = np.zeros(len(phi))
+        b_i[self.events] = b_g[self.own]
+        return phi * (a_i - b_i)
+
+
+def efron_ties(times, events):
+    """The tie structure of `times`/`events` that every Efron evaluation on
+    them shares: sort order, groups, tied-term fractions, cover indices.
+
+    Building it once lets a fit evaluate many score vectors on the same
+    outcomes without re-sorting (`efron_eval`).
+    """
+    t = np.asarray(times, dtype=float)
+    e = np.asarray(events, dtype=float)
+    if t.ndim != 1 or len(t) == 0 or t.shape != e.shape:
+        raise ValueError("times and events must be equal-length non-empty 1-D arrays")
+
+    order = np.argsort(t, kind="stable")
+    ts = t[order]
+    es = e[order].astype(bool)
+    starts = np.flatnonzero(np.r_[True, ts[1:] != ts[:-1]])
+    d = np.add.reduceat(es.astype(np.int64), starts)
+    has_event = d > 0
+    sizes = d[has_event]
+    bounds = np.cumsum(sizes) - sizes
+    # flat index -> l / d within its event group
+    frac = (np.arange(sizes.sum()) - np.repeat(bounds, sizes)) / np.repeat(sizes, sizes)
+    event_times = ts[starts][has_event]
+    return EfronTies(
+        order=order,
+        events=es,
+        starts=starts,
+        has_event=has_event,
+        sizes=sizes,
+        frac=frac,
+        bounds=bounds,
+        cover=np.searchsorted(event_times, ts, side="right") - 1,
+        own=np.searchsorted(event_times, ts[es]),
+    )
+
+
+def efron_eval(ties, eta):
+    """Efron negative log partial likelihood and gradient wrt scores, on
+    the tie structure `ties` of `efron_ties`.
 
     For each distinct event time with d tied events, the denominator of the
     l-th tied term (l = 0..d-1) is sum(exp(eta) over risk set) minus
@@ -30,65 +113,36 @@ def efron_loss_grad(times, events, eta):
     value is +inf and the gradient is NaN; optimizers treat such points as
     infeasible.
     """
-    t = np.asarray(times, dtype=float)
-    e = np.asarray(events, dtype=float)
     x = np.asarray(eta, dtype=float)
-    n = len(t)
-    if n == 0 or t.shape != e.shape or t.shape != x.shape:
-        raise ValueError("times, events, eta must be equal-length non-empty 1-D arrays")
-
-    order = np.argsort(t, kind="stable")
-    ts = t[order]
-    es = e[order].astype(bool)
-    xs = x[order]
-    shift = xs.max()
-    phi = np.exp(xs - shift)
-
-    if not es.any():
+    n = len(ties.order)
+    if x.shape != (n,):
+        raise ValueError(f"eta must be a 1-D array of the {n} rows the ties were built on")
+    if len(ties.frac) == 0:
         return 0.0, np.zeros(n)
 
-    # Per distinct time: risk-set sum of phi (suffix sum at group start),
-    # tied-event sums of phi and eta, tied-event count.
-    starts = np.flatnonzero(np.r_[True, ts[1:] != ts[:-1]])
-    rev = np.cumsum(phi[::-1])[::-1]
-    risk = rev[starts]
-    d = np.add.reduceat(es.astype(np.int64), starts)
-    tie_phi = np.add.reduceat(np.where(es, phi, 0.0), starts)
-    tie_eta = np.add.reduceat(np.where(es, xs, 0.0), starts)
-
-    ev = d > 0
-    risk_e, tie_e, d_e = risk[ev], tie_phi[ev], d[ev]
-
-    # Flatten the l = 0..d-1 inner terms of every event group.
-    frac = (np.arange(d_e.sum()) - np.repeat(np.cumsum(d_e) - d_e, d_e)) / np.repeat(d_e, d_e)
-    denom = np.repeat(risk_e, d_e) - frac * np.repeat(tie_e, d_e)
+    xs = x[ties.order]
+    shift = xs.max()
+    phi = np.exp(xs - shift)
+    denom = ties.denominators(phi)
     if np.any(denom <= 0.0):
         # Risk-set sums underflowed for these scores. The true value is finite
         # but enormous, so report the point as infeasible.
         return float("inf"), np.full(n, np.nan)
-    seg = np.repeat(np.cumsum(d_e) - d_e, d_e)  # flat index -> event-group start
-    bounds = np.cumsum(d_e) - d_e
-    log_sum = np.add.reduceat(np.log(denom), bounds)
-    a_g = np.add.reduceat(1.0 / denom, bounds)
-    b_g = np.add.reduceat(frac / denom, bounds)
 
     # Each log(denom) is short by the max shift; there is one term per event.
-    value = float(log_sum.sum() + d_e.sum() * shift - tie_eta[ev].sum())
-
-    # Gradient: phi_i * (sum of a over event times <= t_i) minus, for events,
-    # phi_i * b of their own group, minus the event indicator.
-    event_times = ts[starts][ev]
-    cum_a = np.cumsum(a_g)
-    cover = np.searchsorted(event_times, ts, side="right") - 1
-    a_i = np.where(cover >= 0, cum_a[np.clip(cover, 0, None)], 0.0)
-    b_i = np.zeros(n)
-    own = np.searchsorted(event_times, ts[es])
-    b_i[es] = b_g[own]
-    grad_sorted = phi * (a_i - b_i) - es
+    log_sum = np.add.reduceat(np.log(denom), ties.bounds)
+    tie_eta = np.add.reduceat(np.where(ties.events, xs, 0.0), ties.starts)[ties.has_event]
+    value = float(log_sum.sum() + len(ties.frac) * shift - tie_eta.sum())
 
     grad = np.empty(n)
-    grad[order] = grad_sorted
+    grad[ties.order] = ties.hazard_weights(phi, denom) - ties.events
     return value, grad
+
+
+def efron_loss_grad(times, events, eta):
+    """Efron negative log partial likelihood and gradient wrt scores for
+    one score vector: `efron_eval(efron_ties(times, events), eta)`."""
+    return efron_eval(efron_ties(times, events), eta)
 
 
 def concordance_counts(times, events, scores, weights=None):

@@ -10,6 +10,13 @@ penalized coefficients are exactly zero. With both penalties zero the same
 loop converges to the unpenalized partial likelihood solution and the
 inverse observed information of the raw (unaveraged) likelihood is stored
 for Wald inference.
+
+A fit sorts its outcomes once: the Efron tie structure (`efron_ties`) is
+built at the start and every likelihood evaluation, the final likelihood
+and the information matrix reuse it. The line search keeps the accepted
+candidate's value and gradient as the next iterate's, so each backtracking
+trial costs one Efron evaluation. The information matrix is in closed form
+over per-group sums (no per-event loop).
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as sstats
 
-from ._kernels import efron_loss_grad
+from ._kernels import efron_eval, efron_loss_grad, efron_ties
 from .curves import CumHazardFn, SurvivalCurve
 from .errors import ComputationError, DataError, ScalingWarning
 
@@ -118,9 +125,10 @@ def fit_coxph(
 
     beta = np.zeros(p) if init is None else np.asarray(init, dtype=float).copy()
     n_events = float(np.sum(e == 1.0))
+    ties = efron_ties(t, e)
 
     def smooth(b):
-        value, grad_eta = efron_loss_grad(t, e, x @ b)
+        value, grad_eta = efron_eval(ties, x @ b)
         return value / n_events + 0.5 * l2 * float(b @ b), x.T @ grad_eta / n_events + l2 * b
 
     f_val, grad = smooth(beta)
@@ -135,7 +143,7 @@ def fit_coxph(
         while True:
             cand = _soft_threshold(beta - step * grad, step * l1)
             delta = cand - beta
-            f_cand, _ = smooth(cand)
+            f_cand, g_cand = smooth(cand)
             bound = f_val + float(grad @ delta) + float(delta @ delta) / (2.0 * step)
             if f_cand <= bound + 1e-12 * max(1.0, abs(bound)):
                 break
@@ -146,8 +154,7 @@ def fit_coxph(
         new_objective = f_cand + l1 * np.abs(cand).sum()
         if new_objective > objective + 1e-10 * max(1.0, abs(objective)):
             raise ComputationError("objective increased; line search invariant violated")
-        beta = cand
-        f_val, grad = smooth(beta)
+        beta, f_val, grad = cand, f_cand, g_cand
         history.append(float(new_objective))
 
         if np.max(np.abs(beta)) > SEPARATION_BOUND:
@@ -173,12 +180,12 @@ def fit_coxph(
         converged=converged,
         n_iter=n_iter,
         final_objective=float(history[-1]),
-        final_nlpl=float(efron_loss_grad(t, e, x @ beta)[0]),
+        final_nlpl=float(efron_eval(ties, x @ beta)[0]),
         separation=separation,
         objective_history=history,
     )
     if l1 == 0.0 and l2 == 0.0 and converged:
-        info = _efron_information(beta, x, t, e)
+        info = _efron_information(beta, x, ties)
         try:
             model.covariance = np.linalg.inv(info)
         except np.linalg.LinAlgError:
@@ -188,44 +195,53 @@ def fit_coxph(
     return model
 
 
-def _efron_information(beta, x, times, events):
-    """Observed information (Hessian of the NLPL) at beta, Efron ties."""
-    order = np.argsort(times, kind="stable")
-    ts = times[order]
-    es = events[order].astype(bool)
-    xs = x[order]
-    eta = xs @ beta
-    shift = eta.max()
-    phi = np.exp(eta - shift)
+def _efron_information(beta, x, ties):
+    """Observed information (Hessian of the NLPL) at beta, Efron ties.
 
-    starts = np.flatnonzero(np.r_[True, ts[1:] != ts[:-1]])
-    ends = np.r_[starts[1:], len(ts)]
-    p = x.shape[1]
-    hess = np.zeros((p, p))
-    risk_phi = 0.0
-    risk_phi_x = np.zeros(p)
-    risk_phi_xx = np.zeros((p, p))
-    for g in range(len(starts) - 1, -1, -1):
-        sl = slice(starts[g], ends[g])
-        phi_g = phi[sl]
-        x_g = xs[sl]
-        risk_phi += phi_g.sum()
-        risk_phi_x += phi_g @ x_g
-        risk_phi_xx += np.einsum("i,ij,ik->jk", phi_g, x_g, x_g)
-        ev = es[sl]
-        d = int(ev.sum())
-        if d == 0:
-            continue
-        tie_phi = phi_g[ev].sum()
-        tie_phi_x = phi_g[ev] @ x_g[ev]
-        tie_phi_xx = np.einsum("i,ij,ik->jk", phi_g[ev], x_g[ev], x_g[ev])
-        for l in range(d):
-            c = l / d
-            denom = risk_phi - c * tie_phi
-            z = risk_phi_x - c * tie_phi_x
-            zz = risk_phi_xx - c * tie_phi_xx
-            hess += zz / denom - np.outer(z, z) / denom**2
-    return hess
+    Term l of event group k has denominator den = R0 - c T0 and score mean
+    z / den with z = R - c T, c = l/d: R0, R are the risk set's sums of phi
+    and phi x, T0, T its tied events' sums. The Hessian is
+    sum over terms of (second moments)/den - z z' / den^2. The first part
+    is X' diag(phi (a - b)) X with a, b the Efron gradient's own sums
+    (`EfronTies.hazard_weights`). The second, Z'Z, is in closed form over
+    the (E, p) group sums: R' alpha R - R' beta T - T' beta R + T' gamma T,
+    where alpha, beta, gamma sum 1/den^2, c/den^2 and c^2/den^2 over each
+    group's terms. beta and gamma vanish where d = 1, so T is only summed
+    over groups with tied events. Besides x it holds at most one (n, p)
+    and one (E, p) array at a time.
+    """
+    eta = (x @ beta)[ties.order]
+    phi = np.exp(eta - eta.max())
+    denom = ties.denominators(phi)
+    weights = np.empty(len(phi))
+    weights[ties.order] = ties.hazard_weights(phi, denom)
+    hess = x.T @ (x * weights[:, None])
+
+    inv2 = 1.0 / denom**2
+    # phi x in time order, summed in place from the last row back: at the
+    # first row of a distinct time it holds that time's risk-set sum R
+    phi_x = x[ties.order]
+    phi_x *= phi[:, None]
+    np.cumsum(phi_x[::-1], axis=0, out=phi_x[::-1])
+    risk = phi_x[ties.starts[ties.has_event]]
+    del phi_x
+
+    tied = ties.sizes > 1
+    if tied.any():
+        terms = tied[ties.own]  # flat terms (and events) of the tied groups
+        rows = np.flatnonzero(ties.events)[terms]
+        sizes = ties.sizes[tied]
+        bounds = np.cumsum(sizes) - sizes
+        tie = np.add.reduceat(x[ties.order[rows]] * phi[rows, None], bounds, axis=0)
+        beta_g = np.add.reduceat((ties.frac * inv2)[terms], bounds)
+        gamma = np.add.reduceat((ties.frac**2 * inv2)[terms], bounds)
+        cross = risk[tied].T @ (tie * beta_g[:, None])
+        hess += cross + cross.T - tie.T @ (tie * gamma[:, None])
+    # R' alpha R as S'S with S = sqrt(alpha) R, scaled in place
+    risk *= np.sqrt(np.add.reduceat(inv2, ties.bounds))[:, None]
+    hess -= risk.T @ risk
+    # the matrix products round (j, k) and (k, j) differently
+    return 0.5 * (hess + hess.T)
 
 
 @dataclass

@@ -22,6 +22,12 @@ from .curves import SurvivalCurve, interp_rows
 from .errors import DataError
 
 LOG_FLOOR = 1e-12
+# smallest ranking-loss sigma. For CDF values in [0, 1] a pair term
+# exp((F_j - F_i) / sigma) is at most exp(1/sigma) and its gradient at most
+# exp(1/sigma) / sigma; with L = log(float max), both are finite when
+# 1/sigma <= L - log(L), since then 1/sigma + log(1/sigma) < L
+_LOG_MAX = np.log(np.finfo(float).max)
+SIGMA_MIN = 1.0 / (_LOG_MAX - np.log(_LOG_MAX))
 
 
 @dataclass
@@ -86,8 +92,8 @@ def deephit_loss(pmf, bin_labels, events, alpha=0.2, sigma=0.1):
         raise DataError("bin_labels and events must match the pmf row count")
     if np.any(k < 0) or np.any(k >= n_bins):
         raise DataError("bin label out of range")
-    if sigma <= 0:
-        raise DataError("sigma must be positive")
+    if not sigma >= SIGMA_MIN:
+        raise DataError(f"sigma must be at least {SIGMA_MIN:.6g} so exp(1/sigma) / sigma is finite")
 
     rows = np.arange(n)
     is_event = e == 1.0

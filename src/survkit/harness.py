@@ -193,12 +193,31 @@ def _digest_imputer(imputer):
 
 # -- model family adapters -----------------------------------------------------
 
-def _params_from(cls, d):
-    """`cls` from the keys of `d` it has, each coerced by the type of its
-    default; keys `d` leaves out keep the dataclass defaults."""
+def _check_keys(family, d, known):
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ConfigError(
+            f"{family}: unknown hyperparameter {unknown[0]!r} (known: {', '.join(known)})"
+        )
+
+
+def _coerce(family, key, kind, value):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{family}: {key}={value!r} is not a valid {kind.__name__}") from exc
+
+
+def _params_from(family, cls, d):
+    """`cls` from the keys of `d`, each coerced by the type of its default;
+    keys `d` leaves out keep the dataclass defaults. A key `cls` has no
+    field for, or a value its type rejects, is a ConfigError naming
+    `family`."""
+    _check_keys(family, d, [f.name for f in fields(cls)])
     defaults = cls()
     return cls(**{
-        f.name: type(getattr(defaults, f.name))(d[f.name]) for f in fields(cls) if f.name in d
+        f.name: _coerce(family, f.name, type(getattr(defaults, f.name)), d[f.name])
+        for f in fields(cls) if f.name in d
     })
 
 
@@ -207,7 +226,8 @@ class _CoxFamily:
     default_grid = {"l1": [0.0], "l2": [0.0]}
 
     def make_params(self, d):
-        return {"l1": float(d.get("l1", 0.0)), "l2": float(d.get("l2", 0.0))}
+        _check_keys(self.name, d, ["l1", "l2"])
+        return {key: _coerce(self.name, key, float, d.get(key, 0.0)) for key in ("l1", "l2")}
 
     def fit(self, x, times, events, params, seed, names=None):
         return fit_coxph(x, times, events, names=names, **params)
@@ -233,7 +253,7 @@ class _DeepSurvFamily:
                     "weight_decay": [0.05]}
 
     def make_params(self, d):
-        return _params_from(DeepSurvParams, d)
+        return _params_from(self.name, DeepSurvParams, d)
 
     def fit(self, x, times, events, params, seed, names=None):
         return fit_deepsurv(x, times, events, params, seed)
@@ -258,7 +278,13 @@ class _DeepHitFamily:
                     "weight_decay": [0.05], "n_bins": [60]}
 
     def make_params(self, d):
-        return _params_from(DeepHitParams, d)
+        params = _params_from(self.name, DeepHitParams, d)
+        if not params.sigma >= deephit_mod.SIGMA_MIN:
+            raise ConfigError(
+                f"deephit: sigma must be at least {deephit_mod.SIGMA_MIN:.6g}, "
+                f"got {params.sigma!r} (the ranking loss overflows below it)"
+            )
+        return params
 
     def fit(self, x, times, events, params, seed, names=None):
         return fit_deephit(x, times, events, params, seed)
@@ -479,9 +505,13 @@ class ExperimentConfig:
             standardize=bool(prep_doc.get("standardize", True)),
         )
         families = doc.get("families", {})
-        for name in families:
+        for name, grid in families.items():
             if name not in FAMILY_REGISTRY:
                 raise ConfigError(f"unknown model family {name!r}")
+            # every grid point must make valid parameters before any fit runs
+            family = FAMILY_REGISTRY[name]
+            for point in expand_grid(grid or family.default_grid):
+                family.make_params(point)
         n_boot = int(doc.get("n_boot", 1000))
         if n_boot < 1:
             raise ConfigError("n_boot must be >= 1")

@@ -7,6 +7,12 @@ Each target column uses a normal-model Bayesian draw (coefficients and
 noise drawn from their posterior), so repeated chains give proper
 between-imputation variability for Rubin pooling. Indicator columns are
 imputed on the continuous scale and deliberately not rounded.
+
+A chain (and `apply_mice`) keeps its covariates in one design matrix
+[1, covariates, event, hazard], built once with the mean fill: each
+target's predictors are one column gather from it (every column but its
+own), each draw is written into the target's own column, and the
+completed values are read back once at the end.
 """
 
 from __future__ import annotations
@@ -65,12 +71,11 @@ def _target_columns(ds):
     return [(name, j) for _, j, name in rates]
 
 
-def _predictor_matrix(values, cov_idx, target_j, hazard, event):
-    """Design matrix for one target: intercept, other covariates, outcomes."""
-    others = [j for j in cov_idx if j != target_j]
-    return np.column_stack(
-        [np.ones(len(event))] + [values[:, j] for j in others] + [event, hazard]
-    )
+def _design(ds, cov_idx, hazard):
+    """The working store of a chain: [1, covariates, event, hazard], one row
+    per subject, covariate cov_idx[k] in column 1 + k. Every column but a
+    target's own predicts that target."""
+    return np.column_stack([np.ones(ds.n_rows), ds.values[:, cov_idx], ds.event, hazard])
 
 
 def _bayes_draw(x_obs, y_obs, rng):
@@ -95,31 +100,38 @@ def _bayes_draw(x_obs, y_obs, rng):
 
 
 def _run_chain(ds, iterations, rng, collect_final_models=False):
-    """One chained-equations pass; returns completed values (+ final models)."""
+    """One chained-equations pass; returns completed values (+ final models).
+
+    The design matrix is the chain's only working copy of the covariates:
+    each target's draw is written into its design column, and the completed
+    values are read back from the design once, after the last sweep.
+    """
     cov_idx = [j for j, c in enumerate(ds.columns) if c.role == "covariate"]
     targets = _target_columns(ds)
     hazard_fn = nelson_aalen(ds.time, ds.event)
-    hazard = hazard_fn(ds.time)
-    event = ds.event.copy()
+    design = _design(ds, cov_idx, hazard_fn(ds.time))
 
-    values = ds.values.copy()
     means = {}
+    steps = []
     for name, j in targets:
         obs = ~ds.missing_mask[:, j]
-        means[name] = float(values[obs, j].mean())
-        values[~obs, j] = means[name]
+        col = 1 + cov_idx.index(j)
+        means[name] = float(ds.values[obs, j].mean())
+        design[~obs, col] = means[name]
+        cols = np.delete(np.arange(design.shape[1]), col)
+        steps.append((name, col, cols, obs, ~obs))
 
     final_models = {}
     for sweep in range(iterations):
         last = sweep == iterations - 1
-        for name, j in targets:
-            obs = ~ds.missing_mask[:, j]
-            x_all = _predictor_matrix(values, cov_idx, j, hazard, event)
-            beta_hat, beta_dot, sigma = _bayes_draw(x_all[obs], values[obs, j], rng)
-            mis = ~obs
-            values[mis, j] = x_all[mis] @ beta_dot + sigma * rng.standard_normal(int(mis.sum()))
+        for name, col, cols, obs, mis in steps:
+            x_all = design[:, cols]  # one C-contiguous (n, q) gather
+            beta_hat, beta_dot, sigma = _bayes_draw(x_all[obs], design[obs, col], rng)
+            design[mis, col] = x_all[mis] @ beta_dot + sigma * rng.standard_normal(int(mis.sum()))
             if collect_final_models and last:
                 final_models[name] = beta_hat
+    values = ds.values.copy()
+    values[:, cov_idx] = design[:, 1 : 1 + len(cov_idx)]
     return values, means, final_models, hazard_fn
 
 
@@ -235,32 +247,33 @@ def apply_mice(model, ds):
     if ds.column_names != model.column_names:
         raise SchemaError("dataset columns do not match the fitted imputer")
     cov_idx = [j for j, c in enumerate(ds.columns) if c.role == "covariate"]
-    hazard = model.hazard_fn(ds.time)
-    event = ds.event.copy()
-
-    values = ds.values.copy()
-    mask = ds.missing_mask.copy()
-    modeled = []
-    for name in model.visit_order:
-        j = ds.col_index(name)
-        if mask[:, j].any():
-            values[mask[:, j], j] = model.means[name]
-            modeled.append((name, j))
-    # anything else missing has no fitted model and no stored training mean
+    mask = ds.missing_mask
+    # anything missing outside the visit order has no fitted model and no
+    # stored training mean
     for j, c in enumerate(ds.columns):
         if c.role == "covariate" and mask[:, j].any() and c.name not in model.means:
             raise DataError(
                 f"column {c.name!r} has missing cells but was complete at fit time"
             )
 
-    for _ in range(model.iterations):
-        for name, j in modeled:
-            x_all = _predictor_matrix(values, cov_idx, j, hazard, event)
-            mis = mask[:, j]
-            values[mis, j] = x_all[mis] @ model.models[name]
+    design = _design(ds, cov_idx, model.hazard_fn(ds.time))
+    steps = []
+    for name in model.visit_order:
+        j = ds.col_index(name)
+        if mask[:, j].any():
+            col = 1 + cov_idx.index(j)
+            design[mask[:, j], col] = model.means[name]
+            cols = np.delete(np.arange(design.shape[1]), col)
+            steps.append((j, col, cols, mask[:, j], model.models[name]))
 
+    for _ in range(model.iterations):
+        for _, col, cols, mis, coef in steps:
+            design[mis, col] = design[:, cols][mis] @ coef
+
+    values = ds.values.copy()
+    values[:, cov_idx] = design[:, 1 : 1 + len(cov_idx)]
     out_mask = mask.copy()
-    for name, j in modeled:
+    for j, *_ in steps:
         out_mask[:, j] = False
     return SurvivalDataset(list(ds.columns), values, out_mask, ds.row_ids.copy())
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from survkit._kernels import efron_ties
 from survkit.coxph import (
+    _efron_information,
     breslow_baseline,
     breslow_from_scores,
     fit_coxph,
@@ -203,6 +205,79 @@ def test_wald_matches_numeric_information():
         assert 0.0 <= row.p_value <= 1.0
     # a strong true effect at n=500 should be decisively significant
     assert rows[0].p_value < 1e-6
+
+
+def loop_information(beta, x, times, events):
+    """Observed information by the textbook per-event loop: running risk-set
+    sums from the last time back, one Efron term per tied event."""
+    order = np.argsort(times, kind="stable")
+    ts = times[order]
+    es = events[order].astype(bool)
+    xs = x[order]
+    eta = xs @ beta
+    phi = np.exp(eta - eta.max())
+    starts = np.flatnonzero(np.r_[True, ts[1:] != ts[:-1]])
+    ends = np.r_[starts[1:], len(ts)]
+    p = x.shape[1]
+    hess = np.zeros((p, p))
+    risk_phi, risk_phi_x, risk_phi_xx = 0.0, np.zeros(p), np.zeros((p, p))
+    for g in range(len(starts) - 1, -1, -1):
+        sl = slice(starts[g], ends[g])
+        phi_g, x_g = phi[sl], xs[sl]
+        risk_phi += phi_g.sum()
+        risk_phi_x += phi_g @ x_g
+        risk_phi_xx += np.einsum("i,ij,ik->jk", phi_g, x_g, x_g)
+        ev = es[sl]
+        d = int(ev.sum())
+        tie_phi = phi_g[ev].sum()
+        tie_phi_x = phi_g[ev] @ x_g[ev]
+        tie_phi_xx = np.einsum("i,ij,ik->jk", phi_g[ev], x_g[ev], x_g[ev])
+        for ell in range(d):
+            c = ell / d
+            denom = risk_phi - c * tie_phi
+            z = risk_phi_x - c * tie_phi_x
+            hess += (risk_phi_xx - c * tie_phi_xx) / denom - np.outer(z, z) / denom**2
+    return hess
+
+
+def test_information_matches_per_event_loop():
+    """The closed-form information equals the per-event loop on tied,
+    censored cohorts, all-event tie groups and single events included."""
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for _ in range(250):
+        n = int(rng.integers(2, 60))
+        p = int(rng.integers(1, 5))
+        x = rng.normal(0.0, 1.0, (n, p))
+        times = rng.integers(0, int(rng.integers(1, 12)), n).astype(float)
+        events = (rng.random(n) < rng.uniform(0.2, 1.0)).astype(float)
+        events[rng.integers(n)] = 1.0
+        beta = rng.normal(0.0, 0.7, p)
+        want = loop_information(beta, x, times, events)
+        got = _efron_information(beta, x, efron_ties(times, events))
+        np.testing.assert_array_equal(got, got.T)
+        scale = np.abs(want).max()
+        if scale > 0:
+            worst = max(worst, np.abs(got - want).max() / scale)
+        else:
+            assert np.abs(got).max() < 1e-300
+    assert worst < 1e-12
+
+
+def test_information_matches_gradient_differences():
+    rng = np.random.default_rng(37)
+    x, t, e = exponential_cohort(rng, [0.5, -0.3, 0.2], 200, censor_scale=2.0)
+    t = np.round(t, 1) + 0.1  # heavy ties
+    beta = rng.normal(0.0, 0.4, 3)
+    info = _efron_information(beta, x, efron_ties(t, e))
+    eps = 1e-6
+    for j in range(3):
+        hi, lo = beta.copy(), beta.copy()
+        hi[j] += eps
+        lo[j] -= eps
+        fd = (neg_log_partial_likelihood(hi, x, t, e)[1]
+              - neg_log_partial_likelihood(lo, x, t, e)[1]) / (2 * eps)
+        np.testing.assert_allclose(info[:, j], fd, rtol=1e-6, atol=1e-6)
 
 
 def test_wald_refuses_penalized_fits():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from survkit.deephit import (
+    SIGMA_MIN,
     DeepHitParams,
     TimeGrid,
     deephit_loss,
@@ -122,6 +123,27 @@ def test_loss_validation():
         deephit_loss(pmf, [0], [1.0], sigma=0.0)
     with pytest.raises(DataError):
         deephit_loss(pmf, [0, 1], [1.0])
+
+
+def test_overflowing_sigma_is_a_data_error_without_warnings():
+    """A pair term exp((F_j - F_i) / sigma) is at most exp(1/sigma) for CDF
+    values, with gradient exp(1/sigma) / sigma; below SIGMA_MIN those can
+    overflow, and training stops at its first batch with a typed error,
+    before any exp runs."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(300, 4))
+    t = rng.exponential(10.0, 300) + 0.1
+    e = (rng.random(300) < 0.6).astype(float)
+    params = DeepHitParams(hidden=[8], n_bins=20, epochs=5, sigma=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="sigma"):
+            fit_deephit(x, t, e, params, seed=0)
+        # at the bound, the largest possible pair term and its gradient are finite
+        value, grad = deephit_loss(np.array([[0.0, 1.0], [1.0, 0.0]]), [0, 1], [1.0, 0.0],
+                                   sigma=SIGMA_MIN)
+    assert np.isfinite(value) and np.isfinite(grad).all()
+    assert 1.4e-3 < SIGMA_MIN < 1.43e-3
 
 
 # -- loss: finite differences through the softmax --------------------------------------

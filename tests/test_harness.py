@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from survkit.deephit import DeepHitParams
+from survkit.deephit import SIGMA_MIN, DeepHitParams
 from survkit.deepsurv import DeepSurvParams
 from survkit.errors import ConfigError, DataError
 from survkit.harness import (
@@ -432,6 +432,31 @@ def test_config_rejects_n_boot_below_one():
     for n_boot in (0, -3):
         with pytest.raises(ConfigError, match="n_boot"):
             ExperimentConfig.from_dict({"n_boot": n_boot})
+
+
+def test_config_rejects_unknown_grid_keys():
+    """A misspelled hyperparameter fails at config load, naming family and key."""
+    for family, key in (("deepsurv", "hiden"), ("deephit", "epoch"), ("coxph", "L1")):
+        with pytest.raises(ConfigError, match=f"{family}: unknown hyperparameter '{key}'"):
+            ExperimentConfig.from_dict({"families": {family: {key: [1]}}})
+    with pytest.raises(ConfigError, match="'epoch'"):
+        FAMILY_REGISTRY["deepsurv"].make_params({"epoch": 10, "hiden": [3]})
+    # every field of the Params dataclasses, and l1/l2 for coxph, is known
+    for name, cls in (("deepsurv", DeepSurvParams), ("deephit", DeepHitParams)):
+        point = dataclasses.asdict(cls())
+        assert FAMILY_REGISTRY[name].make_params(point) == cls()
+    assert FAMILY_REGISTRY["coxph"].make_params({"l1": 0.1, "l2": 0.2}) == {"l1": 0.1, "l2": 0.2}
+    # a value the field's type rejects is a config error too, not a raw ValueError
+    for family, key, value in (("deepsurv", "epochs", "ten"), ("coxph", "l1", "x")):
+        with pytest.raises(ConfigError, match=f"{family}: {key}="):
+            ExperimentConfig.from_dict({"families": {family: {key: [value]}}})
+
+
+def test_config_rejects_deephit_sigma_that_overflows():
+    with pytest.raises(ConfigError, match="sigma"):
+        ExperimentConfig.from_dict({"families": {"deephit": {"sigma": [0.1, 1e-3]}}})
+    cfg = ExperimentConfig.from_dict({"families": {"deephit": {"sigma": [SIGMA_MIN]}}})
+    assert cfg.families["deephit"] == {"sigma": [SIGMA_MIN]}
 
 
 def test_neural_make_params_fall_back_to_the_dataclass_defaults():

@@ -1,7 +1,12 @@
 """Imputation tests: Nelson-Aalen transform, chained equations, Rubin pooling."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survkit.errors import DataError, SchemaError
 from survkit.impute import (
@@ -12,7 +17,9 @@ from survkit.impute import (
     pool_rubin,
     save_imputation_set,
 )
-from survkit.tabular import ColumnSpec, SurvivalDataset
+from survkit.preprocess import dummy_encode
+from survkit.synth import ensure_like, generate
+from survkit.tabular import ColumnSpec, SurvivalDataset, subset_rows
 
 
 def cols_with(names):
@@ -210,6 +217,67 @@ def test_apply_mice_rejects_missing_in_column_complete_at_fit():
     new.missing_mask[0, j] = True
     with pytest.raises(DataError, match="'y'"):
         apply_mice(model, new)
+
+
+complete_rows = st.integers(1, 25).flatmap(
+    lambda n: st.lists(
+        st.tuples(
+            st.floats(0.01, 100.0),
+            st.sampled_from([0.0, 1.0]),
+            *[st.floats(-1e6, 1e6, allow_subnormal=False)] * 3,
+        ),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(complete_rows)
+def test_apply_mice_is_the_identity_on_complete_data(rows):
+    model = fit_mice(mar_linear_dataset(seed=3)[0], iterations=2, seed=1)
+    values = np.array(rows, dtype=float)
+    ds = SurvivalDataset(cols_with(["x", "y", "z"]), values, np.zeros(values.shape, dtype=bool))
+    done = apply_mice(model, ds)
+    assert done.values.tobytes() == values.tobytes()
+    assert not done.missing_mask.any()
+
+
+# -- pinned outputs ------------------------------------------------------------------
+# sha256 of the completed values on a 400-row ensure_like-shaped cohort with
+# ten partly missing columns, recorded before the chains kept their
+# covariates in one design matrix; any change to a drawn or filled cell
+# changes them.
+
+MICE_SHA256 = "ba1f636627c88f57cd763445fd3183104f581530ef9769850424110d1a29cfd0"
+FIT_APPLY_SHA256 = "4b692a04936a972202efb2ef83ffd4f0c3639bd7433c99c22c8e29755e9d2228"
+
+
+def pinned_cohort():
+    _, _, spec = ensure_like(0)
+    ds, _ = generate(dataclasses.replace(spec, n=400), seed=3)
+    return dummy_encode(ds)[0]
+
+
+def values_sha256(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def test_mice_impute_output_is_pinned():
+    ds = pinned_cohort()
+    assert ds.missing_mask.any(axis=0).sum() == 10
+    iset = mice_impute(ds, m=3, iterations=4, seed=11)
+    assert values_sha256(d.values for d in iset.datasets) == MICE_SHA256
+
+
+def test_fit_and_apply_mice_output_is_pinned():
+    ds = pinned_cohort()
+    model = fit_mice(subset_rows(ds, np.arange(300)), iterations=4, seed=5)
+    done = apply_mice(model, subset_rows(ds, np.arange(300, 400)))
+    assert values_sha256([model.completed_train.values, done.values]) == FIT_APPLY_SHA256
 
 
 # -- Rubin pooling -----------------------------------------------------------------

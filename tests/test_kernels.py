@@ -4,12 +4,14 @@ The reference oracle here is an intentionally naive O(n^2) implementation,
 written independently of the shipped kernels, so agreement is meaningful.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survkit._kernels import BACKEND, concordance_counts, efron_loss_grad
+from survkit._kernels import BACKEND, concordance_counts, efron_eval, efron_loss_grad, efron_ties
 
 
 def slow_efron(times, events, eta):
@@ -151,6 +153,46 @@ def test_underflow_reports_infeasible():
     value, grad = efron_loss_grad(times, events, eta)
     assert value == float("inf")
     assert np.all(np.isnan(grad))
+
+
+# -- prepared tie structure ------------------------------------------------------
+
+
+def test_tie_structure_hand_case():
+    # sorted: t = 1 (event), 1 (censored), 2 (event), 2 (event), 3 (censored)
+    ties = efron_ties([2.0, 1.0, 1.0, 3.0, 2.0], [1.0, 1.0, 0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(ties.order, [1, 2, 0, 4, 3])
+    np.testing.assert_array_equal(ties.events, [True, False, True, True, False])
+    np.testing.assert_array_equal(ties.starts, [0, 2, 4])
+    np.testing.assert_array_equal(ties.has_event, [True, True, False])
+    np.testing.assert_array_equal(ties.sizes, [1, 2])
+    np.testing.assert_array_equal(ties.frac, [0.0, 0.0, 0.5])
+    np.testing.assert_array_equal(ties.bounds, [0, 1])
+    np.testing.assert_array_equal(ties.cover, [0, 0, 1, 1, 1])
+    np.testing.assert_array_equal(ties.own, [0, 1, 1])
+
+
+def test_prepared_ties_serve_many_score_vectors():
+    """One efron_ties record, reused over several score vectors, gives the
+    bits of a fresh efron_loss_grad call each time and is left unchanged."""
+    rng = np.random.default_rng(19)
+    cases = [random_survival(rng, 40)[:2] for _ in range(5)]
+    cases.append((np.array([1.0, 2.0, 2.0, 4.0]), np.zeros(4)))  # all censored
+    cases.append((np.array([3.0, 1.0, 3.0, 3.0, 2.0]), np.array([1.0, 0.0, 1.0, 1.0, 0.0])))
+    for times, events in cases:
+        ties = efron_ties(times, events)
+        before = {f.name: getattr(ties, f.name).copy() for f in dataclasses.fields(ties)}
+        for scale in (0.1, 1.0, 4.0):
+            eta = rng.normal(0.0, scale, len(times))
+            value, grad = efron_eval(ties, eta)
+            fresh_value, fresh_grad = efron_loss_grad(times, events, eta)
+            assert value == fresh_value
+            assert grad.tobytes() == fresh_grad.tobytes()
+            assert value == pytest.approx(slow_efron(times, events, eta), rel=1e-12, abs=1e-14)
+        for name, arr in before.items():
+            np.testing.assert_array_equal(getattr(ties, name), arr)
+    with pytest.raises(ValueError):
+        efron_eval(efron_ties([1.0, 2.0], [1.0, 0.0]), [0.0, 0.0, 0.0])
 
 
 # -- backend -------------------------------------------------------------------
