@@ -294,25 +294,19 @@ def breslow_from_scores(times, events, eta):
 
     H0(t) = sum over event times u <= t of d_u / sum(exp(eta) over the risk
     set at u). With all scores zero this is exactly the Nelson-Aalen
-    estimate. Shared by the linear model and the network models.
+    estimate. Shared by the linear model and the network models; the sort
+    order, event groups and counts d_u are those of `efron_ties`.
     """
     t = np.asarray(times, dtype=float)
-    e = np.asarray(events, dtype=float)
     eta = np.asarray(eta, dtype=float)
+    ties = efron_ties(t, events)
     shift = eta.max()
-    phi = np.exp(eta - shift)
-
-    order = np.argsort(t, kind="stable")
-    ts, es, phis = t[order], e[order], phi[order]
-    starts = np.flatnonzero(np.r_[True, ts[1:] != ts[:-1]])
-    rev = np.cumsum(phis[::-1])[::-1]
-    risk = rev[starts]
-    d = np.add.reduceat(es, starts)
-    has_event = d > 0
-    if np.any(risk[has_event] <= 0.0):
+    phi = np.exp(eta[ties.order] - shift)
+    risk = np.cumsum(phi[::-1])[::-1][ties.starts][ties.has_event]
+    if np.any(risk <= 0.0):
         raise ComputationError("risk-set sums underflowed; scores are too extreme for a baseline")
-    increments = d[has_event] * np.exp(-shift) / risk[has_event]
-    return CumHazardFn(knots=ts[starts][has_event], values=np.cumsum(increments))
+    increments = ties.sizes * np.exp(-shift) / risk
+    return CumHazardFn(knots=t[ties.order][ties.starts][ties.has_event], values=np.cumsum(increments))
 
 
 def breslow_baseline(model, x, times, events):

@@ -96,15 +96,12 @@ def split(ds, plan, seed):
         k = int(plan.inner.get("k", 5))
         if k < 2:
             raise ConfigError("k must be >= 2")
-        assignment = {}
+        labels = np.empty(len(e), dtype=np.int64)  # fold of each training row
         for s in train_strata:
             perm = s[rng.permutation(len(s))]
-            for pos, row in enumerate(perm):
-                assignment[int(row)] = pos % k
+            labels[perm] = np.arange(len(perm)) % k
         for f in range(k):
-            val = np.array(sorted(r for r, ff in assignment.items() if ff == f))
-            fit = np.array(sorted(r for r, ff in assignment.items() if ff != f))
-            folds.append((fit, val))
+            folds.append((train_idx[labels[train_idx] != f], train_idx[labels[train_idx] == f]))
     elif kind == "holdout":
         frac = float(plan.inner.get("fraction", 0.15))
         if not 0.0 < frac < 1.0:
@@ -202,10 +199,24 @@ def _check_keys(family, d, known):
 
 
 def _coerce(family, key, kind, value):
+    """`value` read as `kind`. An int takes only integral numbers, and a list
+    (the hidden-layer widths, the only list-valued field) only a non-empty
+    list or tuple of positive integral numbers, not a string such as "64"."""
     try:
-        return kind(value)
+        if kind is not list:
+            out = kind(value)
+            if kind is int and isinstance(value, float) and out != value:
+                raise ValueError(f"{value!r} is not integral")
+            return out
+        if not isinstance(value, (list, tuple)) or not value:
+            raise TypeError(f"{value!r} is not a list")
+        out = [_coerce(family, key, int, v) for v in value]
+        if min(out) < 1:
+            raise ValueError(f"{value!r} has a width below 1")
+        return out
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{family}: {key}={value!r} is not a valid {kind.__name__}") from exc
+        what = "non-empty list of positive integers" if kind is list else kind.__name__
+        raise ConfigError(f"{family}: {key}={value!r} is not a valid {what}") from exc
 
 
 def _params_from(family, cls, d):
@@ -504,6 +515,8 @@ class ExperimentConfig:
             prune_threshold=float(prep_doc.get("prune_threshold", 0.7)),
             standardize=bool(prep_doc.get("standardize", True)),
         )
+        if prep.impute_iterations < 1:
+            raise ConfigError("prep.impute_iterations must be >= 1")
         families = doc.get("families", {})
         for name, grid in families.items():
             if name not in FAMILY_REGISTRY:

@@ -8,11 +8,14 @@ noise drawn from their posterior), so repeated chains give proper
 between-imputation variability for Rubin pooling. Indicator columns are
 imputed on the continuous scale and deliberately not rounded.
 
-A chain (and `apply_mice`) keeps its covariates in one design matrix
-[1, covariates, event, hazard], built once with the mean fill: each
-target's predictors are one column gather from it (every column but its
-own), each draw is written into the target's own column, and the
-completed values are read back once at the end.
+`fit_mice` runs one chain and freezes its final-sweep coefficients;
+`mice_impute` is m such chains with consecutive seeds, and `apply_mice`
+runs the frozen chain on new rows. All three keep the covariates in one
+design matrix [1, covariates, event, hazard], set up once with the mean
+fill (`_chain_setup`): each target's predictors are one column gather from
+it (every column but its own), each draw is written into the target's own
+column, and the completed values are read back once at the end
+(`_read_back`).
 """
 
 from __future__ import annotations
@@ -71,11 +74,41 @@ def _target_columns(ds):
     return [(name, j) for _, j, name in rates]
 
 
-def _design(ds, cov_idx, hazard):
-    """The working store of a chain: [1, covariates, event, hazard], one row
-    per subject, covariate cov_idx[k] in column 1 + k. Every column but a
-    target's own predicts that target."""
-    return np.column_stack([np.ones(ds.n_rows), ds.values[:, cov_idx], ds.event, hazard])
+def _chain_setup(ds, visit_order, means, hazard_fn):
+    """The working store of a chain and its steps, in visit order.
+
+    The design is [1, covariates, event, hazard], one row per subject, with
+    covariate k (in schema order) in column 1 + k; every column but a
+    target's own predicts that target. Each visited column with missing
+    cells has them filled with its entry in `means` and gives one step
+    (name, design column, predictor columns, observed rows, missing rows);
+    the row masks are contiguous copies, made once.
+    """
+    cov_idx = [j for j, c in enumerate(ds.columns) if c.role == "covariate"]
+    design = np.column_stack(
+        [np.ones(ds.n_rows), ds.values[:, cov_idx], ds.event, hazard_fn(ds.time)]
+    )
+    steps = []
+    for name in visit_order:
+        j = ds.col_index(name)
+        mis = ds.missing_mask[:, j].copy()
+        if mis.any():
+            col = 1 + cov_idx.index(j)
+            design[mis, col] = means[name]
+            steps.append((name, col, np.delete(np.arange(design.shape[1]), col), ~mis, mis))
+    return design, steps
+
+
+def _read_back(ds, design, steps):
+    """`ds` completed from the design: its covariates read back once, and
+    the stepped columns no longer marked missing."""
+    cov_idx = [j for j, c in enumerate(ds.columns) if c.role == "covariate"]
+    values = ds.values.copy()
+    values[:, cov_idx] = design[:, 1 : 1 + len(cov_idx)]
+    mask = ds.missing_mask.copy()
+    for name, *_ in steps:
+        mask[:, ds.col_index(name)] = False
+    return SurvivalDataset(list(ds.columns), values, mask, ds.row_ids.copy())
 
 
 def _bayes_draw(x_obs, y_obs, rng):
@@ -97,42 +130,6 @@ def _bayes_draw(x_obs, y_obs, rng):
         chol = u @ np.diag(np.sqrt(np.clip(w, 0, None)))
     beta_dot = beta_hat + sigma * (chol @ rng.standard_normal(q))
     return beta_hat, beta_dot, sigma
-
-
-def _run_chain(ds, iterations, rng, collect_final_models=False):
-    """One chained-equations pass; returns completed values (+ final models).
-
-    The design matrix is the chain's only working copy of the covariates:
-    each target's draw is written into its design column, and the completed
-    values are read back from the design once, after the last sweep.
-    """
-    cov_idx = [j for j, c in enumerate(ds.columns) if c.role == "covariate"]
-    targets = _target_columns(ds)
-    hazard_fn = nelson_aalen(ds.time, ds.event)
-    design = _design(ds, cov_idx, hazard_fn(ds.time))
-
-    means = {}
-    steps = []
-    for name, j in targets:
-        obs = ~ds.missing_mask[:, j]
-        col = 1 + cov_idx.index(j)
-        means[name] = float(ds.values[obs, j].mean())
-        design[~obs, col] = means[name]
-        cols = np.delete(np.arange(design.shape[1]), col)
-        steps.append((name, col, cols, obs, ~obs))
-
-    final_models = {}
-    for sweep in range(iterations):
-        last = sweep == iterations - 1
-        for name, col, cols, obs, mis in steps:
-            x_all = design[:, cols]  # one C-contiguous (n, q) gather
-            beta_hat, beta_dot, sigma = _bayes_draw(x_all[obs], design[obs, col], rng)
-            design[mis, col] = x_all[mis] @ beta_dot + sigma * rng.standard_normal(int(mis.sum()))
-            if collect_final_models and last:
-                final_models[name] = beta_hat
-    values = ds.values.copy()
-    values[:, cov_idx] = design[:, 1 : 1 + len(cov_idx)]
-    return values, means, final_models, hazard_fn
 
 
 @dataclass
@@ -160,34 +157,26 @@ class ImputationSet:
 def mice_impute(ds, m, iterations, seed):
     """Chained-equation imputation producing m completed datasets.
 
-    Chain i draws from a generator seeded with seed + 100 + i, so chains are
-    independent and each is reproducible in isolation. A dataset without
-    missing cells yields m identical copies.
+    The m datasets are the completed training rows of m chains,
+    `fit_mice(ds, iterations, seed + i)` for i < m, so chain i draws from a
+    generator seeded with seed + 100 + i: chains are independent and each
+    is reproducible in isolation. A dataset without missing cells yields m
+    identical copies.
     """
-    _check_numeric_covariates(ds)
     if m < 1:
         raise DataError("m must be >= 1")
-    if iterations < 1:
-        raise DataError("iterations must be >= 1")
-    if np.isnan(ds.time).any() or np.isnan(ds.event).any():
-        raise DataError("outcomes must be complete before imputation")
-
-    visit = [name for name, _ in _target_columns(ds)]
-    completed = []
+    datasets = []
     for i in range(m):
-        rng = np.random.default_rng(seed + 100 + i)
-        values, _, _, _ = _run_chain(ds, iterations, rng)
-        mask = ds.missing_mask.copy()
-        for name in visit:
-            mask[:, ds.col_index(name)] = False
-        completed.append(SurvivalDataset(list(ds.columns), values, mask, ds.row_ids.copy()))
+        # only the completed rows are kept, not each chain's hazard transform
+        chain = fit_mice(ds, iterations, seed + i)
+        datasets.append(chain.completed_train)
     return ImputationSet(
-        datasets=completed,
+        datasets=datasets,
         original_mask=ds.missing_mask.copy(),
         m=m,
         iterations=iterations,
         seed=seed,
-        visit_order=visit,
+        visit_order=chain.visit_order,  # the same for every chain on ds
     )
 
 
@@ -213,17 +202,33 @@ class MiceModel:
 
 
 def fit_mice(ds, iterations, seed):
-    """Run one chain on training rows and freeze its final-sweep models."""
+    """Run one chained-equations chain on training rows and freeze its
+    final-sweep models.
+
+    The chain draws from a generator seeded with seed + 100. Each sweep
+    visits the incomplete covariates in ascending order of missing rate,
+    draws coefficients and noise from the posterior of a normal linear
+    model fit on the target's observed rows, and writes the draw into its
+    missing cells; the completed training rows are `completed_train`.
+    """
     _check_numeric_covariates(ds)
+    if iterations < 1:
+        raise DataError("iterations must be >= 1")
     if np.isnan(ds.time).any() or np.isnan(ds.event).any():
         raise DataError("outcomes must be complete before imputation")
-    visit = [name for name, _ in _target_columns(ds)]
+    targets = _target_columns(ds)
+    visit = [name for name, _ in targets]
+    means = {name: float(ds.values[~ds.missing_mask[:, j], j].mean()) for name, j in targets}
+    hazard_fn = nelson_aalen(ds.time, ds.event)
+    design, steps = _chain_setup(ds, visit, means, hazard_fn)
+
     rng = np.random.default_rng(seed + 100)
-    values, means, models, hazard_fn = _run_chain(ds, iterations, rng, collect_final_models=True)
-    mask = ds.missing_mask.copy()
-    for name in visit:
-        mask[:, ds.col_index(name)] = False
-    completed = SurvivalDataset(list(ds.columns), values, mask, ds.row_ids.copy())
+    models = {}
+    for _ in range(iterations):
+        for name, col, cols, obs, mis in steps:
+            x_all = design[:, cols]  # one C-contiguous (n, q) gather
+            models[name], beta_dot, sigma = _bayes_draw(x_all[obs], design[obs, col], rng)
+            design[mis, col] = x_all[mis] @ beta_dot + sigma * rng.standard_normal(int(mis.sum()))
     return MiceModel(
         visit_order=visit,
         means=means,
@@ -232,50 +237,35 @@ def fit_mice(ds, iterations, seed):
         iterations=iterations,
         seed=seed,
         column_names=ds.column_names,
-        completed_train=completed,
+        completed_train=_read_back(ds, design, steps),
     )
 
 
 def apply_mice(model, ds):
     """Complete a new dataset with a fitted imputer (no refitting, no noise).
 
-    Only columns that had missing cells at fit time have a fitted model. A
-    covariate that was complete at fit time but has missing cells here
-    raises DataError.
+    It runs the fitted chain's sweeps from the training-mean fill, each
+    target's missing cells taking its conditional mean under the stored
+    coefficients. Only columns that had missing cells at fit time have a
+    fitted model. A covariate that was complete at fit time but has missing
+    cells here raises DataError.
     """
     _check_numeric_covariates(ds)
     if ds.column_names != model.column_names:
         raise SchemaError("dataset columns do not match the fitted imputer")
-    cov_idx = [j for j, c in enumerate(ds.columns) if c.role == "covariate"]
-    mask = ds.missing_mask
     # anything missing outside the visit order has no fitted model and no
     # stored training mean
     for j, c in enumerate(ds.columns):
-        if c.role == "covariate" and mask[:, j].any() and c.name not in model.means:
+        if c.role == "covariate" and ds.missing_mask[:, j].any() and c.name not in model.means:
             raise DataError(
                 f"column {c.name!r} has missing cells but was complete at fit time"
             )
 
-    design = _design(ds, cov_idx, model.hazard_fn(ds.time))
-    steps = []
-    for name in model.visit_order:
-        j = ds.col_index(name)
-        if mask[:, j].any():
-            col = 1 + cov_idx.index(j)
-            design[mask[:, j], col] = model.means[name]
-            cols = np.delete(np.arange(design.shape[1]), col)
-            steps.append((j, col, cols, mask[:, j], model.models[name]))
-
+    design, steps = _chain_setup(ds, model.visit_order, model.means, model.hazard_fn)
     for _ in range(model.iterations):
-        for _, col, cols, mis, coef in steps:
-            design[mis, col] = design[:, cols][mis] @ coef
-
-    values = ds.values.copy()
-    values[:, cov_idx] = design[:, 1 : 1 + len(cov_idx)]
-    out_mask = mask.copy()
-    for j, *_ in steps:
-        out_mask[:, j] = False
-    return SurvivalDataset(list(ds.columns), values, out_mask, ds.row_ids.copy())
+        for name, col, cols, _, mis in steps:
+            design[mis, col] = design[:, cols][mis] @ model.models[name]
+    return _read_back(ds, design, steps)
 
 
 @dataclass

@@ -245,6 +245,21 @@ def test_experiment_rejects_n_boot_zero_before_any_fit(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+def test_experiment_rejects_zero_impute_iterations_before_any_fit(tmp_path, capsys, monkeypatch):
+    import survkit.harness
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fit before the config was validated")
+
+    monkeypatch.setattr(survkit.harness, "fit_coxph", no_fit)
+    write_cohort(tmp_path, missing=True, n=120)
+    config = experiment_config(tmp_path, prep={"impute_iterations": 0})
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
+    assert "prep.impute_iterations must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_rejects_unknown_grid_key_before_any_fit(tmp_path, capsys, monkeypatch):
     import survkit.harness
 

@@ -301,6 +301,21 @@ def test_breslow_at_zero_scores_is_nelson_aalen():
     np.testing.assert_allclose(bres.values, na.values, rtol=1e-14)
 
 
+def test_breslow_matches_the_definition_on_tied_censored_cohorts():
+    """H0 at each distinct event time u sums d_u / sum(exp(eta) over t >= u)."""
+    rng = np.random.default_rng(47)
+    for case in range(200):
+        n = int(rng.integers(1, 40))
+        t = rng.integers(1, 9, n).astype(float)
+        e = (rng.random(n) < 0.6).astype(float)
+        eta = rng.normal(0.0, 3.0 if case % 2 else 0.5, n)
+        h = breslow_from_scores(t, e, eta)
+        knots = np.unique(t[e == 1.0])
+        values = np.cumsum([e[t == u].sum() / np.exp(eta[t >= u]).sum() for u in knots])
+        np.testing.assert_array_equal(h.knots, knots)
+        np.testing.assert_allclose(h.values, values, rtol=1e-12, atol=0.0)
+
+
 def test_heavy_ridge_baseline_matches_nelson_aalen():
     # l2 large enough pins beta at ~0, so the fitted baseline is Nelson-Aalen
     rng = np.random.default_rng(37)

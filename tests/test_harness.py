@@ -16,6 +16,7 @@ from survkit.deepsurv import DeepSurvParams
 from survkit.errors import ConfigError, DataError
 from survkit.harness import (
     FAMILY_REGISTRY,
+    _stratified_take,
     ExperimentConfig,
     PrepConfig,
     SplitPlan,
@@ -124,6 +125,42 @@ def test_kfold_folds_partition_training_rows():
         event_counts.append(int(ds.event[val_idx].sum()))
     assert sorted(all_val) == sorted(train)
     assert max(event_counts) - min(event_counts) <= 1
+
+
+def dict_kfold(ds, plan, seed):
+    """k-fold assignment through a {row: fold} dict and sorted comprehensions:
+    the reference for the label array `split` fills per stratum."""
+    rng = np.random.default_rng(seed)
+    e = ds.event
+    strata = [s for s in (np.flatnonzero(e == 1.0), np.flatnonzero(e == 0.0)) if len(s)]
+    _, train_idx = _stratified_take(strata, plan.test_fraction, rng)
+    train_e = e[train_idx]
+    assignment = {}
+    for s in (train_idx[train_e == 1.0], train_idx[train_e == 0.0]):
+        if len(s):
+            perm = s[rng.permutation(len(s))]
+            for pos, row in enumerate(perm):
+                assignment[int(row)] = pos % plan.inner["k"]
+    return [
+        (np.array(sorted(r for r, ff in assignment.items() if ff != f)),
+         np.array(sorted(r for r, ff in assignment.items() if ff == f)))
+        for f in range(plan.inner["k"])
+    ]
+
+
+def test_kfold_matches_the_dict_assignment():
+    for n in (50, 333):
+        ds, _ = cohort(n=n, missing=False, seed=n)
+        for k in (2, 3, 5, 7):
+            for seed in (0, 4):
+                plan = SplitPlan(test_fraction=0.2, inner={"kind": "kfold", "k": k})
+                got = split(ds, plan, seed).folds
+                want = dict_kfold(ds, plan, seed)
+                assert len(got) == len(want) == k
+                for (fit, val), (fit0, val0) in zip(got, want):
+                    np.testing.assert_array_equal(fit, fit0)
+                    np.testing.assert_array_equal(val, val0)
+                    assert fit.dtype == fit0.dtype and val.dtype == val0.dtype
 
 
 def test_holdout_inner_split():
@@ -432,6 +469,36 @@ def test_config_rejects_n_boot_below_one():
     for n_boot in (0, -3):
         with pytest.raises(ConfigError, match="n_boot"):
             ExperimentConfig.from_dict({"n_boot": n_boot})
+
+
+def test_config_rejects_impute_iterations_below_one():
+    for iterations in (0, -2):
+        with pytest.raises(ConfigError, match="prep.impute_iterations must be >= 1"):
+            ExperimentConfig.from_dict({"prep": {"impute_iterations": iterations}})
+    assert ExperimentConfig.from_dict({"prep": {"impute_iterations": 1}}).prep.impute_iterations == 1
+
+
+def test_config_rejects_wrong_shaped_neural_values():
+    """A string or non-integral layer width, an empty or non-positive width
+    list, or a fractional integer field fails at config load, naming the
+    family and the key."""
+    bad = (
+        ("deepsurv", "hidden", "64"),
+        ("deepsurv", "hidden", [64.5]),
+        ("deephit", "hidden", []),
+        ("deephit", "hidden", [32, 0]),
+        ("deepsurv", "hidden", 64),
+        ("deepsurv", "epochs", 3.7),
+        ("deephit", "n_bins", 20.5),
+    )
+    for family, key, value in bad:
+        with pytest.raises(ConfigError, match=f"{family}: {key}="):
+            FAMILY_REGISTRY[family].make_params({key: value})
+        with pytest.raises(ConfigError, match=f"{family}: {key}="):
+            ExperimentConfig.from_dict({"families": {family: {key: [value]}}})
+    params = FAMILY_REGISTRY["deephit"].make_params({"hidden": [8.0, "4"], "n_bins": 12.0})
+    assert params.hidden == [8, 4] and params.n_bins == 12
+    assert all(type(w) is int for w in params.hidden) and type(params.n_bins) is int
 
 
 def test_config_rejects_unknown_grid_keys():

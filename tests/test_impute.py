@@ -156,6 +156,8 @@ def test_impute_validation():
         mice_impute(ds, m=0, iterations=1, seed=0)
     with pytest.raises(DataError):
         mice_impute(ds, m=2, iterations=0, seed=0)
+    with pytest.raises(DataError, match="iterations"):
+        fit_mice(ds, iterations=0, seed=0)
     cat = [
         ColumnSpec("months", "continuous", role="time"),
         ColumnSpec("died", "binary", role="event"),
@@ -271,6 +273,19 @@ def test_mice_impute_output_is_pinned():
     assert ds.missing_mask.any(axis=0).sum() == 10
     iset = mice_impute(ds, m=3, iterations=4, seed=11)
     assert values_sha256(d.values for d in iset.datasets) == MICE_SHA256
+
+
+def test_mice_impute_chains_are_fit_mice_runs():
+    """Dataset i of m is the completed training rows of
+    fit_mice(ds, iterations, seed + i), byte for byte."""
+    ds = pinned_cohort()
+    iset = mice_impute(ds, m=3, iterations=2, seed=7)
+    for i, done in enumerate(iset.datasets):
+        chain = fit_mice(ds, iterations=2, seed=7 + i)
+        assert done.values.tobytes() == chain.completed_train.values.tobytes()
+        assert done.missing_mask.tobytes() == chain.completed_train.missing_mask.tobytes()
+        assert iset.visit_order == chain.visit_order
+    assert not any(d.missing_mask[:, 2:].any() for d in iset.datasets)
 
 
 def test_fit_and_apply_mice_output_is_pinned():
