@@ -44,7 +44,7 @@ class EfronTies:
         """Flat Efron denominators (D,) for relative hazards `phi` in time
         order: the risk-set sum of the term's group minus l/d times its
         tied-event sum."""
-        rev = np.cumsum(phi[::-1])[::-1]
+        rev = phi[::-1].cumsum()[::-1]
         risk = rev[self.starts][self.has_event]
         tie = np.add.reduceat(np.where(self.events, phi, 0.0), self.starts)[self.has_event]
         return risk[self.own] - self.frac * tie[self.own]
@@ -56,7 +56,7 @@ class EfronTies:
         in the scores is these weights minus the event indicator."""
         a_g = np.add.reduceat(1.0 / denom, self.bounds)
         b_g = np.add.reduceat(self.frac / denom, self.bounds)
-        a_i = np.where(self.cover >= 0, np.cumsum(a_g)[self.cover], 0.0)
+        a_i = np.where(self.cover >= 0, a_g.cumsum()[self.cover], 0.0)
         b_i = np.zeros(len(phi))
         b_i[self.events] = b_g[self.own]
         return phi * (a_i - b_i)
@@ -74,16 +74,21 @@ def efron_ties(times, events):
     if t.ndim != 1 or len(t) == 0 or t.shape != e.shape:
         raise ValueError("times and events must be equal-length non-empty 1-D arrays")
 
-    order = np.argsort(t, kind="stable")
+    # array methods, not the np.* wrappers: on a 64-row minibatch the
+    # wrappers' dispatch costs about as much as the work itself
+    order = t.argsort(kind="stable")
     ts = t[order]
     es = e[order].astype(bool)
-    starts = np.flatnonzero(np.r_[True, ts[1:] != ts[:-1]])
+    first = np.empty(len(ts), dtype=bool)  # each distinct time's first position
+    first[0] = True
+    np.not_equal(ts[1:], ts[:-1], out=first[1:])
+    starts = first.nonzero()[0]
     d = np.add.reduceat(es.astype(np.int64), starts)
     has_event = d > 0
     sizes = d[has_event]
-    bounds = np.cumsum(sizes) - sizes
+    bounds = sizes.cumsum() - sizes
     # flat index -> l / d within its event group
-    frac = (np.arange(sizes.sum()) - np.repeat(bounds, sizes)) / np.repeat(sizes, sizes)
+    frac = (np.arange(sizes.sum()) - bounds.repeat(sizes)) / sizes.repeat(sizes)
     event_times = ts[starts][has_event]
     return EfronTies(
         order=order,
@@ -93,8 +98,8 @@ def efron_ties(times, events):
         sizes=sizes,
         frac=frac,
         bounds=bounds,
-        cover=np.searchsorted(event_times, ts, side="right") - 1,
-        own=np.searchsorted(event_times, ts[es]),
+        cover=event_times.searchsorted(ts, side="right") - 1,
+        own=event_times.searchsorted(ts[es]),
     )
 
 

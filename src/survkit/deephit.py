@@ -90,7 +90,7 @@ def deephit_loss(pmf, bin_labels, events, alpha=0.2, sigma=0.1):
     n, n_bins = p.shape
     if k.shape != (n,) or e.shape != (n,):
         raise DataError("bin_labels and events must match the pmf row count")
-    if np.any(k < 0) or np.any(k >= n_bins):
+    if (k < 0).any() or (k >= n_bins).any():
         raise DataError("bin label out of range")
     if not sigma >= SIGMA_MIN:
         raise DataError(f"sigma must be at least {SIGMA_MIN:.6g} so exp(1/sigma) / sigma is finite")
@@ -130,16 +130,17 @@ def deephit_loss(pmf, bin_labels, events, alpha=0.2, sigma=0.1):
             terms = np.exp(-(f_at_own[:, None] - f_other) / sigma) * valid
             l_rank = float(terms.sum() / n_pairs)
 
-            g_f = np.zeros_like(p)  # d L_rank / d F_s(col)
             scale = 1.0 / (sigma * n_pairs)
-            # a valid pair needs k_i < k_j, so no pair term lands on an own-bin
-            # cell (s, k_s): each of those gets only its row's sum (`-=` on
-            # zeros, as a per-row loop would), and the pair terms accumulate
-            # in the row-major order of the (i, j) pairs
+            # d L_rank / d F_s(col). Pair (i, j) adds its term to cell (j, k_i);
+            # one bincount sums them from zero in the row-major order of the
+            # valid (i, j), as a loop would. A valid pair needs k_i < k_j, so
+            # no pair term lands on an own-bin cell (s, k_s): each of those
+            # gets only its row's sum (`-=` on zero)
+            cell = rows[None, :] * n_bins + k[:, None]  # [i, j] -> flat (j, k_i)
+            g_f = np.bincount(cell[valid], terms[valid] * scale, minlength=n * n_bins)
+            g_f = g_f.reshape(n, n_bins)
             has = valid.any(axis=1)
             g_f[rows[has], k[has]] -= terms[has].sum(axis=1) * scale
-            pi, pj = np.nonzero(valid)
-            np.add.at(g_f, (pj, k[pi]), terms[pi, pj] * scale)
             # dF_s(c)/dz_sm = p_sm (1[m <= c] - F_s(c))
             tail = np.cumsum(g_f[:, ::-1], axis=1)[:, ::-1]
             grad_z += alpha * p * (tail - (g_f * f_cum).sum(axis=1, keepdims=True))

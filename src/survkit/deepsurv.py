@@ -51,7 +51,7 @@ def deepsurv_loss(scores, times, events):
     for batches without events (the trainer skips those).
     """
     e = np.asarray(events, dtype=float)
-    if not np.any(e == 1.0):
+    if not (e == 1.0).any():
         raise DataError("partial likelihood needs at least one event in the batch")
     return efron_loss_grad(times, e, scores)
 
@@ -79,7 +79,7 @@ def fit_deepsurv(x, times, events, params, seed):
         return value, g_eta[:, None]
 
     net, epoch_losses, skipped = nnet._train(
-        x, 1, params, seed, batch_loss, usable=lambda idx: np.any(e[idx] == 1.0)
+        x, 1, params, seed, batch_loss, usable=lambda idx: (e[idx] == 1.0).any()
     )
     if skipped:
         warnings.warn(f"skipped {skipped} event-free batches during training")

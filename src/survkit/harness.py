@@ -67,6 +67,28 @@ def _stratified_take(idx_by_stratum, fraction, rng):
     return np.sort(np.concatenate(take)), np.sort(np.concatenate(rest))
 
 
+def _split_settings(plan):
+    """(test fraction, inner kind, k or holdout fraction) of `plan`, each
+    checked; a bad value is a ConfigError."""
+    test_fraction = _coerce("split", "test_fraction", float, plan.test_fraction)
+    if not 0.0 < test_fraction < 1.0:
+        raise ConfigError("test_fraction must be in (0, 1)")
+    if not isinstance(plan.inner, dict):
+        raise ConfigError(f"split: inner={plan.inner!r} is not an object")
+    kind = plan.inner.get("kind", "kfold")
+    if kind == "kfold":
+        k = _coerce("split", "k", int, plan.inner.get("k", 5))
+        if k < 2:
+            raise ConfigError("k must be >= 2")
+        return test_fraction, kind, k
+    if kind == "holdout":
+        frac = _coerce("split", "fraction", float, plan.inner.get("fraction", 0.15))
+        if not 0.0 < frac < 1.0:
+            raise ConfigError("holdout fraction must be in (0, 1)")
+        return test_fraction, kind, frac
+    raise ConfigError(f"unknown inner split kind {kind!r}")
+
+
 def split(ds, plan, seed):
     """Event-stratified test split plus inner folds/holdout on the rest.
 
@@ -74,18 +96,16 @@ def split(ds, plan, seed):
     stratum proportions hold within one subject per stratum and the whole
     assignment is a deterministic function of the seed.
     """
-    if not 0.0 < plan.test_fraction < 1.0:
-        raise ConfigError("test_fraction must be in (0, 1)")
+    test_fraction, kind, inner_size = _split_settings(plan)
     e = ds.event
     if np.isnan(e).any():
         raise DataError("events must be complete before splitting")
     rng = np.random.default_rng(seed)
     strata = [np.flatnonzero(e == 1.0), np.flatnonzero(e == 0.0)]
     strata = [s for s in strata if len(s)]
-    test_idx, train_idx = _stratified_take(strata, plan.test_fraction, rng)
+    test_idx, train_idx = _stratified_take(strata, test_fraction, rng)
 
     folds = []
-    kind = plan.inner.get("kind", "kfold")
     train_e = e[train_idx]
     train_strata = [
         train_idx[train_e == 1.0],
@@ -93,23 +113,16 @@ def split(ds, plan, seed):
     ]
     train_strata = [s for s in train_strata if len(s)]
     if kind == "kfold":
-        k = int(plan.inner.get("k", 5))
-        if k < 2:
-            raise ConfigError("k must be >= 2")
+        k = inner_size
         labels = np.empty(len(e), dtype=np.int64)  # fold of each training row
         for s in train_strata:
             perm = s[rng.permutation(len(s))]
             labels[perm] = np.arange(len(perm)) % k
         for f in range(k):
             folds.append((train_idx[labels[train_idx] != f], train_idx[labels[train_idx] == f]))
-    elif kind == "holdout":
-        frac = float(plan.inner.get("fraction", 0.15))
-        if not 0.0 < frac < 1.0:
-            raise ConfigError("holdout fraction must be in (0, 1)")
-        val, fit = _stratified_take(train_strata, frac, rng)
-        folds.append((fit, val))
     else:
-        raise ConfigError(f"unknown inner split kind {kind!r}")
+        val, fit = _stratified_take(train_strata, inner_size, rng)
+        folds.append((fit, val))
     return SplitResult(train_idx=train_idx, test_idx=test_idx, folds=folds)
 
 
@@ -198,10 +211,12 @@ def _check_keys(family, d, known):
         )
 
 
-def _coerce(family, key, kind, value):
+def _coerce(scope, key, kind, value):
     """`value` read as `kind`. An int takes only integral numbers, and a list
     (the hidden-layer widths, the only list-valued field) only a non-empty
-    list or tuple of positive integral numbers, not a string such as "64"."""
+    list or tuple of positive integral numbers, not a string such as "64".
+    A rejected value is a ConfigError naming `scope` (a model family or a
+    config section) and `key`."""
     try:
         if kind is not list:
             out = kind(value)
@@ -210,13 +225,13 @@ def _coerce(family, key, kind, value):
             return out
         if not isinstance(value, (list, tuple)) or not value:
             raise TypeError(f"{value!r} is not a list")
-        out = [_coerce(family, key, int, v) for v in value]
+        out = [_coerce(scope, key, int, v) for v in value]
         if min(out) < 1:
             raise ValueError(f"{value!r} has a width below 1")
         return out
     except (TypeError, ValueError) as exc:
         what = "non-empty list of positive integers" if kind is list else kind.__name__
-        raise ConfigError(f"{family}: {key}={value!r} is not a valid {what}") from exc
+        raise ConfigError(f"{scope}: {key}={value!r} is not a valid {what}") from exc
 
 
 def _params_from(family, cls, d):
@@ -505,15 +520,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc):
+        split_doc = doc.get("split", {})
         plan = SplitPlan(
-            test_fraction=float(doc.get("split", {}).get("test_fraction", 0.2)),
-            inner=doc.get("split", {}).get("inner", {"kind": "kfold", "k": 5}),
+            test_fraction=_coerce("split", "test_fraction", float,
+                                  split_doc.get("test_fraction", 0.2)),
+            inner=split_doc.get("inner", {"kind": "kfold", "k": 5}),
         )
+        _split_settings(plan)  # every split value fails here, not at the split
         prep_doc = doc.get("prep", {})
+        standardize = prep_doc.get("standardize", True)
+        if not isinstance(standardize, bool):
+            raise ConfigError(f"prep: standardize={standardize!r} is not a boolean")
         prep = PrepConfig(
-            impute_iterations=int(prep_doc.get("impute_iterations", 10)),
-            prune_threshold=float(prep_doc.get("prune_threshold", 0.7)),
-            standardize=bool(prep_doc.get("standardize", True)),
+            impute_iterations=_coerce("prep", "impute_iterations", int,
+                                      prep_doc.get("impute_iterations", 10)),
+            prune_threshold=_coerce("prep", "prune_threshold", float,
+                                    prep_doc.get("prune_threshold", 0.7)),
+            standardize=standardize,
         )
         if prep.impute_iterations < 1:
             raise ConfigError("prep.impute_iterations must be >= 1")
@@ -525,11 +548,11 @@ class ExperimentConfig:
             family = FAMILY_REGISTRY[name]
             for point in expand_grid(grid or family.default_grid):
                 family.make_params(point)
-        n_boot = int(doc.get("n_boot", 1000))
+        n_boot = _coerce("config", "n_boot", int, doc.get("n_boot", 1000))
         if n_boot < 1:
             raise ConfigError("n_boot must be >= 1")
         return cls(
-            seed=int(doc.get("seed", 0)),
+            seed=_coerce("config", "seed", int, doc.get("seed", 0)),
             plan=plan,
             prep=prep,
             families={k: dict(v) for k, v in families.items()},

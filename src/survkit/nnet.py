@@ -3,16 +3,22 @@
 Everything is double precision numpy. A model keeps all its parameters in
 one flat vector laid out W0, b0, W1, b1, ...; `weights[l]` and `biases[l]`
 are reshaped views into it, so writing through a view changes the model
-and Adam updates the whole vector at once. Hidden layers are ReLU with
-inverted dropout (activations scaled by 1/(1-p) at train time so
-evaluation needs no rescaling); the output layer is linear. Models are
-immutable between optimizer steps: adam_step returns a fresh model, and a
-forward cache is only valid for the exact model object that produced it.
+and Adam updates the whole vector at once. The model also owns a gradient
+vector `grad` of the same layout (views `grad_weights[l]`,
+`grad_biases[l]`), which backward overwrites on every call. Hidden layers
+are ReLU with inverted dropout (activations scaled by 1/(1-p) at train
+time so evaluation needs no rescaling); the output layer is linear.
+
+Training updates in place: adam_step rewrites the model's parameters and
+the optimizer's moments in their own buffers and bumps the model's step
+`stamp`. A forward cache records the model and stamp it was made at, and
+backward rejects it once either differs, so a cache is valid for one
+model stamp only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +34,17 @@ def _layer_ends(layer_sizes):
     return np.cumsum([(a + 1) * b for a, b in zip(layer_sizes[:-1], layer_sizes[1:])])
 
 
+def _layer_views(flat, layer_sizes):
+    """Per-layer (weights, biases) views into a flat vector of that layout."""
+    weights, biases = [], []
+    start = 0
+    for fan_in, fan_out, end in zip(layer_sizes[:-1], layer_sizes[1:], _layer_ends(layer_sizes)):
+        weights.append(flat[start : end - fan_out].reshape(fan_in, fan_out))
+        biases.append(flat[end - fan_out : end])
+        start = end
+    return weights, biases
+
+
 @dataclass
 class MlpModel:
     layer_sizes: list
@@ -35,18 +52,19 @@ class MlpModel:
     dropout: float
     weights: list = field(init=False, repr=False)
     biases: list = field(init=False, repr=False)
+    grad: np.ndarray = field(init=False, repr=False)  # written by backward
+    grad_weights: list = field(init=False, repr=False)
+    grad_biases: list = field(init=False, repr=False)
+    stamp: int = field(init=False, default=0)  # optimizer steps taken
 
     def __post_init__(self):
-        self.params = np.asarray(self.params, dtype=float)
-        ends = _layer_ends(self.layer_sizes)
-        if self.params.shape != (ends[-1],):
-            raise DataError(f"params must have {ends[-1]} entries, got {self.params.shape}")
-        self.weights, self.biases = [], []
-        start = 0
-        for fan_in, fan_out, end in zip(self.layer_sizes[:-1], self.layer_sizes[1:], ends):
-            self.weights.append(self.params[start : end - fan_out].reshape(fan_in, fan_out))
-            self.biases.append(self.params[end - fan_out : end])
-            start = end
+        self.params = np.array(self.params, dtype=float)
+        size = _layer_ends(self.layer_sizes)[-1]
+        if self.params.shape != (size,):
+            raise DataError(f"params must have {size} entries, got {self.params.shape}")
+        self.weights, self.biases = _layer_views(self.params, self.layer_sizes)
+        self.grad = np.zeros(size)
+        self.grad_weights, self.grad_biases = _layer_views(self.grad, self.layer_sizes)
 
     @property
     def n_layers(self):
@@ -72,8 +90,8 @@ def init_mlp(layer_sizes, dropout=0.0, seed=0):
 @dataclass
 class ForwardCache:
     model: MlpModel = field(repr=False)
-    inputs: list = field(repr=False)   # input to each layer
-    pre_acts: list = field(repr=False) # z = a W + b per layer
+    stamp: int                         # the model's stamp at the forward pass
+    inputs: list = field(repr=False)   # input to each layer (post ReLU and dropout)
     masks: list = field(repr=False)    # dropout masks (None in eval mode)
 
 
@@ -82,7 +100,8 @@ def forward(model, batch, mode="train", seed=None):
 
     In train mode each hidden layer draws a fresh dropout mask from `seed`,
     so the same seed reproduces the same masks exactly. Eval mode applies
-    no dropout and ignores the seed.
+    no dropout and ignores the seed. Each layer's output is one fresh
+    array; the bias, ReLU and dropout are applied to it in place.
     """
     if mode not in ("train", "eval"):
         raise DataError(f"unknown mode {mode!r}")
@@ -95,51 +114,49 @@ def forward(model, batch, mode="train", seed=None):
     rng = np.random.default_rng(seed) if use_dropout else None
 
     inputs = []
-    pre_acts = []
     masks = []
+    last = model.n_layers - 1
     for l in range(model.n_layers):
         inputs.append(a)
-        z = a @ model.weights[l] + model.biases[l]
-        pre_acts.append(z)
-        if l < model.n_layers - 1:
-            a = np.maximum(z, 0.0)
+        a = a @ model.weights[l]
+        a += model.biases[l]
+        keep = None
+        if l < last:
+            np.maximum(a, 0.0, out=a)
             if use_dropout:
                 keep = rng.random(a.shape) >= model.dropout
-                a = a * keep / (1.0 - model.dropout)
-                masks.append(keep)
-            else:
-                masks.append(None)
-        else:
-            a = z
-            masks.append(None)
-    return a, ForwardCache(model=model, inputs=inputs, pre_acts=pre_acts, masks=masks)
+                a *= keep
+                a /= 1.0 - model.dropout
+        masks.append(keep)
+    return a, ForwardCache(model=model, stamp=model.stamp, inputs=inputs, masks=masks)
 
 
 def backward(model, cache, output_gradient):
     """Exact gradients of sum(loss) given d loss / d outputs.
 
-    Returns (weight_grads, bias_grads) shaped like the model parameters.
-    The cache must come from a forward pass of this very model object.
+    Overwrites `model.grad` and returns its per-layer views
+    (grad_weights, grad_biases). The cache must come from a forward pass of
+    this very model object at its current stamp.
     """
-    if cache.model is not model:
+    if cache.model is not model or cache.stamp != model.stamp:
         raise ComputationError("stale cache: model was updated since this forward pass")
     g = np.asarray(output_gradient, dtype=float)
-    if g.shape != cache.pre_acts[-1].shape:
-        raise DataError(
-            f"output_gradient must be {cache.pre_acts[-1].shape}, got {g.shape}"
-        )
-    weight_grads = [None] * model.n_layers
-    bias_grads = [None] * model.n_layers
+    shape = (len(cache.inputs[0]), model.layer_sizes[-1])
+    if g.shape != shape:
+        raise DataError(f"output_gradient must be {shape}, got {g.shape}")
     for l in range(model.n_layers - 1, -1, -1):
-        weight_grads[l] = cache.inputs[l].T @ g
-        bias_grads[l] = g.sum(axis=0)
+        np.matmul(cache.inputs[l].T, g, out=model.grad_weights[l])
+        np.add.reduce(g, axis=0, out=model.grad_biases[l])
         if l > 0:
             g = g @ model.weights[l].T
             if cache.masks[l - 1] is not None:
-                g = g * cache.masks[l - 1] / (1.0 - model.dropout)
-            g = g * (cache.pre_acts[l - 1] > 0.0)
-    return weight_grads, bias_grads
-
+                g *= cache.masks[l - 1]
+                g /= 1.0 - model.dropout
+            # the ReLU mask, read from the layer input: positive exactly where
+            # the pre-activation was, except at dropped units, whose
+            # gradient the dropout mask has already multiplied by zero
+            g *= cache.inputs[l] > 0.0
+    return list(model.grad_weights), list(model.grad_biases)
 
 
 @dataclass
@@ -151,6 +168,10 @@ class OptimizerState:
     gamma: float
     weight_decay: float
     epoch: int = 0
+    scratch: np.ndarray = field(init=False, repr=False)  # two work vectors
+
+    def __post_init__(self):
+        self.scratch = np.empty((2, len(self.m)))
 
     @property
     def effective_lr(self):
@@ -171,32 +192,60 @@ def init_optimizer(model, base_lr, gamma=1.0, weight_decay=0.0):
 
 
 def adam_step(model, grads, state):
-    """One Adam update with decoupled weight decay; returns new model+state.
+    """One Adam update with decoupled weight decay, in place; returns (model, state).
 
-    The decay shrinks parameters by lr*wd*theta before the Adam update, and
-    the learning rate is base_lr * gamma**epoch (the caller sets
-    state.epoch once per epoch). Non-finite gradients abort with the layer
-    index in the message.
+    `grads` is a flat vector in the parameter layout (`model.grad` after
+    backward) or a (weight_grads, bias_grads) pair of per-layer arrays.
+    The update rewrites `model.params` and `state.m`/`state.v` in their
+    own buffers and bumps `model.stamp` and `state.step`. The decay
+    shrinks parameters by lr*wd*theta before the Adam update, and the
+    learning rate is base_lr * gamma**epoch (the caller sets state.epoch
+    once per epoch). Non-finite gradients abort, before anything is
+    written, with the layer index in the message.
     """
-    g = np.concatenate([a.ravel() for pair in zip(*grads) for a in pair])
+    if isinstance(grads, np.ndarray):
+        g = grads
+    else:
+        g = np.concatenate([a.ravel() for pair in zip(*grads) for a in pair])
     if g.shape != model.params.shape:
         raise DataError(f"gradients must have {model.params.size} entries, got {g.size}")
-    finite = np.isfinite(g)
-    if not finite.all():
-        bad = np.argmin(finite)
-        layer = int(np.searchsorted(_layer_ends(model.layer_sizes), bad, side="right"))
-        raise ComputationError(f"non-finite gradient in layer {layer}")
+    # a NaN or inf entry makes the sum non-finite; only then look closer
+    if not np.isfinite(g.sum()):
+        finite = np.isfinite(g)
+        if not finite.all():
+            bad = np.argmin(finite)
+            layer = int(np.searchsorted(_layer_ends(model.layer_sizes), bad, side="right"))
+            raise ComputationError(f"non-finite gradient in layer {layer}")
 
+    # the operations and their order are those of
+    #   theta = theta * (1 - lr wd)
+    #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+    #   theta = theta - lr (m / bc1) / (sqrt(v / bc2) + eps)
+    # so the result is the same to the bit
     lr = state.effective_lr
     t = state.step + 1
-    theta = model.params * (1.0 - lr * state.weight_decay)
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
-    bc1 = 1.0 - ADAM_BETA1**t
-    bc2 = 1.0 - ADAM_BETA2**t
-    theta = theta - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    new_model = MlpModel(list(model.layer_sizes), theta, model.dropout)
-    return new_model, replace(state, m=m, v=v, step=t)
+    theta, m, v = model.params, state.m, state.v
+    s, u = state.scratch
+    decay = 1.0 - lr * state.weight_decay
+    if decay != 1.0:
+        theta *= decay
+    m *= ADAM_BETA1
+    np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+    m += s
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=s)
+    s *= g
+    v += s
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=s)
+    s *= lr
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=u)
+    np.sqrt(u, out=u)
+    u += ADAM_EPS
+    s /= u
+    theta -= s
+    model.stamp += 1
+    state.step = t
+    return model, state
 
 
 def epoch_batches(n, batch_size, rng):
@@ -223,7 +272,7 @@ def _train(x, n_out, params, seed, batch_loss, usable=None):
     sums = []
     skipped = 0
     for epoch in range(params.epochs):
-        state = replace(state, epoch=epoch)
+        state.epoch = epoch
         rng = np.random.default_rng([seed, 7, epoch])
         total = 0.0
         for b, idx in enumerate(epoch_batches(len(x), params.batch_size, rng)):
@@ -232,7 +281,8 @@ def _train(x, n_out, params, seed, batch_loss, usable=None):
                 continue
             out, cache = forward(net, x[idx], mode="train", seed=[seed, epoch, b])
             value, grad = batch_loss(out, idx)
-            net, state = adam_step(net, backward(net, cache, grad), state)
+            backward(net, cache, grad)
+            adam_step(net, net.grad, state)
             total += value
         sums.append(float(total))
     return net, sums, skipped

@@ -183,9 +183,10 @@ def apply_scaler(ds, scaler):
 def prune_correlated(ds, threshold, priority=None):
     """Greedily drop one column of every covariate pair with |r| > threshold.
 
-    Pearson correlation is computed on pairwise-complete observations; pairs
-    with fewer than 3 overlapping rows, or a constant column on the overlap,
-    are skipped and reported. The most correlated pair goes first; within a
+    Pearson correlation is computed on pairwise-complete observations (one
+    correlation matrix when no candidate cell is missing); pairs with fewer
+    than 3 overlapping rows, or a constant column on the overlap, are
+    skipped and reported. The most correlated pair goes first; within a
     pair the column with the higher `priority` value (default: missing rate
     in `ds`) is dropped, ties broken toward the later schema position.
 
@@ -200,24 +201,35 @@ def prune_correlated(ds, threshold, priority=None):
             name: float(ds.missing_mask[:, ds.col_index(name)].mean()) for name in cand
         }
 
-    idx = {name: ds.col_index(name) for name in cand}
+    cols = [ds.col_index(name) for name in cand]
+    # without missing cells every pair overlaps on all rows, and one
+    # correlation matrix serves all pairs; its rows are the columns in row
+    # order, so each std (the constant-column test) is the pair loop's own
+    complete = len(cols) > 1 and ds.n_rows >= 3 and not ds.missing_mask[:, cols].any()
+    if complete:
+        rows = ds.values[:, cols].T.copy()
+        stds = [row.std() for row in rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            corr = np.corrcoef(rows)
     skipped = []
     pairs = []  # (abs_r, i, j, name_i, name_j, r)
     for a in range(len(cand)):
         for b in range(a + 1, len(cand)):
             na, nb = cand[a], cand[b]
-            ja, jb = idx[na], idx[nb]
-            both = ~ds.missing_mask[:, ja] & ~ds.missing_mask[:, jb]
-            if both.sum() < 3:
-                skipped.append({"pair": [na, nb], "reason": "overlap<3", "n_overlap": int(both.sum())})
-                continue
-            xa = ds.values[both, ja]
-            xb = ds.values[both, jb]
-            sa, sb = xa.std(), xb.std()
+            if complete:
+                sa, sb = stds[a], stds[b]
+            else:
+                both = ~ds.missing_mask[:, cols[a]] & ~ds.missing_mask[:, cols[b]]
+                if both.sum() < 3:
+                    skipped.append({"pair": [na, nb], "reason": "overlap<3", "n_overlap": int(both.sum())})
+                    continue
+                xa = ds.values[both, cols[a]]
+                xb = ds.values[both, cols[b]]
+                sa, sb = xa.std(), xb.std()
             if sa == 0.0 or sb == 0.0:
                 skipped.append({"pair": [na, nb], "reason": "constant-on-overlap"})
                 continue
-            r = float(np.corrcoef(xa, xb)[0, 1])
+            r = float(corr[a, b] if complete else np.corrcoef(xa, xb)[0, 1])
             if abs(r) > threshold:
                 pairs.append((abs(r), a, b, na, nb, r))
 

@@ -260,6 +260,28 @@ def test_experiment_rejects_zero_impute_iterations_before_any_fit(tmp_path, caps
     assert not out.exists()
 
 
+def test_experiment_rejects_wrong_typed_run_settings_before_any_fit(tmp_path, capsys, monkeypatch):
+    import survkit.harness
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fit before the config was validated")
+
+    monkeypatch.setattr(survkit.harness, "fit_coxph", no_fit)
+    write_cohort(tmp_path, missing=False, n=120)
+    for overrides, message in (
+        ({"prep": {"standardize": "false"}}, "prep: standardize='false'"),
+        ({"prep": {"impute_iterations": 2.5}}, "prep: impute_iterations=2.5"),
+        ({"split": {"test_fraction": 0.2, "inner": {"kind": "kfold", "k": 2.5}}}, "split: k=2.5"),
+        ({"seed": "zero"}, "config: seed='zero'"),
+        ({"n_boot": 20.5}, "config: n_boot=20.5"),
+    ):
+        config = experiment_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_experiment_rejects_unknown_grid_key_before_any_fit(tmp_path, capsys, monkeypatch):
     import survkit.harness
 

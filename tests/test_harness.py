@@ -478,6 +478,47 @@ def test_config_rejects_impute_iterations_below_one():
     assert ExperimentConfig.from_dict({"prep": {"impute_iterations": 1}}).prep.impute_iterations == 1
 
 
+def test_config_rejects_wrong_typed_run_settings():
+    """A quoted boolean, a fractional count or a non-number in `prep`,
+    `split`, `seed` or `n_boot` fails at load, naming the section and key;
+    none is silently truncated or read as truthy."""
+    bad = (
+        ({"prep": {"standardize": "false"}}, "prep: standardize="),
+        ({"prep": {"standardize": 0}}, "prep: standardize="),
+        ({"prep": {"impute_iterations": 2.5}}, "prep: impute_iterations="),
+        ({"prep": {"prune_threshold": "high"}}, "prep: prune_threshold="),
+        ({"split": {"test_fraction": "a fifth"}}, "split: test_fraction="),
+        ({"split": {"inner": {"kind": "kfold", "k": 2.5}}}, "split: k="),
+        ({"split": {"inner": {"kind": "holdout", "fraction": "x"}}}, "split: fraction="),
+        ({"split": {"inner": "kfold"}}, "split: inner="),
+        ({"seed": 1.5}, "config: seed="),
+        ({"n_boot": 99.5}, "config: n_boot="),
+        ({"n_boot": "many"}, "config: n_boot="),
+    )
+    for doc, message in bad:
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(doc)
+    # range checks that used to wait for the split now fail at load too
+    for inner, message in (({"kind": "kfold", "k": 1}, "k must be"),
+                           ({"kind": "holdout", "fraction": 1.0}, "holdout fraction"),
+                           ({"kind": "loo"}, "unknown inner split kind")):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict({"split": {"inner": inner}})
+    with pytest.raises(ConfigError, match="test_fraction must be"):
+        ExperimentConfig.from_dict({"split": {"test_fraction": 0.0}})
+    # integral floats and numeric strings still load, as for grid values
+    cfg = ExperimentConfig.from_dict({
+        "seed": 3.0, "n_boot": "40", "prep": {"impute_iterations": 2.0, "standardize": False},
+        "split": {"test_fraction": "0.25", "inner": {"kind": "kfold", "k": 3.0}},
+    })
+    assert (cfg.seed, cfg.n_boot, cfg.prep.impute_iterations) == (3, 40, 2)
+    assert cfg.plan.test_fraction == 0.25 and cfg.prep.standardize is False
+    ds, _ = cohort(missing=False)
+    assert len(split(ds, cfg.plan, seed=0).folds) == 3
+    with pytest.raises(ConfigError, match="split: k="):
+        split(ds, SplitPlan(inner={"kind": "kfold", "k": 2.5}), seed=0)
+
+
 def test_config_rejects_wrong_shaped_neural_values():
     """A string or non-integral layer width, an empty or non-positive width
     list, or a fractional integer field fails at config load, naming the

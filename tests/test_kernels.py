@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survkit._kernels import BACKEND, concordance_counts, efron_eval, efron_loss_grad, efron_ties
+from survkit._kernels._ref import EfronTies
 
 
 def slow_efron(times, events, eta):
@@ -193,6 +194,48 @@ def test_prepared_ties_serve_many_score_vectors():
             np.testing.assert_array_equal(getattr(ties, name), arr)
     with pytest.raises(ValueError):
         efron_eval(efron_ties([1.0, 2.0], [1.0, 0.0]), [0.0, 0.0, 0.0])
+
+
+def naive_ties(times, events):
+    """The tie structure built the plain way: group starts from np.r_ and
+    np.unique, every other field as efron_ties derives it."""
+    t = np.asarray(times, dtype=float)
+    e = np.asarray(events, dtype=float)
+    order = np.argsort(t, kind="stable")
+    ts, es = t[order], e[order].astype(bool)
+    starts = np.flatnonzero(np.r_[True, ts[1:] != ts[:-1]])
+    assert len(starts) == len(np.unique(ts))
+    d = np.add.reduceat(es.astype(np.int64), starts)
+    has_event = d > 0
+    sizes = d[has_event]
+    bounds = np.cumsum(sizes) - sizes
+    frac = np.concatenate([np.arange(k) / k for k in sizes]) if len(sizes) else np.zeros(0)
+    event_times = ts[starts][has_event]
+    return EfronTies(
+        order=order, events=es, starts=starts, has_event=has_event, sizes=sizes,
+        frac=frac, bounds=bounds,
+        cover=np.searchsorted(event_times, ts, side="right") - 1,
+        own=np.searchsorted(event_times, ts[es]),
+    )
+
+
+def test_ties_equal_the_naive_build_bit_for_bit():
+    """On 2000 small tied, censored cohorts (minibatch sized, some all
+    censored) every field of efron_ties and the value and gradient of
+    efron_eval equal those of the naive build."""
+    rng = np.random.default_rng(23)
+    for case in range(2000):
+        n = int(rng.integers(1, 80))
+        times, events, eta = random_survival(rng, n, scale=float(rng.choice([0.1, 1.0, 5.0])))
+        if case % 10 == 0:
+            events = np.zeros(n)
+        ties, naive = efron_ties(times, events), naive_ties(times, events)
+        for f in dataclasses.fields(EfronTies):
+            a, b = getattr(ties, f.name), getattr(naive, f.name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        value, grad = efron_eval(ties, eta)
+        naive_value, naive_grad = efron_eval(naive, eta)
+        assert value == naive_value and grad.tobytes() == naive_grad.tobytes()
 
 
 # -- backend -------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Network tests: init, forward/backward, dropout, Adam, checkpoints."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from survkit.deephit import DeepHitParams, deephit_loss, fit_deephit
+from survkit.deepsurv import DeepSurvParams, deepsurv_loss, fit_deepsurv
 from survkit.errors import ComputationError, DataError
 from survkit.nnet import (
     ADAM_BETA1,
@@ -224,11 +227,12 @@ def test_adam_second_step_hand_computed():
 
 def test_adam_zero_gradient_zero_decay_is_identity():
     model = init_mlp([3, 2], seed=1)
+    before = model.params.copy()  # the step updates model.params in place
     state = init_optimizer(model, base_lr=0.1)
     zeros = ([np.zeros_like(w) for w in model.weights], [np.zeros_like(b) for b in model.biases])
     new_model, _ = adam_step(model, zeros, state)
-    for w0, w1 in zip(model.weights, new_model.weights):
-        np.testing.assert_array_equal(w0, w1)
+    assert new_model is model and model.stamp == 1
+    np.testing.assert_array_equal(model.params, before)
 
 
 def test_decoupled_weight_decay_shrinks_parameters():
@@ -359,6 +363,99 @@ def test_training_trajectory_is_deterministic():
     a, b = run(), run()
     for wa, wb in zip(a.weights, b.weights):
         np.testing.assert_array_equal(wa, wb)
+
+
+def reference_train(x, n_out, params, seed, batch_loss, usable=lambda idx: True):
+    """`_train` written out with fresh arrays on every step: a per-layer
+    forward pass, per-layer backprop, and Adam per layer. Returns the final
+    flat parameters and the epoch loss sums."""
+    net = init_mlp([x.shape[1], *params.hidden, n_out], params.dropout, seed)
+    ws = [w.copy() for w in net.weights]
+    bs = [b.copy() for b in net.biases]
+    n_layers, p = len(ws), params.dropout
+    ms = [np.zeros_like(a) for a in ws + bs]
+    vs = [np.zeros_like(a) for a in ws + bs]
+    sums, t = [], 0
+    for epoch in range(params.epochs):
+        lr = params.lr * params.lr_decay**epoch
+        total = 0.0
+        order = np.random.default_rng([seed, 7, epoch])
+        for b, idx in enumerate(epoch_batches(len(x), params.batch_size, order)):
+            if not usable(idx):
+                continue
+            rng = np.random.default_rng([seed, epoch, b])
+            inputs, pre_acts, keeps = [], [], []
+            a = x[idx]
+            for l in range(n_layers):
+                inputs.append(a)
+                z = a @ ws[l] + bs[l]
+                pre_acts.append(z)
+                a = z
+                if l < n_layers - 1:
+                    keep = rng.random(z.shape) >= p
+                    a = np.maximum(z, 0.0) * keep / (1.0 - p)
+                    keeps.append(keep)
+            value, g = batch_loss(a, idx)
+            grads = [None] * (2 * n_layers)
+            for l in range(n_layers - 1, -1, -1):
+                grads[l] = inputs[l].T @ g
+                grads[n_layers + l] = g.sum(axis=0)
+                if l > 0:
+                    g = g @ ws[l].T * keeps[l - 1] / (1.0 - p)
+                    g = g * (pre_acts[l - 1] > 0.0)
+            t += 1
+            thetas = ws + bs
+            for i, gi in enumerate(grads):
+                theta = thetas[i] * (1.0 - lr * params.weight_decay)
+                ms[i] = ADAM_BETA1 * ms[i] + (1.0 - ADAM_BETA1) * gi
+                vs[i] = ADAM_BETA2 * vs[i] + (1.0 - ADAM_BETA2) * gi * gi
+                m_hat = ms[i] / (1.0 - ADAM_BETA1**t)
+                v_hat = vs[i] / (1.0 - ADAM_BETA2**t)
+                thetas[i] = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            ws, bs = thetas[:n_layers], thetas[n_layers:]
+            total += value
+        sums.append(float(total))
+    return flat(ws, bs), sums
+
+
+def test_training_trajectories_equal_the_fresh_array_reference():
+    """DeepSurv and DeepHit fits, which train on buffers updated in place,
+    end with the parameters and epoch losses of the fresh-array reference
+    loop, bit for bit (dropout 0.1, weight decay 0.05, 300 rows)."""
+    rng = np.random.default_rng(17)
+    n = 300
+    x = rng.normal(size=(n, 6))
+    t = np.round(rng.exponential(5.0, n) * np.exp(-0.5 * x[:, 0]), 1) + 0.1
+    e = (rng.random(n) < 0.4).astype(float)
+    common = dict(dropout=0.1, epochs=3, batch_size=32, lr_decay=0.7, weight_decay=0.05)
+
+    ds_params = DeepSurvParams(hidden=[16, 8], lr=0.05, **common)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # event-free batches are skipped
+        ds_model = fit_deepsurv(x, t, e, ds_params, seed=3)
+
+    def ds_loss(out, idx):
+        value, g_eta = deepsurv_loss(out[:, 0], t[idx], e[idx])
+        return value, g_eta[:, None]
+
+    params, sums = reference_train(x, 1, ds_params, 3, ds_loss,
+                                   usable=lambda idx: e[idx].any())
+    assert ds_model.net.params.tobytes() == params.tobytes()
+    assert ds_model.epoch_losses == sums
+
+    dh_params = DeepHitParams(hidden=[16, 12, 8], n_bins=8, lr=0.01, **common)
+    dh_model = fit_deephit(x, t, e, dh_params, seed=4)
+    labels = dh_model.grid.bin_index(t)
+
+    def dh_loss(z, idx):
+        pmf = np.exp(z - z.max(axis=1, keepdims=True))
+        pmf /= pmf.sum(axis=1, keepdims=True)
+        return deephit_loss(pmf, labels[idx], e[idx], dh_params.alpha, dh_params.sigma)
+
+    params, sums = reference_train(x, dh_model.grid.n_bins, dh_params, 4, dh_loss)
+    assert dh_model.net.params.tobytes() == params.tobytes()
+    batches = -(-n // dh_params.batch_size)
+    assert dh_model.epoch_losses == [total / batches for total in sums]
 
 
 # -- checkpoints --------------------------------------------------------------------

@@ -218,3 +218,38 @@ def test_prune_skips_thin_overlap():
     pruned, report = prune_correlated(ds, 0.5)
     assert pruned.column_names == ds.column_names
     assert report["skipped_pairs"][0]["reason"] == "overlap<3"
+
+
+def test_prune_one_matrix_path_matches_the_pair_loop():
+    """On complete data one correlation matrix serves every pair; the
+    pairwise-complete loop (forced by an extra column with one missing cell)
+    must remove the same columns for the same partners, skip the same
+    constant-column pairs, and agree on r to 1e-12."""
+    rng = np.random.default_rng(31)
+    n, p = 200, 9
+    latent = rng.normal(size=(n, 3))
+    x = latent[:, rng.integers(0, 3, p)] + rng.normal(0.0, rng.uniform(0.2, 1.0, p), (n, p))
+    x[:, 4] = 0.5  # a constant column
+    names = [f"x{j}" for j in range(p)]
+    cols = outcome_cols() + [ColumnSpec(name, "continuous") for name in names]
+    t = rng.exponential(10.0, n) + 0.1
+    e = (rng.random(n) < 0.5).astype(float)
+    complete = SurvivalDataset(cols, np.column_stack([t, e, x]),
+                               np.zeros((n, p + 2), dtype=bool))
+    gap = rng.normal(size=n)
+    gap[7] = np.nan
+    gapped = SurvivalDataset(cols + [ColumnSpec("gap", "continuous")],
+                             np.column_stack([t, e, x, gap]),
+                             np.column_stack([np.zeros((n, p + 2), dtype=bool), np.isnan(gap)]))
+    priority = {name: 0.0 for name in names + ["gap"]}
+
+    _, fast = prune_correlated(complete, 0.6, priority=priority)
+    _, loop = prune_correlated(gapped, 0.6, priority=priority)
+    assert len(fast["removed"]) >= 2
+    assert [(r["removed"], r["partner"]) for r in fast["removed"]] == [
+        (r["removed"], r["partner"]) for r in loop["removed"]]
+    for a, b in zip(fast["removed"], loop["removed"]):
+        assert a["r"] == pytest.approx(b["r"], rel=1e-12, abs=1e-12)
+    constant = [s for s in fast["skipped_pairs"] if s["reason"] == "constant-on-overlap"]
+    assert len(constant) == p - 1
+    assert fast["skipped_pairs"] == [s for s in loop["skipped_pairs"] if "gap" not in s["pair"]]
