@@ -25,6 +25,7 @@ from .curves import curves_to_csv
 from .errors import ComputationError, ConfigError, SchemaError, SurvkitError
 from .harness import (
     ExperimentConfig,
+    _coerce,
     factors_to_csv,
     identify_factors,
     run_experiment,
@@ -172,7 +173,8 @@ def cmd_experiment(args):
     config_dir = Path(args.config).resolve().parent
     inputs = [args.config]
     if doc.get("ensure_like"):
-        ds, _, _ = ensure_like(seed=int(doc.get("ensure_like_seed", 0)))
+        ds, _, _ = ensure_like(seed=_coerce("config", "ensure_like_seed", int,
+                                            doc.get("ensure_like_seed", 0)))
     else:
         if "data" not in doc or "schema" not in doc:
             raise ConfigError("config needs data and schema paths (or ensure_like: true)")

@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sstats
+from scipy import special
 
 from ._kernels import efron_eval, efron_loss_grad, efron_ties
 from .curves import CumHazardFn, SurvivalCurve
@@ -280,7 +280,7 @@ def wald_stats(model):
                 beta=b,
                 se=s,
                 z=z,
-                p_value=float(2.0 * sstats.norm.sf(abs(z))),
+                p_value=float(2.0 * special.ndtr(-abs(z))),
                 hr=float(np.exp(b)),
                 hr_low=float(np.exp(b - 1.96 * s)),
                 hr_high=float(np.exp(b + 1.96 * s)),

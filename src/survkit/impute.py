@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sstats
+from scipy import special
 
 from .coxph import breslow_from_scores
 from .curves import CumHazardFn
@@ -308,12 +308,12 @@ def pool_rubin(estimates, variances):
 
     if b > 0:
         df = (m - 1) * (1.0 + w / ((1.0 + 1.0 / m) * b)) ** 2
-        quantile = float(sstats.t.ppf(0.975, df))
-        sf = lambda z: float(sstats.t.sf(z, df))
+        quantile = float(special.stdtrit(df, 0.975))
+        sf = lambda z: float(special.stdtr(df, -z))
     else:
         df = float("inf")
-        quantile = float(sstats.norm.ppf(0.975))
-        sf = lambda z: float(sstats.norm.sf(z))
+        quantile = float(special.ndtri(0.975))
+        sf = lambda z: float(special.ndtr(-z))
 
     if se == 0.0:
         p = 1.0 if qbar == 0.0 else 0.0

@@ -203,12 +203,12 @@ def prune_correlated(ds, threshold, priority=None):
 
     cols = [ds.col_index(name) for name in cand]
     # without missing cells every pair overlaps on all rows, and one
-    # correlation matrix serves all pairs; its rows are the columns in row
-    # order, so each std (the constant-column test) is the pair loop's own
+    # correlation matrix serves all pairs. A column is constant when its
+    # range is zero: the std of 200 copies of 0.3 is 5.6e-17, not 0.
     complete = len(cols) > 1 and ds.n_rows >= 3 and not ds.missing_mask[:, cols].any()
     if complete:
         rows = ds.values[:, cols].T.copy()
-        stds = [row.std() for row in rows]
+        constant = (rows.max(axis=1) == rows.min(axis=1)).tolist()
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = np.corrcoef(rows)
     skipped = []
@@ -217,7 +217,7 @@ def prune_correlated(ds, threshold, priority=None):
         for b in range(a + 1, len(cand)):
             na, nb = cand[a], cand[b]
             if complete:
-                sa, sb = stds[a], stds[b]
+                const_a, const_b = constant[a], constant[b]
             else:
                 both = ~ds.missing_mask[:, cols[a]] & ~ds.missing_mask[:, cols[b]]
                 if both.sum() < 3:
@@ -225,8 +225,8 @@ def prune_correlated(ds, threshold, priority=None):
                     continue
                 xa = ds.values[both, cols[a]]
                 xb = ds.values[both, cols[b]]
-                sa, sb = xa.std(), xb.std()
-            if sa == 0.0 or sb == 0.0:
+                const_a, const_b = xa.max() == xa.min(), xb.max() == xb.min()
+            if const_a or const_b:
                 skipped.append({"pair": [na, nb], "reason": "constant-on-overlap"})
                 continue
             r = float(corr[a, b] if complete else np.corrcoef(xa, xb)[0, 1])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -128,7 +129,7 @@ class SurvivalDataset:
         i = self._role_index("id")
         if i is None:
             return [str(r) for r in self.row_ids]
-        return [_format_cell(self.values[r, i], self.columns[i]) for r in range(self.n_rows)]
+        return list(map(_cell_formatter(self.columns[i]), self.values[:, i].tolist()))
 
 
 def subset_rows(ds, idx):
@@ -209,41 +210,71 @@ def load_schema(path):
 DEFAULT_MISSING = ("", "NA")
 
 
-def _parse_cell(raw, col, row_num):
-    if col.kind == "continuous":
-        try:
-            val = float(raw)
-        except ValueError:
-            raise DataError(f"expected a number, got {raw!r}", row=row_num, column=col.name) from None
-        if not np.isfinite(val):
-            raise DataError(f"non-finite value {raw!r}", row=row_num, column=col.name)
-        if col.role == "time" and val < 0:
-            raise DataError("negative follow-up time", row=row_num, column=col.name)
-        return val
-    if col.kind == "binary":
-        try:
-            val = float(raw)
-        except ValueError:
-            raise DataError(f"expected 0 or 1, got {raw!r}", row=row_num, column=col.name) from None
-        if val not in (0.0, 1.0):
-            raise DataError(f"expected 0 or 1, got {raw!r}", row=row_num, column=col.name)
-        return val
-    try:
-        return float(col.levels.index(raw))
-    except ValueError:
-        raise DataError(
-            f"value {raw!r} not among declared levels {col.levels}", row=row_num, column=col.name
-        ) from None
-
-
-def _format_cell(val, col):
+def _cell_parser(col, sentinels):
+    """`parse(raw, row_num)` for the cells of `col`: NaN for a missing
+    sentinel, else the cell's value, or a DataError naming the row and the
+    column. A present cell never parses to NaN (numbers must be finite,
+    binaries 0 or 1, categories a declared level's index), so the
+    missingness mask is the NaN mask of the parsed values."""
+    nan = float("nan")
+    name = col.name
     if col.kind == "categorical":
-        return col.levels[int(round(val))]
+        levels = col.levels
+        codes = {lv: float(i) for i, lv in enumerate(levels)}
+
+        def parse(raw, row_num):
+            if raw in sentinels:
+                return nan
+            val = codes.get(raw)
+            if val is None:
+                raise DataError(
+                    f"value {raw!r} not among declared levels {levels}", row=row_num, column=name
+                )
+            return val
+
+    elif col.kind == "binary":
+
+        def parse(raw, row_num):
+            if raw in sentinels:
+                return nan
+            try:
+                val = float(raw)
+            except ValueError:
+                raise DataError(f"expected 0 or 1, got {raw!r}", row=row_num, column=name) from None
+            if val not in (0.0, 1.0):
+                raise DataError(f"expected 0 or 1, got {raw!r}", row=row_num, column=name)
+            return val
+
+    else:
+        is_time = col.role == "time"
+        isfinite = math.isfinite
+
+        def parse(raw, row_num):
+            if raw in sentinels:
+                return nan
+            try:
+                val = float(raw)
+            except ValueError:
+                raise DataError(f"expected a number, got {raw!r}", row=row_num, column=name) from None
+            if not isfinite(val):
+                raise DataError(f"non-finite value {raw!r}", row=row_num, column=name)
+            if is_time and val < 0:
+                raise DataError("negative follow-up time", row=row_num, column=name)
+            return val
+
+    return parse
+
+
+def _cell_formatter(col):
+    """`format(val)` for the Python-float cells of `col`: the level name, 0/1,
+    a plain integer below 1e15 in magnitude, else the shortest repr that
+    reads back to the same float."""
+    if col.kind == "categorical":
+        levels = col.levels
+        return lambda val: levels[int(round(val))]
     if col.kind == "binary":
-        return str(int(round(val)))
-    if float(val).is_integer() and abs(val) < 1e15:
-        return str(int(val))
-    return repr(float(val))
+        return lambda val: str(int(round(val)))
+    return lambda val: str(int(val)) if val.is_integer() and abs(val) < 1e15 else repr(val)
 
 
 def load_csv(path, columns, missing_values=DEFAULT_MISSING):
@@ -251,7 +282,8 @@ def load_csv(path, columns, missing_values=DEFAULT_MISSING):
 
     The header must contain exactly the schema's column names in any order.
     Cells matching a missing sentinel set the mask; all other cells must
-    parse per their column kind. Errors carry the 1-based data row number.
+    parse per their column kind. Errors carry the 1-based data row number;
+    cells are checked row by row, each row in schema order.
     """
     validate_schema(columns)
     with open(path, encoding="utf-8", newline="") as fh:
@@ -273,46 +305,33 @@ def load_csv(path, columns, missing_values=DEFAULT_MISSING):
             if lacking:
                 parts.append(f"missing columns {lacking}")
             raise SchemaError(f"{path}: header does not match schema: " + "; ".join(parts))
-        pos = [header.index(c.name) for c in columns]
 
-        rows = []
-        mask_rows = []
         sentinels = set(missing_values)
+        cells = [(header.index(c.name), _cell_parser(c, sentinels)) for c in columns]
+        width = len(header)
+        rows = []
         for row_num, record in enumerate(reader, start=1):
-            if len(record) != len(header):
-                raise DataError(
-                    f"expected {len(header)} fields, got {len(record)}", row=row_num
-                )
-            vals = np.empty(len(columns))
-            miss = np.zeros(len(columns), dtype=bool)
-            for j, col in enumerate(columns):
-                raw = record[pos[j]]
-                if raw in sentinels:
-                    vals[j] = np.nan
-                    miss[j] = True
-                else:
-                    vals[j] = _parse_cell(raw, col, row_num)
-            rows.append(vals)
-            mask_rows.append(miss)
+            if len(record) != width:
+                raise DataError(f"expected {width} fields, got {len(record)}", row=row_num)
+            rows.append([parse(record[p], row_num) for p, parse in cells])
 
-    values = np.array(rows) if rows else np.empty((0, len(columns)))
-    mask = np.array(mask_rows) if mask_rows else np.empty((0, len(columns)), dtype=bool)
-    return SurvivalDataset(list(columns), values, mask)
+    values = np.array(rows, dtype=float).reshape(len(rows), len(columns))
+    return SurvivalDataset(list(columns), values, np.isnan(values))
 
 
 def save_csv(ds, path, missing_value=""):
     """Write a dataset back to CSV; load(save(ds)) is an identity."""
+    cells = []
+    for j, col in enumerate(ds.columns):
+        fmt = _cell_formatter(col)
+        cells.append([
+            missing_value if miss else fmt(val)
+            for val, miss in zip(ds.values[:, j].tolist(), ds.missing_mask[:, j].tolist())
+        ])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ds.column_names)
-        for r in range(ds.n_rows):
-            record = []
-            for j, col in enumerate(ds.columns):
-                if ds.missing_mask[r, j]:
-                    record.append(missing_value)
-                else:
-                    record.append(_format_cell(ds.values[r, j], col))
-            writer.writerow(record)
+        writer.writerows(zip(*cells))
 
 
 # -- inclusion ---------------------------------------------------------------

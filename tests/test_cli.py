@@ -5,11 +5,16 @@ and must honor the documented exit codes: 0 ok, 2 validation, 3 computation.
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import survkit
 from survkit.cli import main
 from survkit.synth import CovariateSpec, GeneratorSpec, MissingRule, generate
 from survkit.tabular import (
@@ -62,6 +67,17 @@ def experiment_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """Every CLI call pays `import survkit`; scipy.stats alone would cost more
+    than the rest of the package, and survkit needs only scipy.special."""
+    src = Path(survkit.__file__).resolve().parents[1]
+    code = "import sys, survkit, survkit.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_version_flag_exits_zero(capsys):
@@ -274,6 +290,8 @@ def test_experiment_rejects_wrong_typed_run_settings_before_any_fit(tmp_path, ca
         ({"split": {"test_fraction": 0.2, "inner": {"kind": "kfold", "k": 2.5}}}, "split: k=2.5"),
         ({"seed": "zero"}, "config: seed='zero'"),
         ({"n_boot": 20.5}, "config: n_boot=20.5"),
+        ({"ensure_like": True, "ensure_like_seed": 2.5}, "config: ensure_like_seed=2.5"),
+        ({"ensure_like": True, "ensure_like_seed": "abc"}, "config: ensure_like_seed='abc'"),
     ):
         config = experiment_config(tmp_path, **overrides)
         out = tmp_path / "out"

@@ -1,5 +1,7 @@
 """Cox model tests: partial likelihood, penalized fitting, inference, baseline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,27 @@ def test_wald_matches_numeric_information():
         assert 0.0 <= row.p_value <= 1.0
     # a strong true effect at n=500 should be decisively significant
     assert rows[0].p_value < 1e-6
+
+
+def test_wald_p_values_equal_scipy_stats():
+    """Wald p-values come from scipy.special.ndtr; they must equal
+    2 * scipy.stats.norm.sf(|z|) bit for bit, from z = 0 through the
+    underflowing tail to an infinite z (a zero standard error)."""
+    from scipy import stats
+
+    rng = np.random.default_rng(41)
+    x, t, e = exponential_cohort(rng, [0.6, -0.4], 400, censor_scale=2.0)
+    fitted = fit_coxph(x, t, e)
+    beta = np.concatenate([fitted.beta, [0.0, -0.0, 1e-300, 3.0, -40.0, 2.5],
+                           rng.normal(0.0, 5.0, 200)])
+    se = np.concatenate([np.sqrt(np.diag(fitted.covariance)), [1.0, 1.0, 1.0, 0.0, 1.0, 1e-3],
+                         rng.uniform(0.1, 2.0, 200)])
+    model = dataclasses.replace(fitted, beta=beta, names=[f"x{j}" for j in range(len(beta))],
+                                covariance=np.diag(se ** 2))
+    rows = wald_stats(model)
+    assert rows[0].p_value < 1e-6 and rows[5].p_value == 0.0 and rows[6].p_value == 0.0
+    for row in rows:
+        assert row.p_value == float(2.0 * stats.norm.sf(abs(row.z)))
 
 
 def loop_information(beta, x, times, events):

@@ -320,6 +320,39 @@ def test_pool_rubin_degenerate_between_variance():
     assert p.ci_high == pytest.approx(1.5 + 1.959963984540054 * 0.2)
 
 
+def test_pool_rubin_tail_values_equal_scipy_stats():
+    """The t and normal quantiles and tails come from scipy.special; they
+    must equal scipy.stats' bit for bit on both branches (b > 0 and b == 0),
+    df from m - 1 to beyond 1e30."""
+    from scipy import stats
+
+    rng = np.random.default_rng(43)
+    cases = [
+        ([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]),
+        ([1.0, 1.0 + 1e-14, 1.0], [1e3, 1e3, 1e3]),  # b > 0, df ~ 1e63
+        ([1.5, 1.5, 1.5], [0.04, 0.04, 0.04]),  # b == 0
+        ([-0.2, -0.2], [1e-6, 3e-6]),
+    ]
+    for _ in range(300):
+        m = int(rng.integers(2, 12))
+        q = rng.normal(rng.normal(0.0, 2.0), 10.0 ** rng.uniform(-8, 1), m)
+        cases.append((q, 10.0 ** rng.uniform(-4, 2, m)))
+    dfs = []
+    for q, u in cases:
+        p = pool_rubin(q, u)
+        z = abs(p.point) / p.se
+        if p.between > 0:
+            quantile, sf = stats.t.ppf(0.975, p.df), stats.t.sf(z, p.df)
+            dfs.append(p.df)
+        else:
+            assert p.df == float("inf")
+            quantile, sf = stats.norm.ppf(0.975), stats.norm.sf(z)
+        assert p.ci_low == p.point - float(quantile) * p.se
+        assert p.ci_high == p.point + float(quantile) * p.se
+        assert p.p_value == 2.0 * float(sf)
+    assert min(dfs) < 3.0 and max(dfs) > 1e30
+
+
 def test_pool_rubin_validation():
     with pytest.raises(DataError):
         pool_rubin([1.0], [1.0])

@@ -253,3 +253,25 @@ def test_prune_one_matrix_path_matches_the_pair_loop():
     constant = [s for s in fast["skipped_pairs"] if s["reason"] == "constant-on-overlap"]
     assert len(constant) == p - 1
     assert fast["skipped_pairs"] == [s for s in loop["skipped_pairs"] if "gap" not in s["pair"]]
+
+
+
+def test_prune_skips_a_constant_whose_std_is_not_zero():
+    """200 copies of 0.3 have std 5.6e-17, not 0: the column is constant by
+    its range, so both the one-matrix path and the pair loop (forced by a
+    missing cell in another column) skip its pairs instead of scoring noise."""
+    rng = np.random.default_rng(37)
+    n = 200
+    cols = outcome_cols() + [ColumnSpec(name, "continuous") for name in ("a", "flat", "c")]
+    values = np.column_stack([rng.exponential(10.0, n) + 0.1, (rng.random(n) < 0.5).astype(float),
+                              rng.normal(size=n), np.full(n, 0.3), rng.normal(size=n)])
+    assert values[:, 3].std() != 0.0
+    gapped = np.zeros(values.shape, dtype=bool)
+    gapped[0, 4] = True
+    for mask in (np.zeros(values.shape, dtype=bool), gapped):
+        _, report = prune_correlated(SurvivalDataset(cols, values, mask), 0.0)
+        assert report["skipped_pairs"] == [
+            {"pair": ["a", "flat"], "reason": "constant-on-overlap"},
+            {"pair": ["flat", "c"], "reason": "constant-on-overlap"},
+        ]
+        assert [r["removed"] for r in report["removed"]] == ["c"]

@@ -1,7 +1,11 @@
 """Cohort table tests: schema rules, CSV round-trips, inclusion filters."""
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from survkit.errors import DataError, SchemaError
 from survkit.tabular import (
@@ -170,6 +174,116 @@ def test_round_trip_survives_awkward_floats(tmp_path):
     save_csv(ds, out)
     back = load_csv(out, cols)
     assert back.values[0, back.col_index("age")] == 0.1 + 0.2
+
+
+def reference_format(val, col):
+    """One cell as the per-cell writer formatted it (the oracle for save_csv)."""
+    if col.kind == "categorical":
+        return col.levels[int(round(val))]
+    if col.kind == "binary":
+        return str(int(round(val)))
+    if float(val).is_integer() and abs(val) < 1e15:
+        return str(int(val))
+    return repr(float(val))
+
+
+def reference_save(ds, path, missing_value=""):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ds.column_names)
+        for r in range(ds.n_rows):
+            writer.writerow([
+                missing_value if ds.missing_mask[r, j] else reference_format(ds.values[r, j], col)
+                for j, col in enumerate(ds.columns)
+            ])
+
+
+# finite floats with the awkward cases drawn often: integral values on both
+# sides of the 1e15 switch to repr, signed zeros, subnormals and extremes
+awkward_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**60), 2**60).map(float),
+    st.sampled_from([0.0, -0.0, 1e15, -1e15, 1e15 - 1, 1e15 + 2, 999999999999999.9,
+                     5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                     0.1 + 0.2, 1e16, 1e-5, 123456789.125]),
+)
+
+
+@st.composite
+def cohorts(draw):
+    n = draw(st.integers(0, 12))
+    cols = demo_columns()
+    # binary and categorical cells are written as their rounded codes, so
+    # unrounded values (an imputed indicator, say) are drawn too
+    cells = {
+        "continuous": awkward_floats,
+        "binary": st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-0.49, 1.49)),
+        "categorical": st.one_of(st.integers(0, 2).map(float), st.floats(-0.49, 2.49)),
+    }
+    values = np.empty((n, len(cols)))
+    for j, col in enumerate(cols):
+        strategy = awkward_floats.map(abs) if col.role == "time" else cells[col.kind]
+        values[:, j] = draw(st.lists(strategy, min_size=n, max_size=n))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n * len(cols),
+                                  max_size=n * len(cols))), dtype=bool).reshape(n, len(cols))
+    # a missing cell's stored value is never formatted; NaN as the loader stores it
+    values[mask] = np.nan
+    return SurvivalDataset(cols, values, mask)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cohorts(), st.sampled_from(["", "NA"]))
+def test_save_csv_bytes_equal_the_per_cell_writer(tmp_path, ds, missing_value):
+    """save_csv writes column by column; its bytes must equal the per-cell
+    writer's, and loading them back must give the same bits and mask, with
+    binary and categorical codes rounded and a signed zero read back as
+    +0.0 (its text is "0")."""
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    save_csv(ds, got, missing_value=missing_value)
+    reference_save(ds, want, missing_value=missing_value)
+    assert got.read_bytes() == want.read_bytes()
+    back = load_csv(got, ds.columns)
+    np.testing.assert_array_equal(back.missing_mask, ds.missing_mask)
+    coded = [j for j, col in enumerate(ds.columns) if col.kind != "continuous"]
+    expected = ds.values.copy()
+    expected[:, coded] = np.round(expected[:, coded])
+    assert back.values.tobytes() == (expected + 0.0).tobytes()
+    assert ds.patient_ids() == [reference_format(v, ds.columns[0]) for v in ds.values[:, 0]]
+
+
+def test_first_bad_cell_in_row_order_is_reported(tmp_path):
+    """Cells are checked row by row, each row in schema order (not header
+    order): of several bad cells the first so met is the one reported."""
+    text = (
+        "male,grade,age,died,months,pid\n"
+        "1,g2,63,1,12.5,1\n"
+        "7,g2,old,1,12.5,2\n"  # male and age bad: age comes first in the schema
+        "1,g9,63,1,12.5,x\n"
+    )
+    with pytest.raises(DataError) as exc:
+        load_csv(demo_csv(tmp_path, text), demo_columns())
+    assert str(exc.value) == "expected a number, got 'old' (row 2, column 'age')"
+    assert (exc.value.row, exc.value.column) == (2, "age")
+
+    later = text.replace("7,g2,old", "1,g2,63")  # now row 3: pid before grade
+    with pytest.raises(DataError) as exc:
+        load_csv(demo_csv(tmp_path, later), demo_columns())
+    assert str(exc.value) == "expected a number, got 'x' (row 3, column 'pid')"
+    assert (exc.value.row, exc.value.column) == (3, "pid")
+
+    head = "male,grade,age,died,months,pid\n1,g2,63,1,12.5,1\n"
+    for row, message in (
+        ("1,g9,63,1,12.5,2",
+         "value 'g9' not among declared levels ['g1', 'g2', 'g3'] (row 2, column 'grade')"),
+        ("1,g1,inf,1,12.5,2", "non-finite value 'inf' (row 2, column 'age')"),
+        ("1,g1,63,1,-2,2", "negative follow-up time (row 2, column 'months')"),
+        ("1,g1,63,0.5,12.5,2", "expected 0 or 1, got '0.5' (row 2, column 'died')"),
+        ("1,g1,63,1,12.5", "expected 6 fields, got 5 (row 2)"),
+    ):
+        with pytest.raises(DataError) as exc:
+            load_csv(demo_csv(tmp_path, head + row + "\n"), demo_columns())
+        assert str(exc.value) == message
 
 
 # -- dataset mechanics -------------------------------------------------------------
