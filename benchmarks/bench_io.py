@@ -67,11 +67,12 @@ def reference_save(ds, path):
             return str(int(val))
         return repr(float(val))
 
+    mask = ds.missing_mask
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ds.column_names)
         for r in range(ds.n_rows):
-            writer.writerow(["" if ds.missing_mask[r, j] else cell(ds.values[r, j], col)
+            writer.writerow(["" if mask[r, j] else cell(ds.values[r, j], col)
                              for j, col in enumerate(ds.columns)])
 
 

@@ -1,4 +1,5 @@
-"""Pure-numpy kernels.
+"""Numerical kernels, in numpy: the Efron partial-likelihood scan and
+concordance counts.
 
 - efron_ties / efron_eval: the Efron-tie negative log partial likelihood
   of a score vector plus its gradient with respect to the scores, split
@@ -8,6 +9,9 @@
 - concordance_counts: exact integer pair counts for Harrell's C, so the
   final ratio does not depend on summation order; optionally weighted by
   an (R, n) multiplicity matrix, all R samples in one pass.
+
+`BACKEND` names the implementation; run manifests record it so results
+stay attributable to the kernels that produced them.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+BACKEND = "python"
 
 # pair-mask cells per concordance block (cases x subjects), which bounds the
 # float masks the weighted sums multiply

@@ -25,7 +25,7 @@ from .curves import curves_to_csv
 from .errors import ComputationError, ConfigError, SchemaError, SurvkitError
 from .harness import (
     ExperimentConfig,
-    _coerce,
+    _coerce_seed,
     factors_to_csv,
     identify_factors,
     run_experiment,
@@ -173,8 +173,8 @@ def cmd_experiment(args):
     config_dir = Path(args.config).resolve().parent
     inputs = [args.config]
     if doc.get("ensure_like"):
-        ds, _, _ = ensure_like(seed=_coerce("config", "ensure_like_seed", int,
-                                            doc.get("ensure_like_seed", 0)))
+        ds, _, _ = ensure_like(seed=_coerce_seed("config", "ensure_like_seed",
+                                                 doc.get("ensure_like_seed", 0)))
     else:
         if "data" not in doc or "schema" not in doc:
             raise ConfigError("config needs data and schema paths (or ensure_like: true)")
@@ -263,6 +263,13 @@ def cmd_synth(args):
     return 0
 
 
+def _seed_flag(text):
+    """A --seed value: a non-negative integer, else a usage error (exit 2)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="survkit",
@@ -276,7 +283,7 @@ def build_parser():
     p.add_argument("--schema", required=True)
     p.add_argument("--m", type=int, default=10)
     p.add_argument("--iterations", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_flag, default=0)
     p.add_argument("--out", default=None, help="output directory (default: runs/<stamp>_<hash>)")
     p.set_defaults(func=cmd_impute)
 
@@ -285,7 +292,7 @@ def build_parser():
     p.add_argument("--schema", required=True)
     p.add_argument("--m", type=int, default=10)
     p.add_argument("--iterations", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_flag, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_identify_factors)
 
@@ -300,7 +307,7 @@ def build_parser():
     p.add_argument("--spec", default=None, help="generator spec JSON")
     p.add_argument("--ensure-like", action="store_true",
                    help="use the built-in registry-like cohort spec")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_flag, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_synth)
     return parser

@@ -159,8 +159,9 @@ class FoldPipeline:
 
 def fit_fold_pipeline(fit_ds, prep, seed):
     """Impute, scale, and prune on fitting rows only."""
+    mask = fit_ds.missing_mask
     miss_rates = {
-        c.name: float(fit_ds.missing_mask[:, j].mean())
+        c.name: float(mask[:, j].mean())
         for j, c in enumerate(fit_ds.columns)
         if c.role == "covariate"
     }
@@ -232,6 +233,14 @@ def _coerce(scope, key, kind, value):
     except (TypeError, ValueError) as exc:
         what = "non-empty list of positive integers" if kind is list else kind.__name__
         raise ConfigError(f"{scope}: {key}={value!r} is not a valid {what}") from exc
+
+
+def _coerce_seed(scope, key, value):
+    """`value` read by `_coerce` as a seed, which numpy requires non-negative."""
+    seed = _coerce(scope, key, int, value)
+    if seed < 0:
+        raise ConfigError(f"{scope}: {key}={value!r} is not a non-negative integer")
+    return seed
 
 
 def _params_from(family, cls, d):
@@ -552,7 +561,7 @@ class ExperimentConfig:
         if n_boot < 1:
             raise ConfigError("n_boot must be >= 1")
         return cls(
-            seed=_coerce("config", "seed", int, doc.get("seed", 0)),
+            seed=_coerce_seed("config", "seed", doc.get("seed", 0)),
             plan=plan,
             prep=prep,
             families={k: dict(v) for k, v in families.items()},

@@ -61,11 +61,12 @@ def _check_numeric_covariates(ds):
 def _target_columns(ds):
     """Covariate columns with missing cells, ordered by ascending missing
     rate with schema order breaking ties."""
+    mask = ds.missing_mask
     rates = []
     for j, c in enumerate(ds.columns):
         if c.role != "covariate":
             continue
-        rate = ds.missing_mask[:, j].mean()
+        rate = mask[:, j].mean()
         if rate > 0:
             if rate == 1.0:
                 raise DataError(f"column {c.name!r} has no observed values to learn from")
@@ -88,10 +89,11 @@ def _chain_setup(ds, visit_order, means, hazard_fn):
     design = np.column_stack(
         [np.ones(ds.n_rows), ds.values[:, cov_idx], ds.event, hazard_fn(ds.time)]
     )
+    mask = ds.missing_mask
     steps = []
     for name in visit_order:
         j = ds.col_index(name)
-        mis = ds.missing_mask[:, j].copy()
+        mis = mask[:, j].copy()
         if mis.any():
             col = 1 + cov_idx.index(j)
             design[mis, col] = means[name]
@@ -99,16 +101,12 @@ def _chain_setup(ds, visit_order, means, hazard_fn):
     return design, steps
 
 
-def _read_back(ds, design, steps):
-    """`ds` completed from the design: its covariates read back once, and
-    the stepped columns no longer marked missing."""
+def _read_back(ds, design):
+    """`ds` completed from the design: its covariates read back once."""
     cov_idx = [j for j, c in enumerate(ds.columns) if c.role == "covariate"]
     values = ds.values.copy()
     values[:, cov_idx] = design[:, 1 : 1 + len(cov_idx)]
-    mask = ds.missing_mask.copy()
-    for name, *_ in steps:
-        mask[:, ds.col_index(name)] = False
-    return SurvivalDataset(list(ds.columns), values, mask, ds.row_ids.copy())
+    return SurvivalDataset(list(ds.columns), values, row_ids=ds.row_ids.copy())
 
 
 def _bayes_draw(x_obs, y_obs, rng):
@@ -172,7 +170,7 @@ def mice_impute(ds, m, iterations, seed):
         datasets.append(chain.completed_train)
     return ImputationSet(
         datasets=datasets,
-        original_mask=ds.missing_mask.copy(),
+        original_mask=ds.missing_mask,
         m=m,
         iterations=iterations,
         seed=seed,
@@ -218,7 +216,8 @@ def fit_mice(ds, iterations, seed):
         raise DataError("outcomes must be complete before imputation")
     targets = _target_columns(ds)
     visit = [name for name, _ in targets]
-    means = {name: float(ds.values[~ds.missing_mask[:, j], j].mean()) for name, j in targets}
+    mask = ds.missing_mask
+    means = {name: float(ds.values[~mask[:, j], j].mean()) for name, j in targets}
     hazard_fn = nelson_aalen(ds.time, ds.event)
     design, steps = _chain_setup(ds, visit, means, hazard_fn)
 
@@ -237,7 +236,7 @@ def fit_mice(ds, iterations, seed):
         iterations=iterations,
         seed=seed,
         column_names=ds.column_names,
-        completed_train=_read_back(ds, design, steps),
+        completed_train=_read_back(ds, design),
     )
 
 
@@ -255,8 +254,9 @@ def apply_mice(model, ds):
         raise SchemaError("dataset columns do not match the fitted imputer")
     # anything missing outside the visit order has no fitted model and no
     # stored training mean
+    mask = ds.missing_mask
     for j, c in enumerate(ds.columns):
-        if c.role == "covariate" and ds.missing_mask[:, j].any() and c.name not in model.means:
+        if c.role == "covariate" and mask[:, j].any() and c.name not in model.means:
             raise DataError(
                 f"column {c.name!r} has missing cells but was complete at fit time"
             )
@@ -265,7 +265,7 @@ def apply_mice(model, ds):
     for _ in range(model.iterations):
         for name, col, cols, _, mis in steps:
             design[mis, col] = design[:, cols][mis] @ model.models[name]
-    return _read_back(ds, design, steps)
+    return _read_back(ds, design)
 
 
 @dataclass
@@ -297,6 +297,8 @@ def pool_rubin(estimates, variances):
     m = len(q)
     if m < 2:
         raise DataError("pooling needs m >= 2 imputations")
+    if not (np.isfinite(q).all() and np.isfinite(u).all()):
+        raise DataError("estimates and variances must be finite")
     if np.any(u < 0):
         raise DataError("variances must be non-negative")
 

@@ -56,13 +56,11 @@ def dummy_encode(ds, refs=None):
 
     new_cols = []
     new_vals = []
-    new_mask = []
     entries = {}
     for j, col in enumerate(ds.columns):
         if col.role != "covariate" or col.kind != "categorical":
             new_cols.append(col)
             new_vals.append(ds.values[:, j])
-            new_mask.append(ds.missing_mask[:, j])
             continue
         ref = refs.get(col.name, col.levels[0])
         if ref not in col.levels:
@@ -74,18 +72,16 @@ def dummy_encode(ds, refs=None):
             warnings.warn(f"column {col.name!r} has a single level; encoded to no columns")
             continue
         codes = ds.values[:, j]
-        miss = ds.missing_mask[:, j]
+        miss = np.isnan(codes)
         for lv, out_name in zip(others, outputs):
             code = float(col.levels.index(lv))
             vals = np.where(miss, np.nan, (codes == code).astype(float))
             new_cols.append(ColumnSpec(out_name, "binary", "covariate"))
             new_vals.append(vals)
-            new_mask.append(miss.copy())
 
     out = SurvivalDataset(
-        columns=new_cols,
-        values=np.column_stack(new_vals) if new_vals else np.empty((ds.n_rows, 0)),
-        missing_mask=np.column_stack(new_mask) if new_mask else np.empty((ds.n_rows, 0), dtype=bool),
+        new_cols,
+        np.column_stack(new_vals) if new_vals else np.empty((ds.n_rows, 0)),
         row_ids=ds.row_ids.copy(),
     )
     return out, EncodingMap(entries=entries)
@@ -98,8 +94,8 @@ def decode_levels(encoded_ds, emap, original_columns):
     indicator decodes to a missing cell. Columns that encoded to nothing
     (single level) decode to that level everywhere.
     """
+    mask = encoded_ds.missing_mask
     out_vals = []
-    out_mask = []
     out_cols = []
     for col in original_columns:
         if col.role == "covariate" and col.kind == "categorical":
@@ -112,22 +108,14 @@ def decode_levels(encoded_ds, emap, original_columns):
                 j = encoded_ds.col_index(out_name)
                 hit = encoded_ds.values[:, j] == 1.0
                 vals[hit] = float(col.levels.index(lv))
-                miss |= encoded_ds.missing_mask[:, j]
+                miss |= mask[:, j]
             vals[miss] = np.nan
             out_cols.append(col)
             out_vals.append(vals)
-            out_mask.append(miss)
         else:
-            j = encoded_ds.col_index(col.name)
             out_cols.append(col)
-            out_vals.append(encoded_ds.values[:, j])
-            out_mask.append(encoded_ds.missing_mask[:, j])
-    return SurvivalDataset(
-        columns=out_cols,
-        values=np.column_stack(out_vals),
-        missing_mask=np.column_stack(out_mask),
-        row_ids=encoded_ds.row_ids.copy(),
-    )
+            out_vals.append(encoded_ds.values[:, encoded_ds.col_index(col.name)])
+    return SurvivalDataset(out_cols, np.column_stack(out_vals), row_ids=encoded_ds.row_ids.copy())
 
 
 @dataclass
@@ -157,13 +145,14 @@ def fit_scaler(ds, columns=None):
     """
     if columns is None:
         columns = [c.name for c in ds.columns if c.role == "covariate" and c.kind == "continuous"]
+    mask = ds.missing_mask
     stats = {}
     for name in columns:
         col = ds.column(name)
         if col.kind != "continuous":
             raise SchemaError(f"scaler applies to continuous columns, not {name!r} ({col.kind})")
         j = ds.col_index(name)
-        obs = ds.values[~ds.missing_mask[:, j], j]
+        obs = ds.values[~mask[:, j], j]
         if len(np.unique(obs)) < 2:
             raise DataError(f"column {name!r} has fewer than 2 distinct observed values")
         stats[name] = (float(obs.mean()), float(obs.std(ddof=1)))
@@ -171,13 +160,12 @@ def fit_scaler(ds, columns=None):
 
 
 def apply_scaler(ds, scaler):
-    """Standardize listed columns on observed cells; mask is unchanged."""
+    """Standardize listed columns; missing (NaN) cells stay NaN."""
     values = ds.values.copy()
     for name, (mean, std) in scaler.stats.items():
         j = ds.col_index(name)
-        obs = ~ds.missing_mask[:, j]
-        values[obs, j] = (values[obs, j] - mean) / std
-    return SurvivalDataset(list(ds.columns), values, ds.missing_mask.copy(), ds.row_ids.copy())
+        values[:, j] = (values[:, j] - mean) / std
+    return SurvivalDataset(list(ds.columns), values, row_ids=ds.row_ids.copy())
 
 
 def prune_correlated(ds, threshold, priority=None):
@@ -196,16 +184,15 @@ def prune_correlated(ds, threshold, priority=None):
     for name in cand:
         if ds.column(name).kind == "categorical":
             raise SchemaError(f"dummy-encode categorical covariates before pruning ({name!r})")
-    if priority is None:
-        priority = {
-            name: float(ds.missing_mask[:, ds.col_index(name)].mean()) for name in cand
-        }
-
+    mask = ds.missing_mask
     cols = [ds.col_index(name) for name in cand]
+    if priority is None:
+        priority = {name: float(mask[:, j].mean()) for name, j in zip(cand, cols)}
+
     # without missing cells every pair overlaps on all rows, and one
     # correlation matrix serves all pairs. A column is constant when its
     # range is zero: the std of 200 copies of 0.3 is 5.6e-17, not 0.
-    complete = len(cols) > 1 and ds.n_rows >= 3 and not ds.missing_mask[:, cols].any()
+    complete = len(cols) > 1 and ds.n_rows >= 3 and not mask[:, cols].any()
     if complete:
         rows = ds.values[:, cols].T.copy()
         constant = (rows.max(axis=1) == rows.min(axis=1)).tolist()
@@ -219,7 +206,7 @@ def prune_correlated(ds, threshold, priority=None):
             if complete:
                 const_a, const_b = constant[a], constant[b]
             else:
-                both = ~ds.missing_mask[:, cols[a]] & ~ds.missing_mask[:, cols[b]]
+                both = ~mask[:, cols[a]] & ~mask[:, cols[b]]
                 if both.sum() < 3:
                     skipped.append({"pair": [na, nb], "reason": "overlap<3", "n_overlap": int(both.sum())})
                     continue

@@ -245,7 +245,6 @@ def generate(spec, seed=0):
         ColumnSpec("event", "binary", role="event"),
     ]
     data_cols = [np.arange(n, dtype=float), time, event]
-    mask_cols = [np.zeros(n, dtype=bool)] * 3
     if spec.n_centers > 1:
         columns.append(
             ColumnSpec(
@@ -256,20 +255,13 @@ def generate(spec, seed=0):
             )
         )
         data_cols.append(center.astype(float))
-        mask_cols.append(np.zeros(n, dtype=bool))
     for cov in spec.covariates:
         columns.append(ColumnSpec(cov.name, cov.kind, role="covariate", levels=cov.levels()))
         vals = raw[cov.name].copy()
-        m = mask[cov.name]
-        vals[m] = np.nan
+        vals[mask[cov.name]] = np.nan
         data_cols.append(vals)
-        mask_cols.append(m)
 
-    ds = SurvivalDataset(
-        columns=columns,
-        values=np.column_stack(data_cols),
-        missing_mask=np.column_stack(mask_cols),
-    )
+    ds = SurvivalDataset(columns, np.column_stack(data_cols))
     truth = GroundTruth(
         beta={name: float(spec.beta.get(name, 0.0)) for name in enc_names},
         eta=eta,

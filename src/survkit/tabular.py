@@ -1,6 +1,6 @@
 """Cohort tables: column schema, CSV ingestion, inclusion rules, summaries.
 
-A dataset is a numeric matrix plus a parallel missingness mask. Categorical
+A dataset is a numeric matrix; a NaN cell is a missing cell. Categorical
 cells are stored as indices into the column's declared level list, which
 keeps the matrix numeric while making CSV round-trips exact. Row order is
 preserved through every operation; `row_ids` tracks original row positions
@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,26 +63,34 @@ def validate_schema(columns):
     return columns
 
 
-@dataclass
 class SurvivalDataset:
-    """Numeric cohort matrix with schema and missingness mask."""
+    """Numeric cohort matrix with its schema. A NaN cell is missing, and
+    `missing_mask` is derived from `values`; a `missing_mask` argument is
+    only checked against the NaN cells (DataError if it disagrees)."""
 
-    columns: list
-    values: np.ndarray
-    missing_mask: np.ndarray
-    row_ids: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        validate_schema(self.columns)
-        self.values = np.asarray(self.values, dtype=float)
-        self.missing_mask = np.asarray(self.missing_mask, dtype=bool)
-        if self.values.ndim != 2 or self.values.shape != self.missing_mask.shape:
-            raise DataError("values and missing_mask must be equal-shape 2-D arrays")
+    def __init__(self, columns, values, missing_mask=None, row_ids=None):
+        validate_schema(columns)
+        self.columns = columns
+        self.values = np.asarray(values, dtype=float)
+        if self.values.ndim != 2:
+            raise DataError("values must be a 2-D array")
         if self.values.shape[1] != len(self.columns):
             raise DataError("values width does not match schema")
-        if self.row_ids is None:
-            self.row_ids = np.arange(self.values.shape[0])
-        self.row_ids = np.asarray(self.row_ids, dtype=np.int64)
+        if missing_mask is not None and not np.array_equal(
+            np.asarray(missing_mask, dtype=bool), np.isnan(self.values)
+        ):
+            raise DataError("missing_mask must mark exactly the NaN cells of values")
+        if row_ids is None:
+            row_ids = np.arange(self.values.shape[0])
+        self.row_ids = np.asarray(row_ids, dtype=np.int64)
+
+    @property
+    def missing_mask(self):
+        """Read-only; True where `values` is NaN. Each read scans the whole
+        matrix, so read it once per function, not once per column."""
+        mask = np.isnan(self.values)
+        mask.flags.writeable = False
+        return mask
 
     @property
     def n_rows(self):
@@ -122,7 +130,8 @@ class SurvivalDataset:
     def covariate_matrix(self):
         """Covariate-role columns as (values, mask, names)."""
         idx = [i for i, c in enumerate(self.columns) if c.role == "covariate"]
-        return self.values[:, idx], self.missing_mask[:, idx], [self.columns[i].name for i in idx]
+        x = self.values[:, idx]
+        return x, np.isnan(x), [self.columns[i].name for i in idx]
 
     def patient_ids(self):
         """Display ids: the id-role column when present, else row position."""
@@ -135,12 +144,7 @@ class SurvivalDataset:
 def subset_rows(ds, idx):
     """Rows by integer index, preserving order and provenance."""
     idx = np.asarray(idx, dtype=np.int64)
-    return SurvivalDataset(
-        columns=list(ds.columns),
-        values=ds.values[idx].copy(),
-        missing_mask=ds.missing_mask[idx].copy(),
-        row_ids=ds.row_ids[idx].copy(),
-    )
+    return SurvivalDataset(list(ds.columns), ds.values[idx], row_ids=ds.row_ids[idx])
 
 
 def drop_columns(ds, names):
@@ -150,21 +154,19 @@ def drop_columns(ds, names):
         raise SchemaError(f"cannot drop unknown columns: {sorted(missing)}")
     keep = [i for i, c in enumerate(ds.columns) if c.name not in dropset]
     return SurvivalDataset(
-        columns=[ds.columns[i] for i in keep],
-        values=ds.values[:, keep].copy(),
-        missing_mask=ds.missing_mask[:, keep].copy(),
-        row_ids=ds.row_ids.copy(),
+        [ds.columns[i] for i in keep], ds.values[:, keep], row_ids=ds.row_ids.copy()
     )
 
 
 def replace_column_values(ds, name, values, mask=None):
-    """Functional single-column update; mask defaults to all-observed."""
+    """Functional single-column update; the column's NaN cells are missing.
+    A given `mask` must mark exactly those cells (DataError otherwise)."""
     j = ds.col_index(name)
     out_values = ds.values.copy()
-    out_mask = ds.missing_mask.copy()
     out_values[:, j] = values
-    out_mask[:, j] = False if mask is None else mask
-    return SurvivalDataset(list(ds.columns), out_values, out_mask, ds.row_ids.copy())
+    if mask is not None and np.any(np.asarray(mask, dtype=bool) != np.isnan(out_values[:, j])):
+        raise DataError(f"mask for column {name!r} disagrees with the NaN cells of its values")
+    return SurvivalDataset(list(ds.columns), out_values, row_ids=ds.row_ids.copy())
 
 
 # -- schema JSON -------------------------------------------------------------
@@ -214,8 +216,8 @@ def _cell_parser(col, sentinels):
     """`parse(raw, row_num)` for the cells of `col`: NaN for a missing
     sentinel, else the cell's value, or a DataError naming the row and the
     column. A present cell never parses to NaN (numbers must be finite,
-    binaries 0 or 1, categories a declared level's index), so the
-    missingness mask is the NaN mask of the parsed values."""
+    binaries 0 or 1, categories a declared level's index), so a cell is
+    missing exactly when it parses to NaN."""
     nan = float("nan")
     name = col.name
     if col.kind == "categorical":
@@ -281,7 +283,7 @@ def load_csv(path, columns, missing_values=DEFAULT_MISSING):
     """Load an RFC-4180 CSV against a schema.
 
     The header must contain exactly the schema's column names in any order.
-    Cells matching a missing sentinel set the mask; all other cells must
+    Cells matching a missing sentinel are NaN (missing); all other cells must
     parse per their column kind. Errors carry the 1-based data row number;
     cells are checked row by row, each row in schema order.
     """
@@ -316,17 +318,18 @@ def load_csv(path, columns, missing_values=DEFAULT_MISSING):
             rows.append([parse(record[p], row_num) for p, parse in cells])
 
     values = np.array(rows, dtype=float).reshape(len(rows), len(columns))
-    return SurvivalDataset(list(columns), values, np.isnan(values))
+    return SurvivalDataset(list(columns), values)
 
 
 def save_csv(ds, path, missing_value=""):
     """Write a dataset back to CSV; load(save(ds)) is an identity."""
+    mask = ds.missing_mask
     cells = []
     for j, col in enumerate(ds.columns):
         fmt = _cell_formatter(col)
         cells.append([
             missing_value if miss else fmt(val)
-            for val, miss in zip(ds.values[:, j].tolist(), ds.missing_mask[:, j].tolist())
+            for val, miss in zip(ds.values[:, j].tolist(), mask[:, j].tolist())
         ])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -362,9 +365,7 @@ def apply_inclusion(ds, rules):
     audit = {"n_before": int(ds.n_rows), "steps": []}
 
     if rules.drop_missing_outcomes:
-        t_idx = ds.col_index([c.name for c in ds.columns if c.role == "time"][0])
-        e_idx = ds.col_index([c.name for c in ds.columns if c.role == "event"][0])
-        bad = ds.missing_mask[:, t_idx] | ds.missing_mask[:, e_idx]
+        bad = np.isnan(ds.time) | np.isnan(ds.event)
         dropped = int((bad & keep).sum())
         keep &= ~bad
         audit["steps"].append({"rule": "drop_missing_outcomes", "n_dropped": dropped})
@@ -378,7 +379,7 @@ def apply_inclusion(ds, rules):
             raise SchemaError(f"exclude_levels: {name!r} has no levels {unknown}")
         j = ds.col_index(name)
         codes = set(float(col.levels.index(lv)) for lv in levels)
-        hit = np.isin(ds.values[:, j], sorted(codes)) & ~ds.missing_mask[:, j]
+        hit = np.isin(ds.values[:, j], sorted(codes))  # a NaN cell is never a code
         dropped = int((hit & keep).sum())
         keep &= ~hit
         audit["steps"].append(
@@ -386,8 +387,7 @@ def apply_inclusion(ds, rules):
         )
 
     if rules.exclude_early_events is not None:
-        hit = (ds.event == 1.0) & (ds.time <= rules.exclude_early_events)
-        hit &= ~np.isnan(ds.time)
+        hit = (ds.event == 1.0) & (ds.time <= rules.exclude_early_events)  # False at NaN
         dropped = int((hit & keep).sum())
         keep &= ~hit
         audit["steps"].append(
@@ -426,10 +426,11 @@ def summarize(ds):
     if np.isnan(t).any() or np.isnan(e).any():
         raise DataError("summary requires complete outcomes; apply inclusion rules first")
     q25, q50, q75 = np.quantile(t, [0.25, 0.5, 0.75])
+    mask = ds.missing_mask
     missing = {}
     for j, col in enumerate(ds.columns):
         if col.role == "covariate":
-            missing[col.name] = float(ds.missing_mask[:, j].mean() * 100.0)
+            missing[col.name] = float(mask[:, j].mean() * 100.0)
     return CohortSummary(
         n_rows=int(ds.n_rows),
         n_events=int(e.sum()),

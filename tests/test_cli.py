@@ -178,6 +178,25 @@ def test_computation_failure_exits_three(tmp_path, capsys):
     assert "computation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, seed", [
+    ("impute", "-2"), ("identify-factors", "-500"), ("synth", "-1"), ("synth", "1.5"),
+])
+def test_seed_flag_must_be_a_non_negative_integer(tmp_path, capsys, command, seed):
+    """A --seed is a non-negative integer, checked as the flag is parsed;
+    numpy's generators reject a negative one with a raw ValueError."""
+    data, schema = write_cohort(tmp_path, n=60)
+    inputs = ["--data", str(data), "--schema", str(schema)]
+    if command == "synth":
+        inputs = ["--ensure-like"]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, "--seed", seed, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: expected a non-negative integer, got '{seed}'" in err
+    assert not out.exists()
+
+
 def test_missing_input_file_exits_two(tmp_path, capsys):
     _, schema = write_cohort(tmp_path)
     rc = main([
@@ -292,6 +311,9 @@ def test_experiment_rejects_wrong_typed_run_settings_before_any_fit(tmp_path, ca
         ({"n_boot": 20.5}, "config: n_boot=20.5"),
         ({"ensure_like": True, "ensure_like_seed": 2.5}, "config: ensure_like_seed=2.5"),
         ({"ensure_like": True, "ensure_like_seed": "abc"}, "config: ensure_like_seed='abc'"),
+        ({"seed": -3}, "config: seed=-3 is not a non-negative integer"),
+        ({"ensure_like": True, "ensure_like_seed": -1},
+         "config: ensure_like_seed=-1 is not a non-negative integer"),
     ):
         config = experiment_config(tmp_path, **overrides)
         out = tmp_path / "out"

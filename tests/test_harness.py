@@ -16,6 +16,7 @@ from survkit.deepsurv import DeepSurvParams
 from survkit.errors import ConfigError, DataError
 from survkit.harness import (
     FAMILY_REGISTRY,
+    _data_digest,
     _stratified_take,
     ExperimentConfig,
     PrepConfig,
@@ -29,7 +30,8 @@ from survkit.harness import (
     run_experiment,
     split,
 )
-from survkit.synth import CovariateSpec, GeneratorSpec, MissingRule, generate
+from survkit.preprocess import dummy_encode
+from survkit.synth import CovariateSpec, GeneratorSpec, MissingRule, ensure_like, generate
 from survkit.tabular import ColumnSpec, SurvivalDataset, replace_column_values, subset_rows
 
 
@@ -586,6 +588,16 @@ def fast_config(seed=11, families=None):
         prep=PrepConfig(impute_iterations=2),
         families=families if families is not None else {"coxph": {"l1": [0.0], "l2": [0.0, 0.1]}},
         n_boot=40,
+    )
+
+
+def test_data_digest_of_the_encoded_reference_cohort_is_pinned():
+    """The report's `data_digest` hashes the values and the missingness
+    mask; the mask is derived from the NaN cells, and the digest of the
+    reference cohort keeps the value it had when the mask was stored."""
+    encoded, _ = dummy_encode(ensure_like(0)[0])
+    assert _data_digest(encoded) == (
+        "d84aa0064931e7cb0316e2d38cdb0b54f89e9fbd2b1ebb3dbe18b0d9eac78077"
     )
 
 

@@ -19,7 +19,7 @@ from survkit.impute import (
 )
 from survkit.preprocess import dummy_encode
 from survkit.synth import ensure_like, generate
-from survkit.tabular import ColumnSpec, SurvivalDataset, subset_rows
+from survkit.tabular import ColumnSpec, SurvivalDataset, replace_column_values, subset_rows
 
 
 def cols_with(names):
@@ -210,13 +210,26 @@ def test_apply_mice_schema_check():
         apply_mice(model, other)
 
 
+def test_fit_mice_imputes_nan_cells_given_without_a_mask():
+    """A NaN cell is missing whether or not a mask says so: cells set to NaN
+    through replace_column_values, with no mask, are imputed like the
+    generator's own missing cells, leaving no NaN covariate cell."""
+    encoded, _ = dummy_encode(ensure_like(0)[0])
+    ds = subset_rows(encoded, np.arange(600))
+    x = ds.values[:, ds.col_index("x01")].copy()
+    x[np.flatnonzero(~np.isnan(x))[:5]] = np.nan
+    ds = replace_column_values(ds, "x01", x)
+    done = fit_mice(ds, iterations=2, seed=0).completed_train
+    assert np.isnan(done.values).sum() == 0
+    assert not done.missing_mask.any()
+
+
 def test_apply_mice_rejects_missing_in_column_complete_at_fit():
     train, _ = mar_linear_dataset(seed=3)
     model = fit_mice(train, iterations=2, seed=1)
     new, _ = mar_linear_dataset(seed=99, n=50)
     j = new.col_index("y")
     new.values[0, j] = np.nan
-    new.missing_mask[0, j] = True
     with pytest.raises(DataError, match="'y'"):
         apply_mice(model, new)
 
@@ -360,6 +373,11 @@ def test_pool_rubin_validation():
         pool_rubin([1.0, 2.0], [1.0, -1.0])
     with pytest.raises(DataError):
         pool_rubin([1.0, 2.0], [1.0])
+    # a NaN variance used to give a NaN se and p-value, a NaN estimate df=inf
+    for q, u in (([1.0, 2.0], [np.nan, 1.0]), ([1.0, np.nan], [1.0, 1.0]),
+                 ([1.0, np.inf], [1.0, 1.0]), ([1.0, 2.0], [1.0, np.inf])):
+        with pytest.raises(DataError, match="finite"):
+            pool_rubin(q, u)
 
 
 # -- persistence -------------------------------------------------------------------

@@ -11,8 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survkit._kernels import BACKEND, concordance_counts, efron_eval, efron_loss_grad, efron_ties
-from survkit._kernels._ref import EfronTies
+from survkit._kernels import (
+    BACKEND,
+    EfronTies,
+    concordance_counts,
+    efron_eval,
+    efron_loss_grad,
+    efron_ties,
+)
 
 
 def slow_efron(times, events, eta):

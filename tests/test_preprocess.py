@@ -266,10 +266,10 @@ def test_prune_skips_a_constant_whose_std_is_not_zero():
     values = np.column_stack([rng.exponential(10.0, n) + 0.1, (rng.random(n) < 0.5).astype(float),
                               rng.normal(size=n), np.full(n, 0.3), rng.normal(size=n)])
     assert values[:, 3].std() != 0.0
-    gapped = np.zeros(values.shape, dtype=bool)
-    gapped[0, 4] = True
-    for mask in (np.zeros(values.shape, dtype=bool), gapped):
-        _, report = prune_correlated(SurvivalDataset(cols, values, mask), 0.0)
+    gapped = values.copy()
+    gapped[0, 4] = np.nan
+    for vals in (values, gapped):
+        _, report = prune_correlated(SurvivalDataset(cols, vals, np.isnan(vals)), 0.0)
         assert report["skipped_pairs"] == [
             {"pair": ["a", "flat"], "reason": "constant-on-overlap"},
             {"pair": ["flat", "c"], "reason": "constant-on-overlap"},

@@ -188,12 +188,13 @@ def reference_format(val, col):
 
 
 def reference_save(ds, path, missing_value=""):
+    mask = ds.missing_mask
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ds.column_names)
         for r in range(ds.n_rows):
             writer.writerow([
-                missing_value if ds.missing_mask[r, j] else reference_format(ds.values[r, j], col)
+                missing_value if mask[r, j] else reference_format(ds.values[r, j], col)
                 for j, col in enumerate(ds.columns)
             ])
 
@@ -315,6 +316,34 @@ def test_replace_column_values(tmp_path):
     assert ds.missing_mask[1, ds.col_index("age")]
 
 
+def test_missing_mask_is_derived_from_nan_cells(tmp_path):
+    """NaN in `values` is the only record of a missing cell: the mask is
+    read-only and follows `values`, and a mask given to the constructor or
+    to replace_column_values must mark exactly the NaN cells."""
+    ds = load_csv(demo_csv(tmp_path, BASIC), demo_columns())
+    j = ds.col_index("age")
+    with pytest.raises(ValueError):
+        ds.missing_mask[0, j] = True
+    ds.values[0, j] = np.nan
+    assert ds.missing_mask[:, j].tolist() == [True, True, False]
+
+    with pytest.raises(DataError, match="NaN cells"):
+        SurvivalDataset(ds.columns, ds.values, np.zeros(ds.values.shape, dtype=bool))
+    observed = np.zeros((2, 6))
+    with pytest.raises(DataError, match="NaN cells"):
+        SurvivalDataset(ds.columns, observed, np.eye(2, 6, dtype=bool))
+    assert not SurvivalDataset(ds.columns, observed).missing_mask.any()
+
+    ages = np.array([np.nan, 2.0, 3.0])
+    with pytest.raises(DataError, match="'age'"):
+        replace_column_values(ds, "age", ages, mask=[False, False, False])
+    with pytest.raises(DataError, match="'age'"):
+        replace_column_values(ds, "age", [1.0, 2.0, 3.0], mask=[True, False, False])
+    for mask in (None, [True, False, False]):
+        out = replace_column_values(ds, "age", ages, mask=mask)
+        assert out.missing_mask[:, j].tolist() == [True, False, False]
+
+
 def test_dataset_shape_validation():
     cols = demo_columns()
     with pytest.raises(DataError):
@@ -335,6 +364,8 @@ def inclusion_fixture(tmp_path):
         "4,0.5,1,63,g1,1\n"     # early event
         "5,0.5,0,64,g1,0\n"     # early but censored: kept
         "6,40,0,65,g2,1\n"
+        "7,5,,66,g1,0\n"        # missing outcome
+        "8,30,0,67,,1\n"        # missing level: kept
     )
     return load_csv(demo_csv(tmp_path, text), demo_columns())
 
@@ -347,15 +378,19 @@ def test_inclusion_rules_and_audit(tmp_path):
         exclude_early_events=1.0,
     )
     kept, audit = apply_inclusion(ds, rules)
-    assert kept.patient_ids() == ["1", "5", "6"]
-    assert audit["n_before"] == 6
-    assert audit["n_after"] == 3
+    assert kept.patient_ids() == ["1", "5", "6", "8"]
+    assert audit["n_before"] == 8
+    assert audit["n_after"] == 4
     by_rule = {s["rule"]: s["n_dropped"] for s in audit["steps"]}
     assert by_rule == {
-        "drop_missing_outcomes": 1,
+        "drop_missing_outcomes": 2,
         "exclude_levels:grade": 1,
         "exclude_early_events": 1,
     }
+    # a missing follow-up time is never an early event
+    kept, _ = apply_inclusion(ds, InclusionRules(drop_missing_outcomes=False,
+                                                 exclude_early_events=1.0))
+    assert kept.patient_ids() == ["1", "2", "3", "5", "6", "7", "8"]
 
 
 def test_inclusion_exclude_levels_validation(tmp_path):
