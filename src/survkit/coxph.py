@@ -30,30 +30,18 @@ from scipy import special
 from ._kernels import efron_eval, efron_loss_grad, efron_ties
 from .curves import CumHazardFn, SurvivalCurve
 from .errors import ComputationError, DataError, ScalingWarning
+from .tabular import check_fit_inputs
 
 SEPARATION_BOUND = 50.0
-
-
-def _check_inputs(x, times, events):
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(times, dtype=float)
-    e = np.asarray(events, dtype=float)
-    if x.ndim != 2 or x.shape[0] != len(t) or t.shape != e.shape:
-        raise DataError("x must be (n, p) with times and events of length n")
-    if x.shape[1] == 0:
-        raise DataError("no covariate columns")
-    if np.isnan(x).any():
-        raise DataError("covariates must be complete; impute first")
-    if np.isnan(t).any() or np.isnan(e).any():
-        raise DataError("outcomes must be complete")
-    if not np.any(e == 1.0):
-        raise DataError("no events in the data")
-    return x, t, e
+# a fit stops when the relative objective change or the step's infinity norm
+# falls below these
+REL_TOL = 1e-9
+STEP_TOL = 1e-8
 
 
 def neg_log_partial_likelihood(beta, x, times, events):
     """Efron-tie negative log partial likelihood and its gradient in beta."""
-    x, t, e = _check_inputs(x, times, events)
+    x, t, e = check_fit_inputs(x, times, events)
     beta = np.asarray(beta, dtype=float)
     value, grad_eta = efron_loss_grad(t, e, x @ beta)
     return value, x.T @ grad_eta
@@ -101,19 +89,18 @@ def fit_coxph(
     l2=0.0,
     names=None,
     max_iter=500,
-    rel_tol=1e-9,
-    step_tol=1e-8,
     init=None,
 ):
     """Fit the elastic-net Cox model by proximal gradient descent.
 
-    Stops when the relative objective change drops below rel_tol, the step
-    infinity-norm drops below step_tol, or max_iter is reached (converged
-    stays False). Coefficients beyond +/-50 abort the fit with a separation
-    diagnostic. The objective decreases monotonically by construction of
-    the line search; the history is kept on the model for inspection.
+    Stops when the relative objective change drops below REL_TOL (1e-9),
+    the step infinity-norm drops below STEP_TOL (1e-8), or max_iter is
+    reached (converged stays False). Coefficients beyond +/-50 abort the
+    fit with a separation diagnostic. The objective decreases monotonically
+    by construction of the line search; the history is kept on the model
+    for inspection.
     """
-    x, t, e = _check_inputs(x, times, events)
+    x, t, e = check_fit_inputs(x, times, events)
     if l1 < 0 or l2 < 0:
         raise DataError("penalties must be non-negative")
     _maybe_warn_scaling(x)
@@ -164,7 +151,7 @@ def fit_coxph(
 
         rel_change = (objective - new_objective) / max(1.0, abs(objective))
         objective = new_objective
-        if rel_change < rel_tol or np.max(np.abs(delta)) < step_tol:
+        if rel_change < REL_TOL or np.max(np.abs(delta)) < STEP_TOL:
             converged = True
             break
         step *= 1.3  # grow after an accepted step; backtracking shrinks again if needed
@@ -311,8 +298,20 @@ def breslow_from_scores(times, events, eta):
 
 def breslow_baseline(model, x, times, events):
     """Breslow baseline at the fitted coefficients; see breslow_from_scores."""
-    x, t, e = _check_inputs(x, times, events)
+    x, t, e = check_fit_inputs(x, times, events)
     return breslow_from_scores(t, e, x @ model.beta)
+
+
+def _ph_survival(baseline, eta, times):
+    """Curves S(t) = exp(-H0(t) * exp(eta)), one row per score, at exactly
+    `times`, which must be sorted ascending. The linear and the network
+    proportional-hazards models share it."""
+    times = np.asarray(times, dtype=float)
+    if np.any(np.diff(times) < 0):
+        raise DataError("times must be sorted ascending")
+    h0 = baseline(times)
+    risk = np.exp(eta)
+    return SurvivalCurve(times=times, values=np.exp(-h0 * risk[:, None]), kind="step")
 
 
 def predict_survival(model, x, times):
@@ -323,10 +322,4 @@ def predict_survival(model, x, times):
     """
     if model.baseline is None:
         raise ComputationError("model has no baseline hazard; fit it first")
-    x = np.asarray(x, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) < 0):
-        raise DataError("times must be sorted ascending")
-    h0 = model.baseline(times)
-    risk = np.exp(model.linear_predictor(x))
-    return SurvivalCurve(times=times, values=np.exp(-h0 * risk[:, None]), kind="step")
+    return _ph_survival(model.baseline, model.linear_predictor(x), times)

@@ -70,8 +70,8 @@ def interp_rows(t, xp, fp):
 class CumHazardFn:
     """Non-decreasing right-continuous cumulative hazard step function.
 
-    `knots` are strictly increasing event times; `values[i]` is H(knots[i]).
-    H(t) = 0 before the first knot.
+    `knots` are strictly increasing finite event times; `values[i]` is
+    the finite H(knots[i]). H(t) = 0 before the first knot.
     """
 
     knots: np.ndarray
@@ -82,6 +82,8 @@ class CumHazardFn:
         self.values = _as_1d_float(self.values, "values")
         if self.knots.shape != self.values.shape:
             raise ValueError("knots and values must have equal length")
+        if not (np.isfinite(self.knots).all() and np.isfinite(self.values).all()):
+            raise ValueError("knots and values must be finite")
         if len(self.knots) and np.any(np.diff(self.knots) <= 0):
             raise ValueError("knots must be strictly increasing")
         if len(self.values) and (np.any(np.diff(self.values) < 0) or self.values[0] < 0):

@@ -20,6 +20,7 @@ import numpy as np
 from . import nnet
 from .curves import SurvivalCurve, interp_rows
 from .errors import DataError
+from .tabular import check_fit_inputs
 
 LOG_FLOOR = 1e-12
 # smallest ranking-loss sigma. For CDF values in [0, 1] a pair term
@@ -180,15 +181,7 @@ def _softmax(z):
 
 def fit_deephit(x, times, events, params, seed):
     """Train the discrete-time model; deterministic in (seed, data order)."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(times, dtype=float)
-    e = np.asarray(events, dtype=float)
-    n = len(t)
-    if x.ndim != 2 or x.shape[0] != n or t.shape != e.shape:
-        raise DataError("x must be (n, p) with times and events of length n")
-    if not np.any(e == 1.0):
-        raise DataError("no events in the training data")
-
+    x, t, e = check_fit_inputs(x, times, events)
     grid = make_time_grid(t, params.n_bins)
     labels = grid.bin_index(t)
     net, sums, _ = nnet._train(
@@ -196,7 +189,7 @@ def fit_deephit(x, times, events, params, seed):
         lambda z, idx: deephit_loss(_softmax(z), labels[idx], e[idx], params.alpha, params.sigma),
     )
     # the mean batch loss of each epoch (no batch is skipped)
-    epoch_losses = [float(total / math.ceil(n / params.batch_size)) for total in sums]
+    epoch_losses = [float(total / math.ceil(len(t) / params.batch_size)) for total in sums]
 
     return DeepHitModel(net=net, grid=grid, params=params, seed=seed, epoch_losses=epoch_losses)
 

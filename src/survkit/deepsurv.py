@@ -17,9 +17,10 @@ import numpy as np
 
 from . import nnet
 from ._kernels import efron_loss_grad
-from .coxph import breslow_from_scores
-from .curves import CumHazardFn, SurvivalCurve
+from .coxph import _ph_survival, breslow_from_scores
+from .curves import CumHazardFn
 from .errors import DataError
+from .tabular import check_fit_inputs
 
 
 @dataclass
@@ -65,14 +66,7 @@ def fit_deepsurv(x, times, events, params, seed):
     decoupled. The whole trajectory is a deterministic function of (seed,
     data order).
     """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(times, dtype=float)
-    e = np.asarray(events, dtype=float)
-    n = len(t)
-    if x.ndim != 2 or x.shape[0] != n or t.shape != e.shape:
-        raise DataError("x must be (n, p) with times and events of length n")
-    if not np.any(e == 1.0):
-        raise DataError("no events in the training data")
+    x, t, e = check_fit_inputs(x, times, events)
 
     def batch_loss(out, idx):
         value, g_eta = deepsurv_loss(out[:, 0], t[idx], e[idx])
@@ -104,12 +98,7 @@ def predict_risk(model, x):
 
 def predict_survival(model, x, times):
     """Curves S(t|x) = exp(-H0(t) * exp(f(x))), one row per x row; times sorted."""
-    times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) < 0):
-        raise DataError("times must be sorted ascending")
-    h0 = model.baseline(times)
-    risk = np.exp(predict_risk(model, x))
-    return SurvivalCurve(times=times, values=np.exp(-h0 * risk[:, None]), kind="step")
+    return _ph_survival(model.baseline, predict_risk(model, x), times)
 
 
 def save_checkpoint(model, path):

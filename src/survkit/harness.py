@@ -37,7 +37,7 @@ from .metrics import (
     integrated_brier,
 )
 from .preprocess import apply_scaler, fit_scaler, prune_correlated
-from .tabular import drop_columns, subset_rows
+from .tabular import check_outcomes, drop_columns, subset_rows
 
 SIGNIFICANCE = 0.05
 
@@ -94,12 +94,11 @@ def split(ds, plan, seed):
 
     Rows are assigned within each event stratum from one seeded shuffle, so
     stratum proportions hold within one subject per stratum and the whole
-    assignment is a deterministic function of the seed.
+    assignment is a deterministic function of the seed. The outcomes must
+    meet `check_outcomes`.
     """
     test_fraction, kind, inner_size = _split_settings(plan)
-    e = ds.event
-    if np.isnan(e).any():
-        raise DataError("events must be complete before splitting")
+    _, e = check_outcomes(ds.time, ds.event)
     rng = np.random.default_rng(seed)
     strata = [np.flatnonzero(e == 1.0), np.flatnonzero(e == 0.0)]
     strata = [s for s in strata if len(s)]

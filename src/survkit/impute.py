@@ -29,7 +29,7 @@ from scipy import special
 from .coxph import breslow_from_scores
 from .curves import CumHazardFn
 from .errors import DataError, SchemaError
-from .tabular import SurvivalDataset
+from .tabular import SurvivalDataset, check_outcomes
 
 RIDGE = 1e-6
 
@@ -40,13 +40,7 @@ def nelson_aalen(times, events):
     Knots are the distinct event times; ties add d/n in one increment.
     This is the Breslow baseline at all-zero scores.
     """
-    t = np.asarray(times, dtype=float)
-    e = np.asarray(events, dtype=float)
-    if t.ndim != 1 or t.shape != e.shape or len(t) == 0:
-        raise DataError("times and events must be equal-length non-empty 1-D arrays")
-    if np.isnan(t).any() or np.isnan(e).any():
-        raise DataError("outcomes must be complete for the Nelson-Aalen estimate")
-
+    t, e = check_outcomes(times, events)
     return breslow_from_scores(t, e, np.zeros(len(t)))
 
 
@@ -203,22 +197,24 @@ def fit_mice(ds, iterations, seed):
     """Run one chained-equations chain on training rows and freeze its
     final-sweep models.
 
-    The chain draws from a generator seeded with seed + 100. Each sweep
-    visits the incomplete covariates in ascending order of missing rate,
-    draws coefficients and noise from the posterior of a normal linear
-    model fit on the target's observed rows, and writes the draw into its
-    missing cells; the completed training rows are `completed_train`.
+    The outcomes must meet `check_outcomes` and `seed` must be a
+    non-negative integer (DataError otherwise). The chain draws from a
+    generator seeded with seed + 100. Each sweep visits the incomplete
+    covariates in ascending order of missing rate, draws coefficients and
+    noise from the posterior of a normal linear model fit on the target's
+    observed rows, and writes the draw into its missing cells; the
+    completed training rows are `completed_train`.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DataError(f"seed={seed!r} is not a non-negative integer")
     _check_numeric_covariates(ds)
     if iterations < 1:
         raise DataError("iterations must be >= 1")
-    if np.isnan(ds.time).any() or np.isnan(ds.event).any():
-        raise DataError("outcomes must be complete before imputation")
+    hazard_fn = nelson_aalen(ds.time, ds.event)  # checks the outcomes
     targets = _target_columns(ds)
     visit = [name for name, _ in targets]
     mask = ds.missing_mask
     means = {name: float(ds.values[~mask[:, j], j].mean()) for name, j in targets}
-    hazard_fn = nelson_aalen(ds.time, ds.event)
     design, steps = _chain_setup(ds, visit, means, hazard_fn)
 
     rng = np.random.default_rng(seed + 100)
@@ -247,11 +243,13 @@ def apply_mice(model, ds):
     target's missing cells taking its conditional mean under the stored
     coefficients. Only columns that had missing cells at fit time have a
     fitted model. A covariate that was complete at fit time but has missing
-    cells here raises DataError.
+    cells here raises DataError, and so do outcomes that fail
+    `check_outcomes`: the hazard transform needs a follow-up time.
     """
     _check_numeric_covariates(ds)
     if ds.column_names != model.column_names:
         raise SchemaError("dataset columns do not match the fitted imputer")
+    check_outcomes(ds.time, ds.event)
     # anything missing outside the visit order has no fitted model and no
     # stored training mean
     mask = ds.missing_mask

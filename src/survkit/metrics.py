@@ -24,22 +24,11 @@ import numpy as np
 from ._kernels import concordance_counts
 from .curves import SurvivalCurve
 from .errors import ComputationError, ConfigError, DataError
+from .tabular import check_outcomes
 
 # samples scored per pass; bounds the (rows, n) intermediates of IBS and tAUC
 ROW_CHUNK = 64
 DECILES = np.arange(1, 10) / 10.0
-
-
-def _check_outcomes(times, events):
-    t = np.asarray(times, dtype=float)
-    e = np.asarray(events, dtype=float)
-    if t.ndim != 1 or t.shape != e.shape or len(t) == 0:
-        raise DataError("times and events must be equal-length non-empty 1-D arrays")
-    if np.isnan(t).any() or np.isnan(e).any():
-        raise DataError("outcomes must be complete")
-    if not np.isin(e, (0.0, 1.0)).all():
-        raise DataError("events must be 0/1")
-    return t, e
 
 
 def _count_rows(counts, n):
@@ -100,7 +89,7 @@ def kaplan_meier(times, events, counts=None):
     With `counts`, one row per sample, on the distinct times where any
     sample has an event (flat where that sample has none).
     """
-    t, e = _check_outcomes(times, events)
+    t, e = check_outcomes(times, events)
     knots, d, values = _km_rows(t, e, _count_rows(counts, len(t)))
     steps = (d > 0).any(axis=0)
     values = values[:, steps]
@@ -109,7 +98,7 @@ def kaplan_meier(times, events, counts=None):
 
 def censoring_km(times, events, counts=None):
     """KM estimate of the censoring distribution (indicator flipped)."""
-    t, e = _check_outcomes(times, events)
+    t, e = check_outcomes(times, events)
     return kaplan_meier(t, 1.0 - e, counts=counts)
 
 
@@ -134,7 +123,7 @@ def concordance_index(times, events, scores, counts=None):
     the pair count of its expanded sample (two copies of one subject are
     never comparable); a sample without comparable pairs gives NaN.
     """
-    t, e = _check_outcomes(times, events)
+    t, e = check_outcomes(times, events)
     s = np.asarray(scores, dtype=float)
     if s.shape != t.shape:
         raise DataError("scores must match times in length")
@@ -202,7 +191,7 @@ def brier_score(times, events, surv_probs, horizon, censor_curve=None):
     contribute (1-S)^2 / G(horizon); censored-before-horizon subjects
     contribute zero. The average is over all n subjects.
     """
-    t, e = _check_outcomes(times, events)
+    t, e = check_outcomes(times, events)
     s = np.asarray(surv_probs, dtype=float)
     if s.shape != t.shape:
         raise DataError("surv_probs must match times in length")
@@ -239,7 +228,7 @@ def integrated_brier(times, events, curves, t_range=None, censor_curve=None, cou
     With `counts`, every sample takes its grid from its own event times and
     follow-up; a sample with fewer than two grid points gives NaN.
     """
-    t, e = _check_outcomes(times, events)
+    t, e = check_outcomes(times, events)
     if len(curves) != len(t):
         raise DataError("need one predicted curve per subject")
     w = _count_rows(counts, len(t))
@@ -309,7 +298,7 @@ def cumulative_dynamic_auc(times, events, scores, eval_times=None, censor_curve=
     With `counts`, every sample takes its default horizons from its own
     event times; a sample without a usable horizon has a NaN mean.
     """
-    t, e = _check_outcomes(times, events)
+    t, e = check_outcomes(times, events)
     s = np.asarray(scores, dtype=float)
     if s.shape != t.shape:
         raise DataError("scores must match times in length")

@@ -1,4 +1,5 @@
-"""Cohort tables: column schema, CSV ingestion, inclusion rules, summaries.
+"""Cohort tables: column schema, CSV ingestion, the outcome contract,
+inclusion rules, summaries.
 
 A dataset is a numeric matrix; a NaN cell is a missing cell. Categorical
 cells are stored as indices into the column's declared level list, which
@@ -167,6 +168,42 @@ def replace_column_values(ds, name, values, mask=None):
     if mask is not None and np.any(np.asarray(mask, dtype=bool) != np.isnan(out_values[:, j])):
         raise DataError(f"mask for column {name!r} disagrees with the NaN cells of its values")
     return SurvivalDataset(list(ds.columns), out_values, row_ids=ds.row_ids.copy())
+
+
+# -- outcome contract --------------------------------------------------------
+
+def check_outcomes(times, events):
+    """Follow-up times and event indicators as float arrays (t, e), checked:
+    equal-length, non-empty and 1-D, with no NaN, every time finite and
+    every event exactly 0 or 1. Every fit, estimator and metric reads
+    outcomes through this rule; a violation is a DataError."""
+    t = np.asarray(times, dtype=float)
+    e = np.asarray(events, dtype=float)
+    if t.ndim != 1 or t.shape != e.shape or len(t) == 0:
+        raise DataError("times and events must be equal-length non-empty 1-D arrays")
+    if np.isnan(t).any() or np.isnan(e).any():
+        raise DataError("outcomes must be complete")
+    if np.isinf(t).any():  # an infinite event time would be a baseline knot
+        raise DataError("times must be finite")
+    if not np.isin(e, (0.0, 1.0)).all():
+        raise DataError("events must be 0/1")
+    return t, e
+
+
+def check_fit_inputs(x, times, events):
+    """`check_outcomes` plus what a fit needs: x as an (n, p) float matrix
+    with p >= 1 and no NaN, and at least one event. Returns (x, t, e)."""
+    t, e = check_outcomes(times, events)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != len(t):
+        raise DataError("x must be (n, p) with times and events of length n")
+    if x.shape[1] == 0:
+        raise DataError("no covariate columns")
+    if np.isnan(x).any():
+        raise DataError("covariates must be complete; impute first")
+    if not e.any():
+        raise DataError("no events in the data")
+    return x, t, e
 
 
 # -- schema JSON -------------------------------------------------------------
@@ -418,13 +455,9 @@ class CohortSummary:
 
 
 def summarize(ds):
-    """Cohort description: size, events, follow-up spread, missingness."""
-    if ds.n_rows == 0:
-        raise DataError("cannot summarize an empty cohort")
-    t = ds.time
-    e = ds.event
-    if np.isnan(t).any() or np.isnan(e).any():
-        raise DataError("summary requires complete outcomes; apply inclusion rules first")
+    """Cohort description: size, events, follow-up spread, missingness.
+    The outcomes must meet `check_outcomes`; apply inclusion rules first."""
+    t, e = check_outcomes(ds.time, ds.event)
     q25, q50, q75 = np.quantile(t, [0.25, 0.5, 0.75])
     mask = ds.missing_mask
     missing = {}

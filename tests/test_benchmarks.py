@@ -3,9 +3,13 @@
 Each script asserts, next to its timings, that the code it times gives the
 same bits as a reference (the Efron split and the concordance counts, the
 training step, the CSV writer and the load round trip); these runs make
-those assertions part of the test suite.
+those assertions part of the test suite. A tiny traced experiment checks
+that survbench's tracer still covers every layer function, that the call
+counts match the config and that every per-layer metric it declares
+computes.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -15,7 +19,8 @@ import pytest
 
 import survkit
 
-BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARKS = ROOT / "benchmarks"
 
 
 @pytest.mark.parametrize("script, args", [
@@ -29,3 +34,50 @@ def test_benchmark_script_passes_its_checks(script, args):
     done = subprocess.run([sys.executable, str(BENCHMARKS / script), *args], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+# Runs in a fresh interpreter, as survbench/child.py does, so the tracer's
+# wrappers never reach this process. A tiny experiment is registered as a
+# workload, so its inputs and expected call counts come from survbench.
+TRACED_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import spans, workloads
+
+workloads.WORKLOADS["smoke"] = {"kind": "experiment", "oracle": False, "overrides": {
+    "n_boot": 5,
+    "split": {"test_fraction": 0.2, "inner": {"kind": "holdout", "fraction": 0.15}},
+    "prep": {"impute_iterations": 1, "prune_threshold": 0.7, "standardize": True},
+    "families": {"coxph": {"l1": [0.008], "l2": [0.001]},
+                 "deepsurv": {"epochs": [1]}, "deephit": {"epochs": [1]}},
+}}
+tracer = spans.Tracer()
+uncovered = spans.uncovered(spans.install(tracer))
+from survkit import cli
+
+rc = cli.main(workloads.make_inputs("smoke", 0, sys.argv[2]))
+spans.measure_wrapper_cost(tracer, calls=1000, repeats=1)
+print(json.dumps({
+    "rc": rc,
+    "uncovered": uncovered,
+    "identities": spans.identities(tracer, workloads.expected_counts("smoke")),
+    "layers": spans.layer_metrics(tracer),
+}))
+"""
+
+
+def test_traced_experiment_covers_every_layer(tmp_path):
+    src = Path(survkit.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(ROOT / "survbench"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["rc"] == 0
+    assert result["uncovered"] == []
+    assert result["identities"] == []
+    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    assert sorted(result["layers"]) == sorted(declared)
+    assert all(isinstance(v, (int, float)) and v == v for v in result["layers"].values())

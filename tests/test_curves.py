@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survkit.curves import SurvivalCurve, interp_rows
+from survkit.curves import CumHazardFn, SurvivalCurve, interp_rows
 
 # Knot gaps: 0 ties two knots; 5e-324 (the smallest subnormal) after a knot
 # at 0 makes the slope overflow, so only an exact knot value is finite there.
@@ -104,6 +104,24 @@ def test_construction_rejects_rising_rows_and_wrong_length(case, kind):
         rising[idx[0]] = np.linspace(0.0, 1.0, len(times))
         with pytest.raises(ValueError):
             SurvivalCurve(times=times, values=rising, kind=kind)
+
+
+@pytest.mark.parametrize("knots, values", [
+    ([[1.0, 2.0]], [[0.1, 0.2]]),  # not 1-D
+    ([1.0, 2.0], [0.1]),  # unequal lengths
+    ([2.0, 1.0], [0.1, 0.2]),  # knots not increasing
+    ([1.0, 1.0], [0.1, 0.2]),  # tied knots
+    ([1.0, 2.0], [0.2, 0.1]),  # hazard falls
+    ([1.0, 2.0], [-0.1, 0.2]),  # negative hazard
+    ([1.0, np.nan], [0.1, 0.2]),  # non-finite knots and values
+    ([np.nan], [0.1]),
+    ([1.0, np.inf], [0.1, 0.2]),
+    ([1.0, 2.0], [0.1, np.nan]),
+    ([1.0, 2.0], [0.1, np.inf]),
+])
+def test_cumulative_hazard_rejects_bad_knots_and_values(knots, values):
+    with pytest.raises(ValueError):
+        CumHazardFn(knots, values)
 
 
 def test_shapes_of_batches_and_single_subjects():

@@ -417,6 +417,12 @@ def test_identify_factors_needs_two_imputations():
         identify_factors(ds, m=1, iterations=2, seed=0)
 
 
+def test_identify_factors_rejects_a_negative_seed_before_any_draw():
+    ds, _ = cohort(missing=True, n=120)
+    with pytest.raises(DataError, match="seed=-500 is not a non-negative integer"):
+        identify_factors(ds, m=2, iterations=1, seed=-500)
+
+
 def test_factors_to_csv_round_trip(tmp_path):
     ds, _ = cohort(missing=True, n=300, seed=4)
     rows = identify_factors(ds, m=2, iterations=2, seed=1)

@@ -224,6 +224,27 @@ def test_fit_mice_imputes_nan_cells_given_without_a_mask():
     assert not done.missing_mask.any()
 
 
+def test_apply_mice_rejects_missing_outcomes():
+    """A row without a follow-up time has no cumulative hazard to impute
+    from, so it is rejected, not completed."""
+    encoded, _ = dummy_encode(ensure_like(0)[0])
+    ds = subset_rows(encoded, np.arange(300))
+    model = fit_mice(ds, iterations=1, seed=0)
+    t = ds.time.copy()
+    t[:5] = np.nan
+    with pytest.raises(DataError, match="outcomes must be complete"):
+        apply_mice(model, replace_column_values(ds, "time", t))
+
+
+@pytest.mark.parametrize("seed", [-1, -500, 1.5])
+def test_chains_reject_a_seed_that_is_not_a_non_negative_integer(seed):
+    ds, _ = mar_linear_dataset(seed=1, n=60)
+    with pytest.raises(DataError, match="is not a non-negative integer"):
+        fit_mice(ds, iterations=1, seed=seed)
+    with pytest.raises(DataError, match="is not a non-negative integer"):
+        mice_impute(ds, m=2, iterations=1, seed=seed)
+
+
 def test_apply_mice_rejects_missing_in_column_complete_at_fit():
     train, _ = mar_linear_dataset(seed=3)
     model = fit_mice(train, iterations=2, seed=1)
