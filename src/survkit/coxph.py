@@ -292,8 +292,11 @@ def breslow_from_scores(times, events, eta):
     risk = np.cumsum(phi[::-1])[::-1][ties.starts][ties.has_event]
     if np.any(risk <= 0.0):
         raise ComputationError("risk-set sums underflowed; scores are too extreme for a baseline")
-    increments = ties.sizes * np.exp(-shift) / risk
-    return CumHazardFn(knots=t[ties.order][ties.starts][ties.has_event], values=np.cumsum(increments))
+    with np.errstate(over="ignore"):
+        values = np.cumsum(ties.sizes * np.exp(-shift) / risk)
+    if not np.isfinite(values).all():
+        raise ComputationError("baseline hazard overflowed; scores are too low for a baseline")
+    return CumHazardFn(knots=t[ties.order][ties.starts][ties.has_event], values=values)
 
 
 def breslow_baseline(model, x, times, events):

@@ -11,11 +11,19 @@ imputed on the continuous scale and deliberately not rounded.
 `fit_mice` runs one chain and freezes its final-sweep coefficients;
 `mice_impute` is m such chains with consecutive seeds, and `apply_mice`
 runs the frozen chain on new rows. All three keep the covariates in one
-design matrix [1, covariates, event, hazard], set up once with the mean
-fill (`_chain_setup`): each target's predictors are one column gather from
-it (every column but its own), each draw is written into the target's own
-column, and the completed values are read back once at the end
-(`_read_back`).
+design matrix D = [1, covariates, event, hazard], set up once with the mean
+fill (`_chain_setup`); each draw is written into the target's own column,
+and the completed values are read back once at the end (`_read_back`).
+
+A chain also keeps the Gram matrix G = D'D, formed once after the mean fill.
+A target step gathers only its missing rows M and takes the normal
+equations of its observed rows O as G less the Gram of M; when O is the
+smaller side it forms the Gram of O directly instead, because subtracting
+a large Gram from a nearly equal one loses digits. After the draw, the
+target's row and column of G are recomputed from D (not updated by an
+increment, so no error builds up over the sweeps). A step costs
+O(min(|O|, |M|) q^2 + n q) for n rows and q design columns, against
+O(n q^2) for the Gram of the observed rows formed from scratch.
 """
 
 from __future__ import annotations
@@ -76,8 +84,8 @@ def _chain_setup(ds, visit_order, means, hazard_fn):
     covariate k (in schema order) in column 1 + k; every column but a
     target's own predicts that target. Each visited column with missing
     cells has them filled with its entry in `means` and gives one step
-    (name, design column, predictor columns, observed rows, missing rows);
-    the row masks are contiguous copies, made once.
+    (name, design column, predictor columns, observed rows, missing rows),
+    the rows as index arrays made once.
     """
     cov_idx = [j for j, c in enumerate(ds.columns) if c.role == "covariate"]
     design = np.column_stack(
@@ -87,11 +95,12 @@ def _chain_setup(ds, visit_order, means, hazard_fn):
     steps = []
     for name in visit_order:
         j = ds.col_index(name)
-        mis = mask[:, j].copy()
-        if mis.any():
+        mis = np.flatnonzero(mask[:, j])
+        if len(mis):
             col = 1 + cov_idx.index(j)
             design[mis, col] = means[name]
-            steps.append((name, col, np.delete(np.arange(design.shape[1]), col), ~mis, mis))
+            obs = np.flatnonzero(~mask[:, j])
+            steps.append((name, col, np.delete(np.arange(design.shape[1]), col), obs, mis))
     return design, steps
 
 
@@ -103,15 +112,32 @@ def _read_back(ds, design):
     return SurvivalDataset(list(ds.columns), values, row_ids=ds.row_ids.copy())
 
 
-def _bayes_draw(x_obs, y_obs, rng):
-    """Posterior draw of (coefficients, sigma) for a normal linear model."""
-    q = x_obs.shape[1]
-    n_obs = len(y_obs)
-    s = x_obs.T @ x_obs + RIDGE * np.eye(q)
+def _observed_gram(design, gram, obs, d_mis):
+    """D'D over the rows `obs`, given the kept Gram `gram` = D'D over all
+    rows and `d_mis` = D over the other rows: the Gram of whichever side
+    has fewer rows, subtracted from `gram` when that side is the missing
+    one."""
+    if len(obs) < len(d_mis):
+        d_obs = design[obs]
+        return d_obs.T @ d_obs
+    return gram - d_mis.T @ d_mis
+
+
+def _bayes_draw(design, gram_obs, col, cols, obs, rng):
+    """Posterior draw of (coefficients, sigma) for the normal linear model
+    of design column `col` on columns `cols` over the rows `obs`, whose
+    Gram D'D is `gram_obs`."""
+    q = len(cols)
+    s = gram_obs[np.ix_(cols, cols)] + RIDGE * np.eye(q)
     v = np.linalg.inv(s)
-    beta_hat = v @ (x_obs.T @ y_obs)
-    resid = y_obs - x_obs @ beta_hat
-    df = max(n_obs - q, 1)
+    beta_hat = v @ gram_obs[cols, col]
+    # the residual over the observed rows, taken from the rows themselves:
+    # the Gram form y'y - 2 b'X'y + b'X'Xb cancels
+    gamma = np.zeros(design.shape[1])
+    gamma[col] = 1.0
+    gamma[cols] = -beta_hat
+    resid = (design @ gamma)[obs]
+    df = max(len(obs) - q, 1)
     chi2 = rng.chisquare(df)
     sigma = float(np.sqrt(resid @ resid / max(chi2, 1e-12)))
     try:
@@ -204,6 +230,12 @@ def fit_mice(ds, iterations, seed):
     noise from the posterior of a normal linear model fit on the target's
     observed rows, and writes the draw into its missing cells; the
     completed training rows are `completed_train`.
+
+    The chain keeps G = D'D of its design D (see the module docstring): a
+    step gathers only the target's missing rows, takes the observed-row
+    normal equations from G and the Gram of the smaller side, and then
+    recomputes the target's row and column of G. A step costs
+    O(min(|O|, |M|) q^2 + n q) for |O| observed and |M| missing rows.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DataError(f"seed={seed!r} is not a non-negative integer")
@@ -219,11 +251,14 @@ def fit_mice(ds, iterations, seed):
 
     rng = np.random.default_rng(seed + 100)
     models = {}
+    gram = design.T @ design
     for _ in range(iterations):
         for name, col, cols, obs, mis in steps:
-            x_all = design[:, cols]  # one C-contiguous (n, q) gather
-            models[name], beta_dot, sigma = _bayes_draw(x_all[obs], design[obs, col], rng)
-            design[mis, col] = x_all[mis] @ beta_dot + sigma * rng.standard_normal(int(mis.sum()))
+            d_mis = design[mis]
+            gram_obs = _observed_gram(design, gram, obs, d_mis)
+            models[name], beta_dot, sigma = _bayes_draw(design, gram_obs, col, cols, obs, rng)
+            design[mis, col] = d_mis[:, cols] @ beta_dot + sigma * rng.standard_normal(len(mis))
+            gram[:, col] = gram[col, :] = design.T @ design[:, col]
     return MiceModel(
         visit_order=visit,
         means=means,
@@ -262,7 +297,7 @@ def apply_mice(model, ds):
     design, steps = _chain_setup(ds, model.visit_order, model.means, model.hazard_fn)
     for _ in range(model.iterations):
         for name, col, cols, _, mis in steps:
-            design[mis, col] = design[:, cols][mis] @ model.models[name]
+            design[mis, col] = design[np.ix_(mis, cols)] @ model.models[name]
     return _read_back(ds, design)
 
 

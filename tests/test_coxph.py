@@ -358,6 +358,16 @@ def test_breslow_underflow_reports_error():
         )
 
 
+def test_breslow_overflow_reports_error():
+    # every score below about -709: exp(-max score) overflows, and the
+    # baseline hazard past the first event is not representable
+    with pytest.raises(ComputationError, match="overflowed"):
+        breslow_from_scores([1.0, 2.0], [1.0, 1.0], [-800.0, -800.0])
+    # each increment finite, their sum not
+    with pytest.raises(ComputationError, match="overflowed"):
+        breslow_from_scores([1.0, 2.0], [1.0, 1.0], [-709.5, -709.5])
+
+
 def test_predict_survival_values_and_shape():
     rng = np.random.default_rng(41)
     x, t, e = exponential_cohort(rng, [0.5], 100, censor_scale=2.0)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from survkit import impute
 from survkit.errors import DataError, SchemaError
 from survkit.impute import (
     apply_mice,
@@ -281,12 +282,14 @@ def test_apply_mice_is_the_identity_on_complete_data(rows):
 
 # -- pinned outputs ------------------------------------------------------------------
 # sha256 of the completed values on a 400-row ensure_like-shaped cohort with
-# ten partly missing columns, recorded before the chains kept their
-# covariates in one design matrix; any change to a drawn or filled cell
+# ten partly missing columns, recorded once the chains took each target's
+# normal equations from a kept Gram matrix, and only after that chain
+# matched the direct per-target chain (`reference_chain`, below) to 1e-12
+# of column scale on this cohort. Any change to a drawn or filled cell
 # changes them.
 
-MICE_SHA256 = "ba1f636627c88f57cd763445fd3183104f581530ef9769850424110d1a29cfd0"
-FIT_APPLY_SHA256 = "4b692a04936a972202efb2ef83ffd4f0c3639bd7433c99c22c8e29755e9d2228"
+MICE_SHA256 = "b21c86acf217740ca0d7a0888ed51167668be74fe66a93f4768e40b330233bce"
+FIT_APPLY_SHA256 = "beb7e82ca71748dbf0de86eb39f9dbf03bd4a578d2dda129376191096f6e6194"
 
 
 def pinned_cohort():
@@ -327,6 +330,82 @@ def test_fit_and_apply_mice_output_is_pinned():
     model = fit_mice(subset_rows(ds, np.arange(300)), iterations=4, seed=5)
     done = apply_mice(model, subset_rows(ds, np.arange(300, 400)))
     assert values_sha256([model.completed_train.values, done.values]) == FIT_APPLY_SHA256
+
+
+# -- the kept-Gram chain against the direct chain ------------------------------------
+
+
+def reference_chain(ds, iterations, seed):
+    """fit_mice as a direct per-target chain: each step gathers all rows of
+    its predictors and forms X'X over the observed ones from scratch.
+    Returns (completed dataset, final-sweep coefficients)."""
+    hazard_fn = nelson_aalen(ds.time, ds.event)
+    targets = impute._target_columns(ds)
+    mask = ds.missing_mask
+    means = {name: float(ds.values[~mask[:, j], j].mean()) for name, j in targets}
+    design, steps = impute._chain_setup(ds, [name for name, _ in targets], means, hazard_fn)
+    rng = np.random.default_rng(seed + 100)
+    models = {}
+    for _ in range(iterations):
+        for name, col, cols, obs, mis in steps:
+            x_all = design[:, cols]
+            x_obs, y_obs = x_all[obs], design[obs, col]
+            q = x_obs.shape[1]
+            v = np.linalg.inv(x_obs.T @ x_obs + impute.RIDGE * np.eye(q))
+            models[name] = beta_hat = v @ (x_obs.T @ y_obs)
+            resid = y_obs - x_obs @ beta_hat
+            chi2 = rng.chisquare(max(len(obs) - q, 1))
+            sigma = float(np.sqrt(resid @ resid / max(chi2, 1e-12)))
+            beta_dot = beta_hat + sigma * (np.linalg.cholesky(v) @ rng.standard_normal(q))
+            design[mis, col] = x_all[mis] @ beta_dot + sigma * rng.standard_normal(len(mis))
+    return impute._read_back(ds, design), models
+
+
+def one_column_missing(rate):
+    """2000 encoded ensure_like rows with x05 missing at about `rate`."""
+    encoded, _ = dummy_encode(ensure_like(0)[0])
+    ds = subset_rows(encoded, np.arange(2000))
+    x = ds.values[:, ds.col_index("x05")].copy()
+    x[np.random.default_rng(1).random(len(x)) < rate] = np.nan
+    return replace_column_values(ds, "x05", x)
+
+
+@pytest.mark.parametrize("case, tol", [
+    ("pinned", 1e-12),
+    (0.5, 1e-12),
+    (0.9, 1e-12),
+    # 36 observed rows for 36 predictors: the saturated fill makes later
+    # steps' normal equations condition ~1e6, so rounding differences grow;
+    # the direct chain itself moves 4.3e-12 when only the summation order
+    # of its X'X changes, this chain reads 2.0e-11, and subtracting on the
+    # smaller side too reads 3.2e-10
+    (0.98, 1e-10),
+])
+def test_fit_mice_matches_the_direct_chain(case, tol):
+    ds = pinned_cohort() if case == "pinned" else one_column_missing(case)
+    chain = fit_mice(ds, iterations=4, seed=11)
+    done, models = reference_chain(ds, iterations=4, seed=11)
+    got, want = chain.completed_train.values, done.values
+    scale = np.abs(want).max(axis=0)
+    assert np.all(np.abs(got - want) <= tol * scale)
+    assert chain.models.keys() == models.keys()
+    for name, beta in models.items():
+        assert np.abs(chain.models[name] - beta).max() <= tol * np.abs(beta).max()
+
+
+def test_apply_mice_bytes_equal_the_full_gather():
+    """Gathering only the missing rows of the predictors gives the same
+    bits as gathering every row and then selecting the missing ones."""
+    ds = pinned_cohort()
+    model = fit_mice(subset_rows(ds, np.arange(300)), iterations=3, seed=5)
+    new = subset_rows(ds, np.arange(300, 400))
+    design, steps = impute._chain_setup(new, model.visit_order, model.means, model.hazard_fn)
+    for _ in range(model.iterations):
+        for name, col, cols, _, mis in steps:
+            rows = np.zeros(new.n_rows, dtype=bool)
+            rows[mis] = True
+            design[mis, col] = design[:, cols][rows] @ model.models[name]
+    assert apply_mice(model, new).values.tobytes() == impute._read_back(new, design).values.tobytes()
 
 
 # -- Rubin pooling -----------------------------------------------------------------
