@@ -5,7 +5,12 @@ inputs at several cohort sizes and prints the best per-call timing. The
 Efron scan is timed twice: `efron_loss_grad`, which builds the tie
 structure on every call, and `efron_eval` on an `efron_ties` record built
 beforehand, as a Cox fit evaluates it; the script asserts that the two give
-the same bits. The concordance counts are also timed weighted by B rows of
+the same bits. Each size is timed on continuous times, where every event
+group holds one event and the scan skips its group sums, and on times
+rounded up to whole units, where long tied groups take them; `d_max` is the
+largest tied event count. `efron_loss_grad` is also timed on the 64-row
+minibatch shape DeepSurv trains on. The concordance counts are timed, on
+the continuous times, weighted by B rows of
 bootstrap multiplicities at once (the batch bootstrap's call) on cohorts
 of up to WEIGHTED_MAX_N rows, and the script asserts that each weighted
 row equals the unweighted counts of its expanded sample.
@@ -30,8 +35,16 @@ BOOTS = (1, 150)
 WEIGHTED_MAX_N = 8000
 
 
-def survival_inputs(rng, n):
+# rows per DeepSurv minibatch
+BATCH = 64
+# continuous times, and times rounded up to whole units (tied groups)
+TIMES = ("continuous", "tied")
+
+
+def survival_inputs(rng, n, tied=False):
     times = rng.exponential(10.0, n) + 0.01
+    if tied:
+        times = np.ceil(times)
     events = (rng.random(n) < 0.65).astype(float)
     events[0] = 1.0
     scores = rng.normal(0.0, 1.0, n)
@@ -65,32 +78,45 @@ def best_of(fn, repeats):
     return best
 
 
-def run(sizes, repeats):
-    header = f"{'kernel':<28}{'n':>8}{'time':>12}"
-    print(header)
-    print("-" * len(header))
-    rng = np.random.default_rng(0)
-    for n in sizes:
-        times, events, scores = survival_inputs(rng, n)
+def row(label, times, n, seconds, d_max=""):
+    print(f"{label:<28}{times:>12}{n:>8}{d_max:>7}{seconds * 1e3:>10.3f}ms")
+
+
+def time_efron(rng, n, repeats, batch=False):
+    """Time the Efron scan on both kinds of times: `efron_loss_grad`, and
+    unless `batch`, `efron_eval` on prepared ties and `efron_ties` too."""
+    for kind in TIMES:
+        times, events, scores = survival_inputs(rng, n, tied=kind == "tied")
         ties = efron_ties(times, events)
         value, grad = efron_loss_grad(times, events, scores)
         prepared = efron_eval(ties, scores)
         assert prepared[0] == value and prepared[1].tobytes() == grad.tobytes()
-        for label, call in (
-            ("efron_loss_grad", lambda: efron_loss_grad(times, events, scores)),
-            ("efron_eval (prepared ties)", lambda: efron_eval(ties, scores)),
-            ("efron_ties", lambda: efron_ties(times, events)),
-            ("concordance_counts", lambda: concordance_counts(times, events, scores)),
-        ):
-            t = best_of(call, repeats)
-            print(f"{label:<28}{n:>8}{t * 1e3:>10.2f}ms")
+        d_max = ties.sizes.max() if len(ties.sizes) else 0
+        t = best_of(lambda: efron_loss_grad(times, events, scores), repeats)
+        row("efron_loss_grad", kind, n, t, d_max)
+        if not batch:
+            row("efron_eval (prepared ties)", kind, n,
+                best_of(lambda: efron_eval(ties, scores), repeats), d_max)
+            row("efron_ties", kind, n, best_of(lambda: efron_ties(times, events), repeats), d_max)
+
+
+def run(sizes, repeats):
+    header = f"{'kernel':<28}{'times':>12}{'n':>8}{'d_max':>7}{'time':>12}"
+    print(header)
+    print("-" * len(header))
+    rng = np.random.default_rng(0)
+    time_efron(rng, BATCH, repeats, batch=True)
+    for n in sizes:
+        time_efron(rng, n, repeats)
+        times, events, scores = survival_inputs(rng, n)
+        row("concordance_counts", "continuous", n,
+            best_of(lambda: concordance_counts(times, events, scores), repeats))
         for b in BOOTS if n <= WEIGHTED_MAX_N else ():
             weights = multiplicities(rng, n, b)
             check_weighted(times, events, scores, weights[:2])
             t = best_of(lambda: concordance_counts(times, events, scores, weights=weights),
                         repeats)
-            label = f"concordance_counts B={b}"
-            print(f"{label:<28}{n:>8}{t * 1e3:>10.2f}ms")
+            row(f"concordance_counts B={b}", "continuous", n, t)
 
 
 def main():

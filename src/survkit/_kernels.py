@@ -3,12 +3,24 @@ concordance counts.
 
 - efron_ties / efron_eval: the Efron-tie negative log partial likelihood
   of a score vector plus its gradient with respect to the scores, split
-  into the time-only work (sort order, tie groups, tied-term fractions,
-  cover indices), done once per set of outcomes, and the score-dependent
-  scan, done per evaluation. efron_loss_grad is both in one call.
+  into the time-only work (sort order, tie groups, tied-term fractions and
+  the flat index arrays of the scan), done once per set of outcomes, and
+  the score-dependent scan, done per evaluation. efron_loss_grad is both
+  in one call.
 - concordance_counts: exact integer pair counts for Harrell's C, so the
   final ratio does not depend on summation order; optionally weighted by
   an (R, n) multiplicity matrix, all R samples in one pass.
+
+The Efron scan is a handful of gathers and cumulative sums over index
+arrays `efron_ties` builds once. Its per-group sums (tied-event sums of
+phi and eta, and the per-group reductions of log, 1/denom and l/d/denom)
+are only taken when some event group has d >= 2 (`EfronTies.tied`). When
+every d is 1, each group sum is its one term and every l/d is 0, so the
+skipped sums are exact, bit for bit. When they are taken, the tied-event
+sums run `reduceat` over every distinct time with the censored members
+as zeros, never over the events alone: reduceat's summation order
+depends on the group's length, so dropping the zeros moves the last bits
+on long tied groups.
 
 `BACKEND` names the implementation; run manifests record it so results
 stay attributable to the kernels that produced them.
@@ -34,6 +46,10 @@ class EfronTies:
     Positions are in stable time order. An event group is a distinct time
     with at least one event; its d tied events give d flat terms
     l = 0..d-1, in position order, so events and flat terms share one index.
+    `group_at`, `risk_at`, `event_pos` and `cover1` are the index arrays
+    the scan gathers through, so an evaluation does no boolean compress or
+    `where` pass to find them; when `tied` is false it takes no group sum
+    either (see the module docstring).
     """
 
     order: np.ndarray  # (n,) stable argsort of the times
@@ -43,34 +59,48 @@ class EfronTies:
     sizes: np.ndarray  # (E,) tied event count d of each event group
     frac: np.ndarray  # (D,) l/d of each flat term; D is the event count
     bounds: np.ndarray  # (E,) first flat term of each event group (reduceat bounds)
-    cover: np.ndarray  # (n,) last event group at or before each time, -1 if none
     own: np.ndarray  # (D,) event group of each event (and flat term)
+    group_at: np.ndarray  # (E,) first position of each event group: starts[has_event]
+    risk_at: np.ndarray  # (D,) first position of each event's group: group_at[own]
+    event_pos: np.ndarray  # (D,) position of each event
+    # (n,) event groups at or before each time: an index into a zero-led
+    # cumulative sum over the groups, 0 before the first event time
+    cover1: np.ndarray
+    event_f: np.ndarray  # (n,) events as floats
+    tied: bool  # some event group has d >= 2; else every frac is 0
 
     def denominators(self, phi):
         """Flat Efron denominators (D,) for relative hazards `phi` in time
         order: the risk-set sum of the term's group minus l/d times its
         tied-event sum."""
-        rev = phi[::-1].cumsum()[::-1]
-        risk = rev[self.starts][self.has_event]
+        risk = phi[::-1].cumsum()[::-1][self.risk_at]
+        if not self.tied:
+            return risk
         tie = np.add.reduceat(np.where(self.events, phi, 0.0), self.starts)[self.has_event]
-        return risk[self.own] - self.frac * tie[self.own]
+        return risk - self.frac * tie[self.own]
 
     def hazard_weights(self, phi, denom):
         """phi_i * (a_i - b_i) in time order: a_i sums 1/denom over the terms
         of every event group at or before t_i, and b_i (events only) sums
         l/d / denom over the subject's own group. The gradient of the NLPL
         in the scores is these weights minus the event indicator."""
-        a_g = np.add.reduceat(1.0 / denom, self.bounds)
-        b_g = np.add.reduceat(self.frac / denom, self.bounds)
-        a_i = np.where(self.cover >= 0, a_g.cumsum()[self.cover], 0.0)
-        b_i = np.zeros(len(phi))
-        b_i[self.events] = b_g[self.own]
-        return phi * (a_i - b_i)
+        a_g = 1.0 / denom
+        if self.tied:
+            a_g = np.add.reduceat(a_g, self.bounds)
+        a_cum = np.zeros(len(a_g) + 1)
+        a_g.cumsum(out=a_cum[1:])
+        weights = phi * a_cum[self.cover1]
+        if self.tied:
+            b_g = np.add.reduceat(self.frac / denom, self.bounds)
+            at = self.event_pos
+            weights[at] = phi[at] * (a_cum[self.cover1[at]] - b_g[self.own])
+        return weights
 
 
 def efron_ties(times, events):
     """The tie structure of `times`/`events` that every Efron evaluation on
-    them shares: sort order, groups, tied-term fractions, cover indices.
+    them shares: sort order, groups, tied-term fractions, and the index
+    arrays the scan gathers through.
 
     Building it once lets a fit evaluate many score vectors on the same
     outcomes without re-sorting (`efron_eval`).
@@ -95,7 +125,9 @@ def efron_ties(times, events):
     bounds = sizes.cumsum() - sizes
     # flat index -> l / d within its event group
     frac = (np.arange(sizes.sum()) - bounds.repeat(sizes)) / sizes.repeat(sizes)
-    event_times = ts[starts][has_event]
+    group_at = starts[has_event]
+    event_times = ts[group_at]
+    own = event_times.searchsorted(ts[es])
     return EfronTies(
         order=order,
         events=es,
@@ -104,8 +136,13 @@ def efron_ties(times, events):
         sizes=sizes,
         frac=frac,
         bounds=bounds,
-        cover=event_times.searchsorted(ts, side="right") - 1,
-        own=event_times.searchsorted(ts[es]),
+        own=own,
+        group_at=group_at,
+        risk_at=group_at[own],
+        event_pos=es.nonzero()[0],
+        cover1=event_times.searchsorted(ts, side="right"),
+        event_f=es.astype(float),
+        tied=len(frac) > len(sizes),
     )
 
 
@@ -135,18 +172,22 @@ def efron_eval(ties, eta):
     shift = xs.max()
     phi = np.exp(xs - shift)
     denom = ties.denominators(phi)
-    if np.any(denom <= 0.0):
+    if (denom <= 0.0).any():
         # Risk-set sums underflowed for these scores. The true value is finite
         # but enormous, so report the point as infeasible.
         return float("inf"), np.full(n, np.nan)
 
     # Each log(denom) is short by the max shift; there is one term per event.
-    log_sum = np.add.reduceat(np.log(denom), ties.bounds)
-    tie_eta = np.add.reduceat(np.where(ties.events, xs, 0.0), ties.starts)[ties.has_event]
+    log_sum = np.log(denom)
+    if ties.tied:
+        log_sum = np.add.reduceat(log_sum, ties.bounds)
+        tie_eta = np.add.reduceat(np.where(ties.events, xs, 0.0), ties.starts)[ties.has_event]
+    else:
+        tie_eta = xs[ties.event_pos]
     value = float(log_sum.sum() + len(ties.frac) * shift - tie_eta.sum())
 
     grad = np.empty(n)
-    grad[ties.order] = ties.hazard_weights(phi, denom) - ties.events
+    grad[ties.order] = ties.hazard_weights(phi, denom) - ties.event_f
     return value, grad
 
 

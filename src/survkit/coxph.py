@@ -12,10 +12,10 @@ inverse observed information of the raw (unaveraged) likelihood is stored
 for Wald inference.
 
 A fit sorts its outcomes once: the Efron tie structure (`efron_ties`) is
-built at the start and every likelihood evaluation, the final likelihood
-and the information matrix reuse it. The line search keeps the accepted
-candidate's value and gradient as the next iterate's, so each backtracking
-trial costs one Efron evaluation. The information matrix is in closed form
+built at the start and every likelihood evaluation, the final likelihood,
+the information matrix and the Breslow baseline reuse it. The line search
+keeps the accepted candidate's value and gradient as the next iterate's,
+so each backtracking trial costs one Efron evaluation. The information matrix is in closed form
 over per-group sums (no per-event loop).
 """
 
@@ -178,7 +178,7 @@ def fit_coxph(
         except np.linalg.LinAlgError:
             warnings.warn("observed information is singular; no covariance stored")
     if not separation:
-        model.baseline = breslow_baseline(model, x, t, e)
+        model.baseline = _breslow(ties, t, x @ beta)
     return model
 
 
@@ -210,13 +210,13 @@ def _efron_information(beta, x, ties):
     phi_x = x[ties.order]
     phi_x *= phi[:, None]
     np.cumsum(phi_x[::-1], axis=0, out=phi_x[::-1])
-    risk = phi_x[ties.starts[ties.has_event]]
+    risk = phi_x[ties.group_at]
     del phi_x
 
-    tied = ties.sizes > 1
-    if tied.any():
+    if ties.tied:
+        tied = ties.sizes > 1
         terms = tied[ties.own]  # flat terms (and events) of the tied groups
-        rows = np.flatnonzero(ties.events)[terms]
+        rows = ties.event_pos[terms]
         sizes = ties.sizes[tied]
         bounds = np.cumsum(sizes) - sizes
         tie = np.add.reduceat(x[ties.order[rows]] * phi[rows, None], bounds, axis=0)
@@ -285,18 +285,22 @@ def breslow_from_scores(times, events, eta):
     order, event groups and counts d_u are those of `efron_ties`.
     """
     t = np.asarray(times, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    ties = efron_ties(t, events)
+    return _breslow(efron_ties(t, events), t, np.asarray(eta, dtype=float))
+
+
+def _breslow(ties, t, eta):
+    """`breslow_from_scores` on the tie structure `ties` of the times `t`,
+    so that a fit builds its baseline without sorting again."""
     shift = eta.max()
     phi = np.exp(eta[ties.order] - shift)
-    risk = np.cumsum(phi[::-1])[::-1][ties.starts][ties.has_event]
+    risk = np.cumsum(phi[::-1])[::-1][ties.group_at]
     if np.any(risk <= 0.0):
         raise ComputationError("risk-set sums underflowed; scores are too extreme for a baseline")
     with np.errstate(over="ignore"):
         values = np.cumsum(ties.sizes * np.exp(-shift) / risk)
     if not np.isfinite(values).all():
         raise ComputationError("baseline hazard overflowed; scores are too low for a baseline")
-    return CumHazardFn(knots=t[ties.order][ties.starts][ties.has_event], values=values)
+    return CumHazardFn(knots=t[ties.order[ties.group_at]], values=values)
 
 
 def breslow_baseline(model, x, times, events):

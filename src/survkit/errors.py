@@ -43,3 +43,9 @@ class ComputationError(SurvkitError, RuntimeError):
 
 class ScalingWarning(UserWarning):
     """Covariates look unstandardized where standardized input is expected."""
+
+
+class ImputationWarning(UserWarning):
+    """An imputation model is saturated: its target has no more observed
+    rows than predictors, so its draws are near-exact linear combinations
+    of the other columns."""

@@ -29,6 +29,7 @@ O(n q^2) for the Gram of the observed rows formed from scratch.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,7 @@ from scipy import special
 
 from .coxph import breslow_from_scores
 from .curves import CumHazardFn
-from .errors import DataError, SchemaError
+from .errors import DataError, ImputationWarning, SchemaError
 from .tabular import SurvivalDataset, check_outcomes
 
 RIDGE = 1e-6
@@ -229,7 +230,9 @@ def fit_mice(ds, iterations, seed):
     covariates in ascending order of missing rate, draws coefficients and
     noise from the posterior of a normal linear model fit on the target's
     observed rows, and writes the draw into its missing cells; the
-    completed training rows are `completed_train`.
+    completed training rows are `completed_train`. A target with no more
+    observed rows than predictors still gets its draws, with an
+    ImputationWarning: its model is saturated.
 
     The chain keeps G = D'D of its design D (see the module docstring): a
     step gathers only the target's missing rows, takes the observed-row
@@ -248,6 +251,13 @@ def fit_mice(ds, iterations, seed):
     mask = ds.missing_mask
     means = {name: float(ds.values[~mask[:, j], j].mean()) for name, j in targets}
     design, steps = _chain_setup(ds, visit, means, hazard_fn)
+    for name, _, cols, obs, _ in steps:
+        if len(obs) <= len(cols):
+            warnings.warn(
+                f"column {name!r} has {len(obs)} observed rows for {len(cols)} "
+                "predictors; its imputation model is saturated",
+                ImputationWarning,
+            )
 
     rng = np.random.default_rng(seed + 100)
     models = {}

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from survkit import coxph
 from survkit._kernels import efron_ties
 from survkit.coxph import (
     _efron_information,
@@ -366,6 +367,26 @@ def test_breslow_overflow_reports_error():
     # each increment finite, their sum not
     with pytest.raises(ComputationError, match="overflowed"):
         breslow_from_scores([1.0, 2.0], [1.0, 1.0], [-709.5, -709.5])
+
+
+def test_fit_sorts_once_and_its_baseline_is_breslow_at_the_fitted_beta(monkeypatch):
+    """The fit builds its baseline from its own tie structure: one
+    efron_ties call per fit, and the baseline bits of breslow_from_scores."""
+    rng = np.random.default_rng(53)
+    x, t, e = exponential_cohort(rng, [0.5, -0.3], 120, censor_scale=2.0)
+    t = np.round(t, 1) + 0.1  # tied event groups
+    calls = []
+
+    def counted(times, events):
+        calls.append(len(times))
+        return efron_ties(times, events)
+
+    monkeypatch.setattr(coxph, "efron_ties", counted)
+    model = fit_coxph(x, t, e)
+    assert calls == [120]
+    want = breslow_from_scores(t, e, x @ model.beta)
+    assert model.baseline.knots.tobytes() == want.knots.tobytes()
+    assert model.baseline.values.tobytes() == want.values.tobytes()
 
 
 def test_predict_survival_values_and_shape():

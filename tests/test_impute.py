@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survkit import impute
-from survkit.errors import DataError, SchemaError
+from survkit.errors import DataError, ImputationWarning, SchemaError
 from survkit.impute import (
     apply_mice,
     fit_mice,
@@ -391,6 +392,16 @@ def test_fit_mice_matches_the_direct_chain(case, tol):
     assert chain.models.keys() == models.keys()
     for name, beta in models.items():
         assert np.abs(chain.models[name] - beta).max() <= tol * np.abs(beta).max()
+
+
+def test_fit_mice_warns_on_a_saturated_target():
+    """36 observed rows of x05 face 36 predictors: the chain still draws,
+    and says the target's model is saturated; at 90% missing it is not."""
+    with pytest.warns(ImputationWarning, match="'x05' has 36 observed rows for 36 predictors"):
+        fit_mice(one_column_missing(0.98), iterations=1, seed=11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ImputationWarning)
+        fit_mice(one_column_missing(0.9), iterations=1, seed=11)
 
 
 def test_apply_mice_bytes_equal_the_full_gather():

@@ -175,8 +175,14 @@ def test_tie_structure_hand_case():
     np.testing.assert_array_equal(ties.sizes, [1, 2])
     np.testing.assert_array_equal(ties.frac, [0.0, 0.0, 0.5])
     np.testing.assert_array_equal(ties.bounds, [0, 1])
-    np.testing.assert_array_equal(ties.cover, [0, 0, 1, 1, 1])
     np.testing.assert_array_equal(ties.own, [0, 1, 1])
+    np.testing.assert_array_equal(ties.group_at, [0, 2])
+    np.testing.assert_array_equal(ties.risk_at, [0, 2, 2])
+    np.testing.assert_array_equal(ties.event_pos, [0, 2, 3])
+    np.testing.assert_array_equal(ties.cover1, [1, 1, 2, 2, 2])
+    np.testing.assert_array_equal(ties.event_f, [1.0, 0.0, 1.0, 1.0, 0.0])
+    assert ties.tied is True
+    assert efron_ties([1.0, 2.0, 2.0], [1.0, 1.0, 0.0]).tied is False
 
 
 def test_prepared_ties_serve_many_score_vectors():
@@ -188,7 +194,7 @@ def test_prepared_ties_serve_many_score_vectors():
     cases.append((np.array([3.0, 1.0, 3.0, 3.0, 2.0]), np.array([1.0, 0.0, 1.0, 1.0, 0.0])))
     for times, events in cases:
         ties = efron_ties(times, events)
-        before = {f.name: getattr(ties, f.name).copy() for f in dataclasses.fields(ties)}
+        before = {f.name: np.array(getattr(ties, f.name)) for f in dataclasses.fields(ties)}
         for scale in (0.1, 1.0, 4.0):
             eta = rng.normal(0.0, scale, len(times))
             value, grad = efron_eval(ties, eta)
@@ -204,7 +210,8 @@ def test_prepared_ties_serve_many_score_vectors():
 
 def naive_ties(times, events):
     """The tie structure built the plain way: group starts from np.r_ and
-    np.unique, every other field as efron_ties derives it."""
+    np.unique, the scan's index arrays by boolean compress and searchsorted,
+    every other field as efron_ties derives it."""
     t = np.asarray(times, dtype=float)
     e = np.asarray(events, dtype=float)
     order = np.argsort(t, kind="stable")
@@ -217,11 +224,14 @@ def naive_ties(times, events):
     bounds = np.cumsum(sizes) - sizes
     frac = np.concatenate([np.arange(k) / k for k in sizes]) if len(sizes) else np.zeros(0)
     event_times = ts[starts][has_event]
+    own = np.searchsorted(event_times, ts[es])
     return EfronTies(
         order=order, events=es, starts=starts, has_event=has_event, sizes=sizes,
-        frac=frac, bounds=bounds,
-        cover=np.searchsorted(event_times, ts, side="right") - 1,
-        own=np.searchsorted(event_times, ts[es]),
+        frac=frac, bounds=bounds, own=own,
+        group_at=starts[has_event], risk_at=starts[has_event][own],
+        event_pos=np.flatnonzero(es),
+        cover1=np.searchsorted(event_times, ts, side="right"),
+        event_f=es.astype(float), tied=bool(np.any(sizes > 1)),
     )
 
 
@@ -237,11 +247,131 @@ def test_ties_equal_the_naive_build_bit_for_bit():
             events = np.zeros(n)
         ties, naive = efron_ties(times, events), naive_ties(times, events)
         for f in dataclasses.fields(EfronTies):
-            a, b = getattr(ties, f.name), getattr(naive, f.name)
+            a, b = np.asarray(getattr(ties, f.name)), np.asarray(getattr(naive, f.name))
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
         value, grad = efron_eval(ties, eta)
         naive_value, naive_grad = efron_eval(naive, eta)
         assert value == naive_value and grad.tobytes() == naive_grad.tobytes()
+
+
+# -- the scan against its reference ---------------------------------------------
+
+
+def reference_denominators(ties, phi):
+    """EfronTies.denominators before the scan read index arrays: every group
+    sum is taken, tied or not."""
+    rev = phi[::-1].cumsum()[::-1]
+    risk = rev[ties.starts][ties.has_event]
+    tie = np.add.reduceat(np.where(ties.events, phi, 0.0), ties.starts)[ties.has_event]
+    return risk[ties.own] - ties.frac * tie[ties.own]
+
+
+def reference_hazard_weights(ties, phi, denom):
+    a_g = np.add.reduceat(1.0 / denom, ties.bounds)
+    b_g = np.add.reduceat(ties.frac / denom, ties.bounds)
+    cover = ties.cover1 - 1  # last event group at or before each time, -1 if none
+    a_i = np.where(cover >= 0, a_g.cumsum()[cover], 0.0)
+    b_i = np.zeros(len(phi))
+    b_i[ties.events] = b_g[ties.own]
+    return phi * (a_i - b_i)
+
+
+def reference_eval(ties, eta):
+    x = np.asarray(eta, dtype=float)
+    n = len(ties.order)
+    if len(ties.frac) == 0:
+        return 0.0, np.zeros(n)
+    xs = x[ties.order]
+    shift = xs.max()
+    phi = np.exp(xs - shift)
+    denom = reference_denominators(ties, phi)
+    if np.any(denom <= 0.0):
+        return float("inf"), np.full(n, np.nan)
+    log_sum = np.add.reduceat(np.log(denom), ties.bounds)
+    tie_eta = np.add.reduceat(np.where(ties.events, xs, 0.0), ties.starts)[ties.has_event]
+    value = float(log_sum.sum() + len(ties.frac) * shift - tie_eta.sum())
+    grad = np.empty(n)
+    grad[ties.order] = reference_hazard_weights(ties, phi, denom) - ties.events
+    return value, grad
+
+
+@st.composite
+def efron_inputs(draw, kinds=("tie_free", "all_tied", "long_ties", "single_event")):
+    """(times, events, eta) of one cohort kind, with equal, spread or
+    +/-700 scores (the last reach the infeasible path)."""
+    kind = draw(st.sampled_from(kinds))
+    scores = draw(st.sampled_from(["normal", "equal", "extreme"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(20, 120) if kind == "long_ties" else st.integers(1, 60))
+    events = (rng.random(n) < rng.uniform(0.2, 0.9)).astype(float)
+    if kind == "tie_free":
+        times = rng.permutation(n) + rng.random(n) * 0.5
+    elif kind == "all_tied":
+        times = np.full(n, 3.0)
+    elif kind == "long_ties":
+        # one time holds at least 9 events and some censored members
+        times = rng.integers(1, 4, n).astype(float)
+        times[:12] = 2.0
+        events[:12] = [1.0] * 9 + [0.0] * 3
+    else:
+        events = np.zeros(n)
+        times = rng.integers(1, 6, n).astype(float)
+    if kind == "single_event" or not events.any():
+        events[rng.integers(0, n)] = 1.0
+    if scores == "normal":
+        eta = rng.normal(0.0, rng.choice([0.1, 1.0, 5.0]), n)
+    elif scores == "equal":
+        eta = np.full(n, rng.normal())
+    else:
+        eta = rng.choice([-700.0, 700.0], n) + rng.normal(0.0, 1.0, n)
+    return times, events, eta
+
+
+def value_bytes(value):
+    return np.float64(value).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(efron_inputs())
+def test_scan_is_bit_identical_to_the_reference(case):
+    """Skipping the group sums where every event group has d = 1, and
+    gathering through the prepared index arrays, changes no bit of the
+    value, gradient, denominators or hazard weights."""
+    times, events, eta = case
+    ties = efron_ties(times, events)
+    value, grad = efron_eval(ties, eta)
+    want_value, want_grad = reference_eval(ties, eta)
+    assert value_bytes(value) == value_bytes(want_value)
+    assert grad.tobytes() == want_grad.tobytes()
+    xs = eta[ties.order]
+    phi = np.exp(xs - xs.max())
+    denom = ties.denominators(phi)
+    assert denom.tobytes() == reference_denominators(ties, phi).tobytes()
+    if np.all(denom > 0.0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = ties.hazard_weights(phi, denom)
+            want = reference_hazard_weights(ties, phi, denom)
+        assert weights.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(efron_inputs(), st.data())
+def test_efron_is_invariant_to_row_order(case, data):
+    """Permuting the rows permutes the gradient: byte-equal when no two
+    times tie (the sorted scan is the same), within rel 1e-12 when tied
+    rows change places inside their groups."""
+    times, events, eta = case
+    perm = np.array(data.draw(st.permutations(range(len(times)))), dtype=int)
+    value, grad = efron_loss_grad(times, events, eta)
+    p_value, p_grad = efron_loss_grad(times[perm], events[perm], eta[perm])
+    if len(np.unique(times)) == len(times):
+        assert value_bytes(p_value) == value_bytes(value)
+        assert p_grad.tobytes() == grad[perm].tobytes()
+    elif np.isfinite(value):
+        assert p_value == pytest.approx(value, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(p_grad, grad[perm], rtol=1e-12, atol=1e-12)
+    else:
+        assert p_value == value and np.isnan(p_grad).all()
 
 
 # -- backend -------------------------------------------------------------------
