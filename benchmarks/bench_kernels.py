@@ -9,14 +9,17 @@ the same bits. Each size is timed on continuous times, where every event
 group holds one event and the scan skips its group sums, and on times
 rounded up to whole units, where long tied groups take them; `d_max` is the
 largest tied event count. `efron_loss_grad` is also timed on the 64-row
-minibatch shape DeepSurv trains on. The concordance counts are timed, on
-the continuous times, weighted by B rows of
-bootstrap multiplicities at once (the batch bootstrap's call) on cohorts
-of up to WEIGHTED_MAX_N rows, and the script asserts that each weighted
-row equals the unweighted counts of its expanded sample.
+minibatch shape DeepSurv trains on. The unweighted concordance counts
+(the sorted O(n log n) path) are timed on both kinds of times too, and on
+cohorts of up to WEIGHTED_MAX_N rows the script asserts that they equal
+the weighted path's counts for one row of ones. There the weighted counts
+(the blocked O(n^2) path) are also timed on the continuous times, with B
+rows of bootstrap multiplicities at once (the batch bootstrap's call), and
+the script asserts that each weighted row equals the unweighted counts of
+its expanded sample.
 
 Usage:
-    python3 benchmarks/bench_kernels.py [--sizes 500,2000,8000,20000] [--repeats 7]
+    python3 benchmarks/bench_kernels.py [--sizes 500,2000,8000,20000,200000] [--repeats 7]
 """
 
 import argparse
@@ -100,6 +103,27 @@ def time_efron(rng, n, repeats, batch=False):
             row("efron_ties", kind, n, best_of(lambda: efron_ties(times, events), repeats), d_max)
 
 
+def time_concordance(rng, n, repeats):
+    """Time the unweighted counts on both kinds of times, checked against
+    the weighted row of ones, and the weighted counts on continuous times,
+    all up to WEIGHTED_MAX_N rows."""
+    weighted = n <= WEIGHTED_MAX_N
+    for kind in TIMES:
+        times, events, scores = survival_inputs(rng, n, tied=kind == "tied")
+        if weighted:
+            ones = concordance_counts(times, events, scores, weights=np.ones((1, n)))
+            want = tuple(int(c[0]) for c in ones)
+            assert concordance_counts(times, events, scores) == want, (kind, n)
+        row("concordance_counts", kind, n,
+            best_of(lambda: concordance_counts(times, events, scores), repeats))
+    times, events, scores = survival_inputs(rng, n)
+    for b in BOOTS if weighted else ():
+        weights = multiplicities(rng, n, b)
+        check_weighted(times, events, scores, weights[:2])
+        t = best_of(lambda: concordance_counts(times, events, scores, weights=weights), repeats)
+        row(f"concordance_counts B={b}", "continuous", n, t)
+
+
 def run(sizes, repeats):
     header = f"{'kernel':<28}{'times':>12}{'n':>8}{'d_max':>7}{'time':>12}"
     print(header)
@@ -108,20 +132,12 @@ def run(sizes, repeats):
     time_efron(rng, BATCH, repeats, batch=True)
     for n in sizes:
         time_efron(rng, n, repeats)
-        times, events, scores = survival_inputs(rng, n)
-        row("concordance_counts", "continuous", n,
-            best_of(lambda: concordance_counts(times, events, scores), repeats))
-        for b in BOOTS if n <= WEIGHTED_MAX_N else ():
-            weights = multiplicities(rng, n, b)
-            check_weighted(times, events, scores, weights[:2])
-            t = best_of(lambda: concordance_counts(times, events, scores, weights=weights),
-                        repeats)
-            row(f"concordance_counts B={b}", "continuous", n, t)
+        time_concordance(rng, n, repeats)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", default="500,2000,8000,20000",
+    parser.add_argument("--sizes", default="500,2000,8000,20000,200000",
                         help="comma-separated cohort sizes")
     parser.add_argument("--repeats", type=int, default=7,
                         help="timing repeats; the best run is reported")

@@ -11,6 +11,14 @@ concordance counts.
   final ratio does not depend on summation order; optionally weighted by
   an (R, n) multiplicity matrix, all R samples in one pass.
 
+The two concordance paths are chosen by whether weights were passed.
+Unweighted counts sort the rows and count each event's later lower and
+equal scores by a bottom-up merge, O(n log n). Weighted counts stay on
+blocks of O(n^2) pair masks multiplied into all R rows by one BLAS matrix
+product each. At the bootstrap's shapes a weighted merge-tree count lost
+to it: 149 against 37 ms at (R, n) = (1001, 784), and 17.8 against
+12.5 ms at (151, 784), on a 2-CPU VM.
+
 The Efron scan is a handful of gathers and cumulative sums over index
 arrays `efron_ties` builds once. Its per-group sums (tied-event sums of
 phi and eta, and the per-group reductions of log, 1/denom and l/d/denom)
@@ -205,22 +213,39 @@ def concordance_counts(times, events, scores, weights=None):
     events are excluded. Concordant means the earlier-event subject has the
     strictly higher score; exact score ties are counted separately.
 
+    Without weights the counts are Python ints, taken by sorting in
+    O(n log n) (see `_sorted_counts`).
+
     `weights` (R, n) gives R weighted counts in one pass: sample r counts
     pair (i, j) weights[r, i] * weights[r, j] times, and each result is an
     (R,) float array. For integer weights summing to n per row (bootstrap
     multiplicities) every partial sum is an integer below n^2, so the
-    counts are exact. Without weights the counts are Python ints.
+    counts are exact. They are taken over blocks of O(n^2) pair masks
+    (see `_blocked_counts`).
+
+    NaN times or scores raise ValueError: no NaN pair is ordered, so the
+    two ways of counting would disagree on them.
     """
     t = np.asarray(times, dtype=float)
     e = np.asarray(events, dtype=bool)
     s = np.asarray(scores, dtype=float)
     n = len(t)
-    if n == 0 or t.shape != e.shape or t.shape != s.shape:
+    if n == 0 or t.ndim != 1 or t.shape != e.shape or t.shape != s.shape:
         raise ValueError("times, events, scores must be equal-length non-empty 1-D arrays")
-    w = np.ones((1, n)) if weights is None else np.asarray(weights, dtype=float)
+    if np.isnan(t).any() or np.isnan(s).any():
+        raise ValueError("times and scores must not be NaN")
+    if weights is None:
+        return _sorted_counts(t, e, s)
+    w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[1] != n:
         raise ValueError("weights must be an (R, n) matrix")
+    return _blocked_counts(t, e, s, w)
 
+
+def _blocked_counts(t, e, s, w):
+    """Weighted `concordance_counts` over blocks of event rows: each block's
+    (cases, n) pair masks go into all R rows of `w` by one matrix product."""
+    n = len(t)
     wt = np.ascontiguousarray(w.T)
     case_idx = np.flatnonzero(e)
     counts = np.zeros((3, len(w)))
@@ -234,6 +259,55 @@ def concordance_counts(times, events, scores, weights=None):
         for k, mask in enumerate(((sc > s[None, :]) & comp, (sc == s[None, :]) & comp, comp)):
             # each case's weighted partner mass, times the case's own weight
             counts[k] += ((mask @ wt) * wt[idx]).sum(axis=0)
-    if weights is None:
-        return tuple(int(c) for c in counts[:, 0])
     return counts[0], counts[1], counts[2]
+
+
+def _sorted_counts(t, e, s):
+    """Unweighted `concordance_counts` by sorting, in O(n log n).
+
+    Rows are ordered by time, events before censored rows at a time, then
+    by score descending. Every later row is then comparable with an
+    earlier event, except the later events at the same time; those pairs
+    are all concordant or score-tied (the higher score comes first) and are
+    subtracted in closed form: C(d, 2) per time with d events, of which
+    C(k, 2) per group of k equal scores are ties.
+
+    The later rows with a lower or an equal score are counted by a
+    bottom-up merge: at block size b, each event in the left block of a
+    pair of blocks counts the right block's lower and equal scores with two
+    searchsorted calls, the blocks are kept sorted by score, and log2(n)
+    levels cover every pair of positions once. Scores and times enter as
+    dense integer ranks, so -0.0 equals 0.0 and infinities are ordinary
+    values.
+    """
+    n = len(t)
+    time_rank = np.unique(t, return_inverse=True)[1]
+    score_rank = np.unique(s, return_inverse=True)[1]
+    # keys of one pair of blocks: pair * span + score rank * 2 + event flag
+    span = 2 * (int(score_rank.max()) + 1)
+    order = np.argsort((time_rank * 2 + ~e) * span - score_rank)
+    run = (score_rank * 2 + e)[order]
+    comp = int((n - 1 - np.flatnonzero(e[order])).sum())
+    lower = equal = 0
+    pos = np.arange(n)
+    b = 1
+    while b < n:
+        pair = pos // (2 * b)
+        key = pair * span + run
+        right = (pos & b).astype(bool)
+        rkeys = key[right]
+        # the left block's events with the flag cleared: sorted queries
+        q = key[~right & (key & 1).astype(bool)] - 1
+        below = int(rkeys.searchsorted(q).sum())
+        # rkeys holds b keys of every earlier pair
+        lower += below - b * int((q // span).sum())
+        equal += int(rkeys.searchsorted(q + 2).sum()) - below
+        key.sort()
+        run = key - pair * span
+        b *= 2
+    event_time = time_rank[e]
+    d = np.bincount(event_time)
+    tied_events = int((d * (d - 1) // 2).sum())
+    k = np.unique(event_time * span + score_rank[e], return_counts=True)[1]
+    tied_both = int((k * (k - 1) // 2).sum())
+    return lower - (tied_events - tied_both), equal - tied_both, comp - tied_events

@@ -303,12 +303,6 @@ def _breslow(ties, t, eta):
     return CumHazardFn(knots=t[ties.order[ties.group_at]], values=values)
 
 
-def breslow_baseline(model, x, times, events):
-    """Breslow baseline at the fitted coefficients; see breslow_from_scores."""
-    x, t, e = check_fit_inputs(x, times, events)
-    return breslow_from_scores(t, e, x @ model.beta)
-
-
 def _ph_survival(baseline, eta, times):
     """Curves S(t) = exp(-H0(t) * exp(eta)), one row per score, at exactly
     `times`, which must be sorted ascending. The linear and the network

@@ -129,14 +129,16 @@ def concordance_index(times, events, scores, counts=None):
         raise DataError("scores must match times in length")
     if np.isnan(s).any():
         raise DataError("scores must be complete")
+    if counts is None:
+        # exact Python ints; below 2^53 they convert exactly, so this is the
+        # float the weighted row of ones gives
+        conc, tied, comp = concordance_counts(t, e, s)
+        if comp == 0:
+            raise ComputationError("no comparable pairs; cannot compute a concordance index")
+        return (conc + 0.5 * tied) / comp
     conc, tied, comp = concordance_counts(t, e, s, weights=_count_rows(counts, len(t)))
     with np.errstate(invalid="ignore"):
-        c = (conc + 0.5 * tied) / comp
-    if counts is not None:
-        return c
-    if comp[0] == 0:
-        raise ComputationError("no comparable pairs; cannot compute a concordance index")
-    return float(c[0])
+        return (conc + 0.5 * tied) / comp
 
 
 def _warn_dropped(dropped):

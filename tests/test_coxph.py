@@ -9,7 +9,6 @@ from survkit import coxph
 from survkit._kernels import efron_ties
 from survkit.coxph import (
     _efron_information,
-    breslow_baseline,
     breslow_from_scores,
     fit_coxph,
     neg_log_partial_likelihood,
@@ -405,11 +404,3 @@ def test_predict_survival_values_and_shape():
         assert np.all((0.0 <= vals) & (vals <= 1.0))
     with pytest.raises(DataError):
         predict_survival(model, x[:2], times[::-1])
-
-
-def test_breslow_baseline_wrapper():
-    rng = np.random.default_rng(43)
-    x, t, e = exponential_cohort(rng, [0.4], 50, censor_scale=2.0)
-    model = fit_coxph(x, t, e)
-    h = breslow_baseline(model, x, t, e)
-    np.testing.assert_allclose(h.values, model.baseline.values, rtol=1e-12)

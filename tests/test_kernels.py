@@ -474,3 +474,58 @@ def test_weighted_counts_equal_expanded_sample(cohort, data):
         idx = np.repeat(np.arange(n), row)
         want = slow_concordance(times[idx], events[idx], scores[idx]) if len(idx) else (0, 0, 0)
         assert (conc[r], tied[r], comp[r]) == want
+
+
+def row_of_ones(times, events, scores):
+    """The weighted path's counts for the sample itself, as Python ints."""
+    weighted = concordance_counts(times, events, scores, weights=np.ones((1, len(times))))
+    return tuple(int(c[0]) for c in weighted)
+
+
+@st.composite
+def edge_cohorts(draw):
+    """Cohorts at the edges of the sorted count: heavy time and score ties,
+    no event, a single event, n = 1, signed zeros and infinite scores."""
+    n = draw(st.integers(1, 40))
+    times = draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.5, np.inf]),
+                          min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["random", "none", "one", "all"]))
+    if kind == "random":
+        events = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    else:
+        events = [kind == "all"] * n
+        if kind == "one":
+            events[draw(st.integers(0, n - 1))] = True
+    scores = draw(st.lists(st.sampled_from([-np.inf, -2.0, -0.0, 0.0, 0.5, 1.0, np.inf]),
+                           min_size=n, max_size=n))
+    return np.array(times), np.array(events), np.array(scores)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_cohorts())
+def test_sorted_counts_equal_the_pairs_and_the_weighted_row(cohort):
+    times, events, scores = cohort
+    got = concordance_counts(times, events, scores)
+    assert all(type(c) is int for c in got)
+    assert got == slow_concordance(times, events, scores)
+    assert got == row_of_ones(times, events, scores)
+
+
+def test_sorted_counts_run_every_merge_level():
+    """n = 5003 is odd, so at every merge level the last pair of blocks is ragged."""
+    rng = np.random.default_rng(5)
+    times, events, scores = random_survival(rng, 5003, tie_prob=0.5)
+    scores = np.round(scores, 1)
+    # tied event times and tied scores, so the closed-form subtraction runs
+    assert np.unique(times[events == 1.0], return_counts=True)[1].max() >= 2
+    got = concordance_counts(times, events, scores)
+    assert got[1] > 0
+    assert got == row_of_ones(times, events, scores)
+
+
+@pytest.mark.parametrize("weights", [None, np.ones((1, 3))])
+def test_concordance_rejects_nan_times_and_scores(weights):
+    with pytest.raises(ValueError, match="NaN"):
+        concordance_counts([1.0, np.nan, 2.0], [1, 1, 0], [0.0, 1.0, 2.0], weights=weights)
+    with pytest.raises(ValueError, match="NaN"):
+        concordance_counts([1.0, 3.0, 2.0], [1, 1, 0], [0.0, np.nan, 2.0], weights=weights)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survkit import metrics
+from survkit import _kernels, metrics
 from survkit.curves import SurvivalCurve
 from survkit.errors import ComputationError, DataError
 from survkit.metrics import (
@@ -26,6 +26,7 @@ from survkit.metrics import (
     integrated_brier,
     kaplan_meier,
 )
+from survkit.synth import ensure_like
 
 
 def censored_sample(rng, n, censor_prob=0.35):
@@ -119,6 +120,27 @@ def test_concordance_bit_equal_to_bruteforce():
 def test_concordance_no_comparable_pairs():
     with pytest.raises(ComputationError):
         concordance_index([5.0, 5.0], [1.0, 1.0], [1.0, 2.0])
+
+
+def test_unweighted_concordance_skips_the_blocked_kernel(monkeypatch):
+    """Without counts, C is taken from the sorted counts alone."""
+
+    def blocked(*args):
+        raise AssertionError("the unweighted C entered the blocked kernel")
+
+    monkeypatch.setattr(_kernels, "_blocked_counts", blocked)
+    rng = np.random.default_rng(37)
+    t, e = censored_sample(rng, 300)
+    s = np.round(rng.normal(size=300), 1)
+    assert concordance_index(t, e, s) == c_oracle(t, e, s)
+    # the guard is live: a counts matrix does go through it
+    with pytest.raises(AssertionError, match="blocked kernel"):
+        concordance_index(t, e, s, counts=np.ones((1, 300)))
+
+
+def test_oracle_c_of_the_reference_cohort_is_pinned():
+    """The float the O(n^2) counts gave for `ensure_like(0)`, to the last bit."""
+    assert ensure_like(0)[1].oracle_c == 0.7487911063753805
 
 
 # -- Brier score -------------------------------------------------------------------

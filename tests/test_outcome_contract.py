@@ -5,7 +5,7 @@ same bad outcomes with a DataError, and accepts the same good ones."""
 import numpy as np
 import pytest
 
-from survkit.coxph import breslow_baseline, fit_coxph, neg_log_partial_likelihood
+from survkit.coxph import fit_coxph, neg_log_partial_likelihood
 from survkit.curves import SurvivalCurve
 from survkit.deephit import DeepHitParams, fit_deephit
 from survkit.deepsurv import DeepSurvParams, fit_deepsurv
@@ -49,7 +49,6 @@ def dataset(t, e):
     return SurvivalDataset(COLUMNS, np.column_stack([t, e, x]).reshape(len(t), 4))
 
 
-COX = fit_coxph(covariates(len(TIMES)), TIMES, EVENTS)
 MICE = fit_mice(dataset(TIMES, EVENTS), iterations=1, seed=0)
 CURVE_TIMES = np.array([0.0, 4.0, 8.0])
 
@@ -63,7 +62,6 @@ FITS = {
     "check_fit_inputs": check_fit_inputs,
     "fit_coxph": fit_coxph,
     "neg_log_partial_likelihood": lambda x, t, e: neg_log_partial_likelihood(np.zeros(2), x, t, e),
-    "breslow_baseline": lambda x, t, e: breslow_baseline(COX, x, t, e),
     "fit_deepsurv": lambda x, t, e: fit_deepsurv(
         x, t, e, DeepSurvParams(hidden=[4], epochs=1), seed=0),
     "fit_deephit": lambda x, t, e: fit_deephit(
