@@ -26,6 +26,7 @@ from .errors import ComputationError, ConfigError, SchemaError, SurvkitError
 from .harness import (
     ExperimentConfig,
     _coerce_seed,
+    _inclusion_rules,
     factors_to_csv,
     identify_factors,
     run_experiment,
@@ -80,16 +81,10 @@ def _write_manifest(out_dir, command, args_echo, inputs, seed, started, extra=No
         fh.write("\n")
 
 
-def _load_cohort(data_path, schema_path, inclusion_doc=None):
+def _load_cohort(data_path, schema_path, rules=None):
     columns = load_schema(schema_path)
     ds = load_csv(data_path, columns)
-    doc = inclusion_doc or {}
-    rules = InclusionRules(
-        drop_missing_outcomes=bool(doc.get("drop_missing_outcomes", True)),
-        exclude_levels={k: list(v) for k, v in doc.get("exclude_levels", {}).items()},
-        exclude_early_events=doc.get("exclude_early_events"),
-    )
-    return apply_inclusion(ds, rules)
+    return apply_inclusion(ds, rules or InclusionRules())
 
 
 def cmd_impute(args):
@@ -181,7 +176,7 @@ def cmd_experiment(args):
         data_path = config_dir / doc["data"]
         schema_path = config_dir / doc["schema"]
         inputs += [data_path, schema_path]
-        ds, _ = _load_cohort(data_path, schema_path, doc.get("inclusion"))
+        ds, _ = _load_cohort(data_path, schema_path, _inclusion_rules(doc.get("inclusion")))
     encoded, _ = dummy_encode(ds)
 
     config = ExperimentConfig.from_dict(doc)
@@ -246,7 +241,10 @@ def cmd_synth(args):
         if not args.spec:
             raise ConfigError("synth needs --spec or --ensure-like")
         with open(args.spec, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"spec is not valid JSON: {exc}") from exc
         inputs.append(args.spec)
         spec = spec_from_dict(doc)
         ds, truth = generate(spec, seed=args.seed)

@@ -22,7 +22,7 @@ over per-group sums (no per-event loop).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -59,12 +59,10 @@ class CoxModel:
     l2: float
     converged: bool
     n_iter: int
-    final_objective: float
     final_nlpl: float = float("nan")
     separation: bool = False
     covariance: np.ndarray = None
     baseline: CumHazardFn = None
-    objective_history: list = field(default_factory=list, repr=False)
 
     def linear_predictor(self, x):
         return np.asarray(x, dtype=float) @ self.beta
@@ -89,7 +87,6 @@ def fit_coxph(
     l2=0.0,
     names=None,
     max_iter=500,
-    init=None,
 ):
     """Fit the elastic-net Cox model by proximal gradient descent.
 
@@ -97,8 +94,7 @@ def fit_coxph(
     the step infinity-norm drops below STEP_TOL (1e-8), or max_iter is
     reached (converged stays False). Coefficients beyond +/-50 abort the
     fit with a separation diagnostic. The objective decreases monotonically
-    by construction of the line search; the history is kept on the model
-    for inspection.
+    by construction of the line search; an increase is a ComputationError.
     """
     x, t, e = check_fit_inputs(x, times, events)
     if l1 < 0 or l2 < 0:
@@ -110,7 +106,7 @@ def fit_coxph(
     if len(names) != p:
         raise DataError("names length does not match covariate count")
 
-    beta = np.zeros(p) if init is None else np.asarray(init, dtype=float).copy()
+    beta = np.zeros(p)
     n_events = float(np.sum(e == 1.0))
     ties = efron_ties(t, e)
 
@@ -120,7 +116,6 @@ def fit_coxph(
 
     f_val, grad = smooth(beta)
     objective = f_val + l1 * np.abs(beta).sum()
-    history = [float(objective)]
     step = 1.0
     converged = False
     separation = False
@@ -142,7 +137,6 @@ def fit_coxph(
         if new_objective > objective + 1e-10 * max(1.0, abs(objective)):
             raise ComputationError("objective increased; line search invariant violated")
         beta, f_val, grad = cand, f_cand, g_cand
-        history.append(float(new_objective))
 
         if np.max(np.abs(beta)) > SEPARATION_BOUND:
             separation = True
@@ -166,10 +160,8 @@ def fit_coxph(
         l2=float(l2),
         converged=converged,
         n_iter=n_iter,
-        final_objective=float(history[-1]),
         final_nlpl=float(efron_eval(ties, x @ beta)[0]),
         separation=separation,
-        objective_history=history,
     )
     if l1 == 0.0 and l2 == 0.0 and converged:
         info = _efron_information(beta, x, ties)

@@ -10,10 +10,9 @@ per-bin survival linearly, i.e. constant density within each bin.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -169,7 +168,6 @@ class DeepHitModel:
     net: nnet.MlpModel
     grid: TimeGrid
     params: DeepHitParams
-    seed: int
     epoch_losses: list = field(default_factory=list, repr=False)
 
 
@@ -191,7 +189,7 @@ def fit_deephit(x, times, events, params, seed):
     # the mean batch loss of each epoch (no batch is skipped)
     epoch_losses = [float(total / math.ceil(len(t) / params.batch_size)) for total in sums]
 
-    return DeepHitModel(net=net, grid=grid, params=params, seed=seed, epoch_losses=epoch_losses)
+    return DeepHitModel(net=net, grid=grid, params=params, epoch_losses=epoch_losses)
 
 
 def predict_pmf(model, x):
@@ -225,25 +223,3 @@ def predict_risk(model, x):
     """Scalar risk per row: negative mean of the survival curve values."""
     return -predict_survival(model, x).values.mean(axis=1)
 
-
-def save_checkpoint(model, path):
-    doc = {
-        "net": nnet.model_to_dict(model.net),
-        "cuts": model.grid.cuts.tolist(),
-        "params": asdict(model.params),
-        "seed": model.seed,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_checkpoint(path):
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return DeepHitModel(
-        net=nnet.model_from_dict(doc["net"]),
-        grid=TimeGrid(cuts=np.asarray(doc["cuts"], dtype=float)),
-        params=DeepHitParams(**doc["params"]),
-        seed=int(doc["seed"]),
-    )

@@ -9,9 +9,8 @@ like the linear model's.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +38,6 @@ class DeepSurvModel:
     net: nnet.MlpModel
     baseline: CumHazardFn
     params: DeepSurvParams
-    seed: int
     epoch_losses: list = field(default_factory=list, repr=False)
     skipped_batches: int = 0
 
@@ -84,7 +82,6 @@ def fit_deepsurv(x, times, events, params, seed):
         net=net,
         baseline=baseline,
         params=params,
-        seed=seed,
         epoch_losses=epoch_losses,
         skipped_batches=skipped,
     )
@@ -100,31 +97,3 @@ def predict_survival(model, x, times):
     """Curves S(t|x) = exp(-H0(t) * exp(f(x))), one row per x row; times sorted."""
     return _ph_survival(model.baseline, predict_risk(model, x), times)
 
-
-def save_checkpoint(model, path):
-    doc = {
-        "net": nnet.model_to_dict(model.net),
-        "baseline": {
-            "knots": model.baseline.knots.tolist(),
-            "values": model.baseline.values.tolist(),
-        },
-        "params": asdict(model.params),
-        "seed": model.seed,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_checkpoint(path):
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return DeepSurvModel(
-        net=nnet.model_from_dict(doc["net"]),
-        baseline=CumHazardFn(
-            knots=np.asarray(doc["baseline"]["knots"], dtype=float),
-            values=np.asarray(doc["baseline"]["values"], dtype=float),
-        ),
-        params=DeepSurvParams(**doc["params"]),
-        seed=int(doc["seed"]),
-    )

@@ -23,7 +23,7 @@ import numpy as np
 from . import coxph as coxph_mod
 from . import deephit as deephit_mod
 from . import deepsurv as deepsurv_mod
-from .coxph import fit_coxph, wald_stats
+from .coxph import fit_coxph
 from .deephit import DeepHitParams, fit_deephit
 from .deepsurv import DeepSurvParams, fit_deepsurv
 from .errors import ComputationError, ConfigError, DataError
@@ -37,7 +37,7 @@ from .metrics import (
     integrated_brier,
 )
 from .preprocess import apply_scaler, fit_scaler, prune_correlated
-from .tabular import check_outcomes, drop_columns, subset_rows
+from .tabular import InclusionRules, check_outcomes, drop_columns, subset_rows
 
 SIGNIFICANCE = 0.05
 
@@ -203,21 +203,26 @@ def _digest_imputer(imputer):
 
 # -- model family adapters -----------------------------------------------------
 
-def _check_keys(family, d, known):
+def _check_keys(scope, d, known):
     unknown = sorted(set(d) - set(known))
     if unknown:
         raise ConfigError(
-            f"{family}: unknown hyperparameter {unknown[0]!r} (known: {', '.join(known)})"
+            f"{scope}: unknown key {unknown[0]!r} (known: {', '.join(known)})"
         )
 
 
 def _coerce(scope, key, kind, value):
-    """`value` read as `kind`. An int takes only integral numbers, and a list
-    (the hidden-layer widths, the only list-valued field) only a non-empty
-    list or tuple of positive integral numbers, not a string such as "64".
-    A rejected value is a ConfigError naming `scope` (a model family or a
-    config section) and `key`."""
+    """`value` read as `kind`. An int takes only integral numbers, a bool
+    only true or false (not "false" or 0), and a list (the hidden-layer
+    widths, the only list-valued field) only a non-empty list or tuple of
+    positive integral numbers, not a string such as "64". A rejected value
+    is a ConfigError naming `scope` (a model family or a config section)
+    and `key`."""
     try:
+        if kind is bool:
+            if not isinstance(value, bool):
+                raise TypeError(f"{value!r} is not a boolean")
+            return value
         if kind is not list:
             out = kind(value)
             if kind is int and isinstance(value, float) and out != value:
@@ -242,15 +247,17 @@ def _coerce_seed(scope, key, value):
     return seed
 
 
-def _params_from(family, cls, d):
+def _params_from(scope, cls, d):
     """`cls` from the keys of `d`, each coerced by the type of its default;
-    keys `d` leaves out keep the dataclass defaults. A key `cls` has no
-    field for, or a value its type rejects, is a ConfigError naming
-    `family`."""
-    _check_keys(family, d, [f.name for f in fields(cls)])
+    keys `d` leaves out keep the dataclass defaults. A `d` that is not an
+    object, a key `cls` has no field for, or a value its type rejects is a
+    ConfigError naming `scope` (a model family or a config section)."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{scope}: {d!r} is not an object")
+    _check_keys(scope, d, [f.name for f in fields(cls)])
     defaults = cls()
     return cls(**{
-        f.name: _coerce(family, f.name, type(getattr(defaults, f.name)), d[f.name])
+        f.name: _coerce(scope, f.name, type(getattr(defaults, f.name)), d[f.name])
         for f in fields(cls) if f.name in d
     })
 
@@ -528,24 +535,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc):
-        split_doc = doc.get("split", {})
-        plan = SplitPlan(
-            test_fraction=_coerce("split", "test_fraction", float,
-                                  split_doc.get("test_fraction", 0.2)),
-            inner=split_doc.get("inner", {"kind": "kfold", "k": 5}),
-        )
+        plan = _params_from("split", SplitPlan, doc.get("split", {}))
         _split_settings(plan)  # every split value fails here, not at the split
-        prep_doc = doc.get("prep", {})
-        standardize = prep_doc.get("standardize", True)
-        if not isinstance(standardize, bool):
-            raise ConfigError(f"prep: standardize={standardize!r} is not a boolean")
-        prep = PrepConfig(
-            impute_iterations=_coerce("prep", "impute_iterations", int,
-                                      prep_doc.get("impute_iterations", 10)),
-            prune_threshold=_coerce("prep", "prune_threshold", float,
-                                    prep_doc.get("prune_threshold", 0.7)),
-            standardize=standardize,
-        )
+        prep = _params_from("prep", PrepConfig, doc.get("prep", {}))
         if prep.impute_iterations < 1:
             raise ConfigError("prep.impute_iterations must be >= 1")
         families = doc.get("families", {})
@@ -556,17 +548,43 @@ class ExperimentConfig:
             family = FAMILY_REGISTRY[name]
             for point in expand_grid(grid or family.default_grid):
                 family.make_params(point)
-        n_boot = _coerce("config", "n_boot", int, doc.get("n_boot", 1000))
+        n_boot = _coerce("config", "n_boot", int, doc.get("n_boot", cls.n_boot))
         if n_boot < 1:
             raise ConfigError("n_boot must be >= 1")
         return cls(
-            seed=_coerce_seed("config", "seed", doc.get("seed", 0)),
+            seed=_coerce_seed("config", "seed", doc.get("seed", cls.seed)),
             plan=plan,
             prep=prep,
             families={k: dict(v) for k, v in families.items()},
             n_boot=n_boot,
         )
 
+
+def _inclusion_rules(doc):
+    """The `inclusion` section of an experiment config as InclusionRules;
+    a missing or null section keeps every default. The section must be an
+    object of known keys: `drop_missing_outcomes` a boolean,
+    `exclude_levels` an object of level lists and `exclude_early_events`
+    null or a number, not a quoted one. Anything else is a ConfigError."""
+    if doc is None:
+        return InclusionRules()
+    if not isinstance(doc, dict):
+        raise ConfigError(f"inclusion: {doc!r} is not an object")
+    _check_keys("inclusion", doc, [f.name for f in fields(InclusionRules)])
+    rules = InclusionRules()
+    if "drop_missing_outcomes" in doc:
+        rules.drop_missing_outcomes = _coerce(
+            "inclusion", "drop_missing_outcomes", bool, doc["drop_missing_outcomes"])
+    levels = doc.get("exclude_levels", {})
+    if not isinstance(levels, dict) or not all(isinstance(v, list) for v in levels.values()):
+        raise ConfigError(f"inclusion: exclude_levels={levels!r} is not an object of level lists")
+    rules.exclude_levels = {k: list(v) for k, v in levels.items()}
+    early = doc.get("exclude_early_events")
+    if early is not None:
+        if isinstance(early, (str, bool)):
+            raise ConfigError(f"inclusion: exclude_early_events={early!r} is not a number")
+        rules.exclude_early_events = _coerce("inclusion", "exclude_early_events", float, early)
+    return rules
 
 @dataclass
 class ExperimentReport:

@@ -37,7 +37,7 @@ from scipy import special
 
 from .coxph import breslow_from_scores
 from .curves import CumHazardFn
-from .errors import DataError, ImputationWarning, SchemaError
+from .errors import ComputationError, DataError, ImputationWarning, SchemaError
 from .tabular import SurvivalDataset, check_outcomes
 
 RIDGE = 1e-6
@@ -232,7 +232,8 @@ def fit_mice(ds, iterations, seed):
     observed rows, and writes the draw into its missing cells; the
     completed training rows are `completed_train`. A target with no more
     observed rows than predictors still gets its draws, with an
-    ImputationWarning: its model is saturated.
+    ImputationWarning: its model is saturated. A target whose normal
+    equations cannot be inverted is a ComputationError naming it.
 
     The chain keeps G = D'D of its design D (see the module docstring): a
     step gathers only the target's missing rows, takes the observed-row
@@ -266,7 +267,15 @@ def fit_mice(ds, iterations, seed):
         for name, col, cols, obs, mis in steps:
             d_mis = design[mis]
             gram_obs = _observed_gram(design, gram, obs, d_mis)
-            models[name], beta_dot, sigma = _bayes_draw(design, gram_obs, col, cols, obs, rng)
+            try:
+                models[name], beta_dot, sigma = _bayes_draw(design, gram_obs, col, cols, obs, rng)
+            except np.linalg.LinAlgError as exc:
+                # the ridge is absolute, so it vanishes next to Gram entries
+                # beyond ~1e10 and leaves a rank-deficient block singular
+                raise ComputationError(
+                    f"imputation model of column {name!r} is singular ({exc}); "
+                    "rescale the covariates"
+                ) from exc
             design[mis, col] = d_mis[:, cols] @ beta_dot + sigma * rng.standard_normal(len(mis))
             gram[:, col] = gram[col, :] = design.T @ design[:, col]
     return MiceModel(

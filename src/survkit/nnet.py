@@ -287,21 +287,3 @@ def _train(x, n_out, params, seed, batch_loss, usable=None):
         sums.append(float(total))
     return net, sums, skipped
 
-
-def model_to_dict(model):
-    """JSON-ready checkpoint: sizes, dropout, row-major parameter lists."""
-    return {
-        "layer_sizes": [int(s) for s in model.layer_sizes],
-        "dropout": model.dropout,
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-    }
-
-
-def model_from_dict(doc):
-    blocks = zip(doc["weights"], doc["biases"])
-    return MlpModel(
-        layer_sizes=[int(s) for s in doc["layer_sizes"]],
-        params=np.concatenate([np.ravel(a) for pair in blocks for a in pair], dtype=float),
-        dropout=float(doc["dropout"]),
-    )

@@ -4,14 +4,14 @@ Dummy coding is schema-driven (reference level = first declared level unless
 overridden), so the encoding itself carries no information from the data and
 can safely happen before any train/validation split. Scaling and pruning are
 fit on data and must be fit on training rows only; both return small fitted
-objects that can be persisted and applied elsewhere.
+objects that apply to any other rows.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,18 +25,10 @@ class EncodingMap:
 
     entries: dict  # name -> {"reference", "levels", "outputs"}
 
-    def output_names(self, column):
-        return list(self.entries[column]["outputs"])
-
     def to_json(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.entries, fh, indent=2)
             fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls(entries=json.load(fh))
 
 
 def dummy_encode(ds, refs=None):
@@ -87,54 +79,11 @@ def dummy_encode(ds, refs=None):
     return out, EncodingMap(entries=entries)
 
 
-def decode_levels(encoded_ds, emap, original_columns):
-    """Invert a dummy coding back to level strings.
-
-    Rows with all-zero indicators decode to the reference level; a missing
-    indicator decodes to a missing cell. Columns that encoded to nothing
-    (single level) decode to that level everywhere.
-    """
-    mask = encoded_ds.missing_mask
-    out_vals = []
-    out_cols = []
-    for col in original_columns:
-        if col.role == "covariate" and col.kind == "categorical":
-            entry = emap.entries[col.name]
-            ref_code = float(col.levels.index(entry["reference"]))
-            n = encoded_ds.n_rows
-            vals = np.full(n, ref_code)
-            miss = np.zeros(n, dtype=bool)
-            for lv, out_name in zip(entry["levels"], entry["outputs"]):
-                j = encoded_ds.col_index(out_name)
-                hit = encoded_ds.values[:, j] == 1.0
-                vals[hit] = float(col.levels.index(lv))
-                miss |= mask[:, j]
-            vals[miss] = np.nan
-            out_cols.append(col)
-            out_vals.append(vals)
-        else:
-            out_cols.append(col)
-            out_vals.append(encoded_ds.values[:, encoded_ds.col_index(col.name)])
-    return SurvivalDataset(out_cols, np.column_stack(out_vals), row_ids=encoded_ds.row_ids.copy())
-
-
 @dataclass
 class ScalerStats:
     """Per-column mean and sample standard deviation (ddof=1)."""
 
     stats: dict  # name -> (mean, std)
-
-    def to_json(self, path):
-        doc = {name: {"mean": m, "std": s} for name, (m, s) in self.stats.items()}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return cls(stats={name: (d["mean"], d["std"]) for name, d in doc.items()})
 
 
 def fit_scaler(ds, columns=None):

@@ -276,41 +276,52 @@ def generate(spec, seed=0):
 
 
 def spec_from_dict(doc):
-    """Build a GeneratorSpec from a JSON-style dict (see README schema)."""
-    covs = []
-    for c in doc.get("covariates", []):
-        kind = c.get("kind")
-        if kind == "continuous":
-            params = (float(c.get("mean", 0.0)), float(c.get("sd", 1.0)))
-        elif kind == "binary":
-            params = float(c.get("p", 0.5))
-        elif kind == "categorical":
-            params = {str(k): float(v) for k, v in c.get("levels", {}).items()}
-        else:
-            raise ConfigError(f"covariate {c.get('name')!r}: unknown kind {kind!r}")
-        covs.append(CovariateSpec(name=str(c["name"]), kind=kind, params=params))
-    rules = [
-        MissingRule(
-            column=str(r["column"]),
-            target_rate=float(r["target_rate"]),
-            drivers=[str(d) for d in r.get("drivers", [])],
-            weights=[float(w) for w in r.get("weights", [])],
-            center_shifts=r.get("center_shifts"),
-        )
-        for r in doc.get("missing_rules", [])
-    ]
-    return GeneratorSpec(
-        n=int(doc["n"]),
-        covariates=covs,
-        beta={str(k): float(v) for k, v in doc.get("beta", {}).items()},
-        shape=float(doc.get("shape", 1.0)),
-        scale=float(doc.get("scale", 1.0)),
-        censoring_fraction=float(doc.get("censoring_fraction", 0.0)),
-        missing_rules=rules,
-        n_centers=int(doc.get("n_centers", 1)),
-        center_probs=doc.get("center_probs"),
-    )
+    """Build a GeneratorSpec from a JSON-style dict (see README schema).
 
+    A missing key without a default (`n`, a covariate `name`, a rule
+    `column` or `target_rate`) or a value of the wrong type is a
+    ConfigError.
+    """
+    try:
+        covs = []
+        for c in doc.get("covariates", []):
+            kind = c.get("kind")
+            if kind == "continuous":
+                params = (float(c.get("mean", 0.0)), float(c.get("sd", 1.0)))
+            elif kind == "binary":
+                params = float(c.get("p", 0.5))
+            elif kind == "categorical":
+                params = {str(k): float(v) for k, v in c.get("levels", {}).items()}
+            else:
+                raise ConfigError(f"covariate {c.get('name')!r}: unknown kind {kind!r}")
+            covs.append(CovariateSpec(name=str(c["name"]), kind=kind, params=params))
+        rules = [
+            MissingRule(
+                column=str(r["column"]),
+                target_rate=float(r["target_rate"]),
+                drivers=[str(d) for d in r.get("drivers", [])],
+                weights=[float(w) for w in r.get("weights", [])],
+                center_shifts=r.get("center_shifts"),
+            )
+            for r in doc.get("missing_rules", [])
+        ]
+        return GeneratorSpec(
+            n=int(doc["n"]),
+            covariates=covs,
+            beta={str(k): float(v) for k, v in doc.get("beta", {}).items()},
+            shape=float(doc.get("shape", 1.0)),
+            scale=float(doc.get("scale", 1.0)),
+            censoring_fraction=float(doc.get("censoring_fraction", 0.0)),
+            missing_rules=rules,
+            n_centers=int(doc.get("n_centers", 1)),
+            center_probs=doc.get("center_probs"),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"synth spec: missing key {exc}") from exc
+    except ConfigError:
+        raise
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"synth spec: {exc}") from exc
 
 def ensure_like(seed=0):
     """A cohort shaped like a two-outcome gastric cancer registry table:

@@ -16,7 +16,8 @@ import pytest
 
 import survkit
 from survkit.cli import main
-from survkit.synth import CovariateSpec, GeneratorSpec, MissingRule, generate
+from survkit.preprocess import dummy_encode
+from survkit.synth import CovariateSpec, GeneratorSpec, MissingRule, ensure_like, generate
 from survkit.tabular import (
     ColumnSpec,
     SurvivalDataset,
@@ -24,6 +25,7 @@ from survkit.tabular import (
     load_schema,
     save_csv,
     save_schema,
+    subset_rows,
 )
 
 
@@ -178,6 +180,27 @@ def test_computation_failure_exits_three(tmp_path, capsys):
     assert "computation error" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::survkit.errors.ImputationWarning")
+def test_singular_imputation_draw_exits_three(tmp_path, capsys):
+    """Six ensure_like rows with covariates x1e6 make a MICE draw's normal
+    equations exactly singular; the run ends in a computation error."""
+    ds, _ = dummy_encode(ensure_like(seed=0)[0])
+    ds = subset_rows(ds, [1216, 1471, 2058, 2266, 2826, 3312])
+    cols = [c if c.role != "covariate" else ColumnSpec(c.name, "continuous") for c in ds.columns]
+    values = ds.values.copy()
+    values[:, [j for j, c in enumerate(cols) if c.role == "covariate"]] *= 1e6
+    data, schema = tmp_path / "tiny.csv", tmp_path / "tiny_schema.json"
+    save_csv(SurvivalDataset(cols, values, row_ids=ds.row_ids.copy()), data)
+    save_schema(cols, schema)
+
+    rc = main([
+        "impute", "--data", str(data), "--schema", str(schema),
+        "--m", "1", "--iterations", "1", "--out", str(tmp_path / "run"),
+    ])
+    assert rc == 3
+    assert "is singular" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, seed", [
     ("impute", "-2"), ("identify-factors", "-500"), ("synth", "-1"), ("synth", "1.5"),
 ])
@@ -322,6 +345,26 @@ def test_experiment_rejects_wrong_typed_run_settings_before_any_fit(tmp_path, ca
         assert not out.exists()
 
 
+@pytest.mark.parametrize("inclusion, message", [
+    ({"exclude_early_events": "5"}, "inclusion: exclude_early_events='5'"),
+    (["drop_missing_outcomes"], "inclusion: ['drop_missing_outcomes'] is not an object"),
+    ({"drop_missing_outcomes": "false"}, "inclusion: drop_missing_outcomes='false'"),
+])
+def test_experiment_rejects_malformed_inclusion_before_any_fit(tmp_path, capsys, monkeypatch,
+                                                               inclusion, message):
+    import survkit.harness
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fit before the config was validated")
+
+    monkeypatch.setattr(survkit.harness, "fit_coxph", no_fit)
+    write_cohort(tmp_path, missing=False, n=120)
+    config = experiment_config(tmp_path, inclusion=inclusion)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
 def test_experiment_rejects_unknown_grid_key_before_any_fit(tmp_path, capsys, monkeypatch):
     import survkit.harness
 
@@ -333,7 +376,7 @@ def test_experiment_rejects_unknown_grid_key_before_any_fit(tmp_path, capsys, mo
     config = experiment_config(tmp_path, families={"coxph": {"l1": [0.0], "L2": [0.1]}})
     out = tmp_path / "out"
     assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
-    assert "coxph: unknown hyperparameter 'L2'" in capsys.readouterr().err
+    assert "coxph: unknown key 'L2'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -399,6 +442,19 @@ def test_synth_requires_spec_or_builtin(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path / "run")]) == 2
     assert "needs --spec or --ensure-like" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "spec is not valid JSON"),
+    ('{"covariates": []}', "synth spec: missing key 'n'"),
+    ('{"n": "ten"}', "synth spec: invalid literal for int()"),
+])
+def test_synth_rejects_a_malformed_spec(tmp_path, capsys, text, message):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(text)
+    out = tmp_path / "run"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 def test_default_run_directory_name(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

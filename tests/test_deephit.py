@@ -1,8 +1,6 @@
 """Discrete-time model tests: time grid, combined loss, curve properties."""
 
-import dataclasses
 import hashlib
-import json
 import warnings
 
 import numpy as np
@@ -14,12 +12,10 @@ from survkit.deephit import (
     TimeGrid,
     deephit_loss,
     fit_deephit,
-    load_checkpoint,
     make_time_grid,
     predict_pmf,
     predict_risk,
     predict_survival,
-    save_checkpoint,
 )
 from survkit.errors import DataError
 
@@ -302,19 +298,3 @@ def test_predict_survival_validation():
     model = fit_deephit(x, t, e, small_params(epochs=2), seed=5)
     with pytest.raises(DataError):
         predict_survival(model, x[:2], n_points=1)
-
-
-def test_checkpoint_round_trip(tmp_path):
-    x, t, e = ph_cohort(17, 120)
-    model = fit_deephit(x, t, e, small_params(epochs=3), seed=6)
-    p = tmp_path / "dh.json"
-    save_checkpoint(model, p)
-    back = load_checkpoint(p)
-    # every DeepHitParams field is saved, so a new field cannot be dropped
-    saved = json.loads(p.read_text(encoding="utf-8"))["params"]
-    assert set(saved) == {f.name for f in dataclasses.fields(DeepHitParams)}
-    assert back.params == model.params
-    np.testing.assert_array_equal(back.grid.cuts, model.grid.cuts)
-    np.testing.assert_array_equal(
-        predict_pmf(back, x[:8]), predict_pmf(model, x[:8])
-    )

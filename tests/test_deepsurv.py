@@ -1,8 +1,6 @@
 """Score-network model tests: loss, training determinism, linear equivalence."""
 
-import dataclasses
 import hashlib
-import json
 import warnings
 
 import numpy as np
@@ -13,10 +11,8 @@ from survkit.deepsurv import (
     DeepSurvParams,
     deepsurv_loss,
     fit_deepsurv,
-    load_checkpoint,
     predict_risk,
     predict_survival,
-    save_checkpoint,
 )
 from survkit.errors import DataError
 from survkit.metrics import concordance_index
@@ -180,20 +176,3 @@ def test_survival_curves_compose_from_baseline():
         assert np.all(np.diff(np.asarray(c(times))) <= 0)
     with pytest.raises(DataError):
         predict_survival(model, x[:2], times[::-1])
-
-
-def test_checkpoint_round_trip(tmp_path):
-    x, t, e = ph_cohort(17, 80)
-    model = fit_deepsurv(x, t, e, small_params(epochs=5), seed=4)
-    p = tmp_path / "net.json"
-    save_checkpoint(model, p)
-    back = load_checkpoint(p)
-    # every DeepSurvParams field is saved, so a new field cannot be dropped
-    saved = json.loads(p.read_text(encoding="utf-8"))["params"]
-    assert set(saved) == {f.name for f in dataclasses.fields(DeepSurvParams)}
-    assert back.params == model.params
-    np.testing.assert_array_equal(back.net.weights[0], model.net.weights[0])
-    np.testing.assert_array_equal(back.baseline.knots, model.baseline.knots)
-    np.testing.assert_array_equal(
-        predict_risk(back, x[:10]), predict_risk(model, x[:10])
-    )

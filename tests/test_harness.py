@@ -17,6 +17,7 @@ from survkit.errors import ConfigError, DataError
 from survkit.harness import (
     FAMILY_REGISTRY,
     _data_digest,
+    _inclusion_rules,
     _stratified_take,
     ExperimentConfig,
     PrepConfig,
@@ -32,7 +33,13 @@ from survkit.harness import (
 )
 from survkit.preprocess import dummy_encode
 from survkit.synth import CovariateSpec, GeneratorSpec, MissingRule, ensure_like, generate
-from survkit.tabular import ColumnSpec, SurvivalDataset, replace_column_values, subset_rows
+from survkit.tabular import (
+    ColumnSpec,
+    InclusionRules,
+    SurvivalDataset,
+    replace_column_values,
+    subset_rows,
+)
 
 
 def cohort(n=240, missing=True, seed=0, extra_null=True):
@@ -502,6 +509,9 @@ def test_config_rejects_wrong_typed_run_settings():
         ({"seed": 1.5}, "config: seed="),
         ({"n_boot": 99.5}, "config: n_boot="),
         ({"n_boot": "many"}, "config: n_boot="),
+        ({"prep": {"standardise": False}}, "prep: unknown key 'standardise'"),
+        ({"split": {"k": 3}}, "split: unknown key 'k'"),
+        ({"prep": [1]}, r"prep: \[1\] is not an object"),
     )
     for doc, message in bad:
         with pytest.raises(ConfigError, match=message):
@@ -526,6 +536,25 @@ def test_config_rejects_wrong_typed_run_settings():
     with pytest.raises(ConfigError, match="split: k="):
         split(ds, SplitPlan(inner={"kind": "kfold", "k": 2.5}), seed=0)
 
+
+def test_inclusion_section_is_read_strictly():
+    """The experiment config's `inclusion` section: a missing section keeps
+    the defaults, and a non-object section, an unknown key, a quoted boolean
+    or a quoted threshold is a ConfigError, not a raw numpy or attribute
+    error or a truthy string."""
+    assert _inclusion_rules(None) == InclusionRules()
+    rules = _inclusion_rules({"drop_missing_outcomes": False, "exclude_levels": {"grade": ["g3"]},
+                              "exclude_early_events": 1})
+    assert rules == InclusionRules(False, {"grade": ["g3"]}, 1.0)
+    for doc, message in (
+        (["drop_missing_outcomes"], "inclusion: .* is not an object"),
+        ({"drop_missing_outcomes": "false"}, "inclusion: drop_missing_outcomes='false'"),
+        ({"exclude_early_events": "5"}, "inclusion: exclude_early_events='5'"),
+        ({"exclude_levels": {"grade": "g3"}}, "inclusion: exclude_levels="),
+        ({"exclude_early": 1}, "inclusion: unknown key 'exclude_early'"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            _inclusion_rules(doc)
 
 def test_config_rejects_wrong_shaped_neural_values():
     """A string or non-integral layer width, an empty or non-positive width
@@ -553,7 +582,7 @@ def test_config_rejects_wrong_shaped_neural_values():
 def test_config_rejects_unknown_grid_keys():
     """A misspelled hyperparameter fails at config load, naming family and key."""
     for family, key in (("deepsurv", "hiden"), ("deephit", "epoch"), ("coxph", "L1")):
-        with pytest.raises(ConfigError, match=f"{family}: unknown hyperparameter '{key}'"):
+        with pytest.raises(ConfigError, match=f"{family}: unknown key '{key}'"):
             ExperimentConfig.from_dict({"families": {family: {key: [1]}}})
     with pytest.raises(ConfigError, match="'epoch'"):
         FAMILY_REGISTRY["deepsurv"].make_params({"epoch": 10, "hiden": [3]})

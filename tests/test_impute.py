@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survkit import impute
-from survkit.errors import DataError, ImputationWarning, SchemaError
+from survkit.errors import ComputationError, DataError, ImputationWarning, SchemaError
 from survkit.impute import (
     apply_mice,
     fit_mice,
@@ -403,6 +403,25 @@ def test_fit_mice_warns_on_a_saturated_target():
         warnings.simplefilter("error", ImputationWarning)
         fit_mice(one_column_missing(0.9), iterations=1, seed=11)
 
+
+def singular_cohort():
+    """Six ensure_like rows with every covariate x1e6: with fewer observed
+    rows than predictors the Gram block is rank-deficient, and at entries
+    near 1e12 the absolute ridge adds nothing, so it is exactly singular."""
+    ds, _ = dummy_encode(ensure_like(seed=0)[0])
+    ds = subset_rows(ds, [1216, 1471, 2058, 2266, 2826, 3312])
+    cols = [c if c.role != "covariate" else ColumnSpec(c.name, "continuous") for c in ds.columns]
+    cov = [j for j, c in enumerate(cols) if c.role == "covariate"]
+    values = ds.values.copy()
+    values[:, cov] *= 1e6
+    return SurvivalDataset(cols, values, row_ids=ds.row_ids.copy())
+
+
+def test_fit_mice_names_the_target_of_a_singular_draw():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ImputationWarning)
+        with pytest.raises(ComputationError, match="imputation model of column '.+' is singular"):
+            fit_mice(singular_cohort(), iterations=1, seed=0)
 
 def test_apply_mice_bytes_equal_the_full_gather():
     """Gathering only the missing rows of the predictors gives the same

@@ -1,4 +1,4 @@
-"""Network tests: init, forward/backward, dropout, Adam, checkpoints."""
+"""Network tests: init, forward/backward, dropout, Adam, training loop."""
 
 import warnings
 from dataclasses import replace
@@ -20,8 +20,6 @@ from survkit.nnet import (
     forward,
     init_mlp,
     init_optimizer,
-    model_from_dict,
-    model_to_dict,
 )
 
 
@@ -456,17 +454,3 @@ def test_training_trajectories_equal_the_fresh_array_reference():
     assert dh_model.net.params.tobytes() == params.tobytes()
     batches = -(-n // dh_params.batch_size)
     assert dh_model.epoch_losses == [total / batches for total in sums]
-
-
-# -- checkpoints --------------------------------------------------------------------
-
-
-def test_checkpoint_round_trip():
-    model = init_mlp([4, 6, 2], dropout=0.25, seed=3)
-    doc = model_to_dict(model)
-    back = model_from_dict(doc)
-    assert back.layer_sizes == model.layer_sizes
-    assert back.dropout == model.dropout
-    for w0, w1 in zip(model.weights, back.weights):
-        np.testing.assert_array_equal(w0, w1)
-    np.testing.assert_array_equal(back.params, model.params)

@@ -1,13 +1,13 @@
 """Preprocessing tests: dummy coding, z-score scaler, correlation pruning."""
 
+import json
+
 import numpy as np
 import pytest
 
 from survkit.errors import DataError, SchemaError
 from survkit.preprocess import (
-    EncodingMap,
     apply_scaler,
-    decode_levels,
     dummy_encode,
     fit_scaler,
     prune_correlated,
@@ -56,7 +56,7 @@ def test_dummy_encode_basic():
     assert ds.missing_mask[3, j2] and ds.missing_mask[3, j3]
     assert np.isnan(ds.values[3, j2])
     assert emap.entries["grade"]["reference"] == "g1"
-    assert emap.output_names("grade") == ["grade=g2", "grade=g3"]
+    assert emap.entries["grade"]["outputs"] == ["grade=g2", "grade=g3"]
 
 
 def test_dummy_encode_custom_reference():
@@ -77,21 +77,11 @@ def test_dummy_encode_leaves_center_column_alone():
     assert emap.entries == {}
 
 
-def test_dummy_round_trip():
-    original = cat_ds()
-    encoded, emap = dummy_encode(original)
-    back = decode_levels(encoded, emap, original.columns)
-    np.testing.assert_array_equal(back.missing_mask, original.missing_mask)
-    obs = ~original.missing_mask
-    np.testing.assert_array_equal(back.values[obs], original.values[obs])
-
-
 def test_encoding_map_json_round_trip(tmp_path):
     _, emap = dummy_encode(cat_ds())
     p = tmp_path / "enc.json"
     emap.to_json(p)
-    again = EncodingMap.from_json(p)
-    assert again.entries == emap.entries
+    assert json.loads(p.read_text(encoding="utf-8")) == emap.entries
 
 
 # -- scaler ---------------------------------------------------------------------
@@ -119,16 +109,6 @@ def test_scaler_rejects_degenerate_columns():
         fit_scaler(ds)
     with pytest.raises(SchemaError):
         fit_scaler(ds, columns=["died"])
-
-
-def test_scaler_json_round_trip(tmp_path):
-    cols = outcome_cols() + [ColumnSpec("age", "continuous")]
-    ds = make_ds(cols, [[1, 1, 5.0], [2, 0, 6.0], [3, 1, 7.5]])
-    scaler = fit_scaler(ds)
-    p = tmp_path / "scaler.json"
-    scaler.to_json(p)
-    again = type(scaler).from_json(p)
-    assert again.stats == scaler.stats
 
 
 # -- correlation pruning ----------------------------------------------------------
