@@ -25,8 +25,7 @@ from .curves import curves_to_csv
 from .errors import ComputationError, ConfigError, SchemaError, SurvkitError
 from .harness import (
     ExperimentConfig,
-    _coerce_seed,
-    _inclusion_rules,
+    experiment_split,
     factors_to_csv,
     identify_factors,
     run_experiment,
@@ -42,6 +41,7 @@ from .tabular import (
     load_schema,
     save_csv,
     save_schema,
+    subset_rows,
 )
 
 
@@ -154,42 +154,34 @@ def cmd_experiment(args):
         config_bytes = fh.read()
     try:
         doc = json.loads(config_bytes)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8 text
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    config = ExperimentConfig.from_dict(doc)
 
     if args.models:
         wanted = [m.strip() for m in args.models.split(",") if m.strip()]
-        families = doc.get("families", {})
-        unknown = [m for m in wanted if m not in families]
+        unknown = [m for m in wanted if m not in config.families]
         if unknown:
             raise ConfigError(f"--models not in config families: {unknown}")
-        doc["families"] = {k: families[k] for k in wanted}
+        config.families = {k: config.families[k] for k in wanted}
 
-    config_dir = Path(args.config).resolve().parent
     inputs = [args.config]
-    if doc.get("ensure_like"):
-        ds, _, _ = ensure_like(seed=_coerce_seed("config", "ensure_like_seed",
-                                                 doc.get("ensure_like_seed", 0)))
+    if config.ensure_like:
+        ds, _, _ = ensure_like(seed=config.ensure_like_seed)
+    elif config.data is None or config.schema is None:
+        raise ConfigError("config needs data and schema paths (or ensure_like: true)")
     else:
-        if "data" not in doc or "schema" not in doc:
-            raise ConfigError("config needs data and schema paths (or ensure_like: true)")
-        data_path = config_dir / doc["data"]
-        schema_path = config_dir / doc["schema"]
+        config_dir = Path(args.config).resolve().parent
+        data_path, schema_path = config_dir / config.data, config_dir / config.schema
         inputs += [data_path, schema_path]
-        ds, _ = _load_cohort(data_path, schema_path, _inclusion_rules(doc.get("inclusion")))
+        ds, _ = _load_cohort(data_path, schema_path, config.inclusion)
     encoded, _ = dummy_encode(ds)
-
-    config = ExperimentConfig.from_dict(doc)
 
     # resolve plot targets before the expensive part so bad ids fail fast
     test_ds = None
     ids_wanted = []
     if args.plot_patients:
-        from .harness import split as harness_split
-        from .tabular import subset_rows
-
-        split_res = harness_split(encoded, config.plan, config.seed + 1)
-        test_ds = subset_rows(encoded, split_res.test_idx)
+        test_ds = subset_rows(encoded, experiment_split(encoded, config).test_idx)
         ids_wanted = [p.strip() for p in args.plot_patients.split(",") if p.strip()]
         pids = test_ds.patient_ids()
         missing = [p for p in ids_wanted if p not in pids]

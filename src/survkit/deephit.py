@@ -198,15 +198,15 @@ def predict_pmf(model, x):
     return _softmax(z)
 
 
-def predict_survival(model, x, n_points=None):
-    """Survival curves, one row per x row, on an equidistant grid over [0, last cut].
+def predict_survival(model, x):
+    """Survival curves, one row per x row, on an equidistant grid of
+    `params.n_interp` points over [0, last cut].
 
     Survival steps down by each bin's mass at the bin's right edge and is
     linearly interpolated inside bins (constant event density). S(0) = 1
     and the terminal value is 1 - sum(pmf) ~ 0.
     """
-    if n_points is None:
-        n_points = model.params.n_interp
+    n_points = model.params.n_interp
     if n_points < 2:
         raise DataError("need at least 2 interpolation points")
     pmf = predict_pmf(model, x)

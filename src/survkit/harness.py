@@ -77,11 +77,13 @@ def _split_settings(plan):
         raise ConfigError(f"split: inner={plan.inner!r} is not an object")
     kind = plan.inner.get("kind", "kfold")
     if kind == "kfold":
+        _check_keys("split.inner", plan.inner, ["kind", "k"])
         k = _coerce("split", "k", int, plan.inner.get("k", 5))
         if k < 2:
             raise ConfigError("k must be >= 2")
         return test_fraction, kind, k
     if kind == "holdout":
+        _check_keys("split.inner", plan.inner, ["kind", "fraction"])
         frac = _coerce("split", "fraction", float, plan.inner.get("fraction", 0.15))
         if not 0.0 < frac < 1.0:
             raise ConfigError("holdout fraction must be in (0, 1)")
@@ -123,6 +125,11 @@ def split(ds, plan, seed):
         val, fit = _stratified_take(train_strata, inner_size, rng)
         folds.append((fit, val))
     return SplitResult(train_idx=train_idx, test_idx=test_idx, folds=folds)
+
+
+def experiment_split(ds, config):
+    """The split of an ExperimentConfig on `ds`, drawn from its seed + 1."""
+    return split(ds, config.plan, config.seed + 1)
 
 
 # -- in-fold preprocessing -----------------------------------------------------
@@ -188,17 +195,6 @@ def fit_fold_pipeline(fit_ds, prep, seed):
         feature_names=names,
         x_fit=x_fit,
     )
-
-
-def _digest_imputer(imputer):
-    h = hashlib.sha256()
-    for name in sorted(imputer.models):
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(imputer.models[name]).tobytes())
-    for name in sorted(imputer.means):
-        h.update(name.encode())
-        h.update(np.float64(imputer.means[name]).tobytes())
-    return h.hexdigest()
 
 
 # -- model family adapters -----------------------------------------------------
@@ -325,6 +321,8 @@ class _DeepHitFamily:
                 f"deephit: sigma must be at least {deephit_mod.SIGMA_MIN:.6g}, "
                 f"got {params.sigma!r} (the ranking loss overflows below it)"
             )
+        if params.n_interp < 2:
+            raise ConfigError(f"deephit: n_interp must be at least 2, got {params.n_interp!r}")
         return params
 
     def fit(self, x, times, events, params, seed, names=None):
@@ -353,36 +351,12 @@ FAMILY_REGISTRY = {
 
 # -- cross-validated evaluation -------------------------------------------------
 
-@dataclass
-class FoldDetail:
-    fold_index: int
-    fit_row_ids: list
-    val_row_ids: list
-    scaler_stats: dict
-    imputer_digest: str
-    pruned: list
-    score: float
-
-
-@dataclass
-class CvResult:
-    scores: list
-    details: list
-
-    @property
-    def mean_score(self):
-        return float(np.mean(self.scores))
-
-
 def cv_evaluate(ds, folds, family_name, params, prep, seed):
-    """Fit the family on each fold's fitting rows, score C on the val rows.
-
-    All preprocessing is fit inside the fold; details carry the fitted
-    artifacts so tests can verify nothing about validation rows leaks in.
-    """
+    """Fit the family on each fold's fitting rows; the C-index of each
+    fold's validation rows. All preprocessing is fit inside the fold, by
+    `fit_fold_pipeline`."""
     family = FAMILY_REGISTRY[family_name]
     scores = []
-    details = []
     for f, (fit_idx, val_idx) in enumerate(folds):
         fold_seed = seed + f
         fit_ds = subset_rows(ds, fit_idx)
@@ -399,18 +373,7 @@ def cv_evaluate(ds, folds, family_name, params, prep, seed):
         x_val = pipeline.transform(val_ds)
         score = concordance_index(val_ds.time, val_ds.event, family.risk(model, x_val))
         scores.append(float(score))
-        details.append(
-            FoldDetail(
-                fold_index=f,
-                fit_row_ids=[int(r) for r in fit_ds.row_ids],
-                val_row_ids=[int(r) for r in val_ds.row_ids],
-                scaler_stats=dict(pipeline.scaler.stats) if pipeline.scaler else {},
-                imputer_digest=_digest_imputer(pipeline.imputer),
-                pruned=list(pipeline.dropped),
-                score=float(score),
-            )
-        )
-    return CvResult(scores=scores, details=details)
+    return scores
 
 
 # -- grid search -----------------------------------------------------------------
@@ -443,13 +406,10 @@ def grid_search(ds, folds, family_name, grid, prep, seed):
     ranked = []
     for gi, point in enumerate(points):
         params = family.make_params(point)
-        cv = cv_evaluate(ds, folds, family_name, params, prep, seed + 100 * gi)
-        entries.append(
-            {"params": point, "fold_scores": cv.scores, "mean_score": cv.mean_score}
-        )
-        ranked.append(
-            (-cv.mean_score, family.complexity(params), family.lr(params), gi)
-        )
+        scores = cv_evaluate(ds, folds, family_name, params, prep, seed + 100 * gi)
+        mean = float(np.mean(scores))
+        entries.append({"params": point, "fold_scores": scores, "mean_score": mean})
+        ranked.append((-mean, family.complexity(params), family.lr(params), gi))
     best = min(ranked)[-1]
     return GridResult(best_params=points[best], best_index=best, entries=entries)
 
@@ -532,18 +492,39 @@ class ExperimentConfig:
     prep: PrepConfig = field(default_factory=PrepConfig)
     families: dict = field(default_factory=dict)  # name -> grid dict
     n_boot: int = 1000
+    # the cohort, which the caller of run_experiment loads: the built-in one,
+    # or a CSV and its schema (paths relative to the config) and row filters
+    ensure_like: bool = False
+    ensure_like_seed: int = 0
+    data: str | None = None
+    schema: str | None = None
+    inclusion: InclusionRules = field(default_factory=InclusionRules)
 
     @classmethod
     def from_dict(cls, doc):
+        """The config document `doc`, every key read and checked before any
+        data is touched. A document that is not an object, an unknown key
+        at any level, a value of the wrong type or range, and a key the
+        chosen cohort source would not read are each a ConfigError naming
+        the key. The cohort fields are read but not required: a caller
+        that loads the cohort rejects a config that names none."""
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config: the document is a {type(doc).__name__}, not an object")
+        _check_keys("config", doc, ["seed", "ensure_like", "ensure_like_seed", "data", "schema",
+                                    "inclusion", "split", "prep", "families", "n_boot"])
         plan = _params_from("split", SplitPlan, doc.get("split", {}))
         _split_settings(plan)  # every split value fails here, not at the split
         prep = _params_from("prep", PrepConfig, doc.get("prep", {}))
         if prep.impute_iterations < 1:
             raise ConfigError("prep.impute_iterations must be >= 1")
         families = doc.get("families", {})
+        if not isinstance(families, dict):
+            raise ConfigError(f"config: families={families!r} is not an object")
         for name, grid in families.items():
             if name not in FAMILY_REGISTRY:
                 raise ConfigError(f"unknown model family {name!r}")
+            if not isinstance(grid, dict):
+                raise ConfigError(f"{name}: grid {grid!r} is not an object")
             # every grid point must make valid parameters before any fit runs
             family = FAMILY_REGISTRY[name]
             for point in expand_grid(grid or family.default_grid):
@@ -551,12 +532,29 @@ class ExperimentConfig:
         n_boot = _coerce("config", "n_boot", int, doc.get("n_boot", cls.n_boot))
         if n_boot < 1:
             raise ConfigError("n_boot must be >= 1")
+
+        ensure = _coerce("config", "ensure_like", bool, doc.get("ensure_like", cls.ensure_like))
+        ensure_seed = _coerce_seed(
+            "config", "ensure_like_seed", doc.get("ensure_like_seed", cls.ensure_like_seed))
+        # a key the chosen cohort source does not read is an error, not ignored
+        for key in ("data", "schema", "inclusion") if ensure else ("ensure_like_seed",):
+            if key in doc:
+                raise ConfigError(
+                    f"config: {key!r} is not read when ensure_like is {str(ensure).lower()}")
+        for key in ("data", "schema"):
+            if key in doc and not isinstance(doc[key], str):
+                raise ConfigError(f"config: {key}={doc[key]!r} is not a string")
         return cls(
             seed=_coerce_seed("config", "seed", doc.get("seed", cls.seed)),
             plan=plan,
             prep=prep,
             families={k: dict(v) for k, v in families.items()},
             n_boot=n_boot,
+            ensure_like=ensure,
+            ensure_like_seed=ensure_seed,
+            data=doc.get("data"),
+            schema=doc.get("schema"),
+            inclusion=_inclusion_rules(doc.get("inclusion")),
         )
 
 
@@ -639,7 +637,7 @@ def run_experiment(ds, config):
     if not config.families:
         raise ConfigError("no model families configured")
     seed = config.seed
-    split_res = split(ds, config.plan, seed + 1)
+    split_res = experiment_split(ds, config)
     train_ds = subset_rows(ds, split_res.train_idx)
     test_ds = subset_rows(ds, split_res.test_idx)
 

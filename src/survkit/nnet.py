@@ -195,20 +195,16 @@ def adam_step(model, grads, state):
     """One Adam update with decoupled weight decay, in place; returns (model, state).
 
     `grads` is a flat vector in the parameter layout (`model.grad` after
-    backward) or a (weight_grads, bias_grads) pair of per-layer arrays.
-    The update rewrites `model.params` and `state.m`/`state.v` in their
-    own buffers and bumps `model.stamp` and `state.step`. The decay
+    backward). The update rewrites `model.params` and `state.m`/`state.v`
+    in their own buffers and bumps `model.stamp` and `state.step`. The decay
     shrinks parameters by lr*wd*theta before the Adam update, and the
     learning rate is base_lr * gamma**epoch (the caller sets state.epoch
     once per epoch). Non-finite gradients abort, before anything is
     written, with the layer index in the message.
     """
-    if isinstance(grads, np.ndarray):
-        g = grads
-    else:
-        g = np.concatenate([a.ravel() for pair in zip(*grads) for a in pair])
-    if g.shape != model.params.shape:
-        raise DataError(f"gradients must have {model.params.size} entries, got {g.size}")
+    g = grads
+    if not isinstance(g, np.ndarray) or g.shape != model.params.shape:
+        raise DataError(f"gradients must be a flat vector of {model.params.size} entries")
     # a NaN or inf entry makes the sum non-finite; only then look closer
     if not np.isfinite(g.sum()):
         finite = np.isfinite(g)

@@ -36,21 +36,25 @@ def test_benchmark_script_passes_its_checks(script, args):
     assert done.returncode == 0, done.stderr
 
 
+# A tiny experiment: these overrides of survbench's reference config.
+SMOKE_OVERRIDES = {
+    "n_boot": 5,
+    "split": {"test_fraction": 0.2, "inner": {"kind": "holdout", "fraction": 0.15}},
+    "prep": {"impute_iterations": 1, "prune_threshold": 0.7, "standardize": True},
+    "families": {"coxph": {"l1": [0.008], "l2": [0.001]},
+                 "deepsurv": {"epochs": [1]}, "deephit": {"epochs": [1]}},
+}
+
 # Runs in a fresh interpreter, as survbench/child.py does, so the tracer's
-# wrappers never reach this process. A tiny experiment is registered as a
+# wrappers never reach this process. The tiny experiment is registered as a
 # workload, so its inputs and expected call counts come from survbench.
 TRACED_RUN = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import spans, workloads
 
-workloads.WORKLOADS["smoke"] = {"kind": "experiment", "oracle": False, "overrides": {
-    "n_boot": 5,
-    "split": {"test_fraction": 0.2, "inner": {"kind": "holdout", "fraction": 0.15}},
-    "prep": {"impute_iterations": 1, "prune_threshold": 0.7, "standardize": True},
-    "families": {"coxph": {"l1": [0.008], "l2": [0.001]},
-                 "deepsurv": {"epochs": [1]}, "deephit": {"epochs": [1]}},
-}}
+workloads.WORKLOADS["smoke"] = {"kind": "experiment", "oracle": False,
+                                "overrides": json.loads(sys.argv[3])}
 tracer = spans.Tracer()
 uncovered = spans.uncovered(spans.install(tracer))
 from survkit import cli
@@ -70,7 +74,8 @@ def test_traced_experiment_covers_every_layer(tmp_path):
     src = Path(survkit.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
-        [sys.executable, "-c", TRACED_RUN, str(ROOT / "survbench"), str(tmp_path)],
+        [sys.executable, "-c", TRACED_RUN, str(ROOT / "survbench"), str(tmp_path),
+         json.dumps(SMOKE_OVERRIDES)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr

@@ -66,9 +66,14 @@ def experiment_config(tmp_path, **overrides):
         "n_boot": 30,
     }
     doc.update(overrides)
+    doc = {k: v for k, v in doc.items() if v is not None}  # None drops a key
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+# overrides that swap the CSV cohort of `experiment_config` for the built-in one
+BUILT_IN = {"ensure_like": True, "data": None, "schema": None}
 
 
 def test_import_leaves_scipy_stats_unloaded():
@@ -332,10 +337,10 @@ def test_experiment_rejects_wrong_typed_run_settings_before_any_fit(tmp_path, ca
         ({"split": {"test_fraction": 0.2, "inner": {"kind": "kfold", "k": 2.5}}}, "split: k=2.5"),
         ({"seed": "zero"}, "config: seed='zero'"),
         ({"n_boot": 20.5}, "config: n_boot=20.5"),
-        ({"ensure_like": True, "ensure_like_seed": 2.5}, "config: ensure_like_seed=2.5"),
-        ({"ensure_like": True, "ensure_like_seed": "abc"}, "config: ensure_like_seed='abc'"),
+        ({**BUILT_IN, "ensure_like_seed": 2.5}, "config: ensure_like_seed=2.5"),
+        ({**BUILT_IN, "ensure_like_seed": "abc"}, "config: ensure_like_seed='abc'"),
         ({"seed": -3}, "config: seed=-3 is not a non-negative integer"),
-        ({"ensure_like": True, "ensure_like_seed": -1},
+        ({**BUILT_IN, "ensure_like_seed": -1},
          "config: ensure_like_seed=-1 is not a non-negative integer"),
     ):
         config = experiment_config(tmp_path, **overrides)
@@ -343,6 +348,51 @@ def test_experiment_rejects_wrong_typed_run_settings_before_any_fit(tmp_path, ca
         assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ("[1]", "config: the document is a list, not an object"),
+    ({"nboot": 5}, "config: unknown key 'nboot'"),
+    ({"families": [1]}, "config: families=[1] is not an object"),
+    ({"data": 5}, "config: data=5 is not a string"),
+    ({"ensure_like": "no"}, "config: ensure_like='no' is not a valid bool"),
+    ({"split": {"inner": {"kind": "kfold", "kk": 3}}}, "split.inner: unknown key 'kk'"),
+    ({"ensure_like": True}, "config: 'data' is not read when ensure_like is true"),
+    ({**BUILT_IN, "inclusion": {}}, "config: 'inclusion' is not read when ensure_like is true"),
+    ({"ensure_like_seed": 1}, "config: 'ensure_like_seed' is not read when ensure_like is false"),
+    ({"families": {"deephit": {"n_interp": [1]}}}, "deephit: n_interp must be at least 2"),
+    ({"data": None}, "config needs data and schema paths"),
+])
+def test_experiment_rejects_a_bad_config_key_before_loading_or_fitting(
+        tmp_path, capsys, monkeypatch, overrides, message):
+    """Each bad key fails in the config reader: exit code 2 with a message
+    naming the key, before the cohort is generated or read, before any fit
+    and before an output directory exists."""
+    import survkit.cli
+    import survkit.harness
+
+    def not_yet(*args, **kwargs):
+        raise AssertionError("the run went on past a config error")
+
+    for module, name in ((survkit.cli, "ensure_like"), (survkit.cli, "_load_cohort"),
+                         (survkit.harness, "fit_fold_pipeline")):
+        monkeypatch.setattr(module, name, not_yet)
+    if isinstance(overrides, str):
+        config = tmp_path / "config.json"
+        config.write_text(overrides)
+    else:
+        config = experiment_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"seed": "\xff"}')
+    assert main(["experiment", "--config", str(config)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("inclusion, message", [

@@ -294,7 +294,10 @@ def test_risk_is_negative_mean_survival():
 
 
 def test_predict_survival_validation():
+    """A curve needs two points; `n_interp` is its only resolution setting."""
     x, t, e = ph_cohort(13, 100)
-    model = fit_deephit(x, t, e, small_params(epochs=2), seed=5)
+    model = fit_deephit(x, t, e, small_params(epochs=2, n_interp=1), seed=5)
     with pytest.raises(DataError):
-        predict_survival(model, x[:2], n_points=1)
+        predict_survival(model, x[:2])
+    model.params.n_interp = 7
+    assert predict_survival(model, x[:2]).values.shape == (2, 7)

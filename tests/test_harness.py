@@ -7,10 +7,14 @@ of that fold's fitting rows only.
 
 import csv
 import dataclasses
+import importlib.util
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import survkit.harness as harness_mod
 from survkit.deephit import SIGMA_MIN, DeepHitParams
 from survkit.deepsurv import DeepSurvParams
 from survkit.errors import ConfigError, DataError
@@ -40,6 +44,8 @@ from survkit.tabular import (
     replace_column_values,
     subset_rows,
 )
+from test_acceptance import REFERENCE_CONFIG
+from test_benchmarks import SMOKE_OVERRIDES
 
 
 def cohort(n=240, missing=True, seed=0, extra_null=True):
@@ -268,7 +274,27 @@ def test_fold_artifacts_ignore_validation_rows():
         np.testing.assert_array_equal(beta, p2.imputer.models[name])
 
 
-def test_cv_details_expose_the_leakage_sentinel():
+@pytest.fixture
+def fold_pipelines(monkeypatch):
+    """(fitting row ids, FoldPipeline) of every fold pipeline fit, in call order."""
+    fitted = []
+    real = harness_mod.fit_fold_pipeline
+
+    def recording(fit_ds, prep, seed):
+        pipeline = real(fit_ds, prep, seed)
+        fitted.append((fit_ds.row_ids.copy(), pipeline))
+        return pipeline
+
+    monkeypatch.setattr(harness_mod, "fit_fold_pipeline", recording)
+    return fitted
+
+
+def imputer_state(imputer):
+    """A fitted imputer's means and coefficients, comparable bit for bit."""
+    return dict(imputer.means), {k: v.tolist() for k, v in sorted(imputer.models.items())}
+
+
+def test_cv_fold_pipelines_ignore_held_out_shifts(fold_pipelines):
     ds, _ = cohort(missing=True, n=240)
     plan = SplitPlan(test_fraction=0.2, inner={"kind": "kfold", "k": 3})
     res = split(ds, plan, seed=7)
@@ -281,36 +307,40 @@ def test_cv_details_expose_the_leakage_sentinel():
 
     prep = PrepConfig(impute_iterations=4)
     params = {"l1": 0.0, "l2": 0.0}
-    cv1 = cv_evaluate(ds, res.folds, "coxph", params, prep, seed=20)
-    cv2 = cv_evaluate(ds2, res.folds, "coxph", params, prep, seed=20)
+    scores1 = cv_evaluate(ds, res.folds, "coxph", params, prep, seed=20)
+    scores2 = cv_evaluate(ds2, res.folds, "coxph", params, prep, seed=20)
+    assert len(fold_pipelines) == 6
+    p1 = [p for _, p in fold_pipelines[:3]]
+    p2 = [p for _, p in fold_pipelines[3:]]
 
     # fold 0 holds the shifted rows out, so its fitted artifacts are untouched
-    assert cv1.details[0].imputer_digest == cv2.details[0].imputer_digest
-    assert cv1.details[0].scaler_stats == cv2.details[0].scaler_stats
-    assert cv1.details[0].pruned == cv2.details[0].pruned
+    assert imputer_state(p1[0].imputer) == imputer_state(p2[0].imputer)
+    assert p1[0].scaler.stats == p2[0].scaler.stats
+    assert p1[0].dropped == p2[0].dropped
     # but the shift does reach fold 0's validation score
-    assert cv1.scores[0] != cv2.scores[0]
+    assert scores1[0] != scores2[0]
     # and the same rows are fitting rows elsewhere, which must move those folds
     assert any(
-        a.imputer_digest != b.imputer_digest
-        for a, b in zip(cv1.details[1:], cv2.details[1:])
+        imputer_state(a.imputer) != imputer_state(b.imputer) for a, b in zip(p1[1:], p2[1:])
     )
 
 
-def test_cv_evaluate_is_deterministic():
+def test_cv_evaluate_is_deterministic(fold_pipelines):
     ds, _ = cohort(missing=True, n=160)
     res = split(ds, SplitPlan(test_fraction=0.2, inner={"kind": "kfold", "k": 2}), seed=0)
     params = {"l1": 0.0, "l2": 0.0}
     prep = PrepConfig(impute_iterations=3)
-    cv1 = cv_evaluate(ds, res.folds, "coxph", params, prep, seed=5)
-    cv2 = cv_evaluate(ds, res.folds, "coxph", params, prep, seed=5)
-    assert cv1.scores == cv2.scores
-    assert [d.imputer_digest for d in cv1.details] == [d.imputer_digest for d in cv2.details]
-    assert all(0.0 <= s <= 1.0 for s in cv1.scores)
-    assert [d.fold_index for d in cv1.details] == [0, 1]
-    for d in cv1.details:
-        assert len(d.imputer_digest) == 64
-        assert set(d.fit_row_ids).isdisjoint(d.val_row_ids)
+    scores1 = cv_evaluate(ds, res.folds, "coxph", params, prep, seed=5)
+    scores2 = cv_evaluate(ds, res.folds, "coxph", params, prep, seed=5)
+    assert scores1 == scores2
+    assert len(fold_pipelines) == 4
+    states = [imputer_state(p.imputer) for _, p in fold_pipelines]
+    assert states[:2] == states[2:]
+    assert all(0.0 <= s <= 1.0 for s in scores1)
+    # each fold's pipeline is fit on that fold's fitting rows, none of them validation rows
+    for (fit_ids, _), (fit_idx, val_idx) in zip(fold_pipelines, res.folds):
+        np.testing.assert_array_equal(fit_ids, ds.row_ids[fit_idx])
+        assert set(fit_ids).isdisjoint(ds.row_ids[val_idx])
 
 
 # -- grid search -----------------------------------------------------------------------
@@ -555,6 +585,83 @@ def test_inclusion_section_is_read_strictly():
     ):
         with pytest.raises(ConfigError, match=message):
             _inclusion_rules(doc)
+
+def test_config_reads_the_cohort_source():
+    """The cohort keys load as typed fields: the built-in cohort with its
+    seed, or data and schema paths with the inclusion rules."""
+    cfg = ExperimentConfig.from_dict({})
+    assert (cfg.ensure_like, cfg.ensure_like_seed, cfg.data, cfg.schema) == (False, 0, None, None)
+    assert cfg.inclusion == InclusionRules()
+    cfg = ExperimentConfig.from_dict({"ensure_like": True, "ensure_like_seed": 4})
+    assert (cfg.ensure_like, cfg.ensure_like_seed, cfg.data) == (True, 4, None)
+    cfg = ExperimentConfig.from_dict({
+        "ensure_like": False, "data": "c.csv", "schema": "s.json",
+        "inclusion": {"exclude_levels": {"grade": ["g3"]}},
+    })
+    assert (cfg.ensure_like, cfg.data, cfg.schema) == (False, "c.csv", "s.json")
+    assert cfg.inclusion == InclusionRules(exclude_levels={"grade": ["g3"]})
+
+
+def test_config_rejects_every_key_it_would_not_read():
+    """A non-object document, an unknown key at the top level or in a
+    split kind, a value of the wrong type and a key the chosen cohort
+    source does not read are each a ConfigError naming the key."""
+    paths = {"data": "c.csv", "schema": "s.json"}
+    for doc, message in (
+        ([1], "config: the document is a list, not an object"),
+        ("{}", "config: the document is a str, not an object"),
+        ({"nboot": 5}, "config: unknown key 'nboot'"),
+        ({"families": [1]}, r"config: families=\[1\] is not an object"),
+        ({"families": {"coxph": [1]}}, r"coxph: grid \[1\] is not an object"),
+        ({"families": {"deepsurv": None}}, "deepsurv: grid None is not an object"),
+        ({"data": 5, "schema": "s.json"}, "config: data=5 is not a string"),
+        ({"data": "c.csv", "schema": None}, "config: schema=None is not a string"),
+        ({"ensure_like": "no", **paths}, "config: ensure_like='no' is not a valid bool"),
+        ({"ensure_like": 1}, "config: ensure_like=1 is not a valid bool"),
+        ({"ensure_like": True, "data": "c.csv"}, "config: 'data' is not read when ensure_like is true"),
+        ({"ensure_like": True, "schema": "s.json"}, "'schema' is not read when ensure_like is true"),
+        ({"ensure_like": True, "inclusion": {}}, "'inclusion' is not read when ensure_like is true"),
+        ({"ensure_like_seed": 3, **paths}, "'ensure_like_seed' is not read when ensure_like is false"),
+        ({"ensure_like": False, "ensure_like_seed": 3}, "'ensure_like_seed' is not read"),
+        ({"split": {"inner": {"kind": "kfold", "kk": 3}}}, "split.inner: unknown key 'kk'"),
+        ({"split": {"inner": {"kind": "kfold", "fraction": 0.2}}}, "split.inner: unknown key 'fraction'"),
+        ({"split": {"inner": {"kind": "holdout", "k": 3}}}, "split.inner: unknown key 'k'"),
+        ({"families": {"deephit": {"n_interp": [1]}}}, "deephit: n_interp must be at least 2"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(doc)
+    ds, _ = cohort(missing=False)
+    with pytest.raises(ConfigError, match="split.inner: unknown key 'kk'"):
+        split(ds, SplitPlan(inner={"kind": "kfold", "kk": 3}), seed=0)
+
+
+def _load_module(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_shipped_config_passes_the_strict_reader():
+    """The README example, the acceptance reference experiment, every
+    survbench experiment workload and the traced smoke run of the
+    benchmark tests all load; a benchmark run fails at once otherwise."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    example = readme.split("An experiment config looks like:", 1)[1]
+    example = example.split("```json", 1)[1].split("```", 1)[0]
+    configs = {"README": json.loads(example), "REFERENCE_CONFIG": REFERENCE_CONFIG}
+    workloads = _load_module(root / "survbench" / "workloads.py")
+    workloads.WORKLOADS["smoke"] = {"kind": "experiment", "overrides": SMOKE_OVERRIDES}
+    for name, spec in workloads.WORKLOADS.items():
+        if spec["kind"] == "experiment":
+            configs[name] = workloads.experiment_config(name, 0)
+    assert {"README", "REFERENCE_CONFIG", "reference", "train", "boot", "smoke"} <= set(configs)
+    for name, doc in configs.items():
+        cfg = ExperimentConfig.from_dict(doc)
+        assert cfg.families, name
+        assert cfg.ensure_like or (cfg.data and cfg.schema), name
+
 
 def test_config_rejects_wrong_shaped_neural_values():
     """A string or non-integral layer width, an empty or non-positive width

@@ -193,7 +193,7 @@ def test_stale_cache_is_rejected():
     x = np.zeros((2, 3))
     out, cache = forward(model, x)
     state = init_optimizer(model, 0.01)
-    new_model, _ = adam_step(model, backward(model, cache, np.ones_like(out)), state)
+    new_model, _ = adam_step(model, flat(*backward(model, cache, np.ones_like(out))), state)
     with pytest.raises(ComputationError, match="stale"):
         backward(new_model, cache, np.ones_like(out))
 
@@ -206,7 +206,7 @@ def test_adam_first_step_is_signed_lr():
     model = linear_model([[1.0]], [0.0])
     state = init_optimizer(model, base_lr=0.1)
     g = np.array([[0.37]])
-    new_model, new_state = adam_step(model, ([g], [np.array([0.0])]), state)
+    new_model, new_state = adam_step(model, flat([g], [np.array([0.0])]), state)
     expected = 1.0 - 0.1 * 0.37 / (0.37 + ADAM_EPS)
     assert new_model.weights[0][0, 0] == pytest.approx(expected, abs=1e-12)
     assert new_state.step == 1
@@ -217,7 +217,7 @@ def test_adam_second_step_hand_computed():
     # after bias correction, so each step subtracts almost exactly lr
     model = linear_model([[0.0]], [0.0])
     state = init_optimizer(model, base_lr=0.05)
-    g = ([np.array([[2.0]])], [np.array([0.0])])
+    g = flat([np.array([[2.0]])], [np.array([0.0])])
     m1, s1 = adam_step(model, g, state)
     m2, _ = adam_step(m1, g, s1)
     assert m2.weights[0][0, 0] == pytest.approx(-0.1, abs=1e-9)
@@ -227,7 +227,8 @@ def test_adam_zero_gradient_zero_decay_is_identity():
     model = init_mlp([3, 2], seed=1)
     before = model.params.copy()  # the step updates model.params in place
     state = init_optimizer(model, base_lr=0.1)
-    zeros = ([np.zeros_like(w) for w in model.weights], [np.zeros_like(b) for b in model.biases])
+    zeros = flat([np.zeros_like(w) for w in model.weights],
+                 [np.zeros_like(b) for b in model.biases])
     new_model, _ = adam_step(model, zeros, state)
     assert new_model is model and model.stamp == 1
     np.testing.assert_array_equal(model.params, before)
@@ -236,7 +237,7 @@ def test_adam_zero_gradient_zero_decay_is_identity():
 def test_decoupled_weight_decay_shrinks_parameters():
     model = linear_model([[4.0]], [2.0])
     state = init_optimizer(model, base_lr=0.1, weight_decay=0.5)
-    zeros = ([np.zeros((1, 1))], [np.zeros(1)])
+    zeros = flat([np.zeros((1, 1))], [np.zeros(1)])
     new_model, _ = adam_step(model, zeros, state)
     # theta * (1 - lr*wd) with zero gradient: Adam contributes nothing
     assert new_model.weights[0][0, 0] == pytest.approx(4.0 * (1 - 0.1 * 0.5))
@@ -258,11 +259,21 @@ def test_nonfinite_gradient_names_the_layer():
     bg = [np.zeros_like(b) for b in model.biases]
     wg[1][0, 0] = np.nan
     with pytest.raises(ComputationError, match="layer 1"):
-        adam_step(model, (wg, bg), state)
+        adam_step(model, flat(wg, bg), state)
     wg[1][0, 0] = 0.0
     bg[0][2] = np.inf  # the last entry of layer 0's block
     with pytest.raises(ComputationError, match="layer 0"):
-        adam_step(model, (wg, bg), state)
+        adam_step(model, flat(wg, bg), state)
+
+
+def test_adam_takes_only_the_flat_gradient():
+    model = init_mlp([2, 3, 1], seed=0)
+    state = init_optimizer(model, 0.01)
+    pair = ([np.zeros_like(w) for w in model.weights], [np.zeros_like(b) for b in model.biases])
+    for grads in (pair, np.zeros(model.params.size - 1), list(np.zeros(model.params.size))):
+        with pytest.raises(DataError, match="flat vector"):
+            adam_step(model, grads, state)
+    assert model.stamp == 0 and state.step == 0
 
 
 def flat(weights, biases):
@@ -291,7 +302,7 @@ def test_flat_adam_equals_per_layer_reference():
             m_hat = ms[i] / (1.0 - ADAM_BETA1**t)
             v_hat = vs[i] / (1.0 - ADAM_BETA2**t)
             thetas[i] = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        model, state = adam_step(model, (wg, bg), state)
+        model, state = adam_step(model, flat(wg, bg), state)
         np.testing.assert_array_equal(model.params, flat(thetas[:3], thetas[3:]))
     assert state.step == 5
     np.testing.assert_array_equal(state.m, flat(ms[:3], ms[3:]))
@@ -339,7 +350,7 @@ def test_memorizes_a_small_regression_task():
         state.epoch = epoch
         out, cache = forward(model, x, mode="train")
         grads = backward(model, cache, 2.0 * (out - y) / len(x))
-        model, state = adam_step(model, grads, state)
+        model, state = adam_step(model, flat(*grads), state)
     assert loss(model) < 0.1 * start
 
 
@@ -355,7 +366,7 @@ def test_training_trajectory_is_deterministic():
             for b, idx in enumerate(epoch_batches(12, 4, np.random.default_rng([4, epoch]))):
                 out, cache = forward(model, x[idx], mode="train", seed=[4, epoch, b])
                 grads = backward(model, cache, out - y[idx])
-                model, state = adam_step(model, grads, state)
+                model, state = adam_step(model, flat(*grads), state)
         return model
 
     a, b = run(), run()
