@@ -17,8 +17,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from ._kernels import BACKEND
 from .curves import curves_to_csv
@@ -132,20 +130,14 @@ def cmd_identify_factors(args):
     return 0
 
 
-def _plot_family_curves(report, test_ds, ids_wanted, out_dir):
-    pids = test_ds.patient_ids()
-    rows = [pids.index(p) for p in ids_wanted]
-    t_test = test_ds.time
-    grid = np.unique(t_test[test_ds.event == 1.0])
-    for family_name, bundle in report.models.items():
-        family, model, pipeline = bundle["family"], bundle["model"], bundle["pipeline"]
-        x = pipeline.transform(test_ds)
-        curves = family.curves(model, x[rows], grid)
-        series = [(pid, curves.times, row) for pid, row in zip(ids_wanted, curves.values)]
+def _plot_family_curves(report, ids, rows, out_dir):
+    for family_name in report.fits:
+        curves = report.test_curves(family_name, rows)
+        series = [(pid, curves.times, row) for pid, row in zip(ids, curves.values)]
         svg = svg_line_chart(series, title=f"{family_name}: predicted survival")
         with open(out_dir / f"curves_{family_name}.svg", "w", encoding="utf-8") as fh:
             fh.write(svg)
-        curves_to_csv(ids_wanted, curves, out_dir / f"curves_{family_name}.csv")
+        curves_to_csv(ids, curves, out_dir / f"curves_{family_name}.csv")
 
 
 def cmd_experiment(args):
@@ -178,12 +170,9 @@ def cmd_experiment(args):
     encoded, _ = dummy_encode(ds)
 
     # resolve plot targets before the expensive part so bad ids fail fast
-    test_ds = None
-    ids_wanted = []
-    if args.plot_patients:
-        test_ds = subset_rows(encoded, experiment_split(encoded, config).test_idx)
-        ids_wanted = [p.strip() for p in args.plot_patients.split(",") if p.strip()]
-        pids = test_ds.patient_ids()
+    ids_wanted = [p.strip() for p in (args.plot_patients or "").split(",") if p.strip()]
+    if ids_wanted:
+        pids = subset_rows(encoded, experiment_split(encoded, config).test_idx).patient_ids()
         missing = [p for p in ids_wanted if p not in pids]
         if missing:
             raise ConfigError(f"--plot-patients ids not in the test split: {missing}")
@@ -197,7 +186,7 @@ def cmd_experiment(args):
     _write_metrics_csv(report, out_dir / "metrics.csv")
 
     if ids_wanted:
-        _plot_family_curves(report, test_ds, ids_wanted, out_dir)
+        _plot_family_curves(report, ids_wanted, [pids.index(p) for p in ids_wanted], out_dir)
 
     _write_manifest(
         out_dir, "experiment",

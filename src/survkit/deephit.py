@@ -162,6 +162,16 @@ class DeepHitParams:
     sigma: float = 0.1
     n_interp: int = 50
 
+    def __post_init__(self):
+        nnet._check_train_params(
+            self,
+            ("n_bins", self.n_bins >= 1, "at least 1"),
+            ("alpha", 0 <= self.alpha < math.inf, "non-negative and finite"),
+            ("sigma", self.sigma >= SIGMA_MIN,
+             f"at least {SIGMA_MIN:.6g}, below which the ranking loss overflows"),
+            ("n_interp", self.n_interp >= 2, "at least 2"),
+        )
+
 
 @dataclass
 class DeepHitModel:

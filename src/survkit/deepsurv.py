@@ -32,6 +32,9 @@ class DeepSurvParams:
     lr_decay: float = 0.7
     weight_decay: float = 0.0
 
+    def __post_init__(self):
+        nnet._check_train_params(self)
+
 
 @dataclass
 class DeepSurvModel:

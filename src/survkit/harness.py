@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from . import deepsurv as deepsurv_mod
 from .coxph import fit_coxph
 from .deephit import DeepHitParams, fit_deephit
 from .deepsurv import DeepSurvParams, fit_deepsurv
-from .errors import ComputationError, ConfigError, DataError
+from .errors import ComputationError, ConfigError, DataError, check_keys, finite_number
 from .impute import apply_mice, fit_mice, mice_impute, pool_rubin
 from .metrics import (
     bootstrap_ci,
@@ -77,13 +77,13 @@ def _split_settings(plan):
         raise ConfigError(f"split: inner={plan.inner!r} is not an object")
     kind = plan.inner.get("kind", "kfold")
     if kind == "kfold":
-        _check_keys("split.inner", plan.inner, ["kind", "k"])
+        check_keys("split.inner", plan.inner, ["kind", "k"])
         k = _coerce("split", "k", int, plan.inner.get("k", 5))
         if k < 2:
             raise ConfigError("k must be >= 2")
         return test_fraction, kind, k
     if kind == "holdout":
-        _check_keys("split.inner", plan.inner, ["kind", "fraction"])
+        check_keys("split.inner", plan.inner, ["kind", "fraction"])
         frac = _coerce("split", "fraction", float, plan.inner.get("fraction", 0.15))
         if not 0.0 < frac < 1.0:
             raise ConfigError("holdout fraction must be in (0, 1)")
@@ -199,16 +199,8 @@ def fit_fold_pipeline(fit_ds, prep, seed):
 
 # -- model family adapters -----------------------------------------------------
 
-def _check_keys(scope, d, known):
-    unknown = sorted(set(d) - set(known))
-    if unknown:
-        raise ConfigError(
-            f"{scope}: unknown key {unknown[0]!r} (known: {', '.join(known)})"
-        )
-
-
 def _coerce(scope, key, kind, value):
-    """`value` read as `kind`. An int takes only integral numbers, a bool
+    """`value` read as `kind`: an int or float by `finite_number`, a bool
     only true or false (not "false" or 0), and a list (the hidden-layer
     widths, the only list-valued field) only a non-empty list or tuple of
     positive integral numbers, not a string such as "64". A rejected value
@@ -219,18 +211,17 @@ def _coerce(scope, key, kind, value):
             if not isinstance(value, bool):
                 raise TypeError(f"{value!r} is not a boolean")
             return value
+        if kind in (int, float):
+            return finite_number(value, kind)
         if kind is not list:
-            out = kind(value)
-            if kind is int and isinstance(value, float) and out != value:
-                raise ValueError(f"{value!r} is not integral")
-            return out
+            return kind(value)
         if not isinstance(value, (list, tuple)) or not value:
             raise TypeError(f"{value!r} is not a list")
         out = [_coerce(scope, key, int, v) for v in value]
         if min(out) < 1:
             raise ValueError(f"{value!r} has a width below 1")
         return out
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         what = "non-empty list of positive integers" if kind is list else kind.__name__
         raise ConfigError(f"{scope}: {key}={value!r} is not a valid {what}") from exc
 
@@ -246,16 +237,20 @@ def _coerce_seed(scope, key, value):
 def _params_from(scope, cls, d):
     """`cls` from the keys of `d`, each coerced by the type of its default;
     keys `d` leaves out keep the dataclass defaults. A `d` that is not an
-    object, a key `cls` has no field for, or a value its type rejects is a
-    ConfigError naming `scope` (a model family or a config section)."""
+    object, a key `cls` has no field for, a value its type rejects or a
+    DataError from the range checks of `cls` is a ConfigError naming
+    `scope` (a model family or a config section)."""
     if not isinstance(d, dict):
         raise ConfigError(f"{scope}: {d!r} is not an object")
-    _check_keys(scope, d, [f.name for f in fields(cls)])
+    check_keys(scope, d, [f.name for f in fields(cls)])
     defaults = cls()
-    return cls(**{
-        f.name: _coerce(scope, f.name, type(getattr(defaults, f.name)), d[f.name])
-        for f in fields(cls) if f.name in d
-    })
+    try:
+        return cls(**{
+            f.name: _coerce(scope, f.name, type(getattr(defaults, f.name)), d[f.name])
+            for f in fields(cls) if f.name in d
+        })
+    except DataError as exc:  # a range rule of `cls`
+        raise ConfigError(f"{scope}: {exc}") from exc
 
 
 class _CoxFamily:
@@ -263,8 +258,11 @@ class _CoxFamily:
     default_grid = {"l1": [0.0], "l2": [0.0]}
 
     def make_params(self, d):
-        _check_keys(self.name, d, ["l1", "l2"])
-        return {key: _coerce(self.name, key, float, d.get(key, 0.0)) for key in ("l1", "l2")}
+        check_keys(self.name, d, ["l1", "l2"])
+        params = {key: _coerce(self.name, key, float, d.get(key, 0.0)) for key in ("l1", "l2")}
+        if min(params.values()) < 0.0:
+            raise ConfigError(f"{self.name}: l1 and l2 must be non-negative, got {params}")
+        return params
 
     def fit(self, x, times, events, params, seed, names=None):
         return fit_coxph(x, times, events, names=names, **params)
@@ -315,15 +313,7 @@ class _DeepHitFamily:
                     "weight_decay": [0.05], "n_bins": [60]}
 
     def make_params(self, d):
-        params = _params_from(self.name, DeepHitParams, d)
-        if not params.sigma >= deephit_mod.SIGMA_MIN:
-            raise ConfigError(
-                f"deephit: sigma must be at least {deephit_mod.SIGMA_MIN:.6g}, "
-                f"got {params.sigma!r} (the ranking loss overflows below it)"
-            )
-        if params.n_interp < 2:
-            raise ConfigError(f"deephit: n_interp must be at least 2, got {params.n_interp!r}")
-        return params
+        return _params_from(self.name, DeepHitParams, d)
 
     def fit(self, x, times, events, params, seed, names=None):
         return fit_deephit(x, times, events, params, seed)
@@ -351,26 +341,27 @@ FAMILY_REGISTRY = {
 
 # -- cross-validated evaluation -------------------------------------------------
 
+def fit_and_apply(fit_ds, other_ds, family_name, params, prep, seed):
+    """Fit the fold pipeline and then the family on `fit_ds`, both from
+    `seed`; returns (pipeline, model, `other_ds` covariates through the
+    pipeline). The one fit step of a CV fold and of the final refit."""
+    pipeline = fit_fold_pipeline(fit_ds, prep, seed)
+    model = FAMILY_REGISTRY[family_name].fit(
+        pipeline.x_fit, fit_ds.time, fit_ds.event, params, seed, names=pipeline.feature_names
+    )
+    return pipeline, model, pipeline.transform(other_ds)
+
+
 def cv_evaluate(ds, folds, family_name, params, prep, seed):
     """Fit the family on each fold's fitting rows; the C-index of each
     fold's validation rows. All preprocessing is fit inside the fold, by
-    `fit_fold_pipeline`."""
+    `fit_and_apply`."""
     family = FAMILY_REGISTRY[family_name]
     scores = []
     for f, (fit_idx, val_idx) in enumerate(folds):
-        fold_seed = seed + f
         fit_ds = subset_rows(ds, fit_idx)
         val_ds = subset_rows(ds, val_idx)
-        pipeline = fit_fold_pipeline(fit_ds, prep, fold_seed)
-        model = family.fit(
-            pipeline.x_fit,
-            fit_ds.time,
-            fit_ds.event,
-            params,
-            fold_seed,
-            names=pipeline.feature_names,
-        )
-        x_val = pipeline.transform(val_ds)
+        _, model, x_val = fit_and_apply(fit_ds, val_ds, family_name, params, prep, seed + f)
         score = concordance_index(val_ds.time, val_ds.event, family.risk(model, x_val))
         scores.append(float(score))
     return scores
@@ -510,8 +501,8 @@ class ExperimentConfig:
         that loads the cohort rejects a config that names none."""
         if not isinstance(doc, dict):
             raise ConfigError(f"config: the document is a {type(doc).__name__}, not an object")
-        _check_keys("config", doc, ["seed", "ensure_like", "ensure_like_seed", "data", "schema",
-                                    "inclusion", "split", "prep", "families", "n_boot"])
+        check_keys("config", doc, ["seed", "ensure_like", "ensure_like_seed", "data", "schema",
+                                   "inclusion", "split", "prep", "families", "n_boot"])
         plan = _params_from("split", SplitPlan, doc.get("split", {}))
         _split_settings(plan)  # every split value fails here, not at the split
         prep = _params_from("prep", PrepConfig, doc.get("prep", {}))
@@ -568,7 +559,7 @@ def _inclusion_rules(doc):
         return InclusionRules()
     if not isinstance(doc, dict):
         raise ConfigError(f"inclusion: {doc!r} is not an object")
-    _check_keys("inclusion", doc, [f.name for f in fields(InclusionRules)])
+    check_keys("inclusion", doc, [f.name for f in fields(InclusionRules)])
     rules = InclusionRules()
     if "drop_missing_outcomes" in doc:
         rules.drop_missing_outcomes = _coerce(
@@ -579,7 +570,7 @@ def _inclusion_rules(doc):
     rules.exclude_levels = {k: list(v) for k, v in levels.items()}
     early = doc.get("exclude_early_events")
     if early is not None:
-        if isinstance(early, (str, bool)):
+        if isinstance(early, str):
             raise ConfigError(f"inclusion: exclude_early_events={early!r} is not a number")
         rules.exclude_early_events = _coerce("inclusion", "exclude_early_events", float, early)
     return rules
@@ -588,11 +579,20 @@ def _inclusion_rules(doc):
 class ExperimentReport:
     content: dict
     wall_clock_seconds: float = 0.0
-    models: dict = field(default_factory=dict, repr=False)
+    # family name -> (refit model, test-split covariates through its pipeline)
+    fits: dict = field(default_factory=dict, repr=False)
+    curve_times: np.ndarray = None  # the test split's distinct event times
 
     def to_json_bytes(self):
         """Canonical bytes: stable key order, no volatile fields."""
         return (json.dumps(self.content, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+    def test_curves(self, family_name, rows):
+        """Survival curves of the test-split rows `rows` (positions in the
+        test split) under the family's refit model, at `curve_times`: the
+        curves its test metrics were scored on."""
+        model, x_test = self.fits[family_name]
+        return FAMILY_REGISTRY[family_name].curves(model, x_test[rows], self.curve_times)
 
 
 def _data_digest(ds):
@@ -641,29 +641,22 @@ def run_experiment(ds, config):
     train_ds = subset_rows(ds, split_res.train_idx)
     test_ds = subset_rows(ds, split_res.test_idx)
 
+    t_test, e_test = test_ds.time, test_ds.event
+    curve_times = np.unique(t_test[e_test == 1.0])
+
     families_out = {}
-    models = {}
+    fits = {}
     for fi, (family_name, grid) in enumerate(config.families.items()):
         family = FAMILY_REGISTRY[family_name]
         grid_res = grid_search(
             ds, split_res.folds, family_name, grid or family.default_grid,
             config.prep, seed + 10000 * (fi + 1)
         )
-        refit_seed = seed + 50000 + fi
-        pipeline = fit_fold_pipeline(train_ds, config.prep, refit_seed)
         params = family.make_params(grid_res.best_params)
-        model = family.fit(
-            pipeline.x_fit,
-            train_ds.time,
-            train_ds.event,
-            params,
-            refit_seed,
-            names=pipeline.feature_names,
+        pipeline, model, x_test = fit_and_apply(
+            train_ds, test_ds, family_name, params, config.prep, seed + 50000 + fi
         )
-        x_test = pipeline.transform(test_ds)
-        t_test, e_test = test_ds.time, test_ds.event
         risk = family.risk(model, x_test)
-        curve_times = np.unique(t_test[e_test == 1.0])
         curves = family.curves(model, x_test, curve_times)
 
         boot_seed = seed + 300 + fi
@@ -688,19 +681,15 @@ def run_experiment(ds, config):
                 for r in results
             },
         }
-        models[family_name] = {"model": model, "pipeline": pipeline, "family": family}
+        fits[family_name] = (model, x_test)
 
     content = {
         "toolkit_version": _version(),
         "seed": seed,
         "data_digest": _data_digest(ds),
         "config": {
-            "split": {"test_fraction": config.plan.test_fraction, "inner": config.plan.inner},
-            "prep": {
-                "impute_iterations": config.prep.impute_iterations,
-                "prune_threshold": config.prep.prune_threshold,
-                "standardize": config.prep.standardize,
-            },
+            "split": asdict(config.plan),
+            "prep": asdict(config.prep),
             "families": config.families,
             "n_boot": config.n_boot,
         },
@@ -712,7 +701,7 @@ def run_experiment(ds, config):
         },
         "families": families_out,
     }
-    report = ExperimentReport(content=content, models=models)
+    report = ExperimentReport(content=content, fits=fits, curve_times=curve_times)
     report.wall_clock_seconds = _time.perf_counter() - t0
     return report
 

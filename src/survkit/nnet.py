@@ -18,6 +18,7 @@ model stamp only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -250,6 +251,23 @@ def epoch_batches(n, batch_size, rng):
         raise DataError("batch_size must be >= 1")
     perm = rng.permutation(n)
     return [perm[i : i + batch_size] for i in range(0, n, batch_size)]
+
+
+def _check_train_params(params, *extra):
+    """DataError naming the first field of `params` out of range: the
+    training fields of DeepSurv and DeepHit, then the `extra` (field, in
+    range, range) rules of the caller. NaN is out of every range."""
+    for name, ok, what in (
+        ("epochs", params.epochs >= 1, "at least 1"),
+        ("batch_size", params.batch_size >= 1, "at least 1"),
+        ("lr", 0 < params.lr < math.inf, "positive and finite"),
+        ("dropout", 0 <= params.dropout < 1, "in [0, 1)"),
+        ("lr_decay", 0 < params.lr_decay < math.inf, "positive and finite"),
+        ("weight_decay", 0 <= params.weight_decay < math.inf, "non-negative and finite"),
+        *extra,
+    ):
+        if not ok:
+            raise DataError(f"{name} must be {what}, got {getattr(params, name)!r}")
 
 
 def _train(x, n_out, params, seed, batch_loss, usable=None):

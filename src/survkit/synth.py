@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComputationError, ConfigError
+from .errors import ComputationError, ConfigError, check_keys, finite_number
 from .metrics import concordance_index
 from .tabular import ColumnSpec, SurvivalDataset
 
@@ -96,6 +96,11 @@ def _validate_spec(spec):
         raise ConfigError("shape and scale must be positive")
     if not 0.0 <= spec.censoring_fraction < 1.0:
         raise ConfigError("censoring_fraction must be in [0, 1)")
+    for cov in spec.covariates:
+        if cov.kind == "binary" and not 0.0 <= cov.params <= 1.0:
+            raise ConfigError(f"covariate {cov.name!r}: p must be in [0, 1]")
+        if cov.kind == "continuous" and not cov.params[1] >= 0.0:
+            raise ConfigError(f"covariate {cov.name!r}: sd must be non-negative")
     names = [c.name for c in spec.covariates]
     if len(set(names)) != len(names):
         raise ConfigError("duplicate covariate names")
@@ -275,53 +280,77 @@ def generate(spec, seed=0):
     return ds, truth
 
 
+# the keys a synth spec covariate takes besides `name` and `kind`
+_KIND_KEYS = {"continuous": ["mean", "sd"], "binary": ["p"], "categorical": ["levels"]}
+
+
+def _number(scope, key, value, kind=float):
+    """`value` of `key` read by `finite_number`, else a ConfigError naming both."""
+    try:
+        return finite_number(value, kind)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{scope}: {exc} (key {key!r})") from exc
+
+
 def spec_from_dict(doc):
     """Build a GeneratorSpec from a JSON-style dict (see README schema).
 
     A missing key without a default (`n`, a covariate `name`, a rule
-    `column` or `target_rate`) or a value of the wrong type is a
-    ConfigError.
+    `column` or `target_rate`), an unknown key at any level (a covariate
+    takes only its kind's keys), a boolean or non-finite number, a
+    non-integral count or a value of the wrong type is a ConfigError.
     """
+    top = "synth spec"
     try:
+        check_keys(top, doc, ["n", "covariates", "beta", "shape", "scale", "censoring_fraction",
+                              "missing_rules", "n_centers", "center_probs"])
         covs = []
-        for c in doc.get("covariates", []):
+        for i, c in enumerate(doc.get("covariates", [])):
+            scope = f"{top}: covariates[{i}]"
             kind = c.get("kind")
-            if kind == "continuous":
-                params = (float(c.get("mean", 0.0)), float(c.get("sd", 1.0)))
-            elif kind == "binary":
-                params = float(c.get("p", 0.5))
-            elif kind == "categorical":
-                params = {str(k): float(v) for k, v in c.get("levels", {}).items()}
-            else:
+            if kind not in _KIND_KEYS:
                 raise ConfigError(f"covariate {c.get('name')!r}: unknown kind {kind!r}")
+            check_keys(scope, c, ["name", "kind", *_KIND_KEYS[kind]])
+            if kind == "continuous":
+                params = (_number(scope, "mean", c.get("mean", 0.0)),
+                          _number(scope, "sd", c.get("sd", 1.0)))
+            elif kind == "binary":
+                params = _number(scope, "p", c.get("p", 0.5))
+            else:
+                params = {str(k): _number(scope, k, v) for k, v in c.get("levels", {}).items()}
             covs.append(CovariateSpec(name=str(c["name"]), kind=kind, params=params))
-        rules = [
-            MissingRule(
+        rules = []
+        for i, r in enumerate(doc.get("missing_rules", [])):
+            scope = f"{top}: missing_rules[{i}]"
+            check_keys(scope, r, ["column", "target_rate", "drivers", "weights", "center_shifts"])
+            rules.append(MissingRule(
                 column=str(r["column"]),
-                target_rate=float(r["target_rate"]),
+                target_rate=_number(scope, "target_rate", r["target_rate"]),
                 drivers=[str(d) for d in r.get("drivers", [])],
-                weights=[float(w) for w in r.get("weights", [])],
-                center_shifts=r.get("center_shifts"),
-            )
-            for r in doc.get("missing_rules", [])
-        ]
+                weights=[_number(scope, "weights", w) for w in r.get("weights", [])],
+                center_shifts=None if r.get("center_shifts") is None else [
+                    _number(scope, "center_shifts", v) for v in r["center_shifts"]],
+            ))
         return GeneratorSpec(
-            n=int(doc["n"]),
+            n=_number(top, "n", doc["n"], int),
             covariates=covs,
-            beta={str(k): float(v) for k, v in doc.get("beta", {}).items()},
-            shape=float(doc.get("shape", 1.0)),
-            scale=float(doc.get("scale", 1.0)),
-            censoring_fraction=float(doc.get("censoring_fraction", 0.0)),
+            beta={str(k): _number(top, k, v) for k, v in doc.get("beta", {}).items()},
+            shape=_number(top, "shape", doc.get("shape", 1.0)),
+            scale=_number(top, "scale", doc.get("scale", 1.0)),
+            censoring_fraction=_number(top, "censoring_fraction",
+                                       doc.get("censoring_fraction", 0.0)),
             missing_rules=rules,
-            n_centers=int(doc.get("n_centers", 1)),
-            center_probs=doc.get("center_probs"),
+            n_centers=_number(top, "n_centers", doc.get("n_centers", 1), int),
+            center_probs=None if doc.get("center_probs") is None else [
+                _number(top, "center_probs", p) for p in doc["center_probs"]],
         )
     except KeyError as exc:
-        raise ConfigError(f"synth spec: missing key {exc}") from exc
+        raise ConfigError(f"{top}: missing key {exc}") from exc
     except ConfigError:
         raise
     except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"synth spec: {exc}") from exc
+        raise ConfigError(f"{top}: {exc}") from exc
+
 
 def ensure_like(seed=0):
     """A cohort shaped like a two-outcome gastric cancer registry table:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import DataError, SchemaError, check_keys
 
 KINDS = ("continuous", "categorical", "binary")
 ROLES = ("covariate", "time", "event", "id", "center")
@@ -40,8 +40,10 @@ class ColumnSpec:
         if self.kind == "categorical":
             if not self.levels:
                 raise SchemaError(f"column {self.name!r}: categorical column needs levels")
-            if any(not lv for lv in self.levels):
-                raise SchemaError(f"column {self.name!r}: levels must be non-empty strings")
+            if not isinstance(self.levels, list) or not all(
+                    isinstance(lv, str) and lv for lv in self.levels):
+                raise SchemaError(
+                    f"column {self.name!r}: levels must be a list of non-empty strings")
             if len(set(self.levels)) != len(self.levels):
                 raise SchemaError(f"column {self.name!r}: duplicate levels")
         elif self.levels:
@@ -233,6 +235,7 @@ def load_schema(path):
     for name, entry in doc.items():
         if not isinstance(entry, dict) or "kind" not in entry:
             raise SchemaError(f"column {name!r}: spec must be an object with a kind")
+        check_keys(f"column {name!r}", entry, ["kind", "role", "levels"], SchemaError)
         columns.append(
             ColumnSpec(
                 name=name,

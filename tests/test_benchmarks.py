@@ -5,8 +5,8 @@ same bits as a reference (the Efron split and the concordance counts, the
 training step, the CSV writer and the load round trip); these runs make
 those assertions part of the test suite. A tiny traced experiment checks
 that survbench's tracer still covers every layer function, that the call
-counts match the config and that every per-layer metric it declares
-computes.
+counts match the config, that every per-layer metric it declares computes
+and that the prediction and scoring layers read non-zero.
 """
 
 import json
@@ -86,3 +86,8 @@ def test_traced_experiment_covers_every_layer(tmp_path):
     declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
     assert sorted(result["layers"]) == sorted(declared)
     assert all(isinstance(v, (int, float)) and v == v for v in result["layers"].values())
+    # a layer function reached through a reference bound before the tracer
+    # was installed would read 0 here, not fail
+    for name in ("deephit.predict_survival.curves", "coxph.predict_survival.s",
+                 "curves.survival_curve.evals", "kernels.concordance.calls"):
+        assert result["layers"][name] > 0, name

@@ -16,11 +16,15 @@ import pytest
 
 import survkit
 from survkit.cli import main
+from survkit.curves import curves_to_csv
+from survkit.harness import ExperimentConfig, run_experiment
 from survkit.preprocess import dummy_encode
 from survkit.synth import CovariateSpec, GeneratorSpec, MissingRule, ensure_like, generate
 from survkit.tabular import (
     ColumnSpec,
+    InclusionRules,
     SurvivalDataset,
+    apply_inclusion,
     load_csv,
     load_schema,
     save_csv,
@@ -342,6 +346,17 @@ def test_experiment_rejects_wrong_typed_run_settings_before_any_fit(tmp_path, ca
         ({"seed": -3}, "config: seed=-3 is not a non-negative integer"),
         ({**BUILT_IN, "ensure_like_seed": -1},
          "config: ensure_like_seed=-1 is not a non-negative integer"),
+        # a JSON boolean is not a number, and a number must be finite
+        ({"n_boot": True}, "config: n_boot=True"),
+        ({"seed": True}, "config: seed=True"),
+        ({"n_boot": float("inf")}, "config: n_boot=inf"),
+        ({"prep": {"prune_threshold": float("nan")}}, "prep: prune_threshold=nan"),
+        ({"families": {"coxph": {"l1": ["nan"]}}}, "coxph: l1='nan'"),
+        ({"families": {"deepsurv": {"lr": [float("inf")]}}}, "deepsurv: lr=inf"),
+        # each grid value is range-checked at load, not at its own fit
+        ({"families": {"coxph": {"l1": [-1]}}}, "coxph: l1 and l2 must be non-negative"),
+        ({"families": {"deepsurv": {"epochs": [0]}}}, "deepsurv: epochs must be at least 1"),
+        ({"families": {"deephit": {"alpha": [-2]}}}, "deephit: alpha must be non-negative"),
     ):
         config = experiment_config(tmp_path, **overrides)
         out = tmp_path / "out"
@@ -459,6 +474,30 @@ def test_experiment_plot_patients(tmp_path, capsys):
     assert not (bad_out / "report.json").exists()
 
 
+def test_plot_patients_draws_the_report_fits(tmp_path):
+    """Each family's plotted curves are `ExperimentReport.test_curves` of
+    the same config's run: the refit model at the test covariates the
+    metrics were scored on, with no second imputation."""
+    data, schema = write_cohort(tmp_path, missing=True, n=160)
+    config = experiment_config(tmp_path, families={
+        "coxph": {"l1": [0.0]}, "deepsurv": {"epochs": [2]}, "deephit": {"epochs": [2]}})
+    encoded, _ = dummy_encode(apply_inclusion(load_csv(data, load_schema(schema)),
+                                              InclusionRules())[0])
+    report = run_experiment(encoded, ExperimentConfig.from_dict(json.loads(config.read_text())))
+    test_ids = report.content["split_provenance"]["test_row_ids"]
+    ids = [str(i) for i in test_ids[:3]]
+
+    out = tmp_path / "plots"
+    rc = main(["experiment", "--config", str(config), "--out", str(out),
+               "--plot-patients", ",".join(ids)])
+    assert rc == 0
+    assert (out / "report.json").read_bytes() == report.to_json_bytes()
+    for family in ("coxph", "deepsurv", "deephit"):
+        expected = tmp_path / f"expected_{family}.csv"
+        curves_to_csv(ids, report.test_curves(family, [0, 1, 2]), expected)
+        assert (out / f"curves_{family}.csv").read_bytes() == expected.read_bytes()
+
+
 # -- synth ------------------------------------------------------------------------------
 
 
@@ -497,6 +536,7 @@ def test_synth_requires_spec_or_builtin(tmp_path, capsys):
     ("{not json", "spec is not valid JSON"),
     ('{"covariates": []}', "synth spec: missing key 'n'"),
     ('{"n": "ten"}', "synth spec: invalid literal for int()"),
+    ('{"n": 50, "censoring_fration": 0.3}', "synth spec: unknown key 'censoring_fration'"),
 ])
 def test_synth_rejects_a_malformed_spec(tmp_path, capsys, text, message):
     spec_path = tmp_path / "spec.json"

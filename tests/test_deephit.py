@@ -160,13 +160,16 @@ def test_loss_validation():
 def test_overflowing_sigma_is_a_data_error_without_warnings():
     """A pair term exp((F_j - F_i) / sigma) is at most exp(1/sigma) for CDF
     values, with gradient exp(1/sigma) / sigma; below SIGMA_MIN those can
-    overflow, and training stops at its first batch with a typed error,
-    before any exp runs."""
+    overflow. Such params are a typed error when built, and params changed
+    after that stop training at its first batch, before any exp runs."""
     rng = np.random.default_rng(0)
     x = rng.normal(size=(300, 4))
     t = rng.exponential(10.0, 300) + 0.1
     e = (rng.random(300) < 0.6).astype(float)
-    params = DeepHitParams(hidden=[8], n_bins=20, epochs=5, sigma=1e-3)
+    with pytest.raises(DataError, match="sigma"):
+        DeepHitParams(hidden=[8], n_bins=20, epochs=5, sigma=1e-3)
+    params = DeepHitParams(hidden=[8], n_bins=20, epochs=5)
+    params.sigma = 1e-3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DataError, match="sigma"):
@@ -294,9 +297,13 @@ def test_risk_is_negative_mean_survival():
 
 
 def test_predict_survival_validation():
-    """A curve needs two points; `n_interp` is its only resolution setting."""
+    """A curve needs two points; `n_interp` is its only resolution setting,
+    checked when the params are built and again at prediction."""
     x, t, e = ph_cohort(13, 100)
-    model = fit_deephit(x, t, e, small_params(epochs=2, n_interp=1), seed=5)
+    with pytest.raises(DataError, match="n_interp"):
+        small_params(epochs=2, n_interp=1)
+    model = fit_deephit(x, t, e, small_params(epochs=2), seed=5)
+    model.params.n_interp = 1
     with pytest.raises(DataError):
         predict_survival(model, x[:2])
     model.params.n_interp = 7

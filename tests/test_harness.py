@@ -542,6 +542,12 @@ def test_config_rejects_wrong_typed_run_settings():
         ({"prep": {"standardise": False}}, "prep: unknown key 'standardise'"),
         ({"split": {"k": 3}}, "split: unknown key 'k'"),
         ({"prep": [1]}, r"prep: \[1\] is not an object"),
+        ({"n_boot": True}, "config: n_boot=True"),
+        ({"seed": True}, "config: seed=True"),
+        ({"prep": {"impute_iterations": True}}, "prep: impute_iterations=True"),
+        ({"n_boot": float("inf")}, "config: n_boot=inf"),
+        ({"prep": {"prune_threshold": float("nan")}}, "prep: prune_threshold=nan"),
+        ({"split": {"test_fraction": "nan"}}, "split: test_fraction='nan'"),
     )
     for doc, message in bad:
         with pytest.raises(ConfigError, match=message):
@@ -582,6 +588,8 @@ def test_inclusion_section_is_read_strictly():
         ({"exclude_early_events": "5"}, "inclusion: exclude_early_events='5'"),
         ({"exclude_levels": {"grade": "g3"}}, "inclusion: exclude_levels="),
         ({"exclude_early": 1}, "inclusion: unknown key 'exclude_early'"),
+        ({"exclude_early_events": True}, "inclusion: exclude_early_events=True"),
+        ({"exclude_early_events": float("nan")}, "inclusion: exclude_early_events=nan"),
     ):
         with pytest.raises(ConfigError, match=message):
             _inclusion_rules(doc)
@@ -627,6 +635,17 @@ def test_config_rejects_every_key_it_would_not_read():
         ({"split": {"inner": {"kind": "kfold", "fraction": 0.2}}}, "split.inner: unknown key 'fraction'"),
         ({"split": {"inner": {"kind": "holdout", "k": 3}}}, "split.inner: unknown key 'k'"),
         ({"families": {"deephit": {"n_interp": [1]}}}, "deephit: n_interp must be at least 2"),
+        # the range of every hyper-parameter, after its type
+        ({"families": {"coxph": {"l2": [0.0, -0.5]}}}, "coxph: l1 and l2 must be non-negative"),
+        ({"families": {"coxph": {"l1": [True]}}}, "coxph: l1=True"),
+        ({"families": {"deepsurv": {"epochs": [-3]}}}, "deepsurv: epochs must be at least 1"),
+        ({"families": {"deepsurv": {"batch_size": [0]}}}, "deepsurv: batch_size must be at least"),
+        ({"families": {"deepsurv": {"lr": [0.0]}}}, "deepsurv: lr must be positive"),
+        ({"families": {"deepsurv": {"dropout": [1.0]}}}, r"deepsurv: dropout must be in \[0, 1\)"),
+        ({"families": {"deephit": {"lr_decay": [-0.7]}}}, "deephit: lr_decay must be positive"),
+        ({"families": {"deephit": {"weight_decay": [-0.1]}}}, "deephit: weight_decay must be non"),
+        ({"families": {"deephit": {"n_bins": [0]}}}, "deephit: n_bins must be at least 1"),
+        ({"families": {"deephit": {"alpha": [-2]}}}, "deephit: alpha must be non-negative"),
     ):
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_dict(doc)
@@ -774,7 +793,7 @@ def test_run_experiment_report_structure():
     assert metrics["c_index"]["point"] > 0.55
 
     assert report.wall_clock_seconds > 0.0
-    assert "coxph" in report.models
+    assert "coxph" in report.fits
 
 
 def test_run_experiment_bytes_are_deterministic():

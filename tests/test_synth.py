@@ -1,5 +1,7 @@
 """Generator tests: marginal distributions, censoring control, ground truth."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats as sstats
@@ -201,6 +203,25 @@ def test_spec_from_dict():
     assert ds.n_rows == 100
     with pytest.raises(ConfigError):
         spec_from_dict({"n": 10, "covariates": [{"name": "x", "kind": "fancy"}]})
+    # a key or a value the reader would ignore or misread is an error naming it
+    age = doc["covariates"][0]
+    for bad, message in (
+        ({"censoring_fration": 0.3}, "synth spec: unknown key 'censoring_fration'"),
+        ({"n": 100.7}, "100.7 is not a valid int (key 'n')"),
+        ({"n": True}, "True is not a valid int (key 'n')"),
+        ({"shape": float("inf")}, "inf is not finite (key 'shape')"),
+        ({"n_centers": 2, "center_probs": [0.5, float("nan")]}, "(key 'center_probs')"),
+        ({"covariates": [{**age, "mean": float("nan")}]}, "covariates[0]: nan is not finite"),
+        ({"covariates": [{**age, "p": 0.5}]}, "covariates[0]: unknown key 'p'"),
+        ({"missing_rules": [{"column": "age", "target_rate": 0.1, "driver": ["male"]}]},
+         "missing_rules[0]: unknown key 'driver'"),
+        ({"beta": [0.1]}, "synth spec: 'list' object has no attribute 'items'"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            spec_from_dict({**doc, **bad})
+    male = doc["covariates"][1]
+    with pytest.raises(ConfigError, match="p must be in"):
+        generate(spec_from_dict({**doc, "covariates": [{**male, "p": 1.5}]}), seed=1)
 
 
 # -- the bundled registry-like cohort ---------------------------------------------------------

@@ -1,6 +1,7 @@
 """Cohort table tests: schema rules, CSV round-trips, inclusion filters."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -99,6 +100,15 @@ def test_schema_json_rejects_garbage(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(SchemaError):
         load_schema(path)
+    # a key or a value the reader would ignore or misread names the column
+    for entry, message in (
+        ({"kind": "continuous", "rol": "id"}, "column 'pid': unknown key 'rol'"),
+        ({"kind": "categorical", "levels": "abc"}, "column 'pid': levels must be a list of"),
+        ({"kind": "categorical", "levels": ["a", 1]}, "levels must be a list of non-empty strings"),
+    ):
+        path.write_text(json.dumps({"pid": entry}), encoding="utf-8")
+        with pytest.raises(SchemaError, match=message):
+            load_schema(path)
 
 
 # -- CSV loading ------------------------------------------------------------------
