@@ -1,34 +1,41 @@
 """Command line interface.
 
-Subcommands: impute, identify-factors, experiment, synth. Every run writes
-into its own directory (UTC timestamp plus a config digest, or --out) with
-a manifest recording inputs, hashes, seeds, and timing. Exit codes: 0 on
-success, 2 for validation problems (bad schema, data, or config), 3 for
-computation failures. All configuration comes from flags and files; no
-environment variables are consulted.
+Subcommands: impute, identify-factors, experiment, synth. A command computes
+everything first and returns its files; `_run` then makes the run directory
+(--out, or runs/<UTC stamp>_<digest>), writes those files and a
+manifest.json recording inputs, hashes, seeds and timing, and prints the
+directory's path. This module is the only one that writes run files:
+
+- impute: completed_NN.csv, imputation.json, encoding.json, inclusion.json
+- identify-factors: factors.csv, inclusion.json
+- experiment: report.json, metrics.csv, inclusion.json for a CSV cohort,
+  and curves_<family>.csv/.svg with --plot-patients
+- synth: cohort.csv, schema.json, ground_truth.json
+
+Exit codes: 0 on success, 2 for validation problems (bad schema, data, or
+config), 3 for computation failures. The directory is made only after all
+computation, so a bad input or a failed computation leaves none behind. All
+configuration comes from flags and files; no environment variables are
+consulted.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime as dt
 import hashlib
 import json
 import sys
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from . import __version__
 from ._kernels import BACKEND
-from .curves import curves_to_csv
 from .errors import ComputationError, ConfigError, SchemaError, SurvkitError
-from .harness import (
-    ExperimentConfig,
-    experiment_split,
-    factors_to_csv,
-    identify_factors,
-    run_experiment,
-)
-from .impute import mice_impute, save_imputation_set
+from .harness import ExperimentConfig, experiment_split, identify_factors, run_experiment
+from .impute import mice_impute
 from .preprocess import dummy_encode
 from .svgplot import svg_line_chart
 from .synth import ensure_like, generate, spec_from_dict
@@ -43,6 +50,18 @@ from .tabular import (
 )
 
 
+@dataclass
+class _Run:
+    """What a command computed, for `_run` to write."""
+
+    files: dict  # file name -> writer, called with the file's path
+    key: bytes  # the default directory's digest hashes these bytes
+    inputs: list  # paths whose sha256 the manifest records
+    seed: int
+    echo: dict  # the manifest's "args"
+    extra: dict = field(default_factory=dict)  # further manifest keys
+
+
 def _sha256_file(path):
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -55,93 +74,80 @@ def _utc_now():
     return dt.datetime.now(dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _run_dir(base, config_bytes):
-    stamp = dt.datetime.now(dt.timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-    digest = hashlib.sha256(config_bytes).hexdigest()[:8]
-    return Path(base) / f"{stamp}_{digest}"
+def _write_json(path, doc, indent=2, sort_keys=True):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=indent, sort_keys=sort_keys)
+        fh.write("\n")
 
 
-def _write_manifest(out_dir, command, args_echo, inputs, seed, started, extra=None):
-    doc = {
-        "command": command,
-        "args": args_echo,
-        "inputs": {str(p): _sha256_file(p) for p in inputs},
-        "seed": seed,
+def _write_csv(path, header, rows):
+    """`header`, then `rows`, as CSV; callers format floats with repr."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _run(args):
+    """Run the parsed command, then make its directory, write its files and
+    manifest.json, and print the directory's path."""
+    started = _utc_now()
+    run = args.func(args)
+    if args.out:
+        out_dir = Path(args.out)
+    else:
+        stamp = dt.datetime.now(dt.timezone.utc).strftime("%Y%m%dT%H%M%SZ")
+        out_dir = Path("runs") / f"{stamp}_{hashlib.sha256(run.key).hexdigest()[:8]}"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, write in run.files.items():
+        write(out_dir / name)
+    _write_json(out_dir / "manifest.json", {
+        "command": args.command,
+        "args": run.echo,
+        "inputs": {str(p): _sha256_file(p) for p in run.inputs},
+        "seed": run.seed,
         "toolkit_version": __version__,
         "kernel_backend": BACKEND,
         "started_utc": started,
         "finished_utc": _utc_now(),
-    }
-    if extra:
-        doc.update(extra)
-    with open(Path(out_dir) / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        **run.extra,
+    })
+    print(out_dir)
+    return 0
 
 
 def _load_cohort(data_path, schema_path, rules=None):
-    columns = load_schema(schema_path)
-    ds = load_csv(data_path, columns)
-    return apply_inclusion(ds, rules or InclusionRules())
+    """The cohort CSV filtered by `rules` and dummy-coded: (encoded dataset,
+    encoding entries, {"inclusion.json": writer of the inclusion audit})."""
+    ds, audit = apply_inclusion(load_csv(data_path, load_schema(schema_path)),
+                                rules or InclusionRules())
+    encoded, entries = dummy_encode(ds)
+    return encoded, entries, {"inclusion.json": partial(_write_json, doc=audit)}
 
 
 def cmd_impute(args):
-    started = _utc_now()
-    ds, audit = _load_cohort(args.data, args.schema)
-    encoded, emap = dummy_encode(ds)
+    encoded, entries, files = _load_cohort(args.data, args.schema)
     iset = mice_impute(encoded, args.m, args.iterations, args.seed)
-    out_dir = Path(args.out) if args.out else _run_dir(
-        "runs", f"impute:{args.data}:{args.m}:{args.iterations}:{args.seed}".encode()
-    )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_imputation_set(iset, out_dir)
-    emap.to_json(out_dir / "encoding.json")
-    with open(out_dir / "inclusion.json", "w", encoding="utf-8") as fh:
-        json.dump(audit, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(
-        out_dir, "impute",
-        {"m": args.m, "iterations": args.iterations},
-        [args.data, args.schema], args.seed, started,
-    )
-    print(out_dir)
-    return 0
+    names = [f"completed_{i:02d}.csv" for i in range(1, len(iset.datasets) + 1)]
+    files.update((name, partial(save_csv, ds)) for name, ds in zip(names, iset.datasets))
+    files["imputation.json"] = partial(_write_json, doc={**iset.provenance(), "files": names})
+    files["encoding.json"] = partial(_write_json, doc=entries, sort_keys=False)
+    return _Run(files, f"impute:{args.data}:{args.m}:{args.iterations}:{args.seed}".encode(),
+                [args.data, args.schema], args.seed, {"m": args.m, "iterations": args.iterations})
 
 
 def cmd_identify_factors(args):
-    started = _utc_now()
-    ds, audit = _load_cohort(args.data, args.schema)
-    encoded, _ = dummy_encode(ds)
+    encoded, _, files = _load_cohort(args.data, args.schema)
     rows = identify_factors(encoded, m=args.m, iterations=args.iterations, seed=args.seed)
-    out_dir = Path(args.out) if args.out else _run_dir(
-        "runs", f"factors:{args.data}:{args.m}:{args.iterations}:{args.seed}".encode()
-    )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    factors_to_csv(rows, out_dir / "factors.csv")
-    with open(out_dir / "inclusion.json", "w", encoding="utf-8") as fh:
-        json.dump(audit, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(
-        out_dir, "identify-factors",
-        {"m": args.m, "iterations": args.iterations},
-        [args.data, args.schema], args.seed, started,
-    )
-    print(out_dir)
-    return 0
-
-
-def _plot_family_curves(report, ids, rows, out_dir):
-    for family_name in report.fits:
-        curves = report.test_curves(family_name, rows)
-        series = [(pid, curves.times, row) for pid, row in zip(ids, curves.values)]
-        svg = svg_line_chart(series, title=f"{family_name}: predicted survival")
-        with open(out_dir / f"curves_{family_name}.svg", "w", encoding="utf-8") as fh:
-            fh.write(svg)
-        curves_to_csv(ids, curves, out_dir / f"curves_{family_name}.csv")
+    files["factors.csv"] = partial(
+        _write_csv, header=["variable", "hr", "ci_low", "ci_high", "p_value", "significant"],
+        rows=[[r.name, repr(r.hr), repr(r.hr_low), repr(r.hr_high), repr(r.p_value),
+               "yes" if r.significant else "no"] for r in rows])
+    return _Run(files, f"factors:{args.data}:{args.m}:{args.iterations}:{args.seed}".encode(),
+                [args.data, args.schema], args.seed, {"m": args.m, "iterations": args.iterations})
 
 
 def cmd_experiment(args):
-    started = _utc_now()
     with open(args.config, "rb") as fh:
         config_bytes = fh.read()
     try:
@@ -159,61 +165,46 @@ def cmd_experiment(args):
 
     inputs = [args.config]
     if config.ensure_like:
-        ds, _, _ = ensure_like(seed=config.ensure_like_seed)
+        encoded, _ = dummy_encode(ensure_like(seed=config.ensure_like_seed)[0])
+        files = {}
     elif config.data is None or config.schema is None:
         raise ConfigError("config needs data and schema paths (or ensure_like: true)")
     else:
         config_dir = Path(args.config).resolve().parent
         data_path, schema_path = config_dir / config.data, config_dir / config.schema
         inputs += [data_path, schema_path]
-        ds, _ = _load_cohort(data_path, schema_path, config.inclusion)
-    encoded, _ = dummy_encode(ds)
+        encoded, _, files = _load_cohort(data_path, schema_path, config.inclusion)
 
     # resolve plot targets before the expensive part so bad ids fail fast
-    ids_wanted = [p.strip() for p in (args.plot_patients or "").split(",") if p.strip()]
-    if ids_wanted:
+    ids = [p.strip() for p in (args.plot_patients or "").split(",") if p.strip()]
+    if ids:
         pids = subset_rows(encoded, experiment_split(encoded, config).test_idx).patient_ids()
-        missing = [p for p in ids_wanted if p not in pids]
+        missing = [p for p in ids if p not in pids]
         if missing:
             raise ConfigError(f"--plot-patients ids not in the test split: {missing}")
 
     report = run_experiment(encoded, config)
-
-    out_dir = Path(args.out) if args.out else _run_dir("runs", config_bytes)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "report.json", "wb") as fh:
-        fh.write(report.to_json_bytes())
-    _write_metrics_csv(report, out_dir / "metrics.csv")
-
-    if ids_wanted:
-        _plot_family_curves(report, ids_wanted, [pids.index(p) for p in ids_wanted], out_dir)
-
-    _write_manifest(
-        out_dir, "experiment",
-        {"models": args.models, "plot_patients": args.plot_patients},
-        inputs, config.seed, started,
-        extra={"wall_clock_seconds": report.wall_clock_seconds},
-    )
-    print(out_dir)
-    return 0
-
-
-def _write_metrics_csv(report, path):
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["family", "metric", "point", "ci_low", "ci_high"])
-        for family, section in report.content["families"].items():
-            for metric, vals in section["test_metrics"].items():
-                writer.writerow(
-                    [family, metric, repr(vals["point"]), repr(vals["ci_low"]),
-                     repr(vals["ci_high"])]
-                )
+    files["report.json"] = partial(Path.write_bytes, data=report.to_json_bytes())
+    files["metrics.csv"] = partial(
+        _write_csv, header=["family", "metric", "point", "ci_low", "ci_high"],
+        rows=[[family, metric, repr(v["point"]), repr(v["ci_low"]), repr(v["ci_high"])]
+              for family, section in report.content["families"].items()
+              for metric, v in section["test_metrics"].items()])
+    for family in report.fits if ids else ():
+        curves = report.test_curves(family, [pids.index(p) for p in ids])
+        series = [(pid, curves.times, row) for pid, row in zip(ids, curves.values)]
+        svg = svg_line_chart(series, title=f"{family}: predicted survival")
+        files[f"curves_{family}.svg"] = partial(Path.write_bytes, data=svg.encode("utf-8"))
+        files[f"curves_{family}.csv"] = partial(
+            _write_csv, header=["patient_id", "t", "S"],
+            rows=[[pid, repr(float(t)), repr(float(s))]
+                  for pid, times, row in series for t, s in zip(times, row)])
+    return _Run(files, config_bytes, inputs, config.seed,
+                {"models": args.models, "plot_patients": args.plot_patients},
+                {"wall_clock_seconds": report.wall_clock_seconds})
 
 
 def cmd_synth(args):
-    started = _utc_now()
     inputs = []
     if args.ensure_like:
         ds, truth, _ = ensure_like(seed=args.seed)
@@ -223,23 +214,19 @@ def cmd_synth(args):
             raise ConfigError("synth needs --spec or --ensure-like")
         with open(args.spec, encoding="utf-8") as fh:
             try:
-                doc = json.load(fh)
+                spec_echo = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"spec is not valid JSON: {exc}") from exc
         inputs.append(args.spec)
-        spec = spec_from_dict(doc)
-        ds, truth = generate(spec, seed=args.seed)
-        spec_echo = doc
-    out_dir = Path(args.out) if args.out else _run_dir(
-        "runs", json.dumps(spec_echo, sort_keys=True).encode()
-    )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_csv(ds, out_dir / "cohort.csv")
-    save_schema(ds.columns, out_dir / "schema.json")
-    truth.to_json(out_dir / "ground_truth.json")
-    _write_manifest(out_dir, "synth", spec_echo, inputs, args.seed, started)
-    print(out_dir)
-    return 0
+        ds, truth = generate(spec_from_dict(spec_echo), seed=args.seed)
+    files = {
+        "cohort.csv": partial(save_csv, ds),
+        "schema.json": partial(save_schema, ds.columns),
+        "ground_truth.json": partial(
+            _write_json, doc={**vars(truth), "eta": truth.eta.tolist()}, indent=None),
+    }
+    return _Run(files, json.dumps(spec_echo, sort_keys=True).encode(), inputs, args.seed,
+                spec_echo)
 
 
 def _seed_flag(text):
@@ -296,7 +283,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except (SchemaError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

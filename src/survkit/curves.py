@@ -9,7 +9,6 @@ carry leading subject axes; evaluation acts on the last axis.
 from __future__ import annotations
 
 import copy
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,13 +151,3 @@ class SurvivalCurve:
         if self.kind == "step":
             return step_eval(self.times, self.values, t, 1.0, side="left")
         return self(t)
-
-
-def curves_to_csv(ids, curves, path):
-    """Write predicted curves as long-format CSV with columns patient_id,t,S."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["patient_id", "t", "S"])
-        for pid, row in zip(ids, curves.values):
-            for t, s in zip(curves.times, row):
-                writer.writerow([pid, repr(float(t)), repr(float(s))])

@@ -9,7 +9,10 @@ Seed derivation from the master seed: split uses seed+1; an imputer seeded
 s draws chain i from s+100+i; fold pipelines and model training in the
 grid use seed + 10000*(family_index+1) + 100*grid_index + fold_index; the
 final refit uses seed + 50000 + family_index; test-set bootstraps use
-seed + 300 + family_index. Every stage is reproducible in isolation.
+seed + 300 + family_index. The family index is the family's place in
+FAMILY_REGISTRY (coxph 0, deepsurv 1, deephit 2), so a family's results do
+not depend on which other families run or in what order the config lists
+them. Every stage is reproducible in isolation.
 """
 
 from __future__ import annotations
@@ -461,19 +464,6 @@ def identify_factors(ds, m=10, iterations=10, seed=0):
     return rows
 
 
-def factors_to_csv(rows, path):
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variable", "hr", "ci_low", "ci_high", "p_value", "significant"])
-        for r in rows:
-            writer.writerow(
-                [r.name, repr(r.hr), repr(r.hr_low), repr(r.hr_high), repr(r.p_value),
-                 "yes" if r.significant else "no"]
-            )
-
-
 # -- end-to-end experiment ---------------------------------------------------------
 
 @dataclass
@@ -646,8 +636,9 @@ def run_experiment(ds, config):
 
     families_out = {}
     fits = {}
-    for fi, (family_name, grid) in enumerate(config.families.items()):
+    for family_name, grid in config.families.items():
         family = FAMILY_REGISTRY[family_name]
+        fi = list(FAMILY_REGISTRY).index(family_name)
         grid_res = grid_search(
             ds, split_res.folds, family_name, grid or family.default_grid,
             config.prep, seed + 10000 * (fi + 1)

@@ -28,7 +28,6 @@ O(n q^2) for the Gram of the observed rows formed from scratch.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -385,24 +384,3 @@ def pool_rubin(estimates, variances):
         ci_high=qbar + quantile * se,
         p_value=2.0 * sf(z),
     )
-
-
-def save_imputation_set(iset, out_dir, stem="completed"):
-    """Write the m completed datasets and a provenance record to a directory."""
-    from pathlib import Path
-
-    from .tabular import save_csv
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for i, ds in enumerate(iset.datasets, start=1):
-        p = out / f"{stem}_{i:02d}.csv"
-        save_csv(ds, p)
-        paths.append(p.name)
-    doc = iset.provenance()
-    doc["files"] = paths
-    with open(out / "imputation.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return paths

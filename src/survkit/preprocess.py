@@ -9,7 +9,6 @@ objects that apply to any other rows.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -17,18 +16,6 @@ import numpy as np
 
 from .errors import DataError, SchemaError
 from .tabular import ColumnSpec, SurvivalDataset, drop_columns
-
-
-@dataclass
-class EncodingMap:
-    """Record of a dummy coding: per column, the reference and output names."""
-
-    entries: dict  # name -> {"reference", "levels", "outputs"}
-
-    def to_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.entries, fh, indent=2)
-            fh.write("\n")
 
 
 def dummy_encode(ds, refs=None):
@@ -39,7 +26,9 @@ def dummy_encode(ds, refs=None):
     level r maps to all zeros. A missing cell is missing in every indicator.
     Non-covariate categoricals (e.g. a center column) pass through.
 
-    Returns (encoded dataset, EncodingMap).
+    Returns (encoded dataset, entries), where entries maps each expanded
+    column to {"reference", "levels", "outputs"}: its reference level, the
+    other levels and their indicator names.
     """
     refs = refs or {}
     unknown = set(refs) - set(ds.column_names)
@@ -76,7 +65,7 @@ def dummy_encode(ds, refs=None):
         np.column_stack(new_vals) if new_vals else np.empty((ds.n_rows, 0)),
         row_ids=ds.row_ids.copy(),
     )
-    return out, EncodingMap(entries=entries)
+    return out, entries
 
 
 @dataclass

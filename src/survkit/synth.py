@@ -11,7 +11,6 @@ missing rate hits the rule's target.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,21 +72,6 @@ class GroundTruth:
     seed: int
     encoded_names: list
 
-    def to_json(self, path):
-        doc = {
-            "beta": self.beta,
-            "oracle_c": self.oracle_c,
-            "censoring_rate": self.censoring_rate,
-            "event_fraction": self.event_fraction,
-            "median_followup": self.median_followup,
-            "seed": self.seed,
-            "encoded_names": self.encoded_names,
-            "eta": [float(v) for v in self.eta],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
-
 
 def _validate_spec(spec):
     if spec.n < 2:
@@ -96,6 +80,12 @@ def _validate_spec(spec):
         raise ConfigError("shape and scale must be positive")
     if not 0.0 <= spec.censoring_fraction < 1.0:
         raise ConfigError("censoring_fraction must be in [0, 1)")
+    if spec.n_centers < 1:
+        raise ConfigError("n_centers must be >= 1")
+    probs = spec.center_probs
+    if probs is not None and not (len(probs) == spec.n_centers and min(probs) >= 0
+                                  and abs(sum(probs) - 1.0) <= 1e-9):
+        raise ConfigError("center_probs must be n_centers non-negative probabilities summing to 1")
     for cov in spec.covariates:
         if cov.kind == "binary" and not 0.0 <= cov.params <= 1.0:
             raise ConfigError(f"covariate {cov.name!r}: p must be in [0, 1]")

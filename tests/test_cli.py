@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 import survkit
-from survkit.cli import main
-from survkit.curves import curves_to_csv
+from survkit.cli import _write_csv, main
 from survkit.harness import ExperimentConfig, run_experiment
 from survkit.preprocess import dummy_encode
 from survkit.synth import CovariateSpec, GeneratorSpec, MissingRule, ensure_like, generate
@@ -267,18 +266,36 @@ def test_experiment_end_to_end_and_rerun_bytes(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
 
+    # a CSV cohort's inclusion audit is written, as impute and identify-factors write it
+    audit = json.loads((out1 / "inclusion.json").read_text())
+    assert audit["n_before"] == audit["n_after"] == 160
+
 
 def test_experiment_models_filter(tmp_path, capsys):
+    """A family's seeds follow the family, not its place in the config: a
+    --models subset reproduces each family's section of the full run, and
+    a config listing its families in another order writes the same bytes."""
     write_cohort(tmp_path, missing=False, n=160)
-    config = experiment_config(
-        tmp_path, families={"coxph": {"l1": [0.0], "l2": [0.0]}, "deephit": {}}
-    )
-    out = tmp_path / "run"
-    rc = main(["experiment", "--config", str(config), "--models", "coxph",
-               "--out", str(out)])
-    assert rc == 0
-    report = json.loads((out / "report.json").read_text())
-    assert set(report["families"]) == {"coxph"}
+    families = {"coxph": {"l1": [0.0], "l2": [0.0]}, "deepsurv": {"epochs": [2]},
+                "deephit": {"epochs": [2]}}
+    config = experiment_config(tmp_path, families=families)
+    full = tmp_path / "full"
+    assert main(["experiment", "--config", str(config), "--out", str(full)]) == 0
+    full_sections = json.loads((full / "report.json").read_text())["families"]
+    for models in ("coxph", "deephit,deepsurv"):
+        out = tmp_path / models
+        rc = main(["experiment", "--config", str(config), "--models", models,
+                   "--out", str(out)])
+        assert rc == 0
+        report = json.loads((out / "report.json").read_text())
+        assert set(report["families"]) == set(models.split(","))
+        for family, section in report["families"].items():
+            assert section == full_sections[family]
+
+    reordered = experiment_config(tmp_path, families=dict(reversed(families.items())))
+    out = tmp_path / "reordered"
+    assert main(["experiment", "--config", str(reordered), "--out", str(out)]) == 0
+    assert (out / "report.json").read_bytes() == (full / "report.json").read_bytes()
 
     rc = main(["experiment", "--config", str(config), "--models", "rf"])
     assert rc == 2
@@ -494,7 +511,10 @@ def test_plot_patients_draws_the_report_fits(tmp_path):
     assert (out / "report.json").read_bytes() == report.to_json_bytes()
     for family in ("coxph", "deepsurv", "deephit"):
         expected = tmp_path / f"expected_{family}.csv"
-        curves_to_csv(ids, report.test_curves(family, [0, 1, 2]), expected)
+        curves = report.test_curves(family, [0, 1, 2])
+        _write_csv(expected, ["patient_id", "t", "S"],
+                   [[pid, repr(float(t)), repr(float(s))]
+                    for pid, row in zip(ids, curves.values) for t, s in zip(curves.times, row)])
         assert (out / f"curves_{family}.csv").read_bytes() == expected.read_bytes()
 
 
@@ -537,6 +557,10 @@ def test_synth_requires_spec_or_builtin(tmp_path, capsys):
     ('{"covariates": []}', "synth spec: missing key 'n'"),
     ('{"n": "ten"}', "synth spec: invalid literal for int()"),
     ('{"n": 50, "censoring_fration": 0.3}', "synth spec: unknown key 'censoring_fration'"),
+    ('{"n": 50, "n_centers": 0}', "n_centers must be >= 1"),
+    ('{"n": 50, "n_centers": 2, "center_probs": [0.7, 0.7]}', "center_probs must be"),
+    ('{"n": 50, "n_centers": 2, "center_probs": [0.5, 0.3, 0.2]}', "center_probs must be"),
+    ('{"n": 50, "n_centers": 2, "center_probs": [1.5, -0.5]}', "center_probs must be"),
 ])
 def test_synth_rejects_a_malformed_spec(tmp_path, capsys, text, message):
     spec_path = tmp_path / "spec.json"

@@ -28,13 +28,13 @@ from survkit.harness import (
     SplitPlan,
     cv_evaluate,
     expand_grid,
-    factors_to_csv,
     fit_fold_pipeline,
     grid_search,
     identify_factors,
     run_experiment,
     split,
 )
+from survkit.cli import main
 from survkit.preprocess import dummy_encode
 from survkit.synth import CovariateSpec, GeneratorSpec, MissingRule, ensure_like, generate
 from survkit.tabular import (
@@ -42,6 +42,8 @@ from survkit.tabular import (
     InclusionRules,
     SurvivalDataset,
     replace_column_values,
+    save_csv,
+    save_schema,
     subset_rows,
 )
 from test_acceptance import REFERENCE_CONFIG
@@ -461,11 +463,16 @@ def test_identify_factors_rejects_a_negative_seed_before_any_draw():
 
 
 def test_factors_to_csv_round_trip(tmp_path):
+    """`survkit identify-factors` writes identify_factors' rows to
+    factors.csv, floats by repr."""
     ds, _ = cohort(missing=True, n=300, seed=4)
     rows = identify_factors(ds, m=2, iterations=2, seed=1)
-    path = tmp_path / "factors.csv"
-    factors_to_csv(rows, path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    data, schema, out = tmp_path / "cohort.csv", tmp_path / "schema.json", tmp_path / "run"
+    save_csv(ds, data)
+    save_schema(ds.columns, schema)
+    assert main(["identify-factors", "--data", str(data), "--schema", str(schema), "--m", "2",
+                 "--iterations", "2", "--seed", "1", "--out", str(out)]) == 0
+    with open(out / "factors.csv", newline="", encoding="utf-8") as fh:
         read = list(csv.reader(fh))
     assert read[0] == ["variable", "hr", "ci_low", "ci_high", "p_value", "significant"]
     assert len(read) == len(rows) + 1

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -17,11 +18,18 @@ from survkit.impute import (
     mice_impute,
     nelson_aalen,
     pool_rubin,
-    save_imputation_set,
 )
+from survkit.cli import main
 from survkit.preprocess import dummy_encode
 from survkit.synth import ensure_like, generate
-from survkit.tabular import ColumnSpec, SurvivalDataset, replace_column_values, subset_rows
+from survkit.tabular import (
+    ColumnSpec,
+    SurvivalDataset,
+    replace_column_values,
+    save_csv,
+    save_schema,
+    subset_rows,
+)
 
 
 def cols_with(names):
@@ -514,12 +522,18 @@ def test_pool_rubin_validation():
 
 
 def test_save_imputation_set(tmp_path):
+    """`survkit impute` writes the m completed datasets and a provenance
+    record naming them."""
     ds, _ = mar_linear_dataset(seed=8, n=40)
-    iset = mice_impute(ds, m=3, iterations=2, seed=5)
-    files = save_imputation_set(iset, tmp_path, stem="done")
-    assert files == ["done_01.csv", "done_02.csv", "done_03.csv"]
+    data, schema, out = tmp_path / "cohort.csv", tmp_path / "schema.json", tmp_path / "run"
+    save_csv(ds, data)
+    save_schema(ds.columns, schema)
+    assert main(["impute", "--data", str(data), "--schema", str(schema), "--m", "3",
+                 "--iterations", "2", "--seed", "5", "--out", str(out)]) == 0
+    files = json.loads((out / "imputation.json").read_text(encoding="utf-8"))["files"]
+    assert files == ["completed_01.csv", "completed_02.csv", "completed_03.csv"]
     for f in files:
-        assert (tmp_path / f).exists()
-    prov = (tmp_path / "imputation.json").read_text(encoding="utf-8")
+        assert (out / f).exists()
+    prov = (out / "imputation.json").read_text(encoding="utf-8")
     assert '"m": 3' in prov
     assert '"n_missing_cells"' in prov

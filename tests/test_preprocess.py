@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from survkit.cli import main
 from survkit.errors import DataError, SchemaError
 from survkit.preprocess import (
     apply_scaler,
@@ -12,7 +13,8 @@ from survkit.preprocess import (
     fit_scaler,
     prune_correlated,
 )
-from survkit.tabular import ColumnSpec, SurvivalDataset
+from survkit.synth import CovariateSpec, GeneratorSpec, generate
+from survkit.tabular import ColumnSpec, SurvivalDataset, save_csv, save_schema
 
 
 def make_ds(columns, values, mask=None):
@@ -47,7 +49,7 @@ def cat_ds():
 
 
 def test_dummy_encode_basic():
-    ds, emap = dummy_encode(cat_ds())
+    ds, entries = dummy_encode(cat_ds())
     assert ds.column_names == ["months", "died", "grade=g2", "grade=g3", "age"]
     j2, j3 = ds.col_index("grade=g2"), ds.col_index("grade=g3")
     np.testing.assert_array_equal(ds.values[:3, j2], [0.0, 1.0, 0.0])
@@ -55,14 +57,14 @@ def test_dummy_encode_basic():
     # a missing source cell is missing in every indicator
     assert ds.missing_mask[3, j2] and ds.missing_mask[3, j3]
     assert np.isnan(ds.values[3, j2])
-    assert emap.entries["grade"]["reference"] == "g1"
-    assert emap.entries["grade"]["outputs"] == ["grade=g2", "grade=g3"]
+    assert entries["grade"]["reference"] == "g1"
+    assert entries["grade"]["outputs"] == ["grade=g2", "grade=g3"]
 
 
 def test_dummy_encode_custom_reference():
-    ds, emap = dummy_encode(cat_ds(), refs={"grade": "g3"})
+    ds, entries = dummy_encode(cat_ds(), refs={"grade": "g3"})
     assert ds.column_names[2:4] == ["grade=g1", "grade=g2"]
-    assert emap.entries["grade"]["reference"] == "g3"
+    assert entries["grade"]["reference"] == "g3"
     with pytest.raises(SchemaError):
         dummy_encode(cat_ds(), refs={"grade": "g9"})
     with pytest.raises(SchemaError):
@@ -72,16 +74,28 @@ def test_dummy_encode_custom_reference():
 def test_dummy_encode_leaves_center_column_alone():
     cols = outcome_cols() + [ColumnSpec("hospital", "categorical", role="center", levels=["a", "b"])]
     ds = make_ds(cols, [[1, 1, 0], [2, 0, 1]])
-    out, emap = dummy_encode(ds)
+    out, entries = dummy_encode(ds)
     assert out.column_names == ["months", "died", "hospital"]
-    assert emap.entries == {}
+    assert entries == {}
 
 
 def test_encoding_map_json_round_trip(tmp_path):
-    _, emap = dummy_encode(cat_ds())
-    p = tmp_path / "enc.json"
-    emap.to_json(p)
-    assert json.loads(p.read_text(encoding="utf-8")) == emap.entries
+    """`survkit impute` writes the cohort's encoding entries to encoding.json."""
+    spec = GeneratorSpec(
+        n=80,
+        covariates=[CovariateSpec("x", "continuous", (0.0, 1.0)),
+                    CovariateSpec("grade", "categorical", {"g1": 0.5, "g2": 0.3, "g3": 0.2})],
+        beta={"x": 0.5},
+        censoring_fraction=0.3,
+    )
+    ds, _ = generate(spec, seed=3)
+    _, entries = dummy_encode(ds)
+    data, schema, out = tmp_path / "cohort.csv", tmp_path / "schema.json", tmp_path / "run"
+    save_csv(ds, data)
+    save_schema(ds.columns, schema)
+    assert main(["impute", "--data", str(data), "--schema", str(schema), "--m", "2",
+                 "--iterations", "1", "--out", str(out)]) == 0
+    assert json.loads((out / "encoding.json").read_text(encoding="utf-8")) == entries
 
 
 # -- scaler ---------------------------------------------------------------------

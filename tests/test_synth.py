@@ -222,6 +222,15 @@ def test_spec_from_dict():
     male = doc["covariates"][1]
     with pytest.raises(ConfigError, match="p must be in"):
         generate(spec_from_dict({**doc, "covariates": [{**male, "p": 1.5}]}), seed=1)
+    # center probabilities are checked as level probabilities are, not by numpy
+    for bad, message in (
+        ({"n_centers": 0}, "n_centers must be >= 1"),
+        ({"n_centers": 2, "center_probs": [0.7, 0.7]}, "center_probs must be"),
+        ({"n_centers": 2, "center_probs": [0.5, 0.3, 0.2]}, "center_probs must be"),
+        ({"n_centers": 2, "center_probs": [1.5, -0.5]}, "center_probs must be"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            generate(spec_from_dict({**doc, **bad}), seed=1)
 
 
 # -- the bundled registry-like cohort ---------------------------------------------------------
