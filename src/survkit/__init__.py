@@ -8,7 +8,7 @@ harness with a synthetic-cohort generator.
 __version__ = "0.1.0"
 
 from ._kernels import BACKEND as KERNEL_BACKEND
-from .coxph import fit_coxph, neg_log_partial_likelihood, wald_stats
+from .coxph import CoxParams, fit_coxph, neg_log_partial_likelihood, wald_stats
 from .curves import CumHazardFn, SurvivalCurve
 from .deephit import DeepHitParams, deephit_loss, fit_deephit, make_time_grid
 from .deepsurv import DeepSurvParams, deepsurv_loss, fit_deepsurv
@@ -66,6 +66,7 @@ __all__ = [
     "nelson_aalen",
     "mice_impute",
     "pool_rubin",
+    "CoxParams",
     "fit_coxph",
     "neg_log_partial_likelihood",
     "wald_stats",

@@ -88,6 +88,16 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def _load_json(path, what):
+    """(bytes, document) of the JSON file `path`; bytes that are not UTF-8
+    JSON text are a ConfigError naming `what`."""
+    data = Path(path).read_bytes()
+    try:
+        return data, json.loads(data)
+    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8 text
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def _run(args):
     """Run the parsed command, then make its directory, write its files and
     manifest.json, and print the directory's path."""
@@ -148,12 +158,7 @@ def cmd_identify_factors(args):
 
 
 def cmd_experiment(args):
-    with open(args.config, "rb") as fh:
-        config_bytes = fh.read()
-    try:
-        doc = json.loads(config_bytes)
-    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8 text
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    config_bytes, doc = _load_json(args.config, "config")
     config = ExperimentConfig.from_dict(doc)
 
     if args.models:
@@ -212,11 +217,7 @@ def cmd_synth(args):
     else:
         if not args.spec:
             raise ConfigError("synth needs --spec or --ensure-like")
-        with open(args.spec, encoding="utf-8") as fh:
-            try:
-                spec_echo = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"spec is not valid JSON: {exc}") from exc
+        spec_echo = _load_json(args.spec, "spec")[1]
         inputs.append(args.spec)
         ds, truth = generate(spec_from_dict(spec_echo), seed=args.seed)
     files = {

@@ -52,6 +52,16 @@ def _soft_threshold(z, a):
 
 
 @dataclass
+class CoxParams:
+    l1: float = 0.0
+    l2: float = 0.0
+
+    def __post_init__(self):
+        if not (self.l1 >= 0.0 and self.l2 >= 0.0):
+            raise DataError(f"l1 and l2 must be non-negative, got l1={self.l1!r}, l2={self.l2!r}")
+
+
+@dataclass
 class CoxModel:
     beta: np.ndarray
     names: list
@@ -68,10 +78,13 @@ class CoxModel:
         return np.asarray(x, dtype=float) @ self.beta
 
 
+def _unscaled_columns(x):
+    """Indices of the columns of `x` with |mean| or std above 5."""
+    return np.flatnonzero((np.abs(x.mean(axis=0)) > 5.0) | (x.std(axis=0) > 5.0))
+
+
 def _maybe_warn_scaling(x):
-    mu = np.abs(x.mean(axis=0))
-    sd = x.std(axis=0)
-    if np.any(mu > 5.0) or np.any(sd > 5.0):
+    if len(_unscaled_columns(x)):
         warnings.warn(
             "covariates look unstandardized (|mean| or std above 5); "
             "penalties and step sizes assume standardized inputs",

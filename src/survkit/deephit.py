@@ -150,7 +150,7 @@ def deephit_loss(pmf, bin_labels, events, alpha=0.2, sigma=0.1):
 
 @dataclass
 class DeepHitParams:
-    hidden: list = field(default_factory=lambda: [64, 128, 64])
+    hidden: list[int] = field(default_factory=lambda: [64, 128, 64])
     n_bins: int = 60
     dropout: float = 0.0
     epochs: int = 25

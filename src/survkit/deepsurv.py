@@ -24,7 +24,7 @@ from .tabular import check_fit_inputs
 
 @dataclass
 class DeepSurvParams:
-    hidden: list = field(default_factory=lambda: [64, 64])
+    hidden: list[int] = field(default_factory=lambda: [64, 64])
     dropout: float = 0.0
     epochs: int = 50
     batch_size: int = 64

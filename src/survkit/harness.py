@@ -19,17 +19,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
 from . import coxph as coxph_mod
 from . import deephit as deephit_mod
 from . import deepsurv as deepsurv_mod
-from .coxph import fit_coxph
+from .coxph import CoxParams, fit_coxph
 from .deephit import DeepHitParams, fit_deephit
 from .deepsurv import DeepSurvParams, fit_deepsurv
-from .errors import ComputationError, ConfigError, DataError, check_keys, finite_number
+from .errors import ComputationError, ConfigError, DataError, check_keys, read_object, read_value
 from .impute import apply_mice, fit_mice, mice_impute, pool_rubin
 from .metrics import (
     bootstrap_ci,
@@ -50,7 +51,10 @@ SIGNIFICANCE = 0.05
 @dataclass
 class SplitPlan:
     test_fraction: float = 0.2
-    inner: dict = field(default_factory=lambda: {"kind": "kfold", "k": 5})
+    inner: dict[str, object] = field(default_factory=lambda: {"kind": "kfold", "k": 5})
+
+    def __post_init__(self):
+        _split_settings(self)
 
 
 @dataclass
@@ -73,24 +77,23 @@ def _stratified_take(idx_by_stratum, fraction, rng):
 def _split_settings(plan):
     """(test fraction, inner kind, k or holdout fraction) of `plan`, each
     checked; a bad value is a ConfigError."""
-    test_fraction = _coerce("split", "test_fraction", float, plan.test_fraction)
-    if not 0.0 < test_fraction < 1.0:
+    if not 0.0 < plan.test_fraction < 1.0:
         raise ConfigError("test_fraction must be in (0, 1)")
     if not isinstance(plan.inner, dict):
         raise ConfigError(f"split: inner={plan.inner!r} is not an object")
     kind = plan.inner.get("kind", "kfold")
     if kind == "kfold":
         check_keys("split.inner", plan.inner, ["kind", "k"])
-        k = _coerce("split", "k", int, plan.inner.get("k", 5))
+        k = read_value("split", "k", int, plan.inner.get("k", 5))
         if k < 2:
             raise ConfigError("k must be >= 2")
-        return test_fraction, kind, k
+        return plan.test_fraction, kind, k
     if kind == "holdout":
         check_keys("split.inner", plan.inner, ["kind", "fraction"])
-        frac = _coerce("split", "fraction", float, plan.inner.get("fraction", 0.15))
+        frac = read_value("split", "fraction", float, plan.inner.get("fraction", 0.15))
         if not 0.0 < frac < 1.0:
             raise ConfigError("holdout fraction must be in (0, 1)")
-        return test_fraction, kind, frac
+        return plan.test_fraction, kind, frac
     raise ConfigError(f"unknown inner split kind {kind!r}")
 
 
@@ -142,6 +145,10 @@ class PrepConfig:
     impute_iterations: int = 10
     prune_threshold: float = 0.7
     standardize: bool = True
+
+    def __post_init__(self):
+        if self.impute_iterations < 1:
+            raise DataError(f"impute_iterations must be >= 1, got {self.impute_iterations!r}")
 
 
 @dataclass
@@ -202,73 +209,26 @@ def fit_fold_pipeline(fit_ds, prep, seed):
 
 # -- model family adapters -----------------------------------------------------
 
-def _coerce(scope, key, kind, value):
-    """`value` read as `kind`: an int or float by `finite_number`, a bool
-    only true or false (not "false" or 0), and a list (the hidden-layer
-    widths, the only list-valued field) only a non-empty list or tuple of
-    positive integral numbers, not a string such as "64". A rejected value
-    is a ConfigError naming `scope` (a model family or a config section)
-    and `key`."""
-    try:
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise TypeError(f"{value!r} is not a boolean")
-            return value
-        if kind in (int, float):
-            return finite_number(value, kind)
-        if kind is not list:
-            return kind(value)
-        if not isinstance(value, (list, tuple)) or not value:
-            raise TypeError(f"{value!r} is not a list")
-        out = [_coerce(scope, key, int, v) for v in value]
-        if min(out) < 1:
-            raise ValueError(f"{value!r} has a width below 1")
-        return out
-    except (TypeError, ValueError, OverflowError) as exc:
-        what = "non-empty list of positive integers" if kind is list else kind.__name__
-        raise ConfigError(f"{scope}: {key}={value!r} is not a valid {what}") from exc
-
-
-def _coerce_seed(scope, key, value):
-    """`value` read by `_coerce` as a seed, which numpy requires non-negative."""
-    seed = _coerce(scope, key, int, value)
-    if seed < 0:
-        raise ConfigError(f"{scope}: {key}={value!r} is not a non-negative integer")
-    return seed
-
-
-def _params_from(scope, cls, d):
-    """`cls` from the keys of `d`, each coerced by the type of its default;
-    keys `d` leaves out keep the dataclass defaults. A `d` that is not an
-    object, a key `cls` has no field for, a value its type rejects or a
-    DataError from the range checks of `cls` is a ConfigError naming
-    `scope` (a model family or a config section)."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{scope}: {d!r} is not an object")
-    check_keys(scope, d, [f.name for f in fields(cls)])
-    defaults = cls()
-    try:
-        return cls(**{
-            f.name: _coerce(scope, f.name, type(getattr(defaults, f.name)), d[f.name])
-            for f in fields(cls) if f.name in d
-        })
-    except DataError as exc:  # a range rule of `cls`
-        raise ConfigError(f"{scope}: {exc}") from exc
-
-
-class _CoxFamily:
-    name = "coxph"
-    default_grid = {"l1": [0.0], "l2": [0.0]}
+class _Family:
+    """Grid points read as `params_cls`; neural tie-breaks: size, then lr."""
 
     def make_params(self, d):
-        check_keys(self.name, d, ["l1", "l2"])
-        params = {key: _coerce(self.name, key, float, d.get(key, 0.0)) for key in ("l1", "l2")}
-        if min(params.values()) < 0.0:
-            raise ConfigError(f"{self.name}: l1 and l2 must be non-negative, got {params}")
-        return params
+        return read_object(self.name, self.params_cls, d)
+
+    def complexity(self, params):
+        return (sum(params.hidden), len(params.hidden))
+
+    def lr(self, params):
+        return params.lr
+
+
+class _CoxFamily(_Family):
+    name = "coxph"
+    params_cls = CoxParams
+    default_grid = {"l1": [0.0], "l2": [0.0]}
 
     def fit(self, x, times, events, params, seed, names=None):
-        return fit_coxph(x, times, events, names=names, **params)
+        return fit_coxph(x, times, events, l1=params.l1, l2=params.l2, names=names)
 
     def risk(self, model, x):
         return model.linear_predictor(x)
@@ -278,20 +238,18 @@ class _CoxFamily:
 
     def complexity(self, params):
         # heavier penalties mean a smaller effective model
-        return (-(params["l1"] + params["l2"]),)
+        return (-(params.l1 + params.l2),)
 
     def lr(self, params):
         return 0.0
 
 
-class _DeepSurvFamily:
+class _DeepSurvFamily(_Family):
     name = "deepsurv"
+    params_cls = DeepSurvParams
     default_grid = {"hidden": [[64, 64]], "dropout": [0.1], "epochs": [75],
                     "batch_size": [64], "lr": [0.1], "lr_decay": [0.7],
                     "weight_decay": [0.05]}
-
-    def make_params(self, d):
-        return _params_from(self.name, DeepSurvParams, d)
 
     def fit(self, x, times, events, params, seed, names=None):
         return fit_deepsurv(x, times, events, params, seed)
@@ -302,21 +260,13 @@ class _DeepSurvFamily:
     def curves(self, model, x, times):
         return deepsurv_mod.predict_survival(model, x, times)
 
-    def complexity(self, params):
-        return (sum(params.hidden), len(params.hidden))
 
-    def lr(self, params):
-        return params.lr
-
-
-class _DeepHitFamily:
+class _DeepHitFamily(_Family):
     name = "deephit"
+    params_cls = DeepHitParams
     default_grid = {"hidden": [[64, 128, 64]], "dropout": [0.1], "epochs": [25],
                     "batch_size": [64], "lr": [0.005], "lr_decay": [0.7],
                     "weight_decay": [0.05], "n_bins": [60]}
-
-    def make_params(self, d):
-        return _params_from(self.name, DeepHitParams, d)
 
     def fit(self, x, times, events, params, seed, names=None):
         return fit_deephit(x, times, events, params, seed)
@@ -327,12 +277,6 @@ class _DeepHitFamily:
     def curves(self, model, x, times):
         # curves live on the model's own grid; evaluation clamps beyond it
         return deephit_mod.predict_survival(model, x)
-
-    def complexity(self, params):
-        return (sum(params.hidden), len(params.hidden))
-
-    def lr(self, params):
-        return params.lr
 
 
 FAMILY_REGISTRY = {
@@ -426,8 +370,9 @@ def identify_factors(ds, m=10, iterations=10, seed=0):
     """Multiply impute, fit the unpenalized linear model per completed
     dataset, and Rubin-pool each coefficient into an HR table.
 
-    Any non-converged single-imputation fit fails the whole run with the
-    imputation index in the message. Rows follow covariate schema order.
+    Covariates are fitted as given. A fit that does not converge fails the
+    run, naming its imputation and any unstandardized-looking covariates.
+    Rows follow covariate schema order.
     """
     if m < 2:
         raise ConfigError("factor identification needs m >= 2 imputations")
@@ -440,7 +385,9 @@ def identify_factors(ds, m=10, iterations=10, seed=0):
         names = nm
         model = fit_coxph(x, completed.time, completed.event, names=nm)
         if not model.converged or model.covariance is None:
-            raise ComputationError(f"imputation {i}: linear model fit did not converge")
+            unscaled = [nm[j] for j in coxph_mod._unscaled_columns(x)]
+            hint = f"; {unscaled} look unstandardized: standardize them first" if unscaled else ""
+            raise ComputationError(f"imputation {i}: linear model fit did not converge{hint}")
         betas.append(model.beta)
         variances.append(np.diag(model.covariance))
     betas = np.array(betas)
@@ -481,23 +428,26 @@ class ExperimentConfig:
     schema: str | None = None
     inclusion: InclusionRules = field(default_factory=InclusionRules)
 
+    def __post_init__(self):
+        for key in ("seed", "ensure_like_seed"):
+            if getattr(self, key) < 0:
+                raise DataError(f"{key}={getattr(self, key)!r} is not a non-negative integer")
+        if self.n_boot < 1:
+            raise DataError(f"n_boot must be >= 1, got {self.n_boot!r}")
+
     @classmethod
     def from_dict(cls, doc):
-        """The config document `doc`, every key read and checked before any
-        data is touched. A document that is not an object, an unknown key
-        at any level, a value of the wrong type or range, and a key the
-        chosen cohort source would not read are each a ConfigError naming
-        the key. The cohort fields are read but not required: a caller
-        that loads the cohort rejects a config that names none."""
+        """The config document `doc`, every key read by its field's type
+        and checked before any data is touched. A document that is not an
+        object, an unknown key at any level, a value of the wrong type or
+        range, and a key the chosen cohort source would not read are each a
+        ConfigError naming the key. The cohort fields are read but not
+        required: a caller that loads the cohort rejects a config that
+        names none."""
         if not isinstance(doc, dict):
             raise ConfigError(f"config: the document is a {type(doc).__name__}, not an object")
         check_keys("config", doc, ["seed", "ensure_like", "ensure_like_seed", "data", "schema",
                                    "inclusion", "split", "prep", "families", "n_boot"])
-        plan = _params_from("split", SplitPlan, doc.get("split", {}))
-        _split_settings(plan)  # every split value fails here, not at the split
-        prep = _params_from("prep", PrepConfig, doc.get("prep", {}))
-        if prep.impute_iterations < 1:
-            raise ConfigError("prep.impute_iterations must be >= 1")
         families = doc.get("families", {})
         if not isinstance(families, dict):
             raise ConfigError(f"config: families={families!r} is not an object")
@@ -510,60 +460,28 @@ class ExperimentConfig:
             family = FAMILY_REGISTRY[name]
             for point in expand_grid(grid or family.default_grid):
                 family.make_params(point)
-        n_boot = _coerce("config", "n_boot", int, doc.get("n_boot", cls.n_boot))
-        if n_boot < 1:
-            raise ConfigError("n_boot must be >= 1")
-
-        ensure = _coerce("config", "ensure_like", bool, doc.get("ensure_like", cls.ensure_like))
-        ensure_seed = _coerce_seed(
-            "config", "ensure_like_seed", doc.get("ensure_like_seed", cls.ensure_like_seed))
+        hints = get_type_hints(cls) | {"data": str, "schema": str}  # a path is never null
+        values = {key: read_value("config", key, hints[key], doc[key])
+                  for key in ("seed", "n_boot", "ensure_like", "ensure_like_seed", "data", "schema")
+                  if key in doc}
+        ensure = values.get("ensure_like", cls.ensure_like)
         # a key the chosen cohort source does not read is an error, not ignored
         for key in ("data", "schema", "inclusion") if ensure else ("ensure_like_seed",):
             if key in doc:
                 raise ConfigError(
                     f"config: {key!r} is not read when ensure_like is {str(ensure).lower()}")
-        for key in ("data", "schema"):
-            if key in doc and not isinstance(doc[key], str):
-                raise ConfigError(f"config: {key}={doc[key]!r} is not a string")
-        return cls(
-            seed=_coerce_seed("config", "seed", doc.get("seed", cls.seed)),
-            plan=plan,
-            prep=prep,
-            families={k: dict(v) for k, v in families.items()},
-            n_boot=n_boot,
-            ensure_like=ensure,
-            ensure_like_seed=ensure_seed,
-            data=doc.get("data"),
-            schema=doc.get("schema"),
-            inclusion=_inclusion_rules(doc.get("inclusion")),
-        )
+        if doc.get("inclusion") is not None:
+            values["inclusion"] = read_object("inclusion", InclusionRules, doc["inclusion"])
+        try:
+            return cls(
+                plan=read_object("split", SplitPlan, doc.get("split", {})),
+                prep=read_object("prep", PrepConfig, doc.get("prep", {})),
+                families={k: dict(v) for k, v in families.items()},
+                **values,
+            )
+        except DataError as exc:
+            raise ConfigError(f"config: {exc}") from exc
 
-
-def _inclusion_rules(doc):
-    """The `inclusion` section of an experiment config as InclusionRules;
-    a missing or null section keeps every default. The section must be an
-    object of known keys: `drop_missing_outcomes` a boolean,
-    `exclude_levels` an object of level lists and `exclude_early_events`
-    null or a number, not a quoted one. Anything else is a ConfigError."""
-    if doc is None:
-        return InclusionRules()
-    if not isinstance(doc, dict):
-        raise ConfigError(f"inclusion: {doc!r} is not an object")
-    check_keys("inclusion", doc, [f.name for f in fields(InclusionRules)])
-    rules = InclusionRules()
-    if "drop_missing_outcomes" in doc:
-        rules.drop_missing_outcomes = _coerce(
-            "inclusion", "drop_missing_outcomes", bool, doc["drop_missing_outcomes"])
-    levels = doc.get("exclude_levels", {})
-    if not isinstance(levels, dict) or not all(isinstance(v, list) for v in levels.values()):
-        raise ConfigError(f"inclusion: exclude_levels={levels!r} is not an object of level lists")
-    rules.exclude_levels = {k: list(v) for k, v in levels.items()}
-    early = doc.get("exclude_early_events")
-    if early is not None:
-        if isinstance(early, str):
-            raise ConfigError(f"inclusion: exclude_early_events={early!r} is not a number")
-        rules.exclude_early_events = _coerce("inclusion", "exclude_early_events", float, early)
-    return rules
 
 @dataclass
 class ExperimentReport:

@@ -256,7 +256,10 @@ def epoch_batches(n, batch_size, rng):
 def _check_train_params(params, *extra):
     """DataError naming the first field of `params` out of range: the
     training fields of DeepSurv and DeepHit, then the `extra` (field, in
-    range, range) rules of the caller. NaN is out of every range."""
+    range, range) rules of the caller. NaN is out of every range; an empty
+    `hidden` is a network without hidden layers."""
+    if not all(w >= 1 for w in params.hidden):
+        raise DataError(f"hidden={params.hidden!r} has a width below 1")
     for name, ok, what in (
         ("epochs", params.epochs >= 1, "at least 1"),
         ("batch_size", params.batch_size >= 1, "at least 1"),

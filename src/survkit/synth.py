@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComputationError, ConfigError, check_keys, finite_number
+from .errors import ComputationError, ConfigError, DataError, check_keys, read_object, read_value
 from .metrics import concordance_index
 from .tabular import ColumnSpec, SurvivalDataset
 
@@ -43,22 +43,27 @@ class MissingRule:
 
     column: str
     target_rate: float
-    drivers: list = field(default_factory=list)
-    weights: list = field(default_factory=list)
-    center_shifts: list = None
+    drivers: list[str] = field(default_factory=list)
+    weights: list[float] = field(default_factory=list)
+    center_shifts: list[float] | None = None
 
 
 @dataclass
 class GeneratorSpec:
+    """A cohort to generate; a rule it breaks is a ConfigError as it is built."""
+
     n: int
-    covariates: list
-    beta: dict  # encoded column name -> coefficient
+    covariates: list[CovariateSpec] = field(default_factory=list)
+    beta: dict[str, float] = field(default_factory=dict)  # encoded column name -> coefficient
     shape: float = 1.0
     scale: float = 1.0
     censoring_fraction: float = 0.0
-    missing_rules: list = field(default_factory=list)
+    missing_rules: list[MissingRule] = field(default_factory=list)
     n_centers: int = 1
-    center_probs: list = None
+    center_probs: list[float] | None = None
+
+    def __post_init__(self):
+        _validate_spec(self)
 
 
 @dataclass
@@ -87,13 +92,22 @@ def _validate_spec(spec):
                                   and abs(sum(probs) - 1.0) <= 1e-9):
         raise ConfigError("center_probs must be n_centers non-negative probabilities summing to 1")
     for cov in spec.covariates:
+        if cov.kind not in _KIND_KEYS:
+            raise ConfigError(f"{cov.name!r}: unknown kind {cov.kind!r}")
         if cov.kind == "binary" and not 0.0 <= cov.params <= 1.0:
             raise ConfigError(f"covariate {cov.name!r}: p must be in [0, 1]")
         if cov.kind == "continuous" and not cov.params[1] >= 0.0:
             raise ConfigError(f"covariate {cov.name!r}: sd must be non-negative")
+        if cov.kind == "categorical":
+            probs = np.array(list(cov.params.values()), dtype=float)
+            if abs(probs.sum() - 1.0) > 1e-9 or (probs < 0).any():
+                raise ConfigError(f"{cov.name!r}: level probabilities must sum to 1")
     names = [c.name for c in spec.covariates]
     if len(set(names)) != len(names):
         raise ConfigError("duplicate covariate names")
+    unknown_beta = set(spec.beta) - set(_encoded_names(spec))
+    if unknown_beta:
+        raise ConfigError(f"beta names unknown encoded columns: {sorted(unknown_beta)}")
     masked = {r.column for r in spec.missing_rules}
     unknown = masked - set(names)
     if unknown:
@@ -165,7 +179,6 @@ def generate(spec, seed=0):
     the true encoded coefficients, each row's linear predictor, and the
     oracle concordance of that predictor on the generated outcomes.
     """
-    _validate_spec(spec)
     rng = np.random.default_rng(seed)
     n = spec.n
 
@@ -181,22 +194,15 @@ def generate(spec, seed=0):
             vals = (rng.random(n) < float(cov.params)).astype(float)
             raw[cov.name] = vals
             encoded[cov.name] = vals
-        elif cov.kind == "categorical":
+        else:
             levels = cov.levels()
             probs = np.array([cov.params[lv] for lv in levels], dtype=float)
-            if abs(probs.sum() - 1.0) > 1e-9 or (probs < 0).any():
-                raise ConfigError(f"{cov.name!r}: level probabilities must sum to 1")
             codes = rng.choice(len(levels), size=n, p=probs)
             raw[cov.name] = codes.astype(float)
             for j, lv in enumerate(levels[1:], start=1):
                 encoded[f"{cov.name}={lv}"] = (codes == j).astype(float)
-        else:
-            raise ConfigError(f"{cov.name!r}: unknown kind {cov.kind!r}")
 
     enc_names = _encoded_names(spec)
-    unknown_beta = set(spec.beta) - set(enc_names)
-    if unknown_beta:
-        raise ConfigError(f"beta names unknown encoded columns: {sorted(unknown_beta)}")
     eta = np.zeros(n)
     for name, b in spec.beta.items():
         eta += float(b) * encoded[name]
@@ -274,72 +280,37 @@ def generate(spec, seed=0):
 _KIND_KEYS = {"continuous": ["mean", "sd"], "binary": ["p"], "categorical": ["levels"]}
 
 
-def _number(scope, key, value, kind=float):
-    """`value` of `key` read by `finite_number`, else a ConfigError naming both."""
-    try:
-        return finite_number(value, kind)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{scope}: {exc} (key {key!r})") from exc
+@dataclass
+class CovariateKeys:
+    """One covariate object of a synth spec; it takes only its kind's keys."""
+
+    name: str
+    kind: str
+    mean: float = 0.0
+    sd: float = 1.0
+    p: float = 0.5
+    levels: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind not in _KIND_KEYS:
+            raise DataError(f"unknown kind {self.kind!r}")
+
+
+def _read_covariates(docs):
+    covs = []
+    for i, c in enumerate(read_value("synth spec", "covariates", list[CovariateKeys], docs)):
+        check_keys(f"synth spec: covariates[{i}]", docs[i], ["name", "kind", *_KIND_KEYS[c.kind]])
+        params = {"continuous": (c.mean, c.sd), "binary": c.p, "categorical": c.levels}
+        covs.append(CovariateSpec(name=c.name, kind=c.kind, params=params[c.kind]))
+    return covs
 
 
 def spec_from_dict(doc):
-    """Build a GeneratorSpec from a JSON-style dict (see README schema).
-
-    A missing key without a default (`n`, a covariate `name`, a rule
-    `column` or `target_rate`), an unknown key at any level (a covariate
-    takes only its kind's keys), a boolean or non-finite number, a
-    non-integral count or a value of the wrong type is a ConfigError.
-    """
-    top = "synth spec"
-    try:
-        check_keys(top, doc, ["n", "covariates", "beta", "shape", "scale", "censoring_fraction",
-                              "missing_rules", "n_centers", "center_probs"])
-        covs = []
-        for i, c in enumerate(doc.get("covariates", [])):
-            scope = f"{top}: covariates[{i}]"
-            kind = c.get("kind")
-            if kind not in _KIND_KEYS:
-                raise ConfigError(f"covariate {c.get('name')!r}: unknown kind {kind!r}")
-            check_keys(scope, c, ["name", "kind", *_KIND_KEYS[kind]])
-            if kind == "continuous":
-                params = (_number(scope, "mean", c.get("mean", 0.0)),
-                          _number(scope, "sd", c.get("sd", 1.0)))
-            elif kind == "binary":
-                params = _number(scope, "p", c.get("p", 0.5))
-            else:
-                params = {str(k): _number(scope, k, v) for k, v in c.get("levels", {}).items()}
-            covs.append(CovariateSpec(name=str(c["name"]), kind=kind, params=params))
-        rules = []
-        for i, r in enumerate(doc.get("missing_rules", [])):
-            scope = f"{top}: missing_rules[{i}]"
-            check_keys(scope, r, ["column", "target_rate", "drivers", "weights", "center_shifts"])
-            rules.append(MissingRule(
-                column=str(r["column"]),
-                target_rate=_number(scope, "target_rate", r["target_rate"]),
-                drivers=[str(d) for d in r.get("drivers", [])],
-                weights=[_number(scope, "weights", w) for w in r.get("weights", [])],
-                center_shifts=None if r.get("center_shifts") is None else [
-                    _number(scope, "center_shifts", v) for v in r["center_shifts"]],
-            ))
-        return GeneratorSpec(
-            n=_number(top, "n", doc["n"], int),
-            covariates=covs,
-            beta={str(k): _number(top, k, v) for k, v in doc.get("beta", {}).items()},
-            shape=_number(top, "shape", doc.get("shape", 1.0)),
-            scale=_number(top, "scale", doc.get("scale", 1.0)),
-            censoring_fraction=_number(top, "censoring_fraction",
-                                       doc.get("censoring_fraction", 0.0)),
-            missing_rules=rules,
-            n_centers=_number(top, "n_centers", doc.get("n_centers", 1), int),
-            center_probs=None if doc.get("center_probs") is None else [
-                _number(top, "center_probs", p) for p in doc["center_probs"]],
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{top}: missing key {exc}") from exc
-    except ConfigError:
-        raise
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{top}: {exc}") from exc
+    """The GeneratorSpec of a JSON synth spec (see README). A missing key
+    without a default, an unknown key at any level (a covariate takes only
+    its kind's keys), a value of the wrong type and a value out of range
+    are each a ConfigError naming the key."""
+    return read_object("synth spec", GeneratorSpec, doc, covariates=_read_covariates)
 
 
 def ensure_like(seed=0):

@@ -391,8 +391,8 @@ class InclusionRules:
     """
 
     drop_missing_outcomes: bool = True
-    exclude_levels: dict = field(default_factory=dict)
-    exclude_early_events: float = None
+    exclude_levels: dict[str, list[str]] = field(default_factory=dict)
+    exclude_early_events: float | None = None
 
 
 def apply_inclusion(ds, rules):

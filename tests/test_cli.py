@@ -18,7 +18,14 @@ import survkit
 from survkit.cli import _write_csv, main
 from survkit.harness import ExperimentConfig, run_experiment
 from survkit.preprocess import dummy_encode
-from survkit.synth import CovariateSpec, GeneratorSpec, MissingRule, ensure_like, generate
+from survkit.synth import (
+    CovariateSpec,
+    GeneratorSpec,
+    MissingRule,
+    ensure_like,
+    generate,
+    spec_from_dict,
+)
 from survkit.tabular import (
     ColumnSpec,
     InclusionRules,
@@ -158,6 +165,32 @@ def test_identify_factors_writes_table(tmp_path):
     by_name = {r[0]: r for r in rows[1:]}
     assert float(by_name["x1"][1]) > 1.0
     assert float(by_name["x2"][1]) < 1.0
+
+
+@pytest.mark.filterwarnings("ignore:proximal gradient", "ignore:covariates look unstandardized")
+def test_identify_factors_names_unstandardized_covariates_when_a_fit_fails(tmp_path, capsys):
+    """The covariates are fitted as given: on a 400-row cohort with one
+    covariate of mean 60 and sd 8 the linear fit does not converge, and the
+    error names that covariate and says to standardize it."""
+    spec = spec_from_dict({
+        "n": 400,
+        "covariates": [{"name": "age", "kind": "continuous", "mean": 60.0, "sd": 8.0},
+                       {"name": "x2", "kind": "continuous"},
+                       {"name": "grade", "kind": "categorical",
+                        "levels": {"g1": 0.5, "g2": 0.3, "g3": 0.2}}],
+        "beta": {"age": 0.03, "x2": 0.8}, "scale": 12.0, "censoring_fraction": 0.3,
+    })
+    ds, _ = generate(spec, seed=0)
+    data, schema, out = tmp_path / "cohort.csv", tmp_path / "schema.json", tmp_path / "run"
+    save_csv(ds, data)
+    save_schema(ds.columns, schema)
+    rc = main(["identify-factors", "--data", str(data), "--schema", str(schema),
+               "--m", "2", "--iterations", "2", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "linear model fit did not converge; ['age'] look unstandardized" in err
+    assert "standardize them first" in err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:proximal gradient")
@@ -340,7 +373,7 @@ def test_experiment_rejects_zero_impute_iterations_before_any_fit(tmp_path, caps
     config = experiment_config(tmp_path, prep={"impute_iterations": 0})
     out = tmp_path / "out"
     assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
-    assert "prep.impute_iterations must be >= 1" in capsys.readouterr().err
+    assert "prep: impute_iterations must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -386,7 +419,7 @@ def test_experiment_rejects_wrong_typed_run_settings_before_any_fit(tmp_path, ca
     ("[1]", "config: the document is a list, not an object"),
     ({"nboot": 5}, "config: unknown key 'nboot'"),
     ({"families": [1]}, "config: families=[1] is not an object"),
-    ({"data": 5}, "config: data=5 is not a string"),
+    ({"data": 5}, "config: data=5 is not a valid str"),
     ({"ensure_like": "no"}, "config: ensure_like='no' is not a valid bool"),
     ({"split": {"inner": {"kind": "kfold", "kk": 3}}}, "split.inner: unknown key 'kk'"),
     ({"ensure_like": True}, "config: 'data' is not read when ensure_like is true"),
@@ -555,7 +588,18 @@ def test_synth_requires_spec_or_builtin(tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     ("{not json", "spec is not valid JSON"),
     ('{"covariates": []}', "synth spec: missing key 'n'"),
-    ('{"n": "ten"}', "synth spec: invalid literal for int()"),
+    ('{"n": "ten"}', "n='ten' is not a valid int"),
+    ('{"n": "50"}', "synth spec: n='50' is not a valid int"),
+    ('{"n": 50, "covariates": {"a": 1}}', "synth spec: covariates={'a': 1} is not a valid"),
+    ('{"n": 50, "covariates": [{"name": 7, "kind": "binary"}]}',
+     "synth spec: covariates[0]: name=7 is not a valid str"),
+    ('{"n": 50, "covariates": [{"name": "g", "kind": "categorical", "levels": ["a", "b"]}]}',
+     "synth spec: covariates[0]: levels=['a', 'b'] is not a valid dict[str, float]"),
+    ('{"n": 50, "covariates": [{"name": "m", "kind": "binary", "p": 1.5}]}',
+     "covariate 'm': p must be in [0, 1]"),
+    ('{"n": 50, "n_centers": 5, "covariates": [{"name": "a", "kind": "binary"}],'
+     ' "missing_rules": [{"column": "a", "target_rate": 0.1, "center_shifts": "12345"}]}',
+     "synth spec: missing_rules[0]: center_shifts='12345' is not a valid"),
     ('{"n": 50, "censoring_fration": 0.3}', "synth spec: unknown key 'censoring_fration'"),
     ('{"n": 50, "n_centers": 0}', "n_centers must be >= 1"),
     ('{"n": 50, "n_centers": 2, "center_probs": [0.7, 0.7]}', "center_probs must be"),
@@ -569,6 +613,13 @@ def test_synth_rejects_a_malformed_spec(tmp_path, capsys, text, message):
     assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+def test_synth_rejects_a_spec_that_is_not_utf8(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_bytes(b'{"n": "\xff"}')
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "run")]) == 2
+    assert "spec is not valid JSON" in capsys.readouterr().err
+
 
 def test_default_run_directory_name(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

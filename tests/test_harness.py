@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 import survkit.harness as harness_mod
+from survkit.coxph import CoxParams
 from survkit.deephit import SIGMA_MIN, DeepHitParams
 from survkit.deepsurv import DeepSurvParams
 from survkit.errors import ConfigError, DataError
 from survkit.harness import (
     FAMILY_REGISTRY,
     _data_digest,
-    _inclusion_rules,
     _stratified_take,
     ExperimentConfig,
     PrepConfig,
@@ -308,7 +308,7 @@ def test_cv_fold_pipelines_ignore_held_out_shifts(fold_pipelines):
     ds2 = replace_column_values(ds, "x1", shifted, mask=ds.missing_mask[:, j].copy())
 
     prep = PrepConfig(impute_iterations=4)
-    params = {"l1": 0.0, "l2": 0.0}
+    params = CoxParams()
     scores1 = cv_evaluate(ds, res.folds, "coxph", params, prep, seed=20)
     scores2 = cv_evaluate(ds2, res.folds, "coxph", params, prep, seed=20)
     assert len(fold_pipelines) == 6
@@ -330,7 +330,7 @@ def test_cv_fold_pipelines_ignore_held_out_shifts(fold_pipelines):
 def test_cv_evaluate_is_deterministic(fold_pipelines):
     ds, _ = cohort(missing=True, n=160)
     res = split(ds, SplitPlan(test_fraction=0.2, inner={"kind": "kfold", "k": 2}), seed=0)
-    params = {"l1": 0.0, "l2": 0.0}
+    params = CoxParams()
     prep = PrepConfig(impute_iterations=3)
     scores1 = cv_evaluate(ds, res.folds, "coxph", params, prep, seed=5)
     scores2 = cv_evaluate(ds, res.folds, "coxph", params, prep, seed=5)
@@ -525,15 +525,15 @@ def test_config_rejects_n_boot_below_one():
 
 def test_config_rejects_impute_iterations_below_one():
     for iterations in (0, -2):
-        with pytest.raises(ConfigError, match="prep.impute_iterations must be >= 1"):
+        with pytest.raises(ConfigError, match="prep: impute_iterations must be >= 1"):
             ExperimentConfig.from_dict({"prep": {"impute_iterations": iterations}})
     assert ExperimentConfig.from_dict({"prep": {"impute_iterations": 1}}).prep.impute_iterations == 1
 
 
 def test_config_rejects_wrong_typed_run_settings():
-    """A quoted boolean, a fractional count or a non-number in `prep`,
-    `split`, `seed` or `n_boot` fails at load, naming the section and key;
-    none is silently truncated or read as truthy."""
+    """A quoted boolean, a quoted number, a fractional count or a
+    non-number in `prep`, `split`, `seed` or `n_boot` fails at load, naming
+    the section and key; none is silently truncated or read as truthy."""
     bad = (
         ({"prep": {"standardize": "false"}}, "prep: standardize="),
         ({"prep": {"standardize": 0}}, "prep: standardize="),
@@ -555,6 +555,10 @@ def test_config_rejects_wrong_typed_run_settings():
         ({"n_boot": float("inf")}, "config: n_boot=inf"),
         ({"prep": {"prune_threshold": float("nan")}}, "prep: prune_threshold=nan"),
         ({"split": {"test_fraction": "nan"}}, "split: test_fraction='nan'"),
+        # a number is a JSON number, never a numeric string
+        ({"n_boot": "40"}, "config: n_boot='40'"),
+        ({"split": {"test_fraction": "0.25"}}, "split: test_fraction='0.25'"),
+        ({"split": {"inner": {"kind": "kfold", "k": "3"}}}, "split: k='3'"),
     )
     for doc, message in bad:
         with pytest.raises(ConfigError, match=message):
@@ -567,10 +571,10 @@ def test_config_rejects_wrong_typed_run_settings():
             ExperimentConfig.from_dict({"split": {"inner": inner}})
     with pytest.raises(ConfigError, match="test_fraction must be"):
         ExperimentConfig.from_dict({"split": {"test_fraction": 0.0}})
-    # integral floats and numeric strings still load, as for grid values
+    # integral floats still load as integers, as for grid values
     cfg = ExperimentConfig.from_dict({
-        "seed": 3.0, "n_boot": "40", "prep": {"impute_iterations": 2.0, "standardize": False},
-        "split": {"test_fraction": "0.25", "inner": {"kind": "kfold", "k": 3.0}},
+        "seed": 3.0, "n_boot": 40, "prep": {"impute_iterations": 2.0, "standardize": False},
+        "split": {"test_fraction": 0.25, "inner": {"kind": "kfold", "k": 3.0}},
     })
     assert (cfg.seed, cfg.n_boot, cfg.prep.impute_iterations) == (3, 40, 2)
     assert cfg.plan.test_fraction == 0.25 and cfg.prep.standardize is False
@@ -581,16 +585,20 @@ def test_config_rejects_wrong_typed_run_settings():
 
 
 def test_inclusion_section_is_read_strictly():
-    """The experiment config's `inclusion` section: a missing section keeps
-    the defaults, and a non-object section, an unknown key, a quoted boolean
-    or a quoted threshold is a ConfigError, not a raw numpy or attribute
-    error or a truthy string."""
-    assert _inclusion_rules(None) == InclusionRules()
-    rules = _inclusion_rules({"drop_missing_outcomes": False, "exclude_levels": {"grade": ["g3"]},
-                              "exclude_early_events": 1})
+    """The experiment config's `inclusion` section: a missing or null
+    section keeps the defaults, and a non-object section (an empty list
+    included), an unknown key, a quoted boolean or a quoted threshold is a
+    ConfigError, not a raw numpy or attribute error or a truthy string."""
+    def inclusion(doc):
+        return ExperimentConfig.from_dict({"inclusion": doc}).inclusion
+
+    assert inclusion(None) == InclusionRules()
+    rules = inclusion({"drop_missing_outcomes": False, "exclude_levels": {"grade": ["g3"]},
+                       "exclude_early_events": 1})
     assert rules == InclusionRules(False, {"grade": ["g3"]}, 1.0)
     for doc, message in (
         (["drop_missing_outcomes"], "inclusion: .* is not an object"),
+        ([], r"inclusion: \[\] is not an object"),
         ({"drop_missing_outcomes": "false"}, "inclusion: drop_missing_outcomes='false'"),
         ({"exclude_early_events": "5"}, "inclusion: exclude_early_events='5'"),
         ({"exclude_levels": {"grade": "g3"}}, "inclusion: exclude_levels="),
@@ -599,7 +607,7 @@ def test_inclusion_section_is_read_strictly():
         ({"exclude_early_events": float("nan")}, "inclusion: exclude_early_events=nan"),
     ):
         with pytest.raises(ConfigError, match=message):
-            _inclusion_rules(doc)
+            inclusion(doc)
 
 def test_config_reads_the_cohort_source():
     """The cohort keys load as typed fields: the built-in cohort with its
@@ -629,8 +637,8 @@ def test_config_rejects_every_key_it_would_not_read():
         ({"families": [1]}, r"config: families=\[1\] is not an object"),
         ({"families": {"coxph": [1]}}, r"coxph: grid \[1\] is not an object"),
         ({"families": {"deepsurv": None}}, "deepsurv: grid None is not an object"),
-        ({"data": 5, "schema": "s.json"}, "config: data=5 is not a string"),
-        ({"data": "c.csv", "schema": None}, "config: schema=None is not a string"),
+        ({"data": 5, "schema": "s.json"}, "config: data=5 is not a valid str"),
+        ({"data": "c.csv", "schema": None}, "config: schema=None is not a valid str"),
         ({"ensure_like": "no", **paths}, "config: ensure_like='no' is not a valid bool"),
         ({"ensure_like": 1}, "config: ensure_like=1 is not a valid bool"),
         ({"ensure_like": True, "data": "c.csv"}, "config: 'data' is not read when ensure_like is true"),
@@ -690,13 +698,14 @@ def test_every_shipped_config_passes_the_strict_reader():
 
 
 def test_config_rejects_wrong_shaped_neural_values():
-    """A string or non-integral layer width, an empty or non-positive width
-    list, or a fractional integer field fails at config load, naming the
-    family and the key."""
+    """A string or non-integral layer width, a quoted width, a non-positive
+    width, or a fractional integer field fails at config load, naming the
+    family and the key. An empty width list is a network without hidden
+    layers."""
     bad = (
         ("deepsurv", "hidden", "64"),
         ("deepsurv", "hidden", [64.5]),
-        ("deephit", "hidden", []),
+        ("deephit", "hidden", [8.0, "4"]),
         ("deephit", "hidden", [32, 0]),
         ("deepsurv", "hidden", 64),
         ("deepsurv", "epochs", 3.7),
@@ -707,7 +716,11 @@ def test_config_rejects_wrong_shaped_neural_values():
             FAMILY_REGISTRY[family].make_params({key: value})
         with pytest.raises(ConfigError, match=f"{family}: {key}="):
             ExperimentConfig.from_dict({"families": {family: {key: [value]}}})
-    params = FAMILY_REGISTRY["deephit"].make_params({"hidden": [8.0, "4"], "n_bins": 12.0})
+    for family in ("deepsurv", "deephit"):
+        assert FAMILY_REGISTRY[family].make_params({"hidden": []}).hidden == []
+        cfg = ExperimentConfig.from_dict({"families": {family: {"hidden": [[]]}}})
+        assert cfg.families[family] == {"hidden": [[]]}
+    params = FAMILY_REGISTRY["deephit"].make_params({"hidden": [8.0, 4], "n_bins": 12.0})
     assert params.hidden == [8, 4] and params.n_bins == 12
     assert all(type(w) is int for w in params.hidden) and type(params.n_bins) is int
 
@@ -719,11 +732,12 @@ def test_config_rejects_unknown_grid_keys():
             ExperimentConfig.from_dict({"families": {family: {key: [1]}}})
     with pytest.raises(ConfigError, match="'epoch'"):
         FAMILY_REGISTRY["deepsurv"].make_params({"epoch": 10, "hiden": [3]})
-    # every field of the Params dataclasses, and l1/l2 for coxph, is known
-    for name, cls in (("deepsurv", DeepSurvParams), ("deephit", DeepHitParams)):
+    # every field of the Params dataclasses is known
+    for name, cls in (("coxph", CoxParams), ("deepsurv", DeepSurvParams),
+                      ("deephit", DeepHitParams)):
         point = dataclasses.asdict(cls())
         assert FAMILY_REGISTRY[name].make_params(point) == cls()
-    assert FAMILY_REGISTRY["coxph"].make_params({"l1": 0.1, "l2": 0.2}) == {"l1": 0.1, "l2": 0.2}
+    assert FAMILY_REGISTRY["coxph"].make_params({"l1": 0.1, "l2": 0.2}) == CoxParams(0.1, 0.2)
     # a value the field's type rejects is a config error too, not a raw ValueError
     for family, key, value in (("deepsurv", "epochs", "ten"), ("coxph", "l1", "x")):
         with pytest.raises(ConfigError, match=f"{family}: {key}="):
@@ -741,9 +755,11 @@ def test_neural_make_params_fall_back_to_the_dataclass_defaults():
     for name, cls in (("deepsurv", DeepSurvParams), ("deephit", DeepHitParams)):
         family = FAMILY_REGISTRY[name]
         assert family.make_params({}) == cls()
-        partial = family.make_params({"epochs": 3.0, "lr": "0.02", "hidden": (4, 2)})
-        assert partial == dataclasses.replace(cls(), epochs=3, lr=0.02, hidden=[4, 2])
+        partial = family.make_params({"epochs": 3.0, "lr": 1, "hidden": (4, 2)})
+        assert partial == dataclasses.replace(cls(), epochs=3, lr=1.0, hidden=[4, 2])
         assert type(partial.epochs) is int and type(partial.lr) is float
+        with pytest.raises(ConfigError, match=f"{name}: lr='0.02'"):
+            family.make_params({"lr": "0.02"})
 
 
 # -- end-to-end experiment --------------------------------------------------------------------

@@ -207,21 +207,37 @@ def test_spec_from_dict():
     age = doc["covariates"][0]
     for bad, message in (
         ({"censoring_fration": 0.3}, "synth spec: unknown key 'censoring_fration'"),
-        ({"n": 100.7}, "100.7 is not a valid int (key 'n')"),
-        ({"n": True}, "True is not a valid int (key 'n')"),
-        ({"shape": float("inf")}, "inf is not finite (key 'shape')"),
-        ({"n_centers": 2, "center_probs": [0.5, float("nan")]}, "(key 'center_probs')"),
-        ({"covariates": [{**age, "mean": float("nan")}]}, "covariates[0]: nan is not finite"),
+        ({"n": 100.7}, "synth spec: n=100.7 is not a valid int"),
+        ({"n": True}, "synth spec: n=True is not a valid int"),
+        ({"shape": float("inf")}, "synth spec: shape=inf is not a valid float"),
+        ({"n_centers": 2, "center_probs": [0.5, float("nan")]},
+         "synth spec: center_probs=[0.5, nan] is not a valid list[float] | None"),
+        ({"covariates": [{**age, "mean": float("nan")}]},
+         "synth spec: covariates[0]: mean=nan is not a valid float"),
         ({"covariates": [{**age, "p": 0.5}]}, "covariates[0]: unknown key 'p'"),
         ({"missing_rules": [{"column": "age", "target_rate": 0.1, "driver": ["male"]}]},
          "missing_rules[0]: unknown key 'driver'"),
-        ({"beta": [0.1]}, "synth spec: 'list' object has no attribute 'items'"),
+        ({"beta": [0.1]}, "synth spec: beta=[0.1] is not a valid dict[str, float]"),
+        # a string where a list or an object belongs is not read item by item
+        ({"n_centers": 5, "missing_rules": [{"column": "age", "target_rate": 0.1,
+                                             "center_shifts": "12345"}]},
+         "synth spec: missing_rules[0]: center_shifts='12345' is not a valid list[float] | None"),
+        ({"missing_rules": [{"column": "age", "target_rate": 0.1, "drivers": ["male"],
+                             "weights": "5"}]},
+         "synth spec: missing_rules[0]: weights='5' is not a valid list[float]"),
+        ({"covariates": {"a": 1}}, "synth spec: covariates={'a': 1} is not a valid"),
+        ({"covariates": [{**doc["covariates"][2], "levels": ["a", "b"]}]},
+         "synth spec: covariates[0]: levels=['a', 'b'] is not a valid dict[str, float]"),
+        ({"covariates": [{**age, "name": 7}]}, "synth spec: covariates[0]: name=7 is not a valid str"),
+        # a number is a JSON number, never a numeric string
+        ({"censoring_fraction": "0.25"}, "synth spec: censoring_fraction='0.25' is not a valid float"),
     ):
         with pytest.raises(ConfigError, match=re.escape(message)):
             spec_from_dict({**doc, **bad})
+    # range rules fail at load, not when the cohort is generated
     male = doc["covariates"][1]
-    with pytest.raises(ConfigError, match="p must be in"):
-        generate(spec_from_dict({**doc, "covariates": [{**male, "p": 1.5}]}), seed=1)
+    with pytest.raises(ConfigError, match=re.escape("covariate 'male': p must be in")):
+        spec_from_dict({**doc, "covariates": [age, {**male, "p": 1.5}, doc["covariates"][2]]})
     # center probabilities are checked as level probabilities are, not by numpy
     for bad, message in (
         ({"n_centers": 0}, "n_centers must be >= 1"),
@@ -230,7 +246,7 @@ def test_spec_from_dict():
         ({"n_centers": 2, "center_probs": [1.5, -0.5]}, "center_probs must be"),
     ):
         with pytest.raises(ConfigError, match=message):
-            generate(spec_from_dict({**doc, **bad}), seed=1)
+            spec_from_dict({**doc, **bad})
 
 
 # -- the bundled registry-like cohort ---------------------------------------------------------
