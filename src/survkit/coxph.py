@@ -9,7 +9,7 @@ size, and the l1 proximal step is a soft threshold, so sufficiently
 penalized coefficients are exactly zero. With both penalties zero the same
 loop converges to the unpenalized partial likelihood solution and the
 inverse observed information of the raw (unaveraged) likelihood is stored
-for Wald inference.
+for Wald inference, unless that information is singular (`_null_columns`).
 
 A fit sorts its outcomes once: the Efron tie structure (`efron_ties`) is
 built at the start and every likelihood evaluation, the final likelihood,
@@ -22,10 +22,9 @@ over per-group sums (no per-event loop).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from ._kernels import efron_eval, efron_loss_grad, efron_ties
 from .curves import CumHazardFn, SurvivalCurve
@@ -73,6 +72,9 @@ class CoxModel:
     separation: bool = False
     covariance: np.ndarray = None
     baseline: CumHazardFn = None
+    # names of the columns a singular observed information fails on: the
+    # constant or aliased ones, which leave no covariance stored
+    aliased: list = field(default_factory=list)
 
     def linear_predictor(self, x):
         return np.asarray(x, dtype=float) @ self.beta
@@ -108,6 +110,9 @@ def fit_coxph(
     reached (converged stays False). Coefficients beyond +/-50 abort the
     fit with a separation diagnostic. The objective decreases monotonically
     by construction of the line search; an increase is a ComputationError.
+    A converged unpenalized fit stores the inverse observed information as
+    `covariance`, unless the information is singular: then `aliased` names
+    the constant or aliased columns, with a warning, and none is stored.
     """
     x, t, e = check_fit_inputs(x, times, events)
     if l1 < 0 or l2 < 0:
@@ -178,13 +183,34 @@ def fit_coxph(
     )
     if l1 == 0.0 and l2 == 0.0 and converged:
         info = _efron_information(beta, x, ties)
-        try:
+        model.aliased = [model.names[j] for j in _null_columns(info, x)]
+        if model.aliased:
+            warnings.warn(f"observed information is singular in {model.aliased}; "
+                          "no covariance stored")
+        else:
             model.covariance = np.linalg.inv(info)
-        except np.linalg.LinAlgError:
-            warnings.warn("observed information is singular; no covariance stored")
     if not separation:
         model.baseline = _breslow(ties, t, x @ beta)
     return model
+
+
+def _null_columns(info, x):
+    """Indices of the columns that the null space of the observed
+    information `info` of design `x` loads on; empty when `info` is not
+    singular.
+
+    `info` is first scaled by each column's root mean square in `x`, so a
+    constant column, whose information is rounding noise of the size of
+    its values squared, is singular whatever its value and however the
+    other columns are scaled. An eigenvalue of the scaled matrix at or
+    below len(x) * eps times the largest is null.
+    """
+    scale = np.sqrt(np.mean(x * x, axis=0))
+    scale[scale == 0.0] = 1.0  # an all-zero column has an all-zero row
+    w, v = np.linalg.eigh(info / np.outer(scale, scale))
+    null = w <= len(x) * np.finfo(float).eps * w[-1]
+    # a null vector's loadings on the columns outside it are rounding noise
+    return np.flatnonzero((np.abs(v[:, null]) > 1e-6).any(axis=1))
 
 
 def _efron_information(beta, x, ties):
@@ -260,6 +286,8 @@ def wald_stats(model):
         raise ComputationError("Wald statistics require a converged fit")
     if model.covariance is None:
         raise ComputationError("no covariance available (singular information matrix)")
+    from scipy import special  # loaded on first use: its import outweighs the package's
+
     se = np.sqrt(np.diag(model.covariance))
     rows = []
     for j, name in enumerate(model.names):

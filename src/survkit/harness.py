@@ -371,8 +371,9 @@ def identify_factors(ds, m=10, iterations=10, seed=0):
     dataset, and Rubin-pool each coefficient into an HR table.
 
     Covariates are fitted as given. A fit that does not converge fails the
-    run, naming its imputation and any unstandardized-looking covariates.
-    Rows follow covariate schema order.
+    run, naming its imputation and any unstandardized-looking covariates,
+    and so does one whose observed information is singular, naming the
+    constant or aliased covariates. Rows follow covariate schema order.
     """
     if m < 2:
         raise ConfigError("factor identification needs m >= 2 imputations")
@@ -384,6 +385,9 @@ def identify_factors(ds, m=10, iterations=10, seed=0):
         x, _, nm = completed.covariate_matrix()
         names = nm
         model = fit_coxph(x, completed.time, completed.event, names=nm)
+        if model.aliased:
+            raise ComputationError(f"imputation {i}: the observed information is singular: "
+                                   f"{model.aliased} are constant or aliased; drop them")
         if not model.converged or model.covariance is None:
             unscaled = [nm[j] for j in coxph_mod._unscaled_columns(x)]
             hint = f"; {unscaled} look unstandardized: standardize them first" if unscaled else ""

@@ -10,7 +10,11 @@ imputed on the continuous scale and deliberately not rounded.
 
 `fit_mice` runs one chain and freezes its final-sweep coefficients;
 `mice_impute` is m such chains with consecutive seeds, and `apply_mice`
-runs the frozen chain on new rows. All three keep the covariates in one
+runs the frozen chain on new rows. A chain is a start (`_chain_start`: the
+checks, the hazard transform, the visit order, the means, the mean-filled
+design and the Gram below, none of which depend on the seed) and a run
+(`_chain_run`: the seeded sweeps on copies of them), so `mice_impute`
+makes one start for its m runs. All three keep the covariates in one
 design matrix D = [1, covariates, event, hazard], set up once with the mean
 fill (`_chain_setup`); each draw is written into the target's own column,
 and the completed values are read back once at the end (`_read_back`).
@@ -32,7 +36,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .coxph import breslow_from_scores
 from .curves import CumHazardFn
@@ -178,23 +181,22 @@ def mice_impute(ds, m, iterations, seed):
     The m datasets are the completed training rows of m chains,
     `fit_mice(ds, iterations, seed + i)` for i < m, so chain i draws from a
     generator seeded with seed + 100 + i: chains are independent and each
-    is reproducible in isolation. A dataset without missing cells yields m
-    identical copies.
+    is reproducible in isolation. The chains share one start, so a
+    saturated target warns once per call. A dataset without missing cells
+    yields m identical copies.
     """
     if m < 1:
         raise DataError("m must be >= 1")
-    datasets = []
-    for i in range(m):
-        # only the completed rows are kept, not each chain's hazard transform
-        chain = fit_mice(ds, iterations, seed + i)
-        datasets.append(chain.completed_train)
+    start = _chain_start(ds, iterations)
+    # only the completed rows are kept, not each chain's hazard transform
+    datasets = [_chain_run(start, seed + i).completed_train for i in range(m)]
     return ImputationSet(
         datasets=datasets,
         original_mask=ds.missing_mask,
         m=m,
         iterations=iterations,
         seed=seed,
-        visit_order=chain.visit_order,  # the same for every chain on ds
+        visit_order=start.visit_order,
     )
 
 
@@ -232,7 +234,9 @@ def fit_mice(ds, iterations, seed):
     completed training rows are `completed_train`. A target with no more
     observed rows than predictors still gets its draws, with an
     ImputationWarning: its model is saturated. A target whose normal
-    equations cannot be inverted is a ComputationError naming it.
+    equations cannot be inverted, or whose normal equations or draws are
+    not finite (a covariate beyond ~1e154 overflows the Gram), is a
+    ComputationError naming it.
 
     The chain keeps G = D'D of its design D (see the module docstring): a
     step gathers only the target's missing rows, takes the observed-row
@@ -240,8 +244,28 @@ def fit_mice(ds, iterations, seed):
     recomputes the target's row and column of G. A step costs
     O(min(|O|, |M|) q^2 + n q) for |O| observed and |M| missing rows.
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DataError(f"seed={seed!r} is not a non-negative integer")
+    return _chain_run(_chain_start(ds, iterations), seed)
+
+
+@dataclass
+class _ChainStart:
+    """What every chain on `ds` shares: `_chain_setup`'s mean-filled design
+    and steps, and the design's Gram D'D. Runs copy the design and Gram."""
+
+    ds: SurvivalDataset
+    iterations: int
+    visit_order: list
+    means: dict
+    hazard_fn: CumHazardFn
+    design: np.ndarray
+    steps: list
+    gram: np.ndarray
+
+
+def _chain_start(ds, iterations):
+    """The seed-free part of `fit_mice`: its checks, the hazard transform,
+    the visit order and means, the design and its Gram, and one
+    ImputationWarning per saturated target."""
     _check_numeric_covariates(ds)
     if iterations < 1:
         raise DataError("iterations must be >= 1")
@@ -258,14 +282,29 @@ def fit_mice(ds, iterations, seed):
                 "predictors; its imputation model is saturated",
                 ImputationWarning,
             )
+    return _ChainStart(ds, iterations, visit, means, hazard_fn, design, steps,
+                       design.T @ design)
 
+
+def _chain_run(start, seed):
+    """One chain from `start`, drawing from default_rng(seed + 100)."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DataError(f"seed={seed!r} is not a non-negative integer")
+    # the design keeps its column-major layout: a C-order copy sends the
+    # steps' matrix products down another BLAS path and moves the draws
+    design = start.design.copy(order="K")
+    gram = start.gram.copy()
     rng = np.random.default_rng(seed + 100)
     models = {}
-    gram = design.T @ design
-    for _ in range(iterations):
-        for name, col, cols, obs, mis in steps:
+    for _ in range(start.iterations):
+        for name, col, cols, obs, mis in start.steps:
             d_mis = design[mis]
             gram_obs = _observed_gram(design, gram, obs, d_mis)
+            if not np.isfinite(gram_obs).all():
+                raise ComputationError(
+                    f"imputation model of column {name!r} has non-finite normal "
+                    "equations; rescale the covariates"
+                )
             try:
                 models[name], beta_dot, sigma = _bayes_draw(design, gram_obs, col, cols, obs, rng)
             except np.linalg.LinAlgError as exc:
@@ -275,17 +314,23 @@ def fit_mice(ds, iterations, seed):
                     f"imputation model of column {name!r} is singular ({exc}); "
                     "rescale the covariates"
                 ) from exc
-            design[mis, col] = d_mis[:, cols] @ beta_dot + sigma * rng.standard_normal(len(mis))
+            draw = d_mis[:, cols] @ beta_dot + sigma * rng.standard_normal(len(mis))
+            if not np.isfinite(draw).all():
+                raise ComputationError(
+                    f"imputation draws of column {name!r} are not finite; "
+                    "rescale the covariates"
+                )
+            design[mis, col] = draw
             gram[:, col] = gram[col, :] = design.T @ design[:, col]
     return MiceModel(
-        visit_order=visit,
-        means=means,
+        visit_order=start.visit_order,
+        means=start.means,
         models=models,
-        hazard_fn=hazard_fn,
-        iterations=iterations,
+        hazard_fn=start.hazard_fn,
+        iterations=start.iterations,
         seed=seed,
-        column_names=ds.column_names,
-        completed_train=_read_back(ds, design),
+        column_names=start.ds.column_names,
+        completed_train=_read_back(start.ds, design),
     )
 
 
@@ -358,6 +403,8 @@ def pool_rubin(estimates, variances):
     b = float(q.var(ddof=1))
     t_var = w + (1.0 + 1.0 / m) * b
     se = float(np.sqrt(t_var))
+
+    from scipy import special  # loaded on first use: its import outweighs the package's
 
     if b > 0:
         df = (m - 1) * (1.0 + w / ((1.0 + 1.0 / m) * b)) ** 2

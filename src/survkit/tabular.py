@@ -325,10 +325,11 @@ def load_csv(path, columns, missing_values=DEFAULT_MISSING):
     The header must contain exactly the schema's column names in any order.
     Cells matching a missing sentinel are NaN (missing); all other cells must
     parse per their column kind. Errors carry the 1-based data row number;
-    cells are checked row by row, each row in schema order.
+    cells are checked row by row, each row in schema order. A leading UTF-8
+    byte-order mark, as spreadsheet "CSV UTF-8" exports write, is skipped.
     """
     validate_schema(columns)
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

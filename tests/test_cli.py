@@ -87,14 +87,60 @@ BUILT_IN = {"ensure_like": True, "data": None, "schema": None}
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    """Every CLI call pays `import survkit`; scipy.stats alone would cost more
-    than the rest of the package, and survkit needs only scipy.special."""
+    """Every CLI call pays `import survkit`, and scipy's import alone costs
+    more than the rest of the package: no scipy module is loaded by it."""
     src = Path(survkit.__file__).resolve().parents[1]
-    code = "import sys, survkit, survkit.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, survkit, survkit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
+
+
+# Runs CLI calls in order in one fresh interpreter and records, after each,
+# its exit code and the scipy modules loaded so far.
+SCIPY_PROBE = """
+import json, sys
+from survkit.cli import main
+seen = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    seen.append([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
+with open(sys.argv[2], "w") as fh:
+    json.dump(seen, fh)
+"""
+
+
+def test_only_identify_factors_loads_scipy(tmp_path):
+    """--version, --help, synth, impute and experiment never load scipy;
+    identify-factors loads scipy.special when it first pools."""
+    data, schema = write_cohort(tmp_path, n=120)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "n": 40, "covariates": [{"name": "x", "kind": "continuous"}], "beta": {"x": 0.5},
+        "scale": 12.0, "censoring_fraction": 0.3}))
+    cohort = ["--data", str(data), "--schema", str(schema), "--m", "2", "--iterations", "1"]
+    calls = [
+        ["--version"],
+        ["--help"],
+        ["synth", "--spec", str(spec), "--out", str(tmp_path / "synth")],
+        ["impute", *cohort, "--out", str(tmp_path / "impute")],
+        ["experiment", "--config", str(experiment_config(tmp_path)),
+         "--out", str(tmp_path / "experiment")],
+        ["identify-factors", *cohort, "--out", str(tmp_path / "factors")],
+    ]
+    result = tmp_path / "seen.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(survkit.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(calls), str(result)],
+                   env=env, capture_output=True, text=True, timeout=300, check=True)
+    seen = json.loads(result.read_text())
+    assert [rc for rc, _ in seen] == [0] * len(calls)
+    assert [loaded for _, loaded in seen[:-1]] == [[]] * (len(calls) - 1)
+    assert "scipy.special" in seen[-1][1]
 
 
 def test_version_flag_exits_zero(capsys):
@@ -240,6 +286,41 @@ def test_singular_imputation_draw_exits_three(tmp_path, capsys):
     ])
     assert rc == 3
     assert "is singular" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_impute_of_a_covariate_too_large_to_square_exits_three(tmp_path, capsys):
+    """One 1e300 cell overflows the imputer's Gram; the run fails and
+    writes no completed set, whose draws would be NaN (empty cells)."""
+    ds = subset_rows(ensure_like(seed=0)[0], np.arange(200))
+    j = ds.col_index("x01")
+    ds.values[np.flatnonzero(~ds.missing_mask[:, j])[0], j] = 1e300
+    data, schema, out = tmp_path / "cohort.csv", tmp_path / "schema.json", tmp_path / "run"
+    save_csv(ds, data)
+    save_schema(ds.columns, schema)
+    rc = main(["impute", "--data", str(data), "--schema", str(schema),
+               "--m", "2", "--iterations", "1", "--out", str(out)])
+    assert rc == 3
+    assert "has non-finite normal equations" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:observed information is singular")
+def test_identify_factors_names_a_constant_covariate(tmp_path, capsys):
+    """A constant covariate leaves the Cox information singular: the run
+    fails naming it, and pools no variance taken from that information."""
+    data, schema = write_cohort(tmp_path, n=200)
+    ds = load_csv(data, load_schema(schema))
+    cols = ds.columns + [ColumnSpec("site", "continuous")]
+    values = np.column_stack([ds.values, np.ones(ds.n_rows)])
+    save_csv(SurvivalDataset(cols, values, row_ids=ds.row_ids.copy()), data)
+    save_schema(cols, schema)
+    out = tmp_path / "run"
+    rc = main(["identify-factors", "--data", str(data), "--schema", str(schema),
+               "--m", "2", "--iterations", "2", "--out", str(out)])
+    assert rc == 3
+    assert "['site'] are constant or aliased" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, seed", [

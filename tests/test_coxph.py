@@ -303,6 +303,48 @@ def test_wald_refuses_penalized_fits():
         wald_stats(model)
 
 
+@pytest.mark.filterwarnings("ignore::survkit.errors.ScalingWarning")
+@pytest.mark.parametrize("value", [0.0, 0.1, 1.0, 100.0, 12345.678])
+def test_a_constant_covariate_leaves_no_covariance(value):
+    """The information of a constant column is rounding noise of the size
+    of its value squared, whose inverse is a huge variance of either sign.
+    Whatever the value, the fit names the column and stores no covariance,
+    and Wald inference refuses it."""
+    rng = np.random.default_rng(31)
+    x, t, e = exponential_cohort(rng, [0.5, -0.3], 200, censor_scale=2.0)
+    x = np.column_stack([x[:, 0], np.full(len(x), value), x[:, 1]])
+    with pytest.warns(UserWarning, match=r"singular in \['c'\]"):
+        model = fit_coxph(x, t, e, names=["a", "c", "b"])
+    assert model.converged
+    assert model.aliased == ["c"]
+    assert model.covariance is None
+    with pytest.raises(ComputationError, match="singular"):
+        wald_stats(model)
+
+
+def test_aliased_covariates_are_named_and_the_others_are_not():
+    rng = np.random.default_rng(37)
+    x, t, e = exponential_cohort(rng, [0.5, -0.3, 0.2], 300, censor_scale=2.0)
+    x = np.column_stack([x, x[:, 0] - 2.0 * x[:, 1]])
+    with pytest.warns(UserWarning, match="singular"):
+        model = fit_coxph(x, t, e, names=["a", "b", "c", "a_2b"])
+    assert model.aliased == ["a", "b", "a_2b"]
+    assert model.covariance is None
+
+
+@pytest.mark.filterwarnings("ignore::survkit.errors.ScalingWarning")
+def test_a_regular_information_is_stored_as_its_inverse():
+    """A full-rank fit stores np.linalg.inv of its information, bit for bit,
+    also with badly scaled columns."""
+    rng = np.random.default_rng(41)
+    x, t, e = exponential_cohort(rng, [0.5, -0.3], 300, censor_scale=2.0)
+    x = x * [1e-3, 1e3]
+    model = fit_coxph(x, t, e, max_iter=5000)
+    assert model.converged and model.aliased == []
+    info = _efron_information(model.beta, x, efron_ties(t, e))
+    assert model.covariance.tobytes() == np.linalg.inv(info).tobytes()
+
+
 # -- baseline and prediction ---------------------------------------------------------
 
 

@@ -412,6 +412,38 @@ def test_fit_mice_warns_on_a_saturated_target():
         fit_mice(one_column_missing(0.9), iterations=1, seed=11)
 
 
+def test_mice_impute_warns_once_per_call_on_a_saturated_target():
+    """The m chains share one start, so a saturated target warns once for
+    the call, not once per chain."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mice_impute(one_column_missing(0.98), m=3, iterations=1, seed=11)
+    saturated = [w for w in caught if issubclass(w.category, ImputationWarning)]
+    assert [str(w.message)[:33] for w in saturated] == ["column 'x05' has 36 observed rows"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_covariate_too_large_to_square_fails_the_chain():
+    """One cell of 1e300 overflows the Gram, which would make the draws
+    NaN: the chain stops with a ComputationError naming the step's column."""
+    ds = pinned_cohort()
+    j = ds.col_index("x01")
+    ds.values[np.flatnonzero(~ds.missing_mask[:, j])[0], j] = 1e300
+    with pytest.raises(ComputationError, match=r"imputation model of column '\w+' has non-finite"):
+        fit_mice(ds, iterations=1, seed=0)
+    with pytest.raises(ComputationError, match="non-finite"):
+        mice_impute(ds, m=2, iterations=1, seed=0)
+
+
+def test_a_non_finite_draw_fails_the_chain(monkeypatch):
+    """A draw that is not finite is never written into a completed set."""
+    draw = impute._bayes_draw
+    monkeypatch.setattr(impute, "_bayes_draw",
+                        lambda *args: (*draw(*args)[:2], float("inf")))
+    with pytest.raises(ComputationError, match=r"imputation draws of column '\w+' are not finite"):
+        fit_mice(pinned_cohort(), iterations=1, seed=0)
+
+
 def singular_cohort():
     """Six ensure_like rows with every covariate x1e6: with fewer observed
     rows than predictors the Gram block is rank-deficient, and at entries

@@ -1,5 +1,6 @@
 """Cohort table tests: schema rules, CSV round-trips, inclusion filters."""
 
+import codecs
 import csv
 import json
 
@@ -173,6 +174,21 @@ def test_csv_round_trip_identity(tmp_path):
     np.testing.assert_array_equal(back.missing_mask, ds.missing_mask)
     observed = ~ds.missing_mask
     np.testing.assert_array_equal(back.values[observed], ds.values[observed])
+
+
+def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path):
+    """A spreadsheet's "CSV UTF-8" export leads with a byte-order mark; the
+    file loads as its original does, first column name included."""
+    plain = demo_csv(tmp_path, BASIC)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    want = load_csv(plain, demo_columns())
+    got = load_csv(marked, demo_columns())
+    assert got.column_names == want.column_names
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.missing_mask.tobytes() == want.missing_mask.tobytes()
+    assert got.row_ids.tobytes() == want.row_ids.tobytes()
+    assert got.patient_ids() == want.patient_ids() == ["1", "2", "3"]
 
 
 def test_round_trip_survives_awkward_floats(tmp_path):
