@@ -1,15 +1,17 @@
 """Benchmark the fixed cost of a CLI call: the package import and cohort CSV I/O.
 
-Times `import survkit` in fresh interpreters (the median of N runs, each
-timed inside its own process, with its peak RSS), next to `import numpy`
-as the floor no survkit change can go below and `import scipy.special`,
-which `import survkit` leaves out and `identify-factors` pays for inside
-its call, at its first Rubin pooling. Then writes and reads an
-`ensure_like`-shaped cohort of ROWS rows (the survbench `factors` input)
-with `save_csv` and `load_csv` and prints the best of the repeats. After
-timing, the script asserts that `import survkit` loaded no scipy module,
-that the file's bytes equal those of a per-cell reference writer, and that
-loading it gives back the same value bits and missingness mask.
+Times `import survkit` and `import survkit.cli` (the CLI's cold start) in
+fresh interpreters (the median of N runs, each timed inside its own
+process, with its peak RSS), next to `import numpy` as the floor no
+survkit change can go below and `import scipy.special`, which the CLI
+leaves out and `identify-factors` pays for inside its call, at its first
+Rubin pooling. Then writes and reads an `ensure_like`-shaped cohort of ROWS
+rows (the survbench `factors` input) with `save_csv` and `load_csv` and
+prints the best of the repeats. After timing, the script asserts that
+`import survkit` loaded no survkit module but `survkit._kernels`, that
+neither import loaded a scipy module, that the file's bytes equal those of
+a per-cell reference writer, and that loading it gives back the same value
+bits and missingness mask.
 
 Usage:
     python3 benchmarks/bench_io.py [--rows 20000] [--repeats 3] [--imports 7]
@@ -32,7 +34,8 @@ from survkit.tabular import load_csv, save_csv
 
 # the peak RSS is the process's VmHWM: ru_maxrss would also count the
 # forking parent's pages, which exec leaves in its high-water mark; the
-# last field counts the scipy modules the import loaded
+# last two fields count the scipy modules and list the survkit modules
+# the import loaded
 IMPORT_PROBE = (
     "import sys, time\n"
     "t0 = time.perf_counter()\n"
@@ -40,25 +43,29 @@ IMPORT_PROBE = (
     "elapsed = time.perf_counter() - t0\n"
     "with open('/proc/self/status') as fh:\n"
     "    kb = next(int(line.split()[1]) for line in fh if line.startswith('VmHWM'))\n"
-    "print(elapsed, kb / 1024, sum(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+    "print(elapsed, kb / 1024, sum(m.split('.')[0] == 'scipy' for m in sys.modules),\n"
+    "      ','.join(sorted(m for m in sys.modules if m.split('.')[0] == 'survkit')) or '-')\n"
 )
 
 
 def time_import(module, runs):
     """Median seconds and peak MB of `import module` over fresh interpreters,
-    and the most scipy modules any of them loaded."""
+    the most scipy modules any of them loaded, and every survkit module
+    they loaded."""
     env = dict(os.environ)
     src = str(Path(survkit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    seconds, peaks, scipy_modules = [], [], 0
+    seconds, peaks, scipy_modules, survkit_modules = [], [], 0, set()
     for _ in range(runs):
         out = subprocess.run([sys.executable, "-c", IMPORT_PROBE.format(module=module)],
                              env=env, capture_output=True, text=True, check=True, timeout=120)
-        t, mb, n_scipy = out.stdout.split()
+        t, mb, n_scipy, loaded = out.stdout.split()
         seconds.append(float(t))
         peaks.append(float(mb))
         scipy_modules = max(scipy_modules, int(n_scipy))
-    return statistics.median(seconds), statistics.median(peaks), scipy_modules
+        survkit_modules.update(loaded.split(","))
+    return (statistics.median(seconds), statistics.median(peaks), scipy_modules,
+            survkit_modules - {"-"})
 
 
 def reference_save(ds, path):
@@ -94,9 +101,9 @@ def run(rows, repeats, imports):
     header = f"{'step':<28}{'time':>12}{'peak RSS':>12}"
     print(header)
     print("-" * len(header))
-    scipy_modules = {}
-    for module in ("numpy", "scipy.special", "survkit"):
-        t, mb, scipy_modules[module] = time_import(module, imports)
+    scipy_modules, survkit_modules = {}, {}
+    for module in ("numpy", "scipy.special", "survkit", "survkit.cli"):
+        t, mb, scipy_modules[module], survkit_modules[module] = time_import(module, imports)
         print(f"{'import ' + module:<28}{t * 1e3:>10.1f}ms{mb:>10.1f}MB")
 
     _, _, base = ensure_like(0)
@@ -109,7 +116,10 @@ def run(rows, repeats, imports):
         t = best_of(lambda: load_csv(path, ds.columns), repeats)
         print(f"{f'load_csv ({cells} cells)':<28}{t * 1e3:>10.1f}ms")
 
-        assert scipy_modules["survkit"] == 0, "import survkit loaded scipy"
+        assert survkit_modules["survkit"] == {"survkit", "survkit._kernels"}, (
+            f"import survkit loaded {sorted(survkit_modules['survkit'])}")
+        assert scipy_modules["survkit"] == scipy_modules["survkit.cli"] == 0, (
+            "import survkit or survkit.cli loaded scipy")
         reference_save(ds, ref)
         assert path.read_bytes() == ref.read_bytes(), "save_csv bytes differ from the reference"
         back = load_csv(path, ds.columns)

@@ -175,24 +175,14 @@ class FoldPipeline:
 
 def fit_fold_pipeline(fit_ds, prep, seed):
     """Impute, scale, and prune on fitting rows only."""
-    mask = fit_ds.missing_mask
-    miss_rates = {
-        c.name: float(mask[:, j].mean())
-        for j, c in enumerate(fit_ds.columns)
-        if c.role == "covariate"
-    }
+    # pruning drops, of a correlated pair, the column missing more often
+    rates = fit_ds.missing_mask.mean(axis=0)
+    miss_rates = {c.name: float(r) for c, r in zip(fit_ds.columns, rates) if c.role == "covariate"}
     imputer = fit_mice(fit_ds, prep.impute_iterations, seed)
     completed = imputer.completed_train
-    scaler = None
-    if prep.standardize:
-        cont = [
-            c.name
-            for c in completed.columns
-            if c.role == "covariate" and c.kind == "continuous"
-        ]
-        if cont:
-            scaler = fit_scaler(completed, cont)
-            completed = apply_scaler(completed, scaler)
+    scaler = fit_scaler(completed) if prep.standardize else None
+    if scaler is not None:
+        completed = apply_scaler(completed, scaler)
     pruned, report = prune_correlated(completed, prep.prune_threshold, priority=miss_rates)
     dropped = [r["removed"] for r in report["removed"]]
     x_fit, _, names = pruned.covariate_matrix()

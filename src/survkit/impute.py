@@ -126,6 +126,14 @@ def _observed_gram(design, gram, obs, d_mis):
     return gram - d_mis.T @ d_mis
 
 
+def _unsquarable(ds, gram):
+    """Names of the covariates of `ds` whose diagonal entry of the design
+    Gram `gram` is not finite (design column 1 + k is covariate k)."""
+    names = [c.name for c in ds.columns if c.role == "covariate"]
+    return [names[k - 1] for k in np.flatnonzero(~np.isfinite(np.diag(gram)))
+            if 0 < k <= len(names)]
+
+
 def _bayes_draw(design, gram_obs, col, cols, obs, rng):
     """Posterior draw of (coefficients, sigma) for the normal linear model
     of design column `col` on columns `cols` over the rows `obs`, whose
@@ -235,8 +243,9 @@ def fit_mice(ds, iterations, seed):
     observed rows than predictors still gets its draws, with an
     ImputationWarning: its model is saturated. A target whose normal
     equations cannot be inverted, or whose normal equations or draws are
-    not finite (a covariate beyond ~1e154 overflows the Gram), is a
-    ComputationError naming it.
+    not finite, is a ComputationError naming it; a covariate beyond ~1e154
+    overflows the Gram, and the error names the covariates whose sums of
+    squares are not finite.
 
     The chain keeps G = D'D of its design D (see the module docstring): a
     step gathers only the target's missing rows, takes the observed-row
@@ -282,8 +291,9 @@ def _chain_start(ds, iterations):
                 "predictors; its imputation model is saturated",
                 ImputationWarning,
             )
-    return _ChainStart(ds, iterations, visit, means, hazard_fn, design, steps,
-                       design.T @ design)
+    with np.errstate(over="ignore", invalid="ignore"):  # `_chain_run` checks the Gram
+        gram = design.T @ design
+    return _ChainStart(ds, iterations, visit, means, hazard_fn, design, steps, gram)
 
 
 def _chain_run(start, seed):
@@ -299,11 +309,13 @@ def _chain_run(start, seed):
     for _ in range(start.iterations):
         for name, col, cols, obs, mis in start.steps:
             d_mis = design[mis]
-            gram_obs = _observed_gram(design, gram, obs, d_mis)
+            with np.errstate(over="ignore", invalid="ignore"):
+                gram_obs = _observed_gram(design, gram, obs, d_mis)
             if not np.isfinite(gram_obs).all():
                 raise ComputationError(
-                    f"imputation model of column {name!r} has non-finite normal "
-                    "equations; rescale the covariates"
+                    f"imputation model of column {name!r} has non-finite normal equations "
+                    f"(sums of squares not finite: {_unsquarable(start.ds, gram_obs)}); "
+                    "rescale the covariates"
                 )
             try:
                 models[name], beta_dot, sigma = _bayes_draw(design, gram_obs, col, cols, obs, rng)
@@ -321,7 +333,8 @@ def _chain_run(start, seed):
                     "rescale the covariates"
                 )
             design[mis, col] = draw
-            gram[:, col] = gram[col, :] = design.T @ design[:, col]
+            with np.errstate(over="ignore", invalid="ignore"):  # the next step checks it
+                gram[:, col] = gram[col, :] = design.T @ design[:, col]
     return MiceModel(
         visit_order=start.visit_order,
         means=start.means,

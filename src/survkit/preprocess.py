@@ -1,16 +1,18 @@
 """Covariate preparation: dummy coding, z-score scaling, correlation pruning.
 
-Dummy coding is schema-driven (reference level = first declared level unless
-overridden), so the encoding itself carries no information from the data and
-can safely happen before any train/validation split. Scaling and pruning are
-fit on data and must be fit on training rows only; both return small fitted
-objects that apply to any other rows.
+Dummy coding is schema-driven (reference level = first declared level), so
+the encoding itself carries no information from the data and can safely
+happen before any train/validation split. Scaling and pruning are fit on
+data and must be fit on training rows only; both return small fitted
+objects that apply to any other rows. Pruning takes complete (imputed)
+covariates.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -18,7 +20,7 @@ from .errors import DataError, SchemaError
 from .tabular import ColumnSpec, SurvivalDataset, drop_columns
 
 
-def dummy_encode(ds, refs=None):
+def dummy_encode(ds):
     """Expand categorical covariates to k-1 indicator columns.
 
     Each categorical covariate with levels [r, a, b, ...] becomes columns
@@ -30,11 +32,6 @@ def dummy_encode(ds, refs=None):
     column to {"reference", "levels", "outputs"}: its reference level, the
     other levels and their indicator names.
     """
-    refs = refs or {}
-    unknown = set(refs) - set(ds.column_names)
-    if unknown:
-        raise SchemaError(f"refs name unknown columns: {sorted(unknown)}")
-
     new_cols = []
     new_vals = []
     entries = {}
@@ -43,10 +40,7 @@ def dummy_encode(ds, refs=None):
             new_cols.append(col)
             new_vals.append(ds.values[:, j])
             continue
-        ref = refs.get(col.name, col.levels[0])
-        if ref not in col.levels:
-            raise SchemaError(f"reference {ref!r} is not a level of {col.name!r}")
-        others = [lv for lv in col.levels if lv != ref]
+        ref, others = col.levels[0], col.levels[1:]
         outputs = [f"{col.name}={lv}" for lv in others]
         entries[col.name] = {"reference": ref, "levels": others, "outputs": outputs}
         if not others:
@@ -109,12 +103,12 @@ def apply_scaler(ds, scaler):
 def prune_correlated(ds, threshold, priority=None):
     """Greedily drop one column of every covariate pair with |r| > threshold.
 
-    Pearson correlation is computed on pairwise-complete observations (one
-    correlation matrix when no candidate cell is missing); pairs with fewer
-    than 3 overlapping rows, or a constant column on the overlap, are
-    skipped and reported. The most correlated pair goes first; within a
-    pair the column with the higher `priority` value (default: missing rate
-    in `ds`) is dropped, ties broken toward the later schema position.
+    The covariates must be complete (impute first). One Pearson correlation
+    matrix serves every pair; with fewer than 3 rows every pair is skipped
+    as `overlap<3`, and a pair with a constant column is skipped as
+    `constant-on-overlap`. The most correlated pair goes first; within a
+    pair the column with the higher `priority` value is dropped (default:
+    equal priority), ties broken toward the later schema position.
 
     Returns (pruned dataset, report).
     """
@@ -122,41 +116,28 @@ def prune_correlated(ds, threshold, priority=None):
     for name in cand:
         if ds.column(name).kind == "categorical":
             raise SchemaError(f"dummy-encode categorical covariates before pruning ({name!r})")
-    mask = ds.missing_mask
     cols = [ds.col_index(name) for name in cand]
-    if priority is None:
-        priority = {name: float(mask[:, j].mean()) for name, j in zip(cand, cols)}
+    gaps = [name for name, j in zip(cand, cols) if np.isnan(ds.values[:, j]).any()]
+    if gaps:
+        raise DataError(f"covariates must be complete; impute first (missing cells in {gaps})")
+    priority = priority or {}
 
-    # without missing cells every pair overlaps on all rows, and one
-    # correlation matrix serves all pairs. A column is constant when its
-    # range is zero: the std of 200 copies of 0.3 is 5.6e-17, not 0.
-    complete = len(cols) > 1 and ds.n_rows >= 3 and not mask[:, cols].any()
-    if complete:
+    if ds.n_rows >= 3 and len(cols) > 1:
+        # a column is constant when its range is zero: the std of 200
+        # copies of 0.3 is 5.6e-17, not 0
         rows = ds.values[:, cols].T.copy()
         constant = (rows.max(axis=1) == rows.min(axis=1)).tolist()
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = np.corrcoef(rows)
-    skipped = []
-    pairs = []  # (abs_r, i, j, name_i, name_j, r)
-    for a in range(len(cand)):
-        for b in range(a + 1, len(cand)):
-            na, nb = cand[a], cand[b]
-            if complete:
-                const_a, const_b = constant[a], constant[b]
-            else:
-                both = ~mask[:, cols[a]] & ~mask[:, cols[b]]
-                if both.sum() < 3:
-                    skipped.append({"pair": [na, nb], "reason": "overlap<3", "n_overlap": int(both.sum())})
-                    continue
-                xa = ds.values[both, cols[a]]
-                xb = ds.values[both, cols[b]]
-                const_a, const_b = xa.max() == xa.min(), xb.max() == xb.min()
-            if const_a or const_b:
-                skipped.append({"pair": [na, nb], "reason": "constant-on-overlap"})
-                continue
-            r = float(corr[a, b] if complete else np.corrcoef(xa, xb)[0, 1])
-            if abs(r) > threshold:
-                pairs.append((abs(r), a, b, na, nb, r))
+    skipped, pairs = [], []  # pairs: (abs_r, i, j, name_i, name_j, r)
+    for a, b in combinations(range(len(cand)), 2):
+        na, nb = cand[a], cand[b]
+        if ds.n_rows < 3:
+            skipped.append({"pair": [na, nb], "reason": "overlap<3", "n_overlap": ds.n_rows})
+        elif constant[a] or constant[b]:
+            skipped.append({"pair": [na, nb], "reason": "constant-on-overlap"})
+        elif abs(r := float(corr[a, b])) > threshold:
+            pairs.append((abs(r), a, b, na, nb, r))
 
     removed = []
     alive = set(cand)
@@ -165,14 +146,8 @@ def prune_correlated(ds, threshold, priority=None):
     for _, a, b, na, nb, r in pairs:
         if na not in alive or nb not in alive:
             continue
-        pa, pb = priority.get(na, 0.0), priority.get(nb, 0.0)
-        if pa > pb:
-            drop = na
-        elif pb > pa:
-            drop = nb
-        else:
-            drop = nb  # equal priority: later schema position goes
-        keep = nb if drop == na else na
+        # equal priority: the later schema position goes
+        drop, keep = (na, nb) if priority.get(na, 0.0) > priority.get(nb, 0.0) else (nb, na)
         alive.discard(drop)
         removed.append({"removed": drop, "partner": keep, "r": r})
 

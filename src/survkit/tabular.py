@@ -227,6 +227,8 @@ def load_schema(path):
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"schema file {path} is not UTF-8 text ({exc.reason})") from None
         except json.JSONDecodeError as exc:
             raise SchemaError(f"schema file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -326,9 +328,20 @@ def load_csv(path, columns, missing_values=DEFAULT_MISSING):
     Cells matching a missing sentinel are NaN (missing); all other cells must
     parse per their column kind. Errors carry the 1-based data row number;
     cells are checked row by row, each row in schema order. A leading UTF-8
-    byte-order mark, as spreadsheet "CSV UTF-8" exports write, is skipped.
+    byte-order mark, as spreadsheet "CSV UTF-8" exports write, is skipped;
+    a file that is not UTF-8 text is a DataError naming it.
     """
     validate_schema(columns)
+    try:
+        rows = _read_rows(path, columns, missing_values)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
+    values = np.array(rows, dtype=float).reshape(len(rows), len(columns))
+    return SurvivalDataset(list(columns), values)
+
+
+def _read_rows(path, columns, missing_values):
+    """`load_csv`'s parsed rows, each a list of floats in schema order."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -357,9 +370,7 @@ def load_csv(path, columns, missing_values=DEFAULT_MISSING):
             if len(record) != width:
                 raise DataError(f"expected {width} fields, got {len(record)}", row=row_num)
             rows.append([parse(record[p], row_num) for p, parse in cells])
-
-    values = np.array(rows, dtype=float).reshape(len(rows), len(columns))
-    return SurvivalDataset(list(columns), values)
+    return rows
 
 
 def save_csv(ds, path, missing_value=""):

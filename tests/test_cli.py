@@ -288,10 +288,10 @@ def test_singular_imputation_draw_exits_three(tmp_path, capsys):
     assert "is singular" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_impute_of_a_covariate_too_large_to_square_exits_three(tmp_path, capsys):
-    """One 1e300 cell overflows the imputer's Gram; the run fails and
-    writes no completed set, whose draws would be NaN (empty cells)."""
+    """One 1e300 cell overflows the imputer's Gram; the run fails naming
+    the covariate that holds it, and writes no completed set, whose draws
+    would be NaN (empty cells)."""
     ds = subset_rows(ensure_like(seed=0)[0], np.arange(200))
     j = ds.col_index("x01")
     ds.values[np.flatnonzero(~ds.missing_mask[:, j])[0], j] = 1e300
@@ -301,7 +301,8 @@ def test_impute_of_a_covariate_too_large_to_square_exits_three(tmp_path, capsys)
     rc = main(["impute", "--data", str(data), "--schema", str(schema),
                "--m", "2", "--iterations", "1", "--out", str(out)])
     assert rc == 3
-    assert "has non-finite normal equations" in capsys.readouterr().err
+    assert "has non-finite normal equations (sums of squares not finite: ['x01'])" in (
+        capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -61,16 +61,6 @@ def test_dummy_encode_basic():
     assert entries["grade"]["outputs"] == ["grade=g2", "grade=g3"]
 
 
-def test_dummy_encode_custom_reference():
-    ds, entries = dummy_encode(cat_ds(), refs={"grade": "g3"})
-    assert ds.column_names[2:4] == ["grade=g1", "grade=g2"]
-    assert entries["grade"]["reference"] == "g3"
-    with pytest.raises(SchemaError):
-        dummy_encode(cat_ds(), refs={"grade": "g9"})
-    with pytest.raises(SchemaError):
-        dummy_encode(cat_ds(), refs={"ghost": "g1"})
-
-
 def test_dummy_encode_leaves_center_column_alone():
     cols = outcome_cols() + [ColumnSpec("hospital", "categorical", role="center", levels=["a", "b"])]
     ds = make_ds(cols, [[1, 1, 0], [2, 0, 1]])
@@ -128,7 +118,7 @@ def test_scaler_rejects_degenerate_columns():
 # -- correlation pruning ----------------------------------------------------------
 
 
-def corr_ds(missing_in="b"):
+def corr_ds():
     """Columns a and b are perfectly correlated; c is independent noise."""
     rng = np.random.default_rng(5)
     n = 40
@@ -142,32 +132,29 @@ def corr_ds(missing_in="b"):
         ColumnSpec("b", "continuous"),
         ColumnSpec("c", "continuous"),
     ]
-    values = np.column_stack([t, e, a, b, c])
-    mask = np.zeros_like(values, dtype=bool)
-    if missing_in:
-        j = {"a": 2, "b": 3, "c": 4}[missing_in]
-        mask[:5, j] = True
-        values[:5, j] = np.nan
-    return SurvivalDataset(cols, values, mask)
+    return SurvivalDataset(cols, np.column_stack([t, e, a, b, c]))
 
 
 def test_prune_drops_the_higher_missing_partner():
-    ds = corr_ds(missing_in="b")
-    pruned, report = prune_correlated(ds, 0.7)
+    """The fold pipeline passes each column's missing rate before
+    imputation as its priority: of a correlated pair, the column that was
+    missing more often goes."""
+    ds = corr_ds()
+    pruned, report = prune_correlated(ds, 0.7, priority={"a": 0.0, "b": 0.125, "c": 0.0})
     assert pruned.column_names == ["months", "died", "a", "c"]
     assert report["removed"][0]["removed"] == "b"
     assert report["removed"][0]["partner"] == "a"
     assert abs(report["removed"][0]["r"]) > 0.99
 
     # flip the missingness: now a should be the one to go
-    pruned2, report2 = prune_correlated(corr_ds(missing_in="a"), 0.7)
+    pruned2, report2 = prune_correlated(ds, 0.7, priority={"a": 0.125, "b": 0.0, "c": 0.0})
     assert report2["removed"][0]["removed"] == "a"
     assert "b" in pruned2.column_names
 
 
 def test_prune_tie_prefers_later_schema_position():
-    # no missingness anywhere: equal priority, so the later column (b) goes
-    pruned, report = prune_correlated(corr_ds(missing_in=None), 0.7)
+    # no priority given: equal priority, so the later column (b) goes
+    pruned, report = prune_correlated(corr_ds(), 0.7)
     assert report["removed"][0]["removed"] == "b"
     assert pruned.column_names == ["months", "died", "a", "c"]
 
@@ -197,75 +184,41 @@ def test_prune_requires_encoded_covariates():
         prune_correlated(ds, 0.7)
 
 
+def test_prune_requires_complete_covariates():
+    """Pruning runs on imputed covariates; a missing cell says to impute."""
+    ds = corr_ds()
+    values = ds.values.copy()
+    values[3, 3] = np.nan
+    with pytest.raises(DataError, match=r"impute first \(missing cells in \['b'\]\)"):
+        prune_correlated(SurvivalDataset(ds.columns, values), 0.7)
+
+
 def test_prune_skips_thin_overlap():
     cols = outcome_cols() + [
         ColumnSpec("a", "continuous"),
         ColumnSpec("b", "continuous"),
     ]
-    values = np.array([
-        [1, 1, 1.0, np.nan],
-        [2, 0, 2.0, np.nan],
-        [3, 1, np.nan, 1.0],
-        [4, 0, np.nan, 2.0],
-    ])
-    ds = SurvivalDataset(cols, values, np.isnan(values))
+    ds = SurvivalDataset(cols, np.array([[1, 1, 1.0, 2.0], [2, 0, 2.0, 1.0]]))
     pruned, report = prune_correlated(ds, 0.5)
     assert pruned.column_names == ds.column_names
-    assert report["skipped_pairs"][0]["reason"] == "overlap<3"
-
-
-def test_prune_one_matrix_path_matches_the_pair_loop():
-    """On complete data one correlation matrix serves every pair; the
-    pairwise-complete loop (forced by an extra column with one missing cell)
-    must remove the same columns for the same partners, skip the same
-    constant-column pairs, and agree on r to 1e-12."""
-    rng = np.random.default_rng(31)
-    n, p = 200, 9
-    latent = rng.normal(size=(n, 3))
-    x = latent[:, rng.integers(0, 3, p)] + rng.normal(0.0, rng.uniform(0.2, 1.0, p), (n, p))
-    x[:, 4] = 0.5  # a constant column
-    names = [f"x{j}" for j in range(p)]
-    cols = outcome_cols() + [ColumnSpec(name, "continuous") for name in names]
-    t = rng.exponential(10.0, n) + 0.1
-    e = (rng.random(n) < 0.5).astype(float)
-    complete = SurvivalDataset(cols, np.column_stack([t, e, x]),
-                               np.zeros((n, p + 2), dtype=bool))
-    gap = rng.normal(size=n)
-    gap[7] = np.nan
-    gapped = SurvivalDataset(cols + [ColumnSpec("gap", "continuous")],
-                             np.column_stack([t, e, x, gap]),
-                             np.column_stack([np.zeros((n, p + 2), dtype=bool), np.isnan(gap)]))
-    priority = {name: 0.0 for name in names + ["gap"]}
-
-    _, fast = prune_correlated(complete, 0.6, priority=priority)
-    _, loop = prune_correlated(gapped, 0.6, priority=priority)
-    assert len(fast["removed"]) >= 2
-    assert [(r["removed"], r["partner"]) for r in fast["removed"]] == [
-        (r["removed"], r["partner"]) for r in loop["removed"]]
-    for a, b in zip(fast["removed"], loop["removed"]):
-        assert a["r"] == pytest.approx(b["r"], rel=1e-12, abs=1e-12)
-    constant = [s for s in fast["skipped_pairs"] if s["reason"] == "constant-on-overlap"]
-    assert len(constant) == p - 1
-    assert fast["skipped_pairs"] == [s for s in loop["skipped_pairs"] if "gap" not in s["pair"]]
-
+    assert report["skipped_pairs"] == [{"pair": ["a", "b"], "reason": "overlap<3", "n_overlap": 2}]
 
 
 def test_prune_skips_a_constant_whose_std_is_not_zero():
     """200 copies of 0.3 have std 5.6e-17, not 0: the column is constant by
-    its range, so both the one-matrix path and the pair loop (forced by a
-    missing cell in another column) skip its pairs instead of scoring noise."""
+    its range, so its pairs are skipped instead of scored on noise. The r of
+    the pair that is scored is the pairwise Pearson r of its two columns."""
     rng = np.random.default_rng(37)
     n = 200
     cols = outcome_cols() + [ColumnSpec(name, "continuous") for name in ("a", "flat", "c")]
     values = np.column_stack([rng.exponential(10.0, n) + 0.1, (rng.random(n) < 0.5).astype(float),
                               rng.normal(size=n), np.full(n, 0.3), rng.normal(size=n)])
     assert values[:, 3].std() != 0.0
-    gapped = values.copy()
-    gapped[0, 4] = np.nan
-    for vals in (values, gapped):
-        _, report = prune_correlated(SurvivalDataset(cols, vals, np.isnan(vals)), 0.0)
-        assert report["skipped_pairs"] == [
-            {"pair": ["a", "flat"], "reason": "constant-on-overlap"},
-            {"pair": ["flat", "c"], "reason": "constant-on-overlap"},
-        ]
-        assert [r["removed"] for r in report["removed"]] == ["c"]
+    _, report = prune_correlated(SurvivalDataset(cols, values), 0.0)
+    assert report["skipped_pairs"] == [
+        {"pair": ["a", "flat"], "reason": "constant-on-overlap"},
+        {"pair": ["flat", "c"], "reason": "constant-on-overlap"},
+    ]
+    assert [(r["removed"], r["partner"]) for r in report["removed"]] == [("c", "a")]
+    r = np.corrcoef(values[:, 2], values[:, 4])[0, 1]
+    assert report["removed"][0]["r"] == pytest.approx(r, rel=1e-12, abs=1e-12)

@@ -1,16 +1,14 @@
 """Every function in the package is reached by something other than its tests.
 
-A function or method of `src/survkit` must be exported in `survkit.__all__`
-or be named somewhere in the package, `survbench/` or `benchmarks/` outside
-its own definition. Names are matched, not resolved, so a method counts as
-reached when any attribute of that name is read; the scan misses some
-unreached code but never flags reached code.
+A function or method of `src/survkit` must be named somewhere in the
+package, `survbench/` or `benchmarks/` outside its own definition, or be
+listed in `ALLOWED` with its reason. Names are matched, not resolved, so a
+method counts as reached when any attribute of that name is read; the scan
+misses some unreached code but never flags reached code.
 """
 
 import ast
 from pathlib import Path
-
-import survkit
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "survkit"
@@ -19,6 +17,12 @@ PACKAGE = ROOT / "src" / "survkit"
 ALLOWED = {
     # tests/test_acceptance.py, the acceptance gate, imports it
     "replace_column_values",
+    # documented library API in the README; the acceptance gate imports it too
+    "brier_score",
+    # documented library API in the README
+    "neg_log_partial_likelihood",
+    "wald_stats",
+    "summarize",
 }
 
 
@@ -47,8 +51,7 @@ def test_every_function_is_reached_outside_the_tests():
         f"{path.name}:{first} {name}"
         for name, path, first, last in defined
         if not (name.startswith("__") and name.endswith("__"))
-        and name not in survkit.__all__
         and name not in ALLOWED
         and not reached(name, path, first, last)
     )
-    assert not unreached, f"functions no command, export or script reaches: {unreached}"
+    assert not unreached, f"functions no command or script reaches: {unreached}"
