@@ -1,0 +1,86 @@
+"""Benchmark the memory that multiple imputation holds as m grows.
+
+For each m, prints the `tracemalloc` peak of `mice_impute` followed by
+building every completed set in turn (as `survkit impute` writes them), and
+of `identify_factors` (impute, fit each set, pool), on an `ensure_like`-
+shaped cohort of ROWS rows, dummy-coded as the CLI codes it. Next to them
+are the bytes of one completed set and of the kept draws. A list of m
+completed sets would add one set per imputation to both peaks; building
+them one at a time adds only each chain's draws. Each m is measured after
+one untimed call, so first-call imports stay out of the peaks. After
+measuring, the script asserts that every set built from the largest m has
+the same bits as its chain's `completed_train`, run on its own.
+
+Usage:
+    python3 benchmarks/bench_impute_memory.py [--rows 20000] [--m 2,10,20] [--iterations 10]
+"""
+
+import argparse
+import dataclasses
+import time
+import tracemalloc
+
+from survkit import impute
+from survkit.harness import identify_factors
+from survkit.preprocess import dummy_encode
+from survkit.synth import ensure_like, generate
+
+MB = 1e6
+
+
+def traced_peak(fn):
+    """(peak bytes tracemalloc saw during fn(), seconds)."""
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        fn()
+        return tracemalloc.get_traced_memory()[1], time.perf_counter() - t0
+    finally:
+        tracemalloc.stop()
+
+
+def impute_and_build(ds, m, iterations, seed):
+    for _ in impute.mice_impute(ds, m, iterations, seed):
+        pass
+
+
+def run(rows, ms, iterations, seed=0):
+    _, _, base = ensure_like(0)
+    ds = dummy_encode(generate(dataclasses.replace(base, n=rows), seed=seed)[0])[0]
+    n_missing = int(ds.missing_mask.sum())
+    print(f"{rows} rows x {ds.values.shape[1]} columns, {n_missing} missing cells; "
+          f"one completed set is {ds.values.nbytes / MB:.2f} MB")
+    identify_factors(ds, m=2, iterations=1, seed=seed)  # warm: imports and caches
+
+    header = f"{'m':>4}{'draws':>10}{'impute+build':>16}{'identify_factors':>20}"
+    print(header)
+    print("-" * len(header))
+    for m in ms:
+        impute_peak, impute_s = traced_peak(lambda: impute_and_build(ds, m, iterations, seed))
+        factors_peak, factors_s = traced_peak(
+            lambda: identify_factors(ds, m=m, iterations=iterations, seed=seed))
+        print(f"{m:>4}{m * n_missing * 8 / MB:>8.2f}MB"
+              f"{impute_peak / MB:>8.2f}MB {impute_s:>5.2f}s"
+              f"{factors_peak / MB:>12.2f}MB {factors_s:>5.2f}s")
+
+    m = max(ms)
+    iset = impute.mice_impute(ds, m, iterations, seed)
+    start = impute._chain_start(ds, iterations)
+    for i, done in enumerate(iset):
+        chain = impute._chain_run(start, seed + i).completed_train
+        assert done.values.tobytes() == chain.values.tobytes(), f"set {i} differs from its chain"
+        assert done.row_ids.tobytes() == chain.row_ids.tobytes()
+        assert done.column_names == chain.column_names
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rows", type=int, default=20000, help="cohort rows")
+    parser.add_argument("--m", default="2,10,20", help="comma-separated imputation counts")
+    parser.add_argument("--iterations", type=int, default=10, help="chained-equation sweeps")
+    args = parser.parse_args()
+    run(args.rows, [int(v) for v in args.m.split(",")], args.iterations)
+
+
+if __name__ == "__main__":
+    main()

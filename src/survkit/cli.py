@@ -135,11 +135,17 @@ def _load_cohort(data_path, schema_path, rules=None):
     return encoded, entries, {"inclusion.json": partial(_write_json, doc=audit)}
 
 
+def _save_completed(iset, i, path):
+    """Write completed set i of `iset`, built here so that one is in memory
+    at a time."""
+    save_csv(iset[i], path)
+
+
 def cmd_impute(args):
     encoded, entries, files = _load_cohort(args.data, args.schema)
     iset = mice_impute(encoded, args.m, args.iterations, args.seed)
-    names = [f"completed_{i:02d}.csv" for i in range(1, len(iset.datasets) + 1)]
-    files.update((name, partial(save_csv, ds)) for name, ds in zip(names, iset.datasets))
+    names = [f"completed_{i:02d}.csv" for i in range(1, len(iset) + 1)]
+    files.update((name, partial(_save_completed, iset, i)) for i, name in enumerate(names))
     files["imputation.json"] = partial(_write_json, doc={**iset.provenance(), "files": names})
     files["encoding.json"] = partial(_write_json, doc=entries, sort_keys=False)
     return _Run(files, f"impute:{args.data}:{args.m}:{args.iterations}:{args.seed}".encode(),

@@ -356,36 +356,40 @@ class FactorRow:
     pooled_se: float
 
 
+def _fit_imputation(i, completed):
+    """(coefficients, their variances) of the linear model on completed set
+    i; a fit that is singular or does not converge is a ComputationError."""
+    x, _, nm = completed.covariate_matrix()
+    model = fit_coxph(x, completed.time, completed.event, names=nm)
+    if model.aliased:
+        raise ComputationError(f"imputation {i}: the observed information is singular: "
+                               f"{model.aliased} are constant or aliased; drop them")
+    if not model.converged or model.covariance is None:
+        unscaled = [nm[j] for j in coxph_mod._unscaled_columns(x)]
+        hint = f"; {unscaled} look unstandardized: standardize them first" if unscaled else ""
+        raise ComputationError(f"imputation {i}: linear model fit did not converge{hint}")
+    return model.beta, np.diag(model.covariance)
+
+
 def identify_factors(ds, m=10, iterations=10, seed=0):
     """Multiply impute, fit the unpenalized linear model per completed
     dataset, and Rubin-pool each coefficient into an HR table.
 
-    Covariates are fitted as given. A fit that does not converge fails the
-    run, naming its imputation and any unstandardized-looking covariates,
-    and so does one whose observed information is singular, naming the
-    constant or aliased covariates. Rows follow covariate schema order.
+    Covariates are fitted as given. Each completed set is built, fitted and
+    dropped before the next is built, and only its coefficients and their
+    variances are kept, so one completed set and one covariate matrix are
+    in memory at a time. A fit that does not converge fails the run, naming
+    its imputation and any unstandardized-looking covariates, and so does
+    one whose observed information is singular, naming the constant or
+    aliased covariates. Rows follow covariate schema order.
     """
     if m < 2:
         raise ConfigError("factor identification needs m >= 2 imputations")
     iset = mice_impute(ds, m, iterations, seed)
-    betas = []
-    variances = []
-    names = None
-    for i, completed in enumerate(iset.datasets):
-        x, _, nm = completed.covariate_matrix()
-        names = nm
-        model = fit_coxph(x, completed.time, completed.event, names=nm)
-        if model.aliased:
-            raise ComputationError(f"imputation {i}: the observed information is singular: "
-                                   f"{model.aliased} are constant or aliased; drop them")
-        if not model.converged or model.covariance is None:
-            unscaled = [nm[j] for j in coxph_mod._unscaled_columns(x)]
-            hint = f"; {unscaled} look unstandardized: standardize them first" if unscaled else ""
-            raise ComputationError(f"imputation {i}: linear model fit did not converge{hint}")
-        betas.append(model.beta)
-        variances.append(np.diag(model.covariance))
-    betas = np.array(betas)
-    variances = np.array(variances)
+    names = ds.covariate_names
+    fits = [_fit_imputation(i, iset[i]) for i in range(len(iset))]
+    betas = np.array([beta for beta, _ in fits])
+    variances = np.array([var for _, var in fits])
 
     rows = []
     for j, name in enumerate(names):

@@ -12,12 +12,18 @@ imputed on the continuous scale and deliberately not rounded.
 `mice_impute` is m such chains with consecutive seeds, and `apply_mice`
 runs the frozen chain on new rows. A chain is a start (`_chain_start`: the
 checks, the hazard transform, the visit order, the means, the mean-filled
-design and the Gram below, none of which depend on the seed) and a run
-(`_chain_run`: the seeded sweeps on copies of them), so `mice_impute`
-makes one start for its m runs. All three keep the covariates in one
+design and the Gram below, none of which depend on the seed) and its sweeps
+(`_chain_sweeps`: the seeded draws on copies of them), so `mice_impute`
+makes one start for its m chains. All three keep the covariates in one
 design matrix D = [1, covariates, event, hazard], set up once with the mean
 fill (`_chain_setup`); each draw is written into the target's own column,
 and the completed values are read back once at the end (`_read_back`).
+
+`mice_impute` keeps the cohort once and, of each chain, only the final
+draws of the cells that were missing: an `ImputationSet` holds m vectors
+of n_missing floats, not m completed copies of the cohort. Completed set i
+is built when it is asked for (`iset[i]`, or iterating `iset`), so a caller
+that uses one set at a time holds one in memory.
 
 A chain also keeps the Gram matrix G = D'D, formed once after the mean fill.
 A target step gathers only its missing rows M and takes the normal
@@ -163,14 +169,44 @@ def _bayes_draw(design, gram_obs, col, cols, obs, rng):
 
 @dataclass
 class ImputationSet:
-    """m completed datasets plus the provenance needed to reproduce them."""
+    """m completed datasets, kept as the cohort plus each chain's draws,
+    and the provenance needed to reproduce them.
 
-    datasets: list
-    original_mask: np.ndarray
-    m: int
+    `draws[i]` holds chain i's values for the missing covariate cells
+    (`rows`, `cols`) of `cohort`, which is kept as given, not copied.
+    `iset[i]` builds completed set i from them, a new dataset on each call;
+    `len(iset)` is m and iterating builds the sets one at a time.
+    """
+
+    cohort: SurvivalDataset
+    rows: np.ndarray
+    cols: np.ndarray
+    draws: np.ndarray  # (m, n_missing)
     iterations: int
     seed: int
     visit_order: list
+
+    @property
+    def m(self):
+        return len(self.draws)
+
+    def __len__(self):
+        return self.m
+
+    def __getitem__(self, i):
+        values = self.cohort.values.copy()
+        values[self.rows, self.cols] = self.draws[i]
+        return SurvivalDataset(list(self.cohort.columns), values,
+                               row_ids=self.cohort.row_ids.copy())
+
+    def __iter__(self):
+        return (self[i] for i in range(self.m))
+
+    @property
+    def datasets(self):
+        """The set itself: `iset.datasets` iterates and indexes as `iset`
+        does, building each completed set when it is reached."""
+        return self
 
     def provenance(self):
         return {
@@ -179,29 +215,39 @@ class ImputationSet:
             "seed": self.seed,
             "chain_seeds": [self.seed + 100 + i for i in range(self.m)],
             "visit_order": list(self.visit_order),
-            "n_missing_cells": int(self.original_mask.sum()),
+            "n_missing_cells": int(self.cohort.missing_mask.sum()),
         }
 
 
 def mice_impute(ds, m, iterations, seed):
-    """Chained-equation imputation producing m completed datasets.
+    """Chained-equation imputation of m completed datasets.
 
-    The m datasets are the completed training rows of m chains,
-    `fit_mice(ds, iterations, seed + i)` for i < m, so chain i draws from a
-    generator seeded with seed + 100 + i: chains are independent and each
-    is reproducible in isolation. The chains share one start, so a
-    saturated target warns once per call. A dataset without missing cells
-    yields m identical copies.
+    Completed set i is the completed training rows of
+    `fit_mice(ds, iterations, seed + i)` for i < m, bit for bit, so chain i
+    draws from a generator seeded with seed + 100 + i: chains are
+    independent and each is reproducible in isolation. All m chains run in
+    this call, which raises any of their errors; the chains share one
+    start, so a saturated target warns once per call. Of each chain only
+    its draws for the missing covariate cells are kept, and the returned
+    `ImputationSet` builds a completed set when it is indexed or iterated,
+    so memory grows with m by m vectors of n_missing floats, not by m
+    copies of the cohort. A dataset without missing cells yields m
+    identical copies.
     """
     if m < 1:
         raise DataError("m must be >= 1")
     start = _chain_start(ds, iterations)
-    # only the completed rows are kept, not each chain's hazard transform
-    datasets = [_chain_run(start, seed + i).completed_train for i in range(m)]
+    cov_idx = np.flatnonzero([c.role == "covariate" for c in ds.columns])
+    rows, k = np.nonzero(ds.missing_mask[:, cov_idx])
+    draws = np.empty((m, len(rows)))
+    for i in range(m):
+        # covariate k is design column 1 + k (see `_chain_setup`)
+        draws[i] = _chain_sweeps(start, seed + i)[1][rows, 1 + k]
     return ImputationSet(
-        datasets=datasets,
-        original_mask=ds.missing_mask,
-        m=m,
+        cohort=ds,
+        rows=rows,
+        cols=cov_idx[k],
+        draws=draws,
         iterations=iterations,
         seed=seed,
         visit_order=start.visit_order,
@@ -298,6 +344,23 @@ def _chain_start(ds, iterations):
 
 def _chain_run(start, seed):
     """One chain from `start`, drawing from default_rng(seed + 100)."""
+    models, design = _chain_sweeps(start, seed)
+    return MiceModel(
+        visit_order=start.visit_order,
+        means=start.means,
+        models=models,
+        hazard_fn=start.hazard_fn,
+        iterations=start.iterations,
+        seed=seed,
+        column_names=start.ds.column_names,
+        completed_train=_read_back(start.ds, design),
+    )
+
+
+def _chain_sweeps(start, seed):
+    """The sweeps of one chain from `start`, drawing from
+    default_rng(seed + 100): (final-sweep coefficients by target, the
+    completed design)."""
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DataError(f"seed={seed!r} is not a non-negative integer")
     # the design keeps its column-major layout: a C-order copy sends the
@@ -335,16 +398,7 @@ def _chain_run(start, seed):
             design[mis, col] = draw
             with np.errstate(over="ignore", invalid="ignore"):  # the next step checks it
                 gram[:, col] = gram[col, :] = design.T @ design[:, col]
-    return MiceModel(
-        visit_order=start.visit_order,
-        means=start.means,
-        models=models,
-        hazard_fn=start.hazard_fn,
-        iterations=start.iterations,
-        seed=seed,
-        column_names=start.ds.column_names,
-        completed_train=_read_back(start.ds, design),
-    )
+    return models, design
 
 
 def apply_mice(model, ds):

@@ -2,7 +2,8 @@
 
 Each script asserts, next to its timings, that the code it times gives the
 same bits as a reference (the Efron split and the concordance counts, the
-training step, the CSV writer and the load round trip); these runs make
+training step, the CSV writer and the load round trip, each completed
+imputation against its chain run on its own); these runs make
 those assertions part of the test suite. A tiny traced experiment checks
 that survbench's tracer still covers every layer function, that the call
 counts match the config, that every per-layer metric it declares computes
@@ -27,6 +28,7 @@ BENCHMARKS = ROOT / "benchmarks"
     ("bench_kernels.py", ["--sizes", "60,300", "--repeats", "1"]),
     ("bench_step.py", ["--steps", "5", "--repeats", "1"]),
     ("bench_io.py", ["--rows", "300", "--repeats", "1", "--imports", "1"]),
+    ("bench_impute_memory.py", ["--rows", "300", "--m", "2,3", "--iterations", "1"]),
 ])
 def test_benchmark_script_passes_its_checks(script, args):
     src = Path(survkit.__file__).resolve().parents[1]

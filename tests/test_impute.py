@@ -106,7 +106,7 @@ def test_complete_data_yields_identical_copies():
     ds = SurvivalDataset(cols_with(["x"]), values, np.zeros_like(values, dtype=bool))
     iset = mice_impute(ds, m=3, iterations=2, seed=1)
     assert iset.m == 3
-    for c in iset.datasets:
+    for c in iset:
         np.testing.assert_array_equal(c.values, ds.values)
         assert not c.missing_mask.any()
 
@@ -114,7 +114,7 @@ def test_complete_data_yields_identical_copies():
 def test_imputation_fills_only_missing_cells():
     ds, _ = mar_linear_dataset(seed=4)
     iset = mice_impute(ds, m=2, iterations=3, seed=9)
-    for c in iset.datasets:
+    for c in iset:
         assert not np.isnan(c.values).any()
         assert not c.missing_mask.any()
         observed = ~ds.missing_mask
@@ -126,7 +126,7 @@ def test_outcome_columns_bit_unchanged():
     t_before = ds.time.copy()
     e_before = ds.event.copy()
     iset = mice_impute(ds, m=3, iterations=5, seed=2)
-    for c in iset.datasets:
+    for c in iset:
         np.testing.assert_array_equal(c.time, t_before)
         np.testing.assert_array_equal(c.event, e_before)
 
@@ -135,11 +135,11 @@ def test_chains_are_seeded_and_distinct():
     ds, _ = mar_linear_dataset(seed=4)
     a = mice_impute(ds, m=2, iterations=2, seed=7)
     b = mice_impute(ds, m=2, iterations=2, seed=7)
-    for da, db in zip(a.datasets, b.datasets):
+    for da, db in zip(a, b):
         np.testing.assert_array_equal(da.values, db.values)
     # different chains of one run disagree on the imputed cells
     miss = ds.missing_mask
-    assert not np.array_equal(a.datasets[0].values[miss], a.datasets[1].values[miss])
+    assert not np.array_equal(a[0].values[miss], a[1].values[miss])
     assert a.provenance()["chain_seeds"] == [107, 108]
 
 
@@ -154,7 +154,7 @@ def test_imputation_beats_mean_fill():
         obs_mean = ds.values[~miss, j].mean()
         rmse_mean = np.sqrt(np.mean((obs_mean - x_true[miss]) ** 2))
         iset = mice_impute(ds, m=5, iterations=5, seed=seed + 50)
-        errs = [c.values[miss, j] - x_true[miss] for c in iset.datasets]
+        errs = [c.values[miss, j] - x_true[miss] for c in iset]
         rmse_mice = np.sqrt(np.mean(np.concatenate(errs) ** 2))
         ratios.append(rmse_mice / rmse_mean)
     assert np.mean(ratios) < 0.9
@@ -318,7 +318,7 @@ def test_mice_impute_output_is_pinned():
     ds = pinned_cohort()
     assert ds.missing_mask.any(axis=0).sum() == 10
     iset = mice_impute(ds, m=3, iterations=4, seed=11)
-    assert values_sha256(d.values for d in iset.datasets) == MICE_SHA256
+    assert values_sha256(d.values for d in iset) == MICE_SHA256
 
 
 def test_mice_impute_chains_are_fit_mice_runs():
@@ -326,12 +326,31 @@ def test_mice_impute_chains_are_fit_mice_runs():
     fit_mice(ds, iterations, seed + i), byte for byte."""
     ds = pinned_cohort()
     iset = mice_impute(ds, m=3, iterations=2, seed=7)
-    for i, done in enumerate(iset.datasets):
+    for i, done in enumerate(iset):
         chain = fit_mice(ds, iterations=2, seed=7 + i)
         assert done.values.tobytes() == chain.completed_train.values.tobytes()
         assert done.missing_mask.tobytes() == chain.completed_train.missing_mask.tobytes()
         assert iset.visit_order == chain.visit_order
-    assert not any(d.missing_mask[:, 2:].any() for d in iset.datasets)
+    assert not any(d.missing_mask[:, 2:].any() for d in iset)
+
+
+def test_imputation_set_keeps_the_cohort_once_and_the_drawn_cells_per_chain():
+    """The set holds the cohort it was given and an (m, n_missing) array of
+    draws; each index builds a new completed set, so changing one leaves the
+    next build as it was."""
+    ds = pinned_cohort()
+    iset = mice_impute(ds, m=3, iterations=2, seed=7)
+    assert iset.cohort is ds
+    assert iset.draws.shape == (3, int(ds.missing_mask.sum()))
+    assert len(iset) == iset.m == 3
+    np.testing.assert_array_equal(ds.missing_mask[iset.rows, iset.cols], True)
+    want = iset[1].values.tobytes()
+    built = iset[1]
+    built.values[:] = 0.0
+    assert iset[1].values.tobytes() == want
+    assert iset[-1].values.tobytes() == iset[2].values.tobytes()
+    with pytest.raises(IndexError):
+        iset[3]
 
 
 def test_fit_and_apply_mice_output_is_pinned():

@@ -374,6 +374,23 @@ def test_efron_is_invariant_to_row_order(case, data):
         assert p_value == value and np.isnan(p_grad).all()
 
 
+@settings(max_examples=100, deadline=None)
+@given(efron_inputs(), st.floats(-50.0, 50.0))
+def test_efron_is_invariant_to_a_score_shift(case, c):
+    """Adding a constant to every score cancels between each risk-set sum
+    and its events' scores: value and gradient agree up to the rounding of
+    eta + c, which grows with n |c|."""
+    times, events, eta = case
+    value, grad = efron_loss_grad(times, events, eta)
+    s_value, s_grad = efron_loss_grad(times, events, eta + c)
+    if not np.isfinite(value):
+        assert not np.isfinite(s_value)
+        return
+    scale = len(times) * (1.0 + abs(c) + np.abs(eta).max())
+    assert s_value == pytest.approx(value, rel=1e-9, abs=1e-12 * scale)
+    np.testing.assert_allclose(s_grad, grad, rtol=1e-9, atol=1e-12 * scale)
+
+
 # -- backend -------------------------------------------------------------------
 
 

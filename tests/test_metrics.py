@@ -69,6 +69,17 @@ def test_censoring_km_flips_the_indicator():
     np.testing.assert_allclose(g.values, direct.values)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.floats(0.0, 1.0))
+def test_km_is_non_increasing_within_unit_interval(seed, n, censor_prob):
+    rng = np.random.default_rng(seed)
+    times = rng.integers(1, max(2, n // 2), size=n).astype(float)
+    events = (rng.random(n) >= censor_prob).astype(float)
+    values = kaplan_meier(times, events).values
+    assert np.all(np.diff(values) <= 0.0)
+    assert np.all((values >= 0.0) & (values <= 1.0))
+
+
 def test_outcome_validation():
     with pytest.raises(DataError):
         kaplan_meier([], [])
