@@ -7,7 +7,9 @@ survkit change can go below and `import scipy.special`, which the CLI
 leaves out and `identify-factors` pays for inside its call, at its first
 Rubin pooling. Then writes and reads an `ensure_like`-shaped cohort of ROWS
 rows (the survbench `factors` input) with `save_csv` and `load_csv` and
-prints the best of the repeats. After timing, the script asserts that
+prints the best of the repeats, next to the `tracemalloc` peak of one more
+untimed call of each (MB, and bytes per cell; the loaded matrix itself
+holds 8 bytes a cell). After timing, the script asserts that
 `import survkit` loaded no survkit module but `survkit._kernels`, that
 neither import loaded a scipy module, that the file's bytes equal those of
 a per-cell reference writer, and that loading it gives back the same value
@@ -26,6 +28,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import survkit
@@ -73,8 +76,6 @@ def reference_save(ds, path):
     def cell(val, col):
         if col.kind == "categorical":
             return col.levels[int(round(val))]
-        if col.kind == "binary":
-            return str(int(round(val)))
         if float(val).is_integer() and abs(val) < 1e15:
             return str(int(val))
         return repr(float(val))
@@ -97,8 +98,18 @@ def best_of(fn, repeats):
     return best
 
 
+def traced_peak(fn):
+    """The `tracemalloc` peak, in bytes, of one call of `fn`."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def run(rows, repeats, imports):
-    header = f"{'step':<28}{'time':>12}{'peak RSS':>12}"
+    header = f"{'step':<28}{'time':>12}{'peak RSS':>12}{'traced peak':>14}{'per cell':>10}"
     print(header)
     print("-" * len(header))
     scipy_modules, survkit_modules = {}, {}
@@ -111,10 +122,12 @@ def run(rows, repeats, imports):
     cells = ds.values.size
     with tempfile.TemporaryDirectory() as tmp:
         path, ref = Path(tmp) / "cohort.csv", Path(tmp) / "reference.csv"
-        t = best_of(lambda: save_csv(ds, path), repeats)
-        print(f"{f'save_csv ({cells} cells)':<28}{t * 1e3:>10.1f}ms")
-        t = best_of(lambda: load_csv(path, ds.columns), repeats)
-        print(f"{f'load_csv ({cells} cells)':<28}{t * 1e3:>10.1f}ms")
+        for name, fn in (("save_csv", lambda: save_csv(ds, path)),
+                         ("load_csv", lambda: load_csv(path, ds.columns))):
+            t = best_of(fn, repeats)
+            peak = traced_peak(fn)
+            print(f"{f'{name} ({cells} cells)':<28}{t * 1e3:>10.1f}ms{'':>12}"
+                  f"{peak / 2**20:>12.2f}MB{peak / cells:>8.1f}B")
 
         assert survkit_modules["survkit"] == {"survkit", "survkit._kernels"}, (
             f"import survkit loaded {sorted(survkit_modules['survkit'])}")

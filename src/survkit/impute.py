@@ -6,7 +6,8 @@ indicator and the Nelson-Aalen cumulative hazard at the follow-up time.
 Each target column uses a normal-model Bayesian draw (coefficients and
 noise drawn from their posterior), so repeated chains give proper
 between-imputation variability for Rubin pooling. Indicator columns are
-imputed on the continuous scale and deliberately not rounded.
+imputed on the continuous scale and deliberately not rounded, and
+`survkit impute` writes them to its completed CSVs as drawn.
 
 `fit_mice` runs one chain and freezes its final-sweep coefficients;
 `mice_impute` is m such chains with consecutive seeds, and `apply_mice`

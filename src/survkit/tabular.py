@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -252,6 +253,7 @@ def load_schema(path):
 # -- CSV ---------------------------------------------------------------------
 
 DEFAULT_MISSING = ("", "NA")
+_BLOCK_ROWS = 1024  # rows `save_csv` formats before it writes them
 
 
 def _cell_parser(col, sentinels):
@@ -310,14 +312,13 @@ def _cell_parser(col, sentinels):
 
 
 def _cell_formatter(col):
-    """`format(val)` for the Python-float cells of `col`: the level name, 0/1,
+    """`format(val)` for the Python-float cells of `col`: the level name, else
     a plain integer below 1e15 in magnitude, else the shortest repr that
-    reads back to the same float."""
+    reads back to the same float. A binary cell is a number like any other:
+    0 and 1 give "0" and "1", and an imputed indicator is written as drawn."""
     if col.kind == "categorical":
         levels = col.levels
         return lambda val: levels[int(round(val))]
-    if col.kind == "binary":
-        return lambda val: str(int(round(val)))
     return lambda val: str(int(val)) if val.is_integer() and abs(val) < 1e15 else repr(val)
 
 
@@ -333,15 +334,16 @@ def load_csv(path, columns, missing_values=DEFAULT_MISSING):
     """
     validate_schema(columns)
     try:
-        rows = _read_rows(path, columns, missing_values)
+        cells = _read_cells(path, columns, missing_values)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
-    values = np.array(rows, dtype=float).reshape(len(rows), len(columns))
+    values = np.frombuffer(cells, dtype=float).reshape(-1, len(columns))
     return SurvivalDataset(list(columns), values)
 
 
-def _read_rows(path, columns, missing_values):
-    """`load_csv`'s parsed rows, each a list of floats in schema order."""
+def _read_cells(path, columns, missing_values):
+    """`load_csv`'s parsed cells in one buffer of floats (8 bytes a cell),
+    row by row, each row in schema order."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -365,28 +367,27 @@ def _read_rows(path, columns, missing_values):
         sentinels = set(missing_values)
         cells = [(header.index(c.name), _cell_parser(c, sentinels)) for c in columns]
         width = len(header)
-        rows = []
+        values = array("d")
         for row_num, record in enumerate(reader, start=1):
             if len(record) != width:
                 raise DataError(f"expected {width} fields, got {len(record)}", row=row_num)
-            rows.append([parse(record[p], row_num) for p, parse in cells])
-    return rows
+            values.extend([parse(record[p], row_num) for p, parse in cells])
+    return values
 
 
 def save_csv(ds, path, missing_value=""):
-    """Write a dataset back to CSV; load(save(ds)) is an identity."""
-    mask = ds.missing_mask
-    cells = []
-    for j, col in enumerate(ds.columns):
-        fmt = _cell_formatter(col)
-        cells.append([
-            missing_value if miss else fmt(val)
-            for val, miss in zip(ds.values[:, j].tolist(), mask[:, j].tolist())
-        ])
+    """Write a dataset back to CSV, a block of rows at a time, so that only
+    one block's cell strings are alive; load(save(ds)) is an identity for
+    0/1 binary cells and integral category codes."""
+    formats = [_cell_formatter(col) for col in ds.columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ds.column_names)
-        writer.writerows(zip(*cells))
+        for start in range(0, ds.n_rows, _BLOCK_ROWS):
+            block = ds.values[start:start + _BLOCK_ROWS]
+            cells = [[missing_value if val != val else fmt(val)  # NaN: missing
+                      for val in block[:, j].tolist()] for j, fmt in enumerate(formats)]
+            writer.writerows(zip(*cells))
 
 
 # -- inclusion ---------------------------------------------------------------

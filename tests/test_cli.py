@@ -17,6 +17,7 @@ import pytest
 import survkit
 from survkit.cli import _write_csv, main
 from survkit.harness import ExperimentConfig, run_experiment
+from survkit.impute import mice_impute
 from survkit.preprocess import dummy_encode
 from survkit.synth import (
     CovariateSpec,
@@ -210,6 +211,45 @@ def test_impute_output_bytes_are_pinned(tmp_path):
                  "--iterations", "2", "--seed", "4", "--out", str(out)]) == 0
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in IMPUTE_SHA256}
     assert got == IMPUTE_SHA256
+
+
+def test_impute_writes_each_completed_cell_as_drawn(tmp_path):
+    """Indicators are imputed on the continuous scale: every cell of every
+    completed CSV, an imputed indicator draw included, reads back to the
+    bits of its completed set."""
+    spec = GeneratorSpec(
+        n=200,
+        covariates=[CovariateSpec("x1", "continuous", (0.0, 1.0)),
+                    CovariateSpec("b", "binary", 0.4),
+                    CovariateSpec("grade", "categorical", {"g1": 0.5, "g2": 0.3, "g3": 0.2})],
+        beta={"x1": 0.8, "b": -0.5},
+        shape=1.0,
+        scale=12.0,
+        censoring_fraction=0.3,
+        missing_rules=[MissingRule(column="b", target_rate=0.2, drivers=["x1"], weights=[1.0]),
+                       MissingRule(column="grade", target_rate=0.2, drivers=["x1"],
+                                   weights=[-1.0])],
+    )
+    ds, _ = generate(spec, seed=3)
+    data, schema = tmp_path / "cohort.csv", tmp_path / "schema.json"
+    save_csv(ds, data)
+    save_schema(ds.columns, schema)
+    out = tmp_path / "run"
+    assert main(["impute", "--data", str(data), "--schema", str(schema), "--m", "2",
+                 "--iterations", "2", "--seed", "6", "--out", str(out)]) == 0
+
+    encoded, _ = dummy_encode(apply_inclusion(load_csv(data, load_schema(schema)),
+                                              InclusionRules())[0])
+    iset = mice_impute(encoded, 2, 2, 6)
+    for i, completed in enumerate(iset):
+        with open(out / f"completed_{i + 1:02d}.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == completed.column_names
+        got = np.array([[float(cell) if cell else np.nan for cell in row] for row in rows[1:]])
+        assert got.tobytes() == completed.values.tobytes()
+        drawn = completed.values[encoded.missing_mask[:, encoded.col_index("b")],
+                                 encoded.col_index("b")]
+        assert not np.isin(drawn, (0.0, 1.0)).all()
 
 
 # -- identify-factors ---------------------------------------------------------------

@@ -2,14 +2,18 @@
 
 import codecs
 import csv
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from survkit import tabular
 from survkit.errors import DataError, SchemaError
+from survkit.synth import ensure_like, generate
 from survkit.tabular import (
     ColumnSpec,
     InclusionRules,
@@ -203,11 +207,11 @@ def test_round_trip_survives_awkward_floats(tmp_path):
 
 
 def reference_format(val, col):
-    """One cell as the per-cell writer formatted it (the oracle for save_csv)."""
+    """One cell as the per-cell writer formats it (the oracle for save_csv):
+    a category's level name, else the number, so that an imputed indicator
+    is written as drawn."""
     if col.kind == "categorical":
         return col.levels[int(round(val))]
-    if col.kind == "binary":
-        return str(int(round(val)))
     if float(val).is_integer() and abs(val) < 1e15:
         return str(int(val))
     return repr(float(val))
@@ -240,11 +244,13 @@ awkward_floats = st.one_of(
 def cohorts(draw):
     n = draw(st.integers(0, 12))
     cols = demo_columns()
-    # binary and categorical cells are written as their rounded codes, so
-    # unrounded values (an imputed indicator, say) are drawn too
+    # categorical cells are written as their rounded codes' level names, so
+    # unrounded codes are drawn too; a cohort's binary cells are either all
+    # 0/1 or imputed draws, which are written as drawn
+    imputed = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-1.0, 2.0))
     cells = {
         "continuous": awkward_floats,
-        "binary": st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-0.49, 1.49)),
+        "binary": draw(st.sampled_from([st.sampled_from([0.0, 1.0]), imputed])),
         "categorical": st.one_of(st.integers(0, 2).map(float), st.floats(-0.49, 2.49)),
     }
     values = np.empty((n, len(cols)))
@@ -262,21 +268,98 @@ def cohorts(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cohorts(), st.sampled_from(["", "NA"]))
 def test_save_csv_bytes_equal_the_per_cell_writer(tmp_path, ds, missing_value):
-    """save_csv writes column by column; its bytes must equal the per-cell
-    writer's, and loading them back must give the same bits and mask, with
-    binary and categorical codes rounded and a signed zero read back as
-    +0.0 (its text is "0")."""
+    """save_csv writes blocks of rows column by column; its bytes must equal
+    the per-cell writer's. Loading them back must give the same bits and
+    mask, with categorical codes rounded and a signed zero read back as +0.0
+    (its text is "0"), unless a binary cell holds a draw other than 0 or 1:
+    that draw is written as drawn, and the loader refuses it."""
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     save_csv(ds, got, missing_value=missing_value)
     reference_save(ds, want, missing_value=missing_value)
     assert got.read_bytes() == want.read_bytes()
+    assert ds.patient_ids() == [reference_format(v, ds.columns[0]) for v in ds.values[:, 0]]
+    binary = ds.values[:, [j for j, col in enumerate(ds.columns) if col.kind == "binary"]]
+    if not np.isin(binary[~np.isnan(binary)], (0.0, 1.0)).all():
+        with pytest.raises(DataError, match="expected 0 or 1"):
+            load_csv(got, ds.columns)
+        return
     back = load_csv(got, ds.columns)
     np.testing.assert_array_equal(back.missing_mask, ds.missing_mask)
-    coded = [j for j, col in enumerate(ds.columns) if col.kind != "continuous"]
+    coded = [j for j, col in enumerate(ds.columns) if col.kind == "categorical"]
     expected = ds.values.copy()
     expected[:, coded] = np.round(expected[:, coded])
     assert back.values.tobytes() == (expected + 0.0).tobytes()
-    assert ds.patient_ids() == [reference_format(v, ds.columns[0]) for v in ds.values[:, 0]]
+
+
+def block_cohort(n, seed=0):
+    """n rows of `demo_columns` with awkward continuous values, 0/1 binaries,
+    level codes and about a tenth of the cells missing."""
+    rng = np.random.default_rng(seed)
+    values = np.column_stack([
+        np.arange(n, dtype=float),
+        np.abs(rng.normal(20.0, 10.0, n)),
+        rng.integers(0, 2, n).astype(float),
+        rng.normal(60.0, 8.0, n) * 10.0 ** rng.integers(-3, 17, n),
+        rng.integers(0, 3, n).astype(float),
+        rng.integers(0, 2, n).astype(float),
+    ])
+    values[rng.random(values.shape) < 0.1] = np.nan
+    return SurvivalDataset(demo_columns(), values)
+
+
+B = tabular._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+def test_save_csv_blocks_match_the_per_cell_writer(tmp_path, n):
+    """Row counts at and around the writer's block boundaries write the
+    per-cell writer's bytes and load back bit for bit."""
+    ds = block_cohort(n)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    save_csv(ds, got)
+    reference_save(ds, want)
+    assert got.read_bytes() == want.read_bytes()
+    back = load_csv(got, ds.columns)
+    assert back.values.shape == ds.values.shape
+    assert back.values.tobytes() == ds.values.tobytes()
+
+
+def test_csv_io_memory_is_bounded(tmp_path):
+    """On the survbench `factors` cohort shape, save_csv holds one block of
+    cell strings, whatever the row count, and load_csv one float buffer."""
+    spec = ensure_like(0)[2]
+    peaks = {}
+    for n in (5000, 20000):
+        ds, _ = generate(dataclasses.replace(spec, n=n), seed=0)
+        path = tmp_path / f"cohort_{n}.csv"
+        tracemalloc.start()
+        try:
+            save_csv(ds, path)
+            peaks["save", n] = tracemalloc.get_traced_memory()[1]
+            if n == 5000:
+                tracemalloc.reset_peak()
+                back = load_csv(path, ds.columns)
+                peaks["load", n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["save", 20000] <= 1.5 * peaks["save", 5000], peaks
+    assert peaks["load", 5000] <= 2.5 * back.values.nbytes, (peaks, back.values.nbytes)
+
+
+def test_a_bad_cell_after_many_rows_names_its_row(tmp_path):
+    ds = block_cohort(3 * B)
+    path = tmp_path / "cohort.csv"
+    save_csv(ds, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    bad_row = len(lines) - 10
+    fields = lines[bad_row].split(",")
+    fields[3] = "old"
+    lines[bad_row] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as exc:
+        load_csv(path, ds.columns)
+    assert (exc.value.row, exc.value.column) == (bad_row, "age")
+    assert str(exc.value) == f"expected a number, got 'old' (row {bad_row}, column 'age')"
 
 
 def test_first_bad_cell_in_row_order_is_reported(tmp_path):
