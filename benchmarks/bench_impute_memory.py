@@ -65,9 +65,8 @@ def run(rows, ms, iterations, seed=0):
 
     m = max(ms)
     iset = impute.mice_impute(ds, m, iterations, seed)
-    start = impute._chain_start(ds, iterations)
     for i, done in enumerate(iset):
-        chain = impute._chain_run(start, seed + i).completed_train
+        chain = impute.fit_mice(ds, iterations, seed + i).completed_train
         assert done.values.tobytes() == chain.values.tobytes(), f"set {i} differs from its chain"
         assert done.row_ids.tobytes() == chain.row_ids.tobytes()
         assert done.column_names == chain.column_names

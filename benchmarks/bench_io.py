@@ -10,10 +10,10 @@ rows (the survbench `factors` input) with `save_csv` and `load_csv` and
 prints the best of the repeats, next to the `tracemalloc` peak of one more
 untimed call of each (MB, and bytes per cell; the loaded matrix itself
 holds 8 bytes a cell). After timing, the script asserts that
-`import survkit` loaded no survkit module but `survkit._kernels`, that
-neither import loaded a scipy module, that the file's bytes equal those of
-a per-cell reference writer, and that loading it gives back the same value
-bits and missingness mask.
+`import survkit` loaded no survkit submodule, that neither import loaded a
+scipy module, that the file's bytes equal those of a per-cell reference
+writer, and that loading it gives back the same value bits and missingness
+mask.
 
 Usage:
     python3 benchmarks/bench_io.py [--rows 20000] [--repeats 3] [--imports 7]
@@ -129,7 +129,7 @@ def run(rows, repeats, imports):
             print(f"{f'{name} ({cells} cells)':<28}{t * 1e3:>10.1f}ms{'':>12}"
                   f"{peak / 2**20:>12.2f}MB{peak / cells:>8.1f}B")
 
-        assert survkit_modules["survkit"] == {"survkit", "survkit._kernels"}, (
+        assert survkit_modules["survkit"] == {"survkit"}, (
             f"import survkit loaded {sorted(survkit_modules['survkit'])}")
         assert scipy_modules["survkit"] == scipy_modules["survkit.cli"] == 0, (
             "import survkit or survkit.cli loaded scipy")

@@ -29,9 +29,6 @@ sums run `reduceat` over every distinct time with the censored members
 as zeros, never over the events alone: reduceat's summation order
 depends on the group's length, so dropping the zeros moves the last bits
 on long tied groups.
-
-`BACKEND` names the implementation; run manifests record it so results
-stay attributable to the kernels that produced them.
 """
 
 from __future__ import annotations
@@ -39,8 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-BACKEND = "python"
 
 # pair-mask cells per concordance block (cases x subjects), which bounds the
 # float masks the weighted sums multiply

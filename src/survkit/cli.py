@@ -6,7 +6,8 @@ everything first and returns its files; `_run` then makes the run directory
 manifest.json recording inputs, hashes, seeds and timing, and prints the
 directory's path. This module is the only one that writes run files:
 
-- impute: completed_NN.csv, imputation.json, encoding.json, inclusion.json
+- impute: completed_NN.csv and their schema.json, imputation.json,
+  encoding.json, inclusion.json
 - identify-factors: factors.csv, inclusion.json
 - experiment: report.json, metrics.csv, inclusion.json for a CSV cohort,
   and curves_<family>.csv/.svg with --plot-patients
@@ -27,13 +28,12 @@ import datetime as dt
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
 from . import __version__
-from ._kernels import BACKEND
-from .errors import ComputationError, ConfigError, SchemaError, SurvkitError
+from .errors import ComputationError, ConfigError, SurvkitError
 from .harness import ExperimentConfig, experiment_split, identify_factors, run_experiment
 from .impute import mice_impute
 from .preprocess import dummy_encode
@@ -117,7 +117,6 @@ def _run(args):
         "inputs": {str(p): _sha256_file(p) for p in run.inputs},
         "seed": run.seed,
         "toolkit_version": __version__,
-        "kernel_backend": BACKEND,
         "started_utc": started,
         "finished_utc": _utc_now(),
         **run.extra,
@@ -141,15 +140,24 @@ def _save_completed(iset, i, path):
     save_csv(iset[i], path)
 
 
+def _cohort_run(args, tag, files):
+    """The `_Run` of impute and identify-factors, which share their flags."""
+    return _Run(files, f"{tag}:{args.data}:{args.m}:{args.iterations}:{args.seed}".encode(),
+                [args.data, args.schema], args.seed, {"m": args.m, "iterations": args.iterations})
+
+
 def cmd_impute(args):
     encoded, entries, files = _load_cohort(args.data, args.schema)
     iset = mice_impute(encoded, args.m, args.iterations, args.seed)
     names = [f"completed_{i:02d}.csv" for i in range(1, len(iset) + 1)]
     files.update((name, partial(_save_completed, iset, i)) for i, name in enumerate(names))
+    # the completed files' schema: their indicators hold unrounded draws
+    files["schema.json"] = partial(save_schema, [
+        replace(c, kind="continuous") if c.role == "covariate" and c.kind == "binary" else c
+        for c in encoded.columns])
     files["imputation.json"] = partial(_write_json, doc={**iset.provenance(), "files": names})
     files["encoding.json"] = partial(_write_json, doc=entries, sort_keys=False)
-    return _Run(files, f"impute:{args.data}:{args.m}:{args.iterations}:{args.seed}".encode(),
-                [args.data, args.schema], args.seed, {"m": args.m, "iterations": args.iterations})
+    return _cohort_run(args, "impute", files)
 
 
 def cmd_identify_factors(args):
@@ -159,8 +167,7 @@ def cmd_identify_factors(args):
         _write_csv, header=["variable", "hr", "ci_low", "ci_high", "p_value", "significant"],
         rows=[[r.name, repr(r.hr), repr(r.hr_low), repr(r.hr_high), repr(r.p_value),
                "yes" if r.significant else "no"] for r in rows])
-    return _Run(files, f"factors:{args.data}:{args.m}:{args.iterations}:{args.seed}".encode(),
-                [args.data, args.schema], args.seed, {"m": args.m, "iterations": args.iterations})
+    return _cohort_run(args, "factors", files)
 
 
 def cmd_experiment(args):
@@ -251,23 +258,16 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"survkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("impute", help="multiply impute a cohort CSV")
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--m", type=int, default=10)
-    p.add_argument("--iterations", type=int, default=10)
-    p.add_argument("--seed", type=_seed_flag, default=0)
-    p.add_argument("--out", default=None, help="output directory (default: runs/<stamp>_<hash>)")
-    p.set_defaults(func=cmd_impute)
-
-    p = sub.add_parser("identify-factors", help="pooled hazard-ratio table")
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--m", type=int, default=10)
-    p.add_argument("--iterations", type=int, default=10)
-    p.add_argument("--seed", type=_seed_flag, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_identify_factors)
+    for name, func, text in [("impute", cmd_impute, "multiply impute a cohort CSV"),
+                             ("identify-factors", cmd_identify_factors, "pooled hazard-ratio table")]:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--data", required=True)
+        p.add_argument("--schema", required=True)
+        p.add_argument("--m", type=int, default=10)
+        p.add_argument("--iterations", type=int, default=10)
+        p.add_argument("--seed", type=_seed_flag, default=0)
+        p.add_argument("--out", default=None, help="output directory (default: runs/<stamp>_<hash>)")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("experiment", help="grid search, refit, test metrics")
     p.add_argument("--config", required=True, help="experiment config JSON")
@@ -291,16 +291,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (SchemaError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ComputationError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 3
-    except SurvkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SurvkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,6 +24,7 @@ from typing import get_type_hints
 
 import numpy as np
 
+from . import __version__
 from . import coxph as coxph_mod
 from . import deephit as deephit_mod
 from . import deepsurv as deepsurv_mod
@@ -591,7 +592,7 @@ def run_experiment(ds, config):
         fits[family_name] = (model, x_test)
 
     content = {
-        "toolkit_version": _version(),
+        "toolkit_version": __version__,
         "seed": seed,
         "data_digest": _data_digest(ds),
         "config": {
@@ -611,9 +612,3 @@ def run_experiment(ds, config):
     report = ExperimentReport(content=content, fits=fits, curve_times=curve_times)
     report.wall_clock_seconds = _time.perf_counter() - t0
     return report
-
-
-def _version():
-    from . import __version__
-
-    return __version__

@@ -187,12 +187,8 @@ class ImputationSet:
     seed: int
     visit_order: list
 
-    @property
-    def m(self):
-        return len(self.draws)
-
     def __len__(self):
-        return self.m
+        return len(self.draws)
 
     def __getitem__(self, i):
         values = self.cohort.values.copy()
@@ -201,7 +197,7 @@ class ImputationSet:
                                row_ids=self.cohort.row_ids.copy())
 
     def __iter__(self):
-        return (self[i] for i in range(self.m))
+        return (self[i] for i in range(len(self)))
 
     @property
     def datasets(self):
@@ -211,10 +207,10 @@ class ImputationSet:
 
     def provenance(self):
         return {
-            "m": self.m,
+            "m": len(self),
             "iterations": self.iterations,
             "seed": self.seed,
-            "chain_seeds": [self.seed + 100 + i for i in range(self.m)],
+            "chain_seeds": [self.seed + 100 + i for i in range(len(self))],
             "visit_order": list(self.visit_order),
             "n_missing_cells": int(self.cohort.missing_mask.sum()),
         }
@@ -300,7 +296,18 @@ def fit_mice(ds, iterations, seed):
     recomputes the target's row and column of G. A step costs
     O(min(|O|, |M|) q^2 + n q) for |O| observed and |M| missing rows.
     """
-    return _chain_run(_chain_start(ds, iterations), seed)
+    start = _chain_start(ds, iterations)
+    models, design = _chain_sweeps(start, seed)
+    return MiceModel(
+        visit_order=start.visit_order,
+        means=start.means,
+        models=models,
+        hazard_fn=start.hazard_fn,
+        iterations=iterations,
+        seed=seed,
+        column_names=ds.column_names,
+        completed_train=_read_back(ds, design),
+    )
 
 
 @dataclass
@@ -338,24 +345,9 @@ def _chain_start(ds, iterations):
                 "predictors; its imputation model is saturated",
                 ImputationWarning,
             )
-    with np.errstate(over="ignore", invalid="ignore"):  # `_chain_run` checks the Gram
+    with np.errstate(over="ignore", invalid="ignore"):  # `_chain_sweeps` checks the Gram
         gram = design.T @ design
     return _ChainStart(ds, iterations, visit, means, hazard_fn, design, steps, gram)
-
-
-def _chain_run(start, seed):
-    """One chain from `start`, drawing from default_rng(seed + 100)."""
-    models, design = _chain_sweeps(start, seed)
-    return MiceModel(
-        visit_order=start.visit_order,
-        means=start.means,
-        models=models,
-        hazard_fn=start.hazard_fn,
-        iterations=start.iterations,
-        seed=seed,
-        column_names=start.ds.column_names,
-        completed_train=_read_back(start.ds, design),
-    )
 
 
 def _chain_sweeps(start, seed):

@@ -3,21 +3,22 @@
 from __future__ import annotations
 
 PALETTE = ["#1b6ca8", "#c0392b", "#1e8449", "#8e44ad", "#d68910", "#2c3e50"]
+WIDTH, HEIGHT = 720, 480
 
 
 def _fmt(v):
     return f"{v:.2f}"
 
 
-def svg_line_chart(series, title="", x_label="t", y_label="S(t)", width=720, height=480):
-    """Render labeled (xs, ys) series to an SVG string.
+def svg_line_chart(series, title=""):
+    """Render labeled (xs, ys) series as a WIDTH x HEIGHT SVG of S(t) on t.
 
     series: list of (label, xs, ys). Axes cover the data range (y forced to
     include [0, 1] for survival curves when within bounds).
     """
     margin_l, margin_r, margin_t, margin_b = 60, 150, 40, 50
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = WIDTH - margin_l - margin_r
+    plot_h = HEIGHT - margin_t - margin_b
 
     all_x = [float(x) for _, xs, _ in series for x in xs]
     all_y = [float(y) for _, _, ys in series for y in ys]
@@ -35,10 +36,10 @@ def svg_line_chart(series, title="", x_label="t", y_label="S(t)", width=720, hei
         return margin_t + (y_max - y) / (y_max - y_min) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="16">{title}</text>',
     ]
     # axes
@@ -62,13 +63,13 @@ def svg_line_chart(series, title="", x_label="t", y_label="S(t)", width=720, hei
             f'font-family="sans-serif" font-size="11">{yv:.2f}</text>'
         )
     parts.append(
-        f'<text x="{_fmt(margin_l + plot_w / 2)}" y="{_fmt(height - 10)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{x_label}</text>'
+        f'<text x="{_fmt(margin_l + plot_w / 2)}" y="{_fmt(HEIGHT - 10)}" text-anchor="middle" '
+        'font-family="sans-serif" font-size="12">t</text>'
     )
     parts.append(
         f'<text x="16" y="{_fmt(margin_t + plot_h / 2)}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {_fmt(margin_t + plot_h / 2)})">{y_label}</text>'
+        f'transform="rotate(-90 16 {_fmt(margin_t + plot_h / 2)})">S(t)</text>'
     )
     for i, (label, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]

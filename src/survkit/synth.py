@@ -141,34 +141,35 @@ def _encoded_names(spec):
     return out
 
 
-def _solve_logit_intercept(lin, target):
-    """Bisection for b0 with mean(sigmoid(b0 + lin)) = target."""
-    lo, hi = -40.0, 40.0
+def _bisect(rate, target, lo, hi):
+    """The x in [lo, hi] with rate(x) = target for an increasing `rate`,
+    after 200 halvings of the bracket."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if np.mean(1.0 / (1.0 + np.exp(-(mid + lin)))) < target:
+        if rate(mid) < target:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _solve_logit_intercept(lin, target):
+    """b0 with mean(sigmoid(b0 + lin)) = target."""
+    return _bisect(lambda b0: np.mean(1.0 / (1.0 + np.exp(-(b0 + lin)))), target, -40.0, 40.0)
 
 
 def _solve_censor_rate(t_event, target):
-    """Bisection for r with mean(1 - exp(-r * T)) = target."""
+    """r with mean(1 - exp(-r * T)) = target, the bracket's top doubled
+    until it reaches the target."""
     if target <= 0:
         return 0.0
-    lo, hi = 1e-12, 1.0
-    while np.mean(1.0 - np.exp(-hi * t_event)) < target:
+    rate = lambda r: np.mean(1.0 - np.exp(-r * t_event))
+    hi = 1.0
+    while rate(hi) < target:
         hi *= 2.0
         if hi > 1e12:
             raise ComputationError("cannot reach the requested censoring fraction")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.mean(1.0 - np.exp(-mid * t_event)) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(rate, target, 1e-12, hi)
 
 
 def generate(spec, seed=0):

@@ -252,13 +252,13 @@ def load_schema(path):
 
 # -- CSV ---------------------------------------------------------------------
 
-DEFAULT_MISSING = ("", "NA")
+MISSING = frozenset({"", "NA"})  # cells `load_csv` reads as missing; `save_csv` writes ""
 _BLOCK_ROWS = 1024  # rows `save_csv` formats before it writes them
 
 
-def _cell_parser(col, sentinels):
-    """`parse(raw, row_num)` for the cells of `col`: NaN for a missing
-    sentinel, else the cell's value, or a DataError naming the row and the
+def _cell_parser(col):
+    """`parse(raw, row_num)` for the cells of `col`: NaN for a `MISSING`
+    cell, else the cell's value, or a DataError naming the row and the
     column. A present cell never parses to NaN (numbers must be finite,
     binaries 0 or 1, categories a declared level's index), so a cell is
     missing exactly when it parses to NaN."""
@@ -269,7 +269,7 @@ def _cell_parser(col, sentinels):
         codes = {lv: float(i) for i, lv in enumerate(levels)}
 
         def parse(raw, row_num):
-            if raw in sentinels:
+            if raw in MISSING:
                 return nan
             val = codes.get(raw)
             if val is None:
@@ -281,7 +281,7 @@ def _cell_parser(col, sentinels):
     elif col.kind == "binary":
 
         def parse(raw, row_num):
-            if raw in sentinels:
+            if raw in MISSING:
                 return nan
             try:
                 val = float(raw)
@@ -296,7 +296,7 @@ def _cell_parser(col, sentinels):
         isfinite = math.isfinite
 
         def parse(raw, row_num):
-            if raw in sentinels:
+            if raw in MISSING:
                 return nan
             try:
                 val = float(raw)
@@ -322,26 +322,26 @@ def _cell_formatter(col):
     return lambda val: str(int(val)) if val.is_integer() and abs(val) < 1e15 else repr(val)
 
 
-def load_csv(path, columns, missing_values=DEFAULT_MISSING):
+def load_csv(path, columns):
     """Load an RFC-4180 CSV against a schema.
 
     The header must contain exactly the schema's column names in any order.
-    Cells matching a missing sentinel are NaN (missing); all other cells must
-    parse per their column kind. Errors carry the 1-based data row number;
-    cells are checked row by row, each row in schema order. A leading UTF-8
+    Empty and "NA" cells are NaN (missing); all other cells must parse per
+    their column kind. Errors carry the 1-based data row number; cells are
+    checked row by row, each row in schema order. A leading UTF-8
     byte-order mark, as spreadsheet "CSV UTF-8" exports write, is skipped;
     a file that is not UTF-8 text is a DataError naming it.
     """
     validate_schema(columns)
     try:
-        cells = _read_cells(path, columns, missing_values)
+        cells = _read_cells(path, columns)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
     values = np.frombuffer(cells, dtype=float).reshape(-1, len(columns))
     return SurvivalDataset(list(columns), values)
 
 
-def _read_cells(path, columns, missing_values):
+def _read_cells(path, columns):
     """`load_csv`'s parsed cells in one buffer of floats (8 bytes a cell),
     row by row, each row in schema order."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
@@ -364,8 +364,7 @@ def _read_cells(path, columns, missing_values):
                 parts.append(f"missing columns {lacking}")
             raise SchemaError(f"{path}: header does not match schema: " + "; ".join(parts))
 
-        sentinels = set(missing_values)
-        cells = [(header.index(c.name), _cell_parser(c, sentinels)) for c in columns]
+        cells = [(header.index(c.name), _cell_parser(c)) for c in columns]
         width = len(header)
         values = array("d")
         for row_num, record in enumerate(reader, start=1):
@@ -375,7 +374,7 @@ def _read_cells(path, columns, missing_values):
     return values
 
 
-def save_csv(ds, path, missing_value=""):
+def save_csv(ds, path):
     """Write a dataset back to CSV, a block of rows at a time, so that only
     one block's cell strings are alive; load(save(ds)) is an identity for
     0/1 binary cells and integral category codes."""
@@ -385,7 +384,7 @@ def save_csv(ds, path, missing_value=""):
         writer.writerow(ds.column_names)
         for start in range(0, ds.n_rows, _BLOCK_ROWS):
             block = ds.values[start:start + _BLOCK_ROWS]
-            cells = [[missing_value if val != val else fmt(val)  # NaN: missing
+            cells = [["" if val != val else fmt(val)  # NaN: missing
                       for val in block[:, j].tolist()] for j, fmt in enumerate(formats)]
             writer.writerows(zip(*cells))
 

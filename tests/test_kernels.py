@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survkit._kernels import (
-    BACKEND,
     EfronTies,
     concordance_counts,
     efron_eval,
@@ -389,13 +388,6 @@ def test_efron_is_invariant_to_a_score_shift(case, c):
     scale = len(times) * (1.0 + abs(c) + np.abs(eta).max())
     assert s_value == pytest.approx(value, rel=1e-9, abs=1e-12 * scale)
     np.testing.assert_allclose(s_grad, grad, rtol=1e-9, atol=1e-12 * scale)
-
-
-# -- backend -------------------------------------------------------------------
-
-
-def test_backend_is_known():
-    assert BACKEND == "python"
 
 
 # -- concordance counts --------------------------------------------------------

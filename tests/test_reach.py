@@ -1,10 +1,16 @@
-"""Every function in the package is reached by something other than its tests.
+"""Every function and every option in the package is reached by something
+other than its tests.
 
 A function or method of `src/survkit` must be named somewhere in the
 package, `survbench/` or `benchmarks/` outside its own definition, or be
-listed in `ALLOWED` with its reason. Names are matched, not resolved, so a
-method counts as reached when any attribute of that name is read; the scan
-misses some unreached code but never flags reached code.
+listed in `ALLOWED` with its reason. A defaulted parameter of one (an
+option) must be set by a call there, or be listed in `ALLOWED_OPTIONS`:
+a keyword sets it, and so do a positional argument at its place, a `*` or
+`**` argument, and a keyword of `functools.partial` on the function; a
+call of a class is a call of its `__init__`. Names are matched, not
+resolved, so a method counts as reached when any attribute of that name is
+read, and an option as set when any call of that name sets it; the scans
+miss some unreached code but never flag reached code.
 """
 
 import ast
@@ -27,17 +33,40 @@ ALLOWED = {
     "summarize",
 }
 
+# options set only by tests, and kept on purpose
+ALLOWED_OPTIONS = {
+    # tests/test_acceptance.py, the acceptance gate, passes them
+    "replace_column_values.mask",
+    "SurvivalDataset.missing_mask",
+    # the README quick start passes it
+    "fit_scaler.columns",
+    # library contract that tests exercise
+    "fit_coxph.max_iter",
+    "brier_score.censor_curve",
+    "integrated_brier.t_range",
+    "cumulative_dynamic_auc.eval_times",
+}
 
-def _sources():
+
+def _trees():
     for folder in (PACKAGE, ROOT / "survbench", ROOT / "benchmarks"):
-        yield from sorted(folder.glob("*.py"))
+        for path in sorted(folder.glob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
 
 
 def test_every_function_is_reached_outside_the_tests():
     defined = []  # (name, path, first line, last line)
     used = {}  # name -> [(path, line)]
-    for path in _sources():
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for path, tree in _trees():
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if path.parent == PACKAGE:
                     defined.append((node.name, path, node.lineno, node.end_lineno))
@@ -57,3 +86,47 @@ def test_every_function_is_reached_outside_the_tests():
         and not reached(name, path, first, last)
     )
     assert not unreached, f"functions no command or script reaches: {unreached}"
+
+
+def test_every_option_is_set_outside_the_tests():
+    options = []  # (label, called name, parameter, place among the passed arguments)
+    calls = {}  # called name -> [(positional count, any * or **, keywords)]
+    for path, tree in _trees():
+        methods = {item: cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for item in cls.body if isinstance(item, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if path.parent != PACKAGE:
+                    continue
+                cls = methods.get(node)
+                if cls is None:
+                    called = label = node.name
+                elif node.name == "__init__":
+                    called = label = cls.name
+                else:
+                    called, label = node.name, f"{cls.name}.{node.name}"
+                # a caller passes no `self`: a method's arguments start one later
+                bound = cls is not None and "staticmethod" not in map(_name, node.decorator_list)
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                options += [(f"{label}.{p.arg}", called, p.arg, i - bound)
+                            for i, p in enumerate(positional) if i >= first]
+                options += [(f"{label}.{p.arg}", called, p.arg, None)
+                            for p, default in zip(args.kwonlyargs, args.kw_defaults)
+                            if default is not None]
+            elif isinstance(node, ast.Call):
+                called, passed = _name(node.func), node.args
+                if called == "partial" and passed:
+                    called, passed = _name(passed[0]), passed[1:]
+                keywords = {k.arg for k in node.keywords}
+                spread = None in keywords or any(isinstance(a, ast.Starred) for a in passed)
+                calls.setdefault(called, []).append((len(passed), spread, keywords))
+
+    def set_by_a_call(called, param, place):
+        return any(spread or param in keywords or (place is not None and place < count)
+                   for count, spread, keywords in calls.get(called, ()))
+
+    unset = sorted(label for label, called, param, place in options
+                   if label not in ALLOWED_OPTIONS and not set_by_a_call(called, param, place))
+    assert not unset, f"options no command or script sets: {unset}"
