@@ -228,8 +228,6 @@ def cmd_synth(args):
         ds, truth, _ = ensure_like(seed=args.seed)
         spec_echo = {"ensure_like": True}
     else:
-        if not args.spec:
-            raise ConfigError("synth needs --spec or --ensure-like")
         spec_echo = _load_json(args.spec, "spec")[1]
         inputs.append(args.spec)
         ds, truth = generate(spec_from_dict(spec_echo), seed=args.seed)
@@ -277,9 +275,10 @@ def build_parser():
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("synth", help="generate a synthetic cohort")
-    p.add_argument("--spec", default=None, help="generator spec JSON")
-    p.add_argument("--ensure-like", action="store_true",
-                   help="use the built-in registry-like cohort spec")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--spec", help="generator spec JSON")
+    source.add_argument("--ensure-like", action="store_true",
+                        help="use the built-in registry-like cohort spec")
     p.add_argument("--seed", type=_seed_flag, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_synth)

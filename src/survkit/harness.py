@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import get_type_hints
 
 import numpy as np
 
@@ -136,7 +135,7 @@ def split(ds, plan, seed):
 
 def experiment_split(ds, config):
     """The split of an ExperimentConfig on `ds`, drawn from its seed + 1."""
-    return split(ds, config.plan, config.seed + 1)
+    return split(ds, config.split, config.seed + 1)
 
 
 # -- in-fold preprocessing -----------------------------------------------------
@@ -415,17 +414,18 @@ def identify_factors(ds, m=10, iterations=10, seed=0):
 @dataclass
 class ExperimentConfig:
     seed: int = 0
-    plan: SplitPlan = field(default_factory=SplitPlan)
-    prep: PrepConfig = field(default_factory=PrepConfig)
-    families: dict = field(default_factory=dict)  # name -> grid dict
-    n_boot: int = 1000
     # the cohort, which the caller of run_experiment loads: the built-in one,
-    # or a CSV and its schema (paths relative to the config) and row filters
+    # or a CSV and its schema (paths relative to the config, never null) and
+    # row filters (None: the defaults)
     ensure_like: bool = False
     ensure_like_seed: int = 0
-    data: str | None = None
-    schema: str | None = None
-    inclusion: InclusionRules = field(default_factory=InclusionRules)
+    data: str = None
+    schema: str = None
+    inclusion: InclusionRules | None = None
+    split: SplitPlan = field(default_factory=SplitPlan)
+    prep: PrepConfig = field(default_factory=PrepConfig)
+    families: object = field(default_factory=dict)  # name -> grid object
+    n_boot: int = 1000
 
     def __post_init__(self):
         for key in ("seed", "ensure_like_seed"):
@@ -433,6 +433,18 @@ class ExperimentConfig:
                 raise DataError(f"{key}={getattr(self, key)!r} is not a non-negative integer")
         if self.n_boot < 1:
             raise DataError(f"n_boot must be >= 1, got {self.n_boot!r}")
+        self.inclusion = self.inclusion or InclusionRules()
+        if not isinstance(self.families, dict):
+            raise ConfigError(f"config: families={self.families!r} is not an object")
+        for name, grid in self.families.items():
+            if name not in FAMILY_REGISTRY:
+                raise ConfigError(f"unknown model family {name!r}")
+            if not isinstance(grid, dict):
+                raise ConfigError(f"{name}: grid {grid!r} is not an object")
+            # every grid point must make valid parameters before any fit runs
+            family = FAMILY_REGISTRY[name]
+            for point in expand_grid(grid or family.default_grid):
+                family.make_params(point)
 
     @classmethod
     def from_dict(cls, doc):
@@ -445,41 +457,14 @@ class ExperimentConfig:
         names none."""
         if not isinstance(doc, dict):
             raise ConfigError(f"config: the document is a {type(doc).__name__}, not an object")
-        check_keys("config", doc, ["seed", "ensure_like", "ensure_like_seed", "data", "schema",
-                                   "inclusion", "split", "prep", "families", "n_boot"])
-        families = doc.get("families", {})
-        if not isinstance(families, dict):
-            raise ConfigError(f"config: families={families!r} is not an object")
-        for name, grid in families.items():
-            if name not in FAMILY_REGISTRY:
-                raise ConfigError(f"unknown model family {name!r}")
-            if not isinstance(grid, dict):
-                raise ConfigError(f"{name}: grid {grid!r} is not an object")
-            # every grid point must make valid parameters before any fit runs
-            family = FAMILY_REGISTRY[name]
-            for point in expand_grid(grid or family.default_grid):
-                family.make_params(point)
-        hints = get_type_hints(cls) | {"data": str, "schema": str}  # a path is never null
-        values = {key: read_value("config", key, hints[key], doc[key])
-                  for key in ("seed", "n_boot", "ensure_like", "ensure_like_seed", "data", "schema")
-                  if key in doc}
-        ensure = values.get("ensure_like", cls.ensure_like)
+        config = read_object("config", cls, doc)
+        ensure = config.ensure_like
         # a key the chosen cohort source does not read is an error, not ignored
         for key in ("data", "schema", "inclusion") if ensure else ("ensure_like_seed",):
             if key in doc:
                 raise ConfigError(
                     f"config: {key!r} is not read when ensure_like is {str(ensure).lower()}")
-        if doc.get("inclusion") is not None:
-            values["inclusion"] = read_object("inclusion", InclusionRules, doc["inclusion"])
-        try:
-            return cls(
-                plan=read_object("split", SplitPlan, doc.get("split", {})),
-                prep=read_object("prep", PrepConfig, doc.get("prep", {})),
-                families={k: dict(v) for k, v in families.items()},
-                **values,
-            )
-        except DataError as exc:
-            raise ConfigError(f"config: {exc}") from exc
+        return config
 
 
 @dataclass
@@ -596,7 +581,7 @@ def run_experiment(ds, config):
         "seed": seed,
         "data_digest": _data_digest(ds),
         "config": {
-            "split": asdict(config.plan),
+            "split": asdict(config.split),
             "prep": asdict(config.prep),
             "families": config.families,
             "n_boot": config.n_boot,

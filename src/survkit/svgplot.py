@@ -10,6 +10,11 @@ def _fmt(v):
     return f"{v:.2f}"
 
 
+def _text(s):
+    """`s` as XML character data."""
+    return str(s).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def svg_line_chart(series, title=""):
     """Render labeled (xs, ys) series as a WIDTH x HEIGHT SVG of S(t) on t.
 
@@ -40,7 +45,7 @@ def svg_line_chart(series, title=""):
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        f'font-family="sans-serif" font-size="16">{_text(title)}</text>',
     ]
     # axes
     parts.append(
@@ -82,7 +87,7 @@ def svg_line_chart(series, title=""):
         )
         parts.append(
             f'<text x="{_fmt(margin_l + plot_w + 35)}" y="{_fmt(ly + 4)}" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
+            f'font-family="sans-serif" font-size="11">{_text(label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

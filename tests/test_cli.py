@@ -19,6 +19,7 @@ from survkit.cli import _write_csv, main
 from survkit.harness import ExperimentConfig, run_experiment
 from survkit.impute import mice_impute
 from survkit.preprocess import dummy_encode
+from survkit.svgplot import svg_line_chart
 from survkit.synth import (
     CovariateSpec,
     GeneratorSpec,
@@ -679,6 +680,16 @@ def test_experiment_plot_patients(tmp_path, capsys):
     assert not (bad_out / "report.json").exists()
 
 
+def test_svg_chart_escapes_its_title_and_labels():
+    """A patient id or title holding XML markup is written as text: the
+    chart stays well-formed XML and shows the characters as given."""
+    import xml.etree.ElementTree as ET
+
+    root = ET.fromstring(svg_line_chart([("p&1<2>", [0.0, 1.0], [1.0, 0.5])], title="a<b & c"))
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "a<b & c" in texts and "p&1<2>" in texts
+
+
 def test_plot_patients_draws_the_report_fits(tmp_path):
     """Each family's plotted curves are `ExperimentReport.test_curves` of
     the same config's run: the refit model at the test covariates the
@@ -750,8 +761,19 @@ def test_synth_of_an_unreachable_censoring_fraction_exits_three(tmp_path, capsys
 
 
 def test_synth_requires_spec_or_builtin(tmp_path, capsys):
-    assert main(["synth", "--out", str(tmp_path / "run")]) == 2
-    assert "needs --spec or --ensure-like" in capsys.readouterr().err
+    """Exactly one cohort source: neither flag, or both, is a usage error
+    (exit 2) at parse time, so a spec is never silently ignored."""
+    out = tmp_path / "run"
+    for flags, message in (
+        ([], "one of the arguments --spec --ensure-like is required"),
+        (["--ensure-like", "--spec", "spec.json"],
+         "argument --spec: not allowed with argument --ensure-like"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", *flags, "--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("text, message", [

@@ -509,8 +509,8 @@ def test_factors_to_csv_round_trip(tmp_path):
 def test_config_from_dict_defaults_and_overrides():
     cfg = ExperimentConfig.from_dict({})
     assert cfg.seed == 0
-    assert cfg.plan.test_fraction == 0.2
-    assert cfg.plan.inner == {"kind": "kfold", "k": 5}
+    assert cfg.split.test_fraction == 0.2
+    assert cfg.split.inner == {"kind": "kfold", "k": 5}
     assert cfg.prep.impute_iterations == 10
     assert cfg.prep.prune_threshold == 0.7
     assert cfg.prep.standardize is True
@@ -526,15 +526,25 @@ def test_config_from_dict_defaults_and_overrides():
     }
     cfg = ExperimentConfig.from_dict(doc)
     assert cfg.seed == 7
-    assert cfg.plan.inner == {"kind": "holdout", "fraction": 0.1}
+    assert cfg.split.inner == {"kind": "holdout", "fraction": 0.1}
     assert cfg.prep.standardize is False
     assert cfg.families == {"coxph": {"l1": [0.01]}}
     assert cfg.n_boot == 50
 
 
 def test_config_rejects_unknown_family():
-    with pytest.raises(ConfigError, match="unknown model family"):
-        ExperimentConfig.from_dict({"families": {"forest": {}}})
+    """A bad family name, grid or grid point fails as the config is read
+    and as a library caller builds one, never later inside the run."""
+    for families, message in (
+        ({"forest": {}}, "unknown model family 'forest'"),
+        ({"coxph": [1]}, r"coxph: grid \[1\] is not an object"),
+        ({"coxph": {"l1": [-1.0]}}, "coxph: l1"),
+        ([1], r"families=\[1\] is not an object"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict({"families": families})
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(families=families)
 
 
 def test_config_rejects_n_boot_below_one():
@@ -597,9 +607,9 @@ def test_config_rejects_wrong_typed_run_settings():
         "split": {"test_fraction": 0.25, "inner": {"kind": "kfold", "k": 3.0}},
     })
     assert (cfg.seed, cfg.n_boot, cfg.prep.impute_iterations) == (3, 40, 2)
-    assert cfg.plan.test_fraction == 0.25 and cfg.prep.standardize is False
+    assert cfg.split.test_fraction == 0.25 and cfg.prep.standardize is False
     ds, _ = cohort(missing=False)
-    assert len(split(ds, cfg.plan, seed=0).folds) == 3
+    assert len(split(ds, cfg.split, seed=0).folds) == 3
     with pytest.raises(ConfigError, match="split: k="):
         split(ds, SplitPlan(inner={"kind": "kfold", "k": 2.5}), seed=0)
 
@@ -788,7 +798,7 @@ def test_neural_make_params_fall_back_to_the_dataclass_defaults():
 def fast_config(seed=11, families=None):
     return ExperimentConfig(
         seed=seed,
-        plan=SplitPlan(test_fraction=0.2, inner={"kind": "holdout", "fraction": 0.25}),
+        split=SplitPlan(test_fraction=0.2, inner={"kind": "holdout", "fraction": 0.25}),
         prep=PrepConfig(impute_iterations=2),
         families=families if families is not None else {"coxph": {"l1": [0.0], "l2": [0.0, 0.1]}},
         n_boot=40,

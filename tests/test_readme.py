@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 from survkit.harness import ExperimentConfig
@@ -42,6 +43,15 @@ def test_experiment_config_loads():
         json.loads(block("Command line", "json", "An experiment config looks like:")))
     assert list(config.families) == ["coxph", "deepsurv", "deephit"]
     assert (config.data, config.schema) == ("cohort.csv", "schema.json")
+
+
+def test_config_key_table_lists_every_field():
+    """The README's table of top-level config keys names exactly the
+    fields of `ExperimentConfig`, in order: each key is its field's name."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| key | type | default | read |\n|---|---|---|---|\n", 1)[1]
+    keys = re.findall(r"^\| `(\w+)` \|", table.split("\n\n", 1)[0], re.M)
+    assert keys == [f.name for f in fields(ExperimentConfig)]
 
 
 def test_library_quick_start_runs(capsys):
