@@ -7,6 +7,7 @@ can map them to different exit codes.
 """
 
 import math
+import numbers
 import re
 from dataclasses import MISSING, fields, is_dataclass
 from types import UnionType
@@ -99,8 +100,36 @@ def read_value(scope, key, kind, value):
     except ConfigError:  # from an object inside `value`, which names its own scope
         raise
     except (ValueError, OverflowError) as exc:
-        name = kind.__name__ if isinstance(kind, type) else re.sub(r"[\w.]+\.", "", str(kind))
-        raise ConfigError(f"{scope}: {key}={value!r} is not a valid {name}") from exc
+        raise ConfigError(f"{scope}: {key}={value!r} is not a valid {_name(kind)}") from exc
+
+
+def check_types(scope, obj):
+    """Raise a ConfigError naming `scope` and the first field of the
+    dataclass `obj` that holds neither its default nor a value of its
+    annotation. Values are checked, not converted: a bool is not a number,
+    an int is a float, a list or dict is not checked item by item, and a
+    dataclass annotation needs an instance. `read_object` builds only
+    objects that pass; this catches a dataclass constructed directly."""
+    hints = get_type_hints(type(obj))
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is not f.default and not _holds(hints[f.name], value):
+            raise ConfigError(f"{scope}: {f.name}={value!r} is not a valid {_name(hints[f.name])}")
+
+
+def _holds(kind, value):
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is UnionType and args[1:] == (type(None),):
+        return value is None or _holds(args[0], value)
+    if kind is object:
+        return True
+    if kind in (int, float) and isinstance(value, bool):
+        return False
+    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(kind, origin or kind))
+
+
+def _name(kind):
+    return kind.__name__ if isinstance(kind, type) else re.sub(r"[\w.]+\.", "", str(kind))
 
 
 def _read(where, kind, value):

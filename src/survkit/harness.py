@@ -30,7 +30,8 @@ from . import deepsurv as deepsurv_mod
 from .coxph import CoxParams, fit_coxph
 from .deephit import DeepHitParams, fit_deephit
 from .deepsurv import DeepSurvParams, fit_deepsurv
-from .errors import ComputationError, ConfigError, DataError, check_keys, read_object, read_value
+from .errors import (ComputationError, ConfigError, DataError, check_keys, check_types, read_object,
+                     read_value)
 from .impute import apply_mice, fit_mice, mice_impute, pool_rubin
 from .metrics import (
     bootstrap_ci,
@@ -54,6 +55,7 @@ class SplitPlan:
     inner: dict[str, object] = field(default_factory=lambda: {"kind": "kfold", "k": 5})
 
     def __post_init__(self):
+        check_types("split", self)
         _split_settings(self)
 
 
@@ -79,8 +81,6 @@ def _split_settings(plan):
     checked; a bad value is a ConfigError."""
     if not 0.0 < plan.test_fraction < 1.0:
         raise ConfigError("test_fraction must be in (0, 1)")
-    if not isinstance(plan.inner, dict):
-        raise ConfigError(f"split: inner={plan.inner!r} is not an object")
     kind = plan.inner.get("kind", "kfold")
     if kind == "kfold":
         check_keys("split.inner", plan.inner, ["kind", "k"])
@@ -147,6 +147,7 @@ class PrepConfig:
     standardize: bool = True
 
     def __post_init__(self):
+        check_types("prep", self)
         if self.impute_iterations < 1:
             raise DataError(f"impute_iterations must be >= 1, got {self.impute_iterations!r}")
 
@@ -356,11 +357,12 @@ class FactorRow:
     pooled_se: float
 
 
-def _fit_imputation(i, completed):
+def _fit_imputation(iset, i):
     """(coefficients, their variances) of the linear model on completed set
-    i; a fit that is singular or does not converge is a ComputationError."""
-    x, _, nm = completed.covariate_matrix()
-    model = fit_coxph(x, completed.time, completed.event, names=nm)
+    i of `iset`, fitted on its covariate matrix and the cohort's outcomes;
+    a fit that is singular or does not converge is a ComputationError."""
+    x, nm = iset.covariate_matrix(i), iset.cohort.covariate_names
+    model = fit_coxph(x, iset.cohort.time, iset.cohort.event, names=nm)
     if model.aliased:
         raise ComputationError(f"imputation {i}: the observed information is singular: "
                                f"{model.aliased} are constant or aliased; drop them")
@@ -375,19 +377,21 @@ def identify_factors(ds, m=10, iterations=10, seed=0):
     """Multiply impute, fit the unpenalized linear model per completed
     dataset, and Rubin-pool each coefficient into an HR table.
 
-    Covariates are fitted as given. Each completed set is built, fitted and
-    dropped before the next is built, and only its coefficients and their
-    variances are kept, so one completed set and one covariate matrix are
-    in memory at a time. A fit that does not converge fails the run, naming
-    its imputation and any unstandardized-looking covariates, and so does
-    one whose observed information is singular, naming the constant or
-    aliased covariates. Rows follow covariate schema order.
+    Covariates are fitted as given. The m chains run on one design (see
+    `mice_impute`), and each fit builds completed set i's covariate matrix
+    from the cohort and chain i's draws, fits it and drops it before the
+    next, keeping only its coefficients and their variances: no completed
+    set is built, and one covariate matrix is in memory at a time. A fit
+    that does not converge fails the run, naming its imputation and any
+    unstandardized-looking covariates, and so does one whose observed
+    information is singular, naming the constant or aliased covariates.
+    Rows follow covariate schema order.
     """
     if m < 2:
         raise ConfigError("factor identification needs m >= 2 imputations")
     iset = mice_impute(ds, m, iterations, seed)
     names = ds.covariate_names
-    fits = [_fit_imputation(i, iset[i]) for i in range(len(iset))]
+    fits = [_fit_imputation(iset, i) for i in range(len(iset))]
     betas = np.array([beta for beta, _ in fits])
     variances = np.array([var for _, var in fits])
 
@@ -428,6 +432,7 @@ class ExperimentConfig:
     n_boot: int = 1000
 
     def __post_init__(self):
+        check_types("config", self)
         for key in ("seed", "ensure_like_seed"):
             if getattr(self, key) < 0:
                 raise DataError(f"{key}={getattr(self, key)!r} is not a non-negative integer")

@@ -14,8 +14,12 @@ imputed on the continuous scale and deliberately not rounded, and
 runs the frozen chain on new rows. A chain is a start (`_chain_start`: the
 checks, the hazard transform, the visit order, the means, the mean-filled
 design and the Gram below, none of which depend on the seed) and its sweeps
-(`_chain_sweeps`: the seeded draws on copies of them), so `mice_impute`
-makes one start for its m chains. All three keep the covariates in one
+(`_chain_sweeps`: the seeded draws, written into the start in place).
+`mice_impute` makes one start for its m chains and runs them one after
+another in it: a chain writes only its steps' missing cells and their Gram
+rows and columns, so writing back each step's mean and the saved Gram
+restores the start bit for bit, at O(n_missing + q^2) against O(n q) for a
+copy of the design. All three keep the covariates in one
 design matrix D = [1, covariates, event, hazard], set up once with the mean
 fill (`_chain_setup`); each draw is written into the target's own column,
 and the completed values are read back once at the end (`_read_back`).
@@ -24,7 +28,8 @@ and the completed values are read back once at the end (`_read_back`).
 draws of the cells that were missing: an `ImputationSet` holds m vectors
 of n_missing floats, not m completed copies of the cohort. Completed set i
 is built when it is asked for (`iset[i]`, or iterating `iset`), so a caller
-that uses one set at a time holds one in memory.
+that uses one set at a time holds one in memory; a caller that needs only
+the covariates builds just those (`iset.covariate_matrix(i)`).
 
 A chain also keeps the Gram matrix G = D'D, formed once after the mean fill.
 A target step gathers only its missing rows M and takes the normal
@@ -177,6 +182,7 @@ class ImputationSet:
     (`rows`, `cols`) of `cohort`, which is kept as given, not copied.
     `iset[i]` builds completed set i from them, a new dataset on each call;
     `len(iset)` is m and iterating builds the sets one at a time.
+    `iset.covariate_matrix(i)` builds only set i's covariates.
     """
 
     cohort: SurvivalDataset
@@ -198,6 +204,15 @@ class ImputationSet:
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
+
+    def covariate_matrix(self, i):
+        """Completed set i's covariate matrix, the same bits and memory
+        layout as `self[i].covariate_matrix()[0]`, built from the cohort's
+        covariate columns and chain i's draws without the completed set."""
+        cov_idx = np.flatnonzero([c.role == "covariate" for c in self.cohort.columns])
+        x = self.cohort.values[:, cov_idx]
+        x[self.rows, np.searchsorted(cov_idx, self.cols)] = self.draws[i]
+        return x
 
     @property
     def datasets(self):
@@ -224,12 +239,13 @@ def mice_impute(ds, m, iterations, seed):
     draws from a generator seeded with seed + 100 + i: chains are
     independent and each is reproducible in isolation. All m chains run in
     this call, which raises any of their errors; the chains share one
-    start, so a saturated target warns once per call. Of each chain only
-    its draws for the missing covariate cells are kept, and the returned
-    `ImputationSet` builds a completed set when it is indexed or iterated,
-    so memory grows with m by m vectors of n_missing floats, not by m
-    copies of the cohort. A dataset without missing cells yields m
-    identical copies.
+    start, so a saturated target warns once per call, and run in it one
+    after another, each from the start restored bit for bit (see the
+    module docstring). Of each chain only its draws for the missing
+    covariate cells are kept, and the returned `ImputationSet` builds a
+    completed set when it is indexed or iterated, so memory grows with m
+    by m vectors of n_missing floats, not by m copies of the cohort. A
+    dataset without missing cells yields m identical copies.
     """
     if m < 1:
         raise DataError("m must be >= 1")
@@ -237,9 +253,15 @@ def mice_impute(ds, m, iterations, seed):
     cov_idx = np.flatnonzero([c.role == "covariate" for c in ds.columns])
     rows, k = np.nonzero(ds.missing_mask[:, cov_idx])
     draws = np.empty((m, len(rows)))
+    gram = start.gram.copy()
     for i in range(m):
+        if i:
+            for name, col, _, _, mis in start.steps:
+                start.design[mis, col] = start.means[name]
+            start.gram[:] = gram
+        _chain_sweeps(start, seed + i)
         # covariate k is design column 1 + k (see `_chain_setup`)
-        draws[i] = _chain_sweeps(start, seed + i)[1][rows, 1 + k]
+        draws[i] = start.design[rows, 1 + k]
     return ImputationSet(
         cohort=ds,
         rows=rows,
@@ -294,10 +316,11 @@ def fit_mice(ds, iterations, seed):
     step gathers only the target's missing rows, takes the observed-row
     normal equations from G and the Gram of the smaller side, and then
     recomputes the target's row and column of G. A step costs
-    O(min(|O|, |M|) q^2 + n q) for |O| observed and |M| missing rows.
+    O(min(|O|, |M|) q^2 + n q) for |O| observed and |M| missing rows. The
+    chain runs in its start's design, which is then read back once.
     """
     start = _chain_start(ds, iterations)
-    models, design = _chain_sweeps(start, seed)
+    models = _chain_sweeps(start, seed)
     return MiceModel(
         visit_order=start.visit_order,
         means=start.means,
@@ -306,14 +329,15 @@ def fit_mice(ds, iterations, seed):
         iterations=iterations,
         seed=seed,
         column_names=ds.column_names,
-        completed_train=_read_back(ds, design),
+        completed_train=_read_back(ds, start.design),
     )
 
 
 @dataclass
 class _ChainStart:
-    """What every chain on `ds` shares: `_chain_setup`'s mean-filled design
-    and steps, and the design's Gram D'D. Runs copy the design and Gram."""
+    """What every chain on `ds` sets out from: `_chain_setup`'s mean-filled
+    design and steps, and the design's Gram D'D. A chain's sweeps write
+    into the design and Gram in place."""
 
     ds: SurvivalDataset
     iterations: int
@@ -352,14 +376,16 @@ def _chain_start(ds, iterations):
 
 def _chain_sweeps(start, seed):
     """The sweeps of one chain from `start`, drawing from
-    default_rng(seed + 100): (final-sweep coefficients by target, the
-    completed design)."""
+    default_rng(seed + 100), written into `start.design` and `start.gram`
+    in place: the final-sweep coefficients by target. It writes only each
+    step's missing cells and its row and column of the Gram, which is what
+    `mice_impute` restores between chains."""
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DataError(f"seed={seed!r} is not a non-negative integer")
-    # the design keeps its column-major layout: a C-order copy sends the
-    # steps' matrix products down another BLAS path and moves the draws
-    design = start.design.copy(order="K")
-    gram = start.gram.copy()
+    # the chain works in the start's design, column-major as `_chain_setup`
+    # made it: a C-order copy sends the steps' matrix products down another
+    # BLAS path and moves the draws
+    design, gram = start.design, start.gram
     rng = np.random.default_rng(seed + 100)
     models = {}
     for _ in range(start.iterations):
@@ -391,7 +417,7 @@ def _chain_sweeps(start, seed):
             design[mis, col] = draw
             with np.errstate(over="ignore", invalid="ignore"):  # the next step checks it
                 gram[:, col] = gram[col, :] = design.T @ design[:, col]
-    return models, design
+    return models
 
 
 def apply_mice(model, ds):

@@ -482,6 +482,23 @@ def test_identify_factors_memory_does_not_grow_by_a_cohort_per_imputation():
     assert peaks[8] - peaks[2] < ds.values.nbytes
 
 
+def test_identify_factors_peak_is_a_few_covariate_matrices():
+    """Above its input, identify_factors holds one mean-filled design for
+    all of its chains and one covariate matrix per fit: its traced peak
+    stays under 3.8 covariate matrices (3.2 read here; a copy of the design
+    per chain and a completed set per fit read 4.5)."""
+    _, _, spec = ensure_like(0)
+    ds = dummy_encode(generate(dataclasses.replace(spec, n=2000), seed=0)[0])[0]
+    identify_factors(ds, m=2, iterations=1, seed=0)  # first-call imports stay out of the peak
+    tracemalloc.start()
+    try:
+        identify_factors(ds, m=3, iterations=2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.8 * ds.covariate_matrix()[0].nbytes
+
+
 def test_factors_to_csv_round_trip(tmp_path):
     """`survkit identify-factors` writes identify_factors' rows to
     factors.csv, floats by repr."""
@@ -545,6 +562,20 @@ def test_config_rejects_unknown_family():
             ExperimentConfig.from_dict({"families": families})
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig(families=families)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ExperimentConfig(seed="1"), "config: seed='1' is not a valid int"),
+    (lambda: ExperimentConfig(n_boot=None), "config: n_boot=None is not a valid int"),
+    (lambda: PrepConfig(impute_iterations="2"), "prep: impute_iterations='2' is not a valid int"),
+    (lambda: ExperimentConfig(split={"test_fraction": 0.2}), "config: split=.* is not a valid SplitPlan"),
+], ids=["seed", "n_boot", "impute_iterations", "split"])
+def test_a_config_built_directly_checks_its_field_types(build, message):
+    """A library caller's value of the wrong type is a ConfigError naming
+    the field at construction, not a raw TypeError there or an
+    AttributeError inside the run."""
+    with pytest.raises(ConfigError, match=message):
+        build()
 
 
 def test_config_rejects_n_boot_below_one():
