@@ -11,7 +11,10 @@ what the call already holds when the phase runs. Next to them are the
 bytes of one completed set and of the kept draws. A list of m completed
 sets would add one set per imputation to the peaks; building them one at
 a time adds only each chain's draws. Each m is measured after one untimed
-call, so first-call imports stay out of the peaks. After measuring, the
+call, so first-call imports stay out of the peaks. `tracemalloc` sees this
+process only: where the chains run on worker processes (`mice_workers`
+above 1), the chains' peaks are what this process holds while they run,
+the start and the draws, and not the chains' own working memory. After measuring, the
 script asserts that every set built from the largest m has the same bits
 as its chain's `completed_train`, run on its own, and that its covariate
 matrix built from the draws has the same bits as the completed set's.

@@ -3,8 +3,10 @@
 Subcommands: impute, identify-factors, experiment, synth. A command computes
 everything first and returns its files; `_run` then makes the run directory
 (--out, or runs/<UTC stamp>_<digest>), writes those files and a
-manifest.json recording inputs, hashes, seeds and timing, and prints the
-directory's path. This module is the only one that writes run files:
+manifest.json recording inputs, hashes, seeds, timing, the BLAS thread
+count and, for impute and identify-factors, the MICE worker count, and
+prints the directory's path. Every command runs at one BLAS thread. This
+module is the only one that writes run files:
 
 - impute: completed_NN.csv and their schema.json, imputation.json,
   encoding.json, inclusion.json
@@ -33,9 +35,10 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
+from ._blas import blas_threads
 from .errors import ComputationError, ConfigError, SurvkitError
 from .harness import ExperimentConfig, experiment_split, identify_factors, run_experiment
-from .impute import mice_impute
+from .impute import mice_impute, mice_workers
 from .preprocess import dummy_encode
 from .svgplot import svg_line_chart
 from .synth import ensure_like, generate, spec_from_dict
@@ -100,27 +103,31 @@ def _load_json(path, what):
 
 def _run(args):
     """Run the parsed command, then make its directory, write its files and
-    manifest.json, and print the directory's path."""
-    started = _utc_now()
-    run = args.func(args)
-    if args.out:
-        out_dir = Path(args.out)
-    else:
-        stamp = dt.datetime.now(dt.timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-        out_dir = Path("runs") / f"{stamp}_{hashlib.sha256(run.key).hexdigest()[:8]}"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, write in run.files.items():
-        write(out_dir / name)
-    _write_json(out_dir / "manifest.json", {
-        "command": args.command,
-        "args": run.echo,
-        "inputs": {str(p): _sha256_file(p) for p in run.inputs},
-        "seed": run.seed,
-        "toolkit_version": __version__,
-        "started_utc": started,
-        "finished_utc": _utc_now(),
-        **run.extra,
-    })
+    manifest.json, and print the directory's path. The command runs at one
+    BLAS thread, so its output bytes do not depend on the machine's thread
+    count, and the caller's count is restored on exit."""
+    with blas_threads(1) as threads:
+        started = _utc_now()
+        run = args.func(args)
+        if args.out:
+            out_dir = Path(args.out)
+        else:
+            stamp = dt.datetime.now(dt.timezone.utc).strftime("%Y%m%dT%H%M%SZ")
+            out_dir = Path("runs") / f"{stamp}_{hashlib.sha256(run.key).hexdigest()[:8]}"
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, write in run.files.items():
+            write(out_dir / name)
+        _write_json(out_dir / "manifest.json", {
+            "command": args.command,
+            "args": run.echo,
+            "inputs": {str(p): _sha256_file(p) for p in run.inputs},
+            "seed": run.seed,
+            "toolkit_version": __version__,
+            "started_utc": started,
+            "finished_utc": _utc_now(),
+            "blas_threads": threads,
+            **run.extra,
+        })
     print(out_dir)
     return 0
 
@@ -143,7 +150,8 @@ def _save_completed(iset, i, path):
 def _cohort_run(args, tag, files):
     """The `_Run` of impute and identify-factors, which share their flags."""
     return _Run(files, f"{tag}:{args.data}:{args.m}:{args.iterations}:{args.seed}".encode(),
-                [args.data, args.schema], args.seed, {"m": args.m, "iterations": args.iterations})
+                [args.data, args.schema], args.seed, {"m": args.m, "iterations": args.iterations},
+                {"mice_workers": mice_workers(args.m)})
 
 
 def cmd_impute(args):

@@ -377,8 +377,9 @@ def identify_factors(ds, m=10, iterations=10, seed=0):
     """Multiply impute, fit the unpenalized linear model per completed
     dataset, and Rubin-pool each coefficient into an HR table.
 
-    Covariates are fitted as given. The m chains run on one design (see
-    `mice_impute`), and each fit builds completed set i's covariate matrix
+    Covariates are fitted as given. The m chains run on worker processes
+    from one design (see `mice_impute`); the fits run in this process, and
+    each fit builds completed set i's covariate matrix
     from the cohort and chain i's draws, fits it and drops it before the
     next, keeping only its coefficients and their variances: no completed
     set is built, and one covariate matrix is in memory at a time. A fit

@@ -15,11 +15,17 @@ runs the frozen chain on new rows. A chain is a start (`_chain_start`: the
 checks, the hazard transform, the visit order, the means, the mean-filled
 design and the Gram below, none of which depend on the seed) and its sweeps
 (`_chain_sweeps`: the seeded draws, written into the start in place).
-`mice_impute` makes one start for its m chains and runs them one after
-another in it: a chain writes only its steps' missing cells and their Gram
-rows and columns, so writing back each step's mean and the saved Gram
-restores the start bit for bit, at O(n_missing + q^2) against O(n q) for a
-copy of the design. All three keep the covariates in one
+`mice_impute` makes one start for its m chains and runs them in it, on
+worker processes forked after the start is made (`mice_workers`), each
+worker one chain after another: a chain writes only its steps' missing
+cells and their Gram rows and columns, so writing back each step's mean
+and the saved Gram restores the start bit for bit, at O(n_missing + q^2)
+against O(n q) for a copy of the design. A worker writes each chain's
+draws into memory it shares with the caller, and the Cox fits and every
+other step stay in the calling process. Chains run at one BLAS thread, so
+their bits depend neither on the worker count nor on the caller's thread
+count, and two workers do not each start a BLAS thread pool on the same
+CPUs. All three keep the covariates in one
 design matrix D = [1, covariates, event, hazard], set up once with the mean
 fill (`_chain_setup`); each draw is written into the target's own column,
 and the completed values are read back once at the end (`_read_back`).
@@ -44,11 +50,15 @@ O(n q^2) for the Gram of the observed rows formed from scratch.
 
 from __future__ import annotations
 
+import mmap
+import os
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from ._blas import blas_threads
 from .coxph import breslow_from_scores
 from .curves import CumHazardFn
 from .errors import ComputationError, DataError, ImputationWarning, SchemaError
@@ -103,9 +113,14 @@ def _chain_setup(ds, visit_order, means, hazard_fn):
     the rows as index arrays made once.
     """
     cov_idx = [j for j, c in enumerate(ds.columns) if c.role == "covariate"]
-    design = np.column_stack(
-        [np.ones(ds.n_rows), ds.values[:, cov_idx], ds.event, hazard_fn(ds.time)]
-    )
+    # column-major (see `_chain_sweeps`), filled a column at a time, so the
+    # covariates are never copied whole on the way
+    design = np.empty((ds.n_rows, len(cov_idx) + 3), order="F")
+    design[:, 0] = 1.0
+    for k, j in enumerate(cov_idx):
+        design[:, 1 + k] = ds.values[:, j]
+    design[:, -2] = ds.event
+    design[:, -1] = hazard_fn(ds.time)
     mask = ds.missing_mask
     steps = []
     for name in visit_order:
@@ -231,6 +246,15 @@ class ImputationSet:
         }
 
 
+def mice_workers(m):
+    """The processes `mice_impute` runs m chains on: one per CPU this
+    process may run on, at most m. One means the chains run in the calling
+    process."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(m, len(os.sched_getaffinity(0)))
+
+
 def mice_impute(ds, m, iterations, seed):
     """Chained-equation imputation of m completed datasets.
 
@@ -238,30 +262,36 @@ def mice_impute(ds, m, iterations, seed):
     `fit_mice(ds, iterations, seed + i)` for i < m, bit for bit, so chain i
     draws from a generator seeded with seed + 100 + i: chains are
     independent and each is reproducible in isolation. All m chains run in
-    this call, which raises any of their errors; the chains share one
-    start, so a saturated target warns once per call, and run in it one
-    after another, each from the start restored bit for bit (see the
-    module docstring). Of each chain only its draws for the missing
-    covariate cells are kept, and the returned `ImputationSet` builds a
-    completed set when it is indexed or iterated, so memory grows with m
-    by m vectors of n_missing floats, not by m copies of the cohort. A
-    dataset without missing cells yields m identical copies.
+    this call, which raises the error of the first chain that fails, with
+    its type and message; the chains share one start, so a saturated
+    target warns once per call. They run on `mice_workers(m)` processes
+    forked from this one after the start is made, each chain from the
+    start restored bit for bit (see the module docstring) at one BLAS
+    thread, so the draws do not depend on the worker count or on the
+    caller's thread count; no worker outlives the call. Of each chain only
+    its draws for the missing covariate cells are kept, and the returned
+    `ImputationSet` builds a completed set when it is indexed or iterated,
+    so memory grows with m by m vectors of n_missing floats, not by m
+    copies of the cohort. A dataset without missing cells yields m
+    identical copies.
     """
     if m < 1:
         raise DataError("m must be >= 1")
+    _check_seed(seed)
     start = _chain_start(ds, iterations)
     cov_idx = np.flatnonzero([c.role == "covariate" for c in ds.columns])
     rows, k = np.nonzero(ds.missing_mask[:, cov_idx])
-    draws = np.empty((m, len(rows)))
-    gram = start.gram.copy()
-    for i in range(m):
-        if i:
-            for name, col, _, _, mis in start.steps:
-                start.design[mis, col] = start.means[name]
-            start.gram[:] = gram
-        _chain_sweeps(start, seed + i)
-        # covariate k is design column 1 + k (see `_chain_setup`)
-        draws[i] = start.design[rows, 1 + k]
+    # memory shared with the workers, which write each chain's draws into
+    # its row: no draws are sent back through a pipe
+    draws = np.ndarray((m, len(rows)), buffer=mmap.mmap(-1, max(m * len(rows) * 8, 1)))
+    # covariate k is design column 1 + k (see `_chain_setup`)
+    run = partial(_run_chain, start, start.gram.copy(), rows, 1 + k, draws, seed)
+    workers = mice_workers(m)
+    if workers == 1:
+        for i in range(m):
+            run(i)
+    else:
+        _pooled(run, m, workers)
     return ImputationSet(
         cohort=ds,
         rows=rows,
@@ -271,6 +301,47 @@ def mice_impute(ds, m, iterations, seed):
         seed=seed,
         visit_order=start.visit_order,
     )
+
+
+def _run_chain(start, gram, rows, cols, draws, seed, i):
+    """Chain i from `start`, restored first (each step's mean written back
+    into its missing cells, and the saved start Gram `gram` over the
+    Gram), drawing from seed + i; its draws at (`rows`, `cols`) of the
+    design go to `draws[i]`."""
+    for name, col, _, _, mis in start.steps:
+        start.design[mis, col] = start.means[name]
+    start.gram[:] = gram
+    _chain_sweeps(start, seed + i)
+    draws[i] = start.design[rows, cols]
+
+
+# The task of a worker process, set when it starts. Forked workers inherit
+# the task, with the start it runs in, rather than receive it pickled.
+_WORKER_TASK = {}
+
+
+def _start_worker(run):
+    _WORKER_TASK["run"] = run
+
+
+def _run_worker_task(i):
+    _WORKER_TASK["run"](i)
+
+
+def _pooled(run, m, workers):
+    """`run(i)` for i < m on `workers` forked processes, raising the error
+    of the first i that fails; the pool is shut down and its workers joined
+    before this returns or raises."""
+    from concurrent.futures import ProcessPoolExecutor  # loaded on first use
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                               initializer=_start_worker, initargs=(run,))
+    try:
+        for _ in pool.map(_run_worker_task, range(m)):
+            pass
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass
@@ -369,9 +440,15 @@ def _chain_start(ds, iterations):
                 "predictors; its imputation model is saturated",
                 ImputationWarning,
             )
-    with np.errstate(over="ignore", invalid="ignore"):  # `_chain_sweeps` checks the Gram
-        gram = design.T @ design
+    # at one BLAS thread, as the sweeps that update it
+    with blas_threads(1), np.errstate(over="ignore", invalid="ignore"):
+        gram = design.T @ design  # `_chain_sweeps` checks it
     return _ChainStart(ds, iterations, visit, means, hazard_fn, design, steps, gram)
+
+
+def _check_seed(seed):
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DataError(f"seed={seed!r} is not a non-negative integer")
 
 
 def _chain_sweeps(start, seed):
@@ -379,44 +456,46 @@ def _chain_sweeps(start, seed):
     default_rng(seed + 100), written into `start.design` and `start.gram`
     in place: the final-sweep coefficients by target. It writes only each
     step's missing cells and its row and column of the Gram, which is what
-    `mice_impute` restores between chains."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DataError(f"seed={seed!r} is not a non-negative integer")
+    `mice_impute` restores before each chain. The sweeps run at one BLAS
+    thread, so their bits do not depend on the caller's thread count, and
+    chains on worker processes do not oversubscribe the CPUs."""
+    _check_seed(seed)
     # the chain works in the start's design, column-major as `_chain_setup`
     # made it: a C-order copy sends the steps' matrix products down another
     # BLAS path and moves the draws
     design, gram = start.design, start.gram
     rng = np.random.default_rng(seed + 100)
     models = {}
-    for _ in range(start.iterations):
-        for name, col, cols, obs, mis in start.steps:
-            d_mis = design[mis]
-            with np.errstate(over="ignore", invalid="ignore"):
-                gram_obs = _observed_gram(design, gram, obs, d_mis)
-            if not np.isfinite(gram_obs).all():
-                raise ComputationError(
-                    f"imputation model of column {name!r} has non-finite normal equations "
-                    f"(sums of squares not finite: {_unsquarable(start.ds, gram_obs)}); "
-                    "rescale the covariates"
-                )
-            try:
-                models[name], beta_dot, sigma = _bayes_draw(design, gram_obs, col, cols, obs, rng)
-            except np.linalg.LinAlgError as exc:
-                # the ridge is absolute, so it vanishes next to Gram entries
-                # beyond ~1e10 and leaves a rank-deficient block singular
-                raise ComputationError(
-                    f"imputation model of column {name!r} is singular ({exc}); "
-                    "rescale the covariates"
-                ) from exc
-            draw = d_mis[:, cols] @ beta_dot + sigma * rng.standard_normal(len(mis))
-            if not np.isfinite(draw).all():
-                raise ComputationError(
-                    f"imputation draws of column {name!r} are not finite; "
-                    "rescale the covariates"
-                )
-            design[mis, col] = draw
-            with np.errstate(over="ignore", invalid="ignore"):  # the next step checks it
-                gram[:, col] = gram[col, :] = design.T @ design[:, col]
+    with blas_threads(1):
+        for _ in range(start.iterations):
+            for name, col, cols, obs, mis in start.steps:
+                d_mis = design[mis]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    gram_obs = _observed_gram(design, gram, obs, d_mis)
+                if not np.isfinite(gram_obs).all():
+                    raise ComputationError(
+                        f"imputation model of column {name!r} has non-finite normal equations "
+                        f"(sums of squares not finite: {_unsquarable(start.ds, gram_obs)}); "
+                        "rescale the covariates"
+                    )
+                try:
+                    models[name], beta_dot, sigma = _bayes_draw(design, gram_obs, col, cols, obs, rng)
+                except np.linalg.LinAlgError as exc:
+                    # the ridge is absolute, so it vanishes next to Gram entries
+                    # beyond ~1e10 and leaves a rank-deficient block singular
+                    raise ComputationError(
+                        f"imputation model of column {name!r} is singular ({exc}); "
+                        "rescale the covariates"
+                    ) from exc
+                draw = d_mis[:, cols] @ beta_dot + sigma * rng.standard_normal(len(mis))
+                if not np.isfinite(draw).all():
+                    raise ComputationError(
+                        f"imputation draws of column {name!r} are not finite; "
+                        "rescale the covariates"
+                    )
+                design[mis, col] = draw
+                with np.errstate(over="ignore", invalid="ignore"):  # the next step checks it
+                    gram[:, col] = gram[col, :] = design.T @ design[:, col]
     return models
 
 

@@ -7,7 +7,9 @@ imputation against its chain run on its own); these runs make
 those assertions part of the test suite. A tiny traced experiment checks
 that survbench's tracer still covers every layer function, that the call
 counts match the config, that every per-layer metric it declares computes
-and that the prediction and scoring layers read non-zero.
+and that the prediction and scoring layers read non-zero. A small traced
+`identify-factors`, whose MICE chains run on worker processes, checks the
+same coverage and the `factors` workload's call counts.
 """
 
 import json
@@ -93,3 +95,44 @@ def test_traced_experiment_covers_every_layer(tmp_path):
     for name in ("deephit.predict_survival.curves", "coxph.predict_survival.s",
                  "curves.survival_curve.evals", "kernels.concordance.calls"):
         assert result["layers"][name] > 0, name
+
+
+# identify-factors on a small cohort, traced as TRACED_RUN traces the
+# experiment. Its MICE chains run on worker processes, which call only
+# private functions, so the traced call counts are the serial run's.
+TRACED_FACTORS = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import spans, workloads
+
+workloads.WORKLOADS["smoke"] = {"kind": "factors", "n": 600, "m": 3, "iterations": 2,
+                                "oracle": False}
+tracer = spans.Tracer()
+uncovered = spans.uncovered(spans.install(tracer))
+from survkit import cli
+
+rc = cli.main(workloads.make_inputs("smoke", 0, sys.argv[2]))
+print(json.dumps({
+    "rc": rc,
+    "uncovered": uncovered,
+    "identities": spans.identities(tracer, workloads.expected_counts("smoke")),
+    "manifest": json.loads((Path(sys.argv[2]) / "out" / "manifest.json").read_text()),
+}))
+"""
+
+
+def test_traced_identify_factors_counts_one_imputation_and_m_fits(tmp_path):
+    src = Path(survkit.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_FACTORS,
+         str(ROOT / "survbench"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["rc"] == 0
+    assert result["uncovered"] == []
+    assert result["identities"] == []
+    assert result["manifest"]["mice_workers"] == min(3, len(os.sched_getaffinity(0)))

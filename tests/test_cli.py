@@ -5,6 +5,7 @@ and must honor the documented exit codes: 0 ok, 2 validation, 3 computation.
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import survkit
+from survkit import _blas
 from survkit.cli import _write_csv, main
 from survkit.harness import ExperimentConfig, run_experiment
 from survkit.impute import mice_impute
@@ -150,6 +152,61 @@ def test_version_flag_exits_zero(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "survkit" in capsys.readouterr().out
+
+
+def test_manifest_records_blas_threads_and_mice_workers(tmp_path):
+    """The manifest records the BLAS thread count a command ran at (None
+    without OpenBLAS) and, for the commands that impute, the worker count
+    of the MICE chains; neither reaches the command's other files."""
+    data, schema = write_cohort(tmp_path)
+    cohort = ["--data", str(data), "--schema", str(schema), "--m", "3", "--iterations", "1"]
+    for command in ("impute", "identify-factors"):
+        assert main([command, *cohort, "--out", str(tmp_path / command)]) == 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 20, "covariates": [{"name": "x", "kind": "continuous"}],
+                                "beta": {}, "scale": 12.0, "censoring_fraction": 0.3}))
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "synth")]) == 0
+    threads = 1 if _blas._openblas() else None
+    workers = min(3, len(os.sched_getaffinity(0)))
+    for command, extra in (("impute", {"mice_workers": workers}),
+                           ("identify-factors", {"mice_workers": workers}), ("synth", {})):
+        manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+        assert {k: manifest.get(k) for k in ("blas_threads", "mice_workers")} == {
+            "blas_threads": threads, "mice_workers": None, **extra}, command
+    for path in tmp_path.glob("*/*"):
+        if path.name != "manifest.json":
+            assert b"blas_threads" not in path.read_bytes() and b"mice_workers" not in (
+                path.read_bytes()), path
+
+
+def test_main_restores_the_callers_blas_threads(tmp_path, capsys):
+    """A command runs at one BLAS thread and gives the caller back its own
+    count whether it exits 0, 2 or 3; a failed chain leaves no worker."""
+    if not _blas._openblas():
+        pytest.skip("no OpenBLAS thread control in this process")
+    data, schema = write_cohort(tmp_path)
+    ds = subset_rows(ensure_like(seed=0)[0], np.arange(200))
+    j = ds.col_index("x01")
+    ds.values[np.flatnonzero(~ds.missing_mask[:, j])[0], j] = 1e300
+    huge, huge_schema = tmp_path / "huge.csv", tmp_path / "huge_schema.json"
+    save_csv(ds, huge)
+    save_schema(ds.columns, huge_schema)
+    calls = [
+        (0, ["identify-factors", "--data", str(data), "--schema", str(schema),
+             "--m", "2", "--iterations", "1", "--out", str(tmp_path / "ok")]),
+        (2, ["impute", "--data", str(tmp_path / "absent.csv"), "--schema", str(schema),
+             "--out", str(tmp_path / "absent")]),
+        (3, ["impute", "--data", str(huge), "--schema", str(huge_schema),
+             "--m", "2", "--iterations", "1", "--out", str(tmp_path / "huge")]),
+    ]
+    get = _blas._openblas()[0][0]
+    for rc, argv in calls:
+        with _blas.blas_threads(2):
+            assert main(argv) == rc
+            assert get() == 2, argv[0]
+        assert multiprocessing.active_children() == []
+    assert "not finite: ['x01']" in capsys.readouterr().err
+    assert json.loads((tmp_path / "ok" / "manifest.json").read_text())["blas_threads"] == 1
 
 
 # -- impute ---------------------------------------------------------------------

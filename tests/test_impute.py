@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survkit import impute
+from survkit import _blas, impute
 from survkit.errors import ComputationError, DataError, ImputationWarning, SchemaError
 from survkit.impute import (
     apply_mice,
@@ -472,6 +473,107 @@ def test_a_non_finite_draw_fails_the_chain(monkeypatch):
                         lambda *args: (*draw(*args)[:2], float("inf")))
     with pytest.raises(ComputationError, match=r"imputation draws of column '\w+' are not finite"):
         fit_mice(pinned_cohort(), iterations=1, seed=0)
+
+
+# -- the chains on worker processes ---------------------------------------------
+
+
+def pooled(monkeypatch, workers=2):
+    """Make `mice_impute` run its chains on `workers` processes, whatever
+    the CPU count."""
+    monkeypatch.setattr(impute, "mice_workers", lambda m: min(m, workers))
+
+
+def test_pooled_chains_are_fit_mice_runs_and_leave_no_worker(monkeypatch):
+    """Chains on four workers, more than most test machines have CPUs,
+    each writing its own row of the shared draws, give the bits of the
+    chains in this process, each set those of its `fit_mice` run, and the
+    workers are gone when the call returns."""
+    ds = pinned_cohort()
+    pooled(monkeypatch, workers=1)
+    here = mice_impute(ds, m=5, iterations=2, seed=7)
+    pooled(monkeypatch, workers=4)
+    iset = mice_impute(ds, m=5, iterations=2, seed=7)
+    assert multiprocessing.active_children() == []
+    assert iset.draws.tobytes() == here.draws.tobytes()
+    for i, done in enumerate(iset):
+        chain = fit_mice(ds, iterations=2, seed=7 + i).completed_train
+        assert done.values.tobytes() == chain.values.tobytes()
+
+
+def test_a_chain_error_reaches_the_caller_from_a_worker(monkeypatch):
+    """A chain that fails on a worker raises its own error type and
+    message in the caller, the first failing chain's when several fail, and
+    leaves no worker behind."""
+    ds = pinned_cohort()
+    j = ds.col_index("x01")
+    ds.values[np.flatnonzero(~ds.missing_mask[:, j])[0], j] = 1e300
+    pooled(monkeypatch)
+    with pytest.raises(ComputationError, match=r"not finite: \['x01'\]\)") as caught:
+        mice_impute(ds, m=3, iterations=1, seed=0)
+    assert type(caught.value) is ComputationError
+    assert multiprocessing.active_children() == []
+
+    sweeps = impute._chain_sweeps
+
+    def fails_from_seed_8(start, seed):
+        if seed >= 8:
+            raise DataError(f"chain of seed {seed} failed")
+        return sweeps(start, seed)
+
+    monkeypatch.setattr(impute, "_chain_sweeps", fails_from_seed_8)
+    with pytest.raises(DataError, match="^chain of seed 8 failed$"):
+        mice_impute(pinned_cohort(), m=4, iterations=1, seed=7)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_bad_seed_fails_before_any_worker_starts(monkeypatch):
+    pooled(monkeypatch)
+
+    def never(*args):
+        raise AssertionError("reached past the seed check")
+
+    monkeypatch.setattr(impute, "_chain_start", never)
+    monkeypatch.setattr(impute, "_pooled", never)
+    with pytest.raises(DataError, match="seed=-1 is not a non-negative integer"):
+        mice_impute(pinned_cohort(), m=2, iterations=1, seed=-1)
+
+
+def test_chains_do_not_depend_on_the_callers_blas_threads():
+    """The chains run at one BLAS thread whatever the caller set, so chain
+    i of `mice_impute` under two threads is `fit_mice` under one, bit for
+    bit, on a cohort large enough for OpenBLAS to split its products (at
+    12000 rows a chain run at two threads moved)."""
+    if not _blas._openblas():
+        pytest.skip("no OpenBLAS thread control in this process")
+    spec = dataclasses.replace(ensure_like(0)[2], n=12000)
+    ds = dummy_encode(generate(spec, seed=0)[0])[0]
+    with _blas.blas_threads(1):
+        alone = fit_mice(ds, iterations=1, seed=4).completed_train
+    with _blas.blas_threads(2):
+        iset = mice_impute(ds, m=1, iterations=1, seed=4)
+        assert fit_mice(ds, iterations=1, seed=4).completed_train.values.tobytes() == (
+            alone.values.tobytes())
+    assert iset[0].values.tobytes() == alone.values.tobytes()
+
+
+def test_chain_setup_fills_the_design_of_a_column_stack():
+    """The preallocated design has the bits and the column-major layout of
+    the design stacked from the covariate columns, with the mean fill."""
+    ds = pinned_cohort()
+    hazard_fn = nelson_aalen(ds.time, ds.event)
+    targets = impute._target_columns(ds)
+    mask = ds.missing_mask
+    means = {name: float(ds.values[~mask[:, j], j].mean()) for name, j in targets}
+    design, steps = impute._chain_setup(ds, [name for name, _ in targets], means, hazard_fn)
+    cov_idx = [j for j, c in enumerate(ds.columns) if c.role == "covariate"]
+    want = np.column_stack(
+        [np.ones(ds.n_rows), ds.values[:, cov_idx], ds.event, hazard_fn(ds.time)])
+    for name, col, _, _, mis in steps:
+        want[mis, col] = means[name]
+    assert design.tobytes("A") == want.tobytes("A")
+    assert design.flags.f_contiguous and want.flags.f_contiguous
+    assert design.strides == want.strides
 
 
 def singular_cohort():
