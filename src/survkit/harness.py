@@ -36,7 +36,6 @@ from .impute import apply_mice, fit_mice, mice_impute, pool_rubin
 from .metrics import (
     bootstrap_ci,
     bootstrap_counts,
-    censoring_km,
     concordance_index,
     cumulative_dynamic_auc,
     integrated_brier,
@@ -504,20 +503,14 @@ def _data_digest(ds):
 def _test_metrics(t, e, risk, curves, counts):
     """Test-split C-index, IBS and mean tAUC with bootstrap CIs.
 
-    One set of resamples, and its censoring KM, serves all three metrics;
-    the sample alone (counts None) builds its own.
+    One set of resamples serves all three metrics. `bootstrap_ci` scores it
+    in blocks of rows, and IBS and tAUC weigh each block with its own
+    censoring KM.
     """
-    censor = censoring_km(t, e, counts=counts)
-
-    def shared(w):
-        return None if w is None else censor
-
     metric_fns = {
         "c_index": lambda w: concordance_index(t, e, risk, counts=w),
-        "ibs": lambda w: integrated_brier(t, e, curves, censor_curve=shared(w), counts=w),
-        "tauc_mean": lambda w: cumulative_dynamic_auc(
-            t, e, risk, censor_curve=shared(w), counts=w
-        ).mean,
+        "ibs": lambda w: integrated_brier(t, e, curves, counts=w),
+        "tauc_mean": lambda w: cumulative_dynamic_auc(t, e, risk, counts=w).mean,
     }
     return [bootstrap_ci(fn, counts, name=name) for name, fn in metric_fns.items()]
 

@@ -1,17 +1,21 @@
 """Discrimination and calibration metrics with IPCW censoring weights.
 
 Censoring weights use the Kaplan-Meier estimate G of the censoring
-distribution (event indicator flipped). Weights at an observed event time
-use the left limit G(t-), weights for being at risk at the horizon use
-G(t). Subjects whose required weight is zero are dropped from the sum with
-a warning but stay in the denominator, matching the usual Graf estimator.
+distribution (event indicator flipped), the Graf estimator. Weights at an
+observed event time use the left limit G(t-), weights for being at risk at
+the horizon use G(t). IBS and tAUC weigh every sample with its own
+censoring KM, under which no subject the sample holds needs a zero
+weight. Only `brier_score` takes a censoring curve from its caller:
+subjects whose required weight is zero under it are dropped from the sum
+with a warning but stay in the denominator.
 
 Every metric also scores R resamples of the same subjects in one pass:
 `counts` is an (R, n) matrix of subject multiplicities (row r says how
 often each subject occurs in sample r), and the metric returns R values,
 NaN where a sample's metric is undefined. Without `counts` a metric scores
 the sample itself as the one-row, all-ones case, and raises where that
-value is undefined. The bootstrap draws its replicates as such a matrix.
+value is undefined. The bootstrap draws its replicates as such a matrix
+and scores it in blocks of `ROW_CHUNK` rows.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from .curves import SurvivalCurve
 from .errors import ComputationError, ConfigError, DataError
 from .tabular import check_outcomes
 
-# samples scored per pass; bounds the (rows, n) intermediates of IBS and tAUC
+# replicates `bootstrap_ci` scores per metric call; bounds every metric's
+# (rows, n) intermediates
 ROW_CHUNK = 64
 DECILES = np.arange(1, 10) / 10.0
 
@@ -41,10 +46,6 @@ def _count_rows(counts, n):
     if not (np.isfinite(w).all() and (w >= 0).all() and (w == np.round(w)).all()):
         raise DataError("counts must be non-negative integers")
     return w
-
-
-def _row_chunks(n_rows):
-    return (slice(lo, lo + ROW_CHUNK) for lo in range(0, n_rows, ROW_CHUNK))
 
 
 def _row_quantiles(x, w, q):
@@ -102,19 +103,6 @@ def censoring_km(times, events, counts=None):
     return kaplan_meier(t, 1.0 - e, counts=counts)
 
 
-def _censoring(t, e, counts, censor_curve, n_rows):
-    """The censoring curve to weigh with: one row per sample, or one for all."""
-    if censor_curve is None:
-        return censoring_km(t, e, counts=counts)
-    if censor_curve.values.ndim == 2 and len(censor_curve) != n_rows:
-        raise DataError("censor_curve needs one row per sample, or a single row")
-    return censor_curve
-
-
-def _curve_rows(curve, rows):
-    return curve if curve.values.ndim == 1 else curve[rows]
-
-
 def concordance_index(times, events, scores, counts=None):
     """Harrell's C: concordant pairs plus half the score ties, over
     comparable pairs. Tied-time pairs with two events are not comparable.
@@ -139,11 +127,6 @@ def concordance_index(times, events, scores, counts=None):
     conc, tied, comp = concordance_counts(t, e, s, weights=_count_rows(counts, len(t)))
     with np.errstate(invalid="ignore"):
         return (conc + 0.5 * tied) / comp
-
-
-def _warn_dropped(dropped):
-    if dropped:
-        warnings.warn(f"dropped {dropped} observations with zero censoring weight")
 
 
 def _mass_upto(w, t, grid):
@@ -197,12 +180,18 @@ def brier_score(times, events, surv_probs, horizon, censor_curve=None):
     s = np.asarray(surv_probs, dtype=float)
     if s.shape != t.shape:
         raise DataError("surv_probs must match times in length")
+    if np.isnan(s).any():
+        raise DataError("surv_probs must be complete")
+    horizon = float(horizon)
+    if not np.isfinite(horizon):
+        raise DataError("horizon must be finite")
     if censor_curve is None:
         censor_curve = censoring_km(t, e)
     scores, dropped = _brier_grid(
-        t, e, s[:, None], np.array([float(horizon)]), np.ones((1, len(t))), censor_curve
+        t, e, s[:, None], np.array([horizon]), np.ones((1, len(t))), censor_curve
     )
-    _warn_dropped(int(dropped.sum()))
+    if dropped.any():
+        warnings.warn(f"dropped {int(dropped.sum())} observations with zero censoring weight")
     return float(scores[0, 0])
 
 
@@ -219,7 +208,7 @@ def _masked_trapezoid(y, x, mask):
         return np.where(mask.sum(axis=1) >= 2, area / (x[last] - x[first]), np.nan)
 
 
-def integrated_brier(times, events, curves, t_range=None, censor_curve=None, counts=None):
+def integrated_brier(times, events, curves, t_range=None, counts=None):
     """Trapezoidal integral of the Brier score over an event-time grid.
 
     `curves` is a SurvivalCurve with one row per subject.
@@ -228,7 +217,8 @@ def integrated_brier(times, events, curves, t_range=None, censor_curve=None, cou
     normalized by the grid span. Needs at least two grid points.
 
     With `counts`, every sample takes its grid from its own event times and
-    follow-up; a sample with fewer than two grid points gives NaN.
+    follow-up and its weights from its own censoring KM; a sample with
+    fewer than two grid points gives NaN. All rows are scored in one pass.
     """
     t, e = check_outcomes(times, events)
     if len(curves) != len(t):
@@ -237,29 +227,22 @@ def integrated_brier(times, events, curves, t_range=None, censor_curve=None, cou
     ev = np.flatnonzero(e == 1.0)
     if t_range is None and len(ev) == 0:
         raise DataError("no events; cannot choose a default range")
-    censor_curve = _censoring(t, e, counts, censor_curve, len(w))
     ev = ev[np.argsort(t[ev], kind="stable")]
     event_times, ev_starts = np.unique(t[ev], return_index=True)
     values = np.full(len(w), np.nan)
-    dropped = 0
     if len(event_times) >= 2:
         preds = curves(event_times)
-        for rows in _row_chunks(len(w)):
-            wc = w[rows]
-            # a sample's grid: the event times it contains, inside its range
-            grid = np.add.reduceat(wc[:, ev], ev_starts, axis=1) > 0
-            if t_range is None:
-                grid &= event_times <= _row_quantiles(t, wc, [0.9])
-            else:
-                grid &= (event_times >= float(t_range[0])) & (event_times <= float(t_range[1]))
-            with np.errstate(invalid="ignore", divide="ignore"):
-                scores, drops = _brier_grid(
-                    t, e, preds, event_times, wc, _curve_rows(censor_curve, rows)
-                )
-            values[rows] = _masked_trapezoid(scores, event_times, grid)
-            scored = grid.sum(axis=1) >= 2
-            dropped += int(drops[grid & scored[:, None]].sum())
-    _warn_dropped(dropped)
+        # a sample's grid: the event times it contains, inside its range
+        grid = np.add.reduceat(w[:, ev], ev_starts, axis=1) > 0
+        if t_range is None:
+            grid &= event_times <= _row_quantiles(t, w, [0.9])
+        else:
+            grid &= (event_times >= float(t_range[0])) & (event_times <= float(t_range[1]))
+        if np.isnan(preds[:, grid.any(axis=0)]).any():
+            raise DataError("curves must be complete at the event times")
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scores, _ = _brier_grid(t, e, preds, event_times, w, censoring_km(t, e, counts=counts))
+        values = _masked_trapezoid(scores, event_times, grid)
     if counts is not None:
         return values
     if np.isnan(values[0]):
@@ -287,28 +270,28 @@ def _default_horizons(event_times, w):
     return h
 
 
-def cumulative_dynamic_auc(times, events, scores, eval_times=None, censor_curve=None,
-                           counts=None):
+def cumulative_dynamic_auc(times, events, scores, eval_times=None, counts=None):
     """IPCW cumulative/dynamic AUC at each horizon, plus the plain mean.
 
     Cases at horizon t are subjects with an event at or before t, weighted
-    by 1/G(t_i-); a case with G(t_i-) = 0 is dropped with a warning.
-    Controls are subjects still at risk after t. Score ties count half.
-    Horizons without both (weighted) cases and controls are skipped.
-    Defaults to the deciles (10%..90%) of the observed event times.
+    by 1/G(t_i-). Controls are subjects still at risk after t. Score ties
+    count half. Horizons without both (weighted) cases and controls are
+    skipped. Defaults to the deciles (10%..90%) of the observed event times.
 
     With `counts`, every sample takes its default horizons from its own
-    event times; a sample without a usable horizon has a NaN mean.
+    event times and its weights from its own censoring KM; a sample without
+    a usable horizon has a NaN mean. All rows are scored in one pass.
     """
     t, e = check_outcomes(times, events)
     s = np.asarray(scores, dtype=float)
     if s.shape != t.shape:
         raise DataError("scores must match times in length")
+    if np.isnan(s).any():
+        raise DataError("scores must be complete")
     w = _count_rows(counts, len(t))
     event = e == 1.0
     if eval_times is None and not event.any():
         raise DataError("no events; cannot choose default horizons")
-    censor_curve = _censoring(t, e, counts, censor_curve, len(w))
 
     # a case's wins: control mass with a lower score plus half the tied mass
     order = np.argsort(s, kind="stable")
@@ -317,36 +300,28 @@ def cumulative_dynamic_auc(times, events, scores, eval_times=None, censor_curve=
     group = np.empty(len(s), dtype=np.intp)
     group[order] = np.cumsum(new_score) - 1
 
-    if eval_times is not None:
+    # a zero-weight subject of a sample may still meet G(t-) = 0
+    g_case = censoring_km(t, e, counts=counts).left(t)
+    inv = np.divide(1.0, g_case, out=np.zeros(np.shape(g_case)), where=g_case > 0)
+    if eval_times is None:
+        horizons = _default_horizons(t[event], w[:, event])
+    else:
         eval_times = np.atleast_1d(np.asarray(eval_times, dtype=float))
-    n_h = len(DECILES) if eval_times is None else len(eval_times)
-    horizons = np.full((len(w), n_h), np.nan)
-    values = np.full((len(w), n_h), np.nan)
-    dropped = 0
-    for rows in _row_chunks(len(w)):
-        wc = w[rows]
-        g_case = _curve_rows(censor_curve, rows).left(t)
-        weighted = g_case > 0
-        inv = np.divide(1.0, g_case, out=np.zeros(np.shape(g_case)), where=weighted)
-        if eval_times is None:
-            horizons[rows] = _default_horizons(t[event], wc[:, event])
-        else:
-            horizons[rows] = eval_times
-        for k in range(n_h):
-            h = horizons[rows, k : k + 1]
-            cases = (t <= h) & event
-            controls = np.where(t > h, wc, 0.0)
-            n_controls = controls.sum(axis=1)
-            dropped += int((wc * (cases & ~weighted))[n_controls > 0].sum())
-            case_w = np.where(cases, wc * inv, 0.0)
-            mass = np.add.reduceat(controls[:, order], starts, axis=1)
-            wins = (np.cumsum(mass, axis=1) - 0.5 * mass)[:, group]
-            total = case_w.sum(axis=1)
-            usable = (total > 0) & (n_controls > 0)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                auc = (case_w * wins).sum(axis=1) / (total * n_controls)
-            values[rows, k] = np.where(usable, auc, np.nan)
-    _warn_dropped(dropped)
+        horizons = np.broadcast_to(eval_times, (len(w), len(eval_times)))
+    values = np.full(horizons.shape, np.nan)
+    for k in range(horizons.shape[1]):
+        h = horizons[:, k : k + 1]
+        cases = (t <= h) & event
+        controls = np.where(t > h, w, 0.0)
+        n_controls = controls.sum(axis=1)
+        case_w = np.where(cases, w * inv, 0.0)
+        mass = np.add.reduceat(controls[:, order], starts, axis=1)
+        wins = (np.cumsum(mass, axis=1) - 0.5 * mass)[:, group]
+        total = case_w.sum(axis=1)
+        usable = (total > 0) & (n_controls > 0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            auc = (case_w * wins).sum(axis=1) / (total * n_controls)
+        values[:, k] = np.where(usable, auc, np.nan)
     kept = ~np.isnan(values)
     with np.errstate(invalid="ignore"):
         mean = np.where(kept, values, 0.0).sum(axis=1) / kept.sum(axis=1)
@@ -394,16 +369,20 @@ def bootstrap_counts(events, n_boot, seed):
 
 
 def bootstrap_ci(metric_fn, counts, name="metric"):
-    """Stratified percentile bootstrap of a metric scored on all replicates at once.
+    """Stratified percentile bootstrap of a metric scored on blocks of replicates.
 
     `counts` comes from `bootstrap_counts`: row 0 is the sample, each
-    further row one replicate. metric_fn maps the whole matrix to one value
-    per row, NaN where the metric is undefined, and maps None to the value
-    of the sample alone. Row 0 gives the point estimate; where it is NaN,
-    metric_fn(None) raises the metric's own error. Replicates may fail
-    (e.g. no comparable pairs); more than 10% failures is an error.
+    further row one replicate. metric_fn maps a block of ROW_CHUNK rows
+    (the first one starting at row 0) to one value per row, NaN where the
+    metric is undefined, and maps None to the value of the sample alone.
+    Row 0 gives the point estimate; where it is NaN, metric_fn(None) raises
+    the metric's own error. Replicates may fail (e.g. no comparable pairs);
+    more than 10% failures is an error.
     """
-    values = np.asarray(metric_fn(counts), dtype=float)
+    values = np.concatenate([
+        np.asarray(metric_fn(counts[lo : lo + ROW_CHUNK]), dtype=float)
+        for lo in range(0, len(counts), ROW_CHUNK)
+    ])
     point, replicates = values[0], values[1:]
     if np.isnan(point):
         metric_fn(None)

@@ -17,6 +17,7 @@ import pytest
 
 import survkit.harness as harness_mod
 from survkit.coxph import CoxParams
+from survkit.curves import SurvivalCurve
 from survkit.deephit import SIGMA_MIN, DeepHitParams
 from survkit.deepsurv import DeepSurvParams
 from survkit.errors import ConfigError, DataError
@@ -24,6 +25,7 @@ from survkit.harness import (
     FAMILY_REGISTRY,
     _data_digest,
     _stratified_take,
+    _test_metrics,
     ExperimentConfig,
     PrepConfig,
     SplitPlan,
@@ -36,6 +38,7 @@ from survkit.harness import (
     split,
 )
 from survkit.cli import main
+from survkit.metrics import bootstrap_counts
 from survkit.preprocess import dummy_encode
 from survkit.synth import CovariateSpec, GeneratorSpec, MissingRule, ensure_like, generate
 from survkit.tabular import (
@@ -497,6 +500,32 @@ def test_identify_factors_peak_is_a_few_covariate_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 3.8 * ds.covariate_matrix()[0].nbytes
+
+
+def test_test_metrics_peak_does_not_grow_with_the_replicates():
+    """`bootstrap_ci` scores 64-row blocks of the replicates, so on a
+    785-row split the test metrics at 1000 replicates peak within 1.2x of
+    their peak at 63, one block (1.00x read here; metrics fed the whole
+    (1001, 785) matrix read 1.88x)."""
+    rng = np.random.default_rng(0)
+    risk = rng.normal(size=785)
+    t = np.round(rng.exponential(np.exp(-risk)) * 100, 1)
+    e = (rng.random(785) < 0.6).astype(float)
+    knots = np.unique(t[e == 1.0])
+    curves = SurvivalCurve(
+        times=knots, values=np.exp(-np.outer(np.exp(risk), knots / 100)), kind="step"
+    )
+    _test_metrics(t, e, risk, curves, bootstrap_counts(e, 63, 0))  # imports stay out
+    peaks = {}
+    for n_boot in (63, 1000):
+        counts = bootstrap_counts(e, n_boot, 0)
+        tracemalloc.start()
+        try:
+            _test_metrics(t, e, risk, curves, counts)
+            peaks[n_boot] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1000] < 1.2 * peaks[63]
 
 
 def test_factors_to_csv_round_trip(tmp_path):
