@@ -33,9 +33,10 @@ from .tabular import check_fit_inputs
 
 SEPARATION_BOUND = 50.0
 # a fit stops when the relative objective change or the step's infinity norm
-# falls below these
+# falls below these, or unconverged after MAX_ITER iterations
 REL_TOL = 1e-9
 STEP_TOL = 1e-8
+MAX_ITER = 500
 
 
 def neg_log_partial_likelihood(beta, x, times, events):
@@ -94,22 +95,15 @@ def _maybe_warn_scaling(x):
         )
 
 
-def fit_coxph(
-    x,
-    times,
-    events,
-    l1=0.0,
-    l2=0.0,
-    names=None,
-    max_iter=500,
-):
+def fit_coxph(x, times, events, l1=0.0, l2=0.0, names=None):
     """Fit the elastic-net Cox model by proximal gradient descent.
 
     Stops when the relative objective change drops below REL_TOL (1e-9),
-    the step infinity-norm drops below STEP_TOL (1e-8), or max_iter is
-    reached (converged stays False). Coefficients beyond +/-50 abort the
-    fit with a separation diagnostic. The objective decreases monotonically
-    by construction of the line search; an increase is a ComputationError.
+    the step infinity-norm drops below STEP_TOL (1e-8), or after MAX_ITER
+    (500) iterations (converged stays False). Coefficients beyond +/-50
+    abort the fit with a separation diagnostic. The objective decreases
+    monotonically by construction of the line search; an increase is a
+    ComputationError.
     A converged unpenalized fit stores the inverse observed information as
     `covariance`, unless the information is singular: then `aliased` names
     the constant or aliased columns, with a warning, and none is stored.
@@ -139,7 +133,7 @@ def fit_coxph(
     separation = False
     n_iter = 0
 
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, MAX_ITER + 1):
         while True:
             cand = _soft_threshold(beta - step * grad, step * l1)
             delta = cand - beta
@@ -169,7 +163,7 @@ def fit_coxph(
         step *= 1.3  # grow after an accepted step; backtracking shrinks again if needed
 
     if not converged and not separation:
-        warnings.warn(f"proximal gradient did not converge in {max_iter} iterations")
+        warnings.warn(f"proximal gradient did not converge in {MAX_ITER} iterations")
 
     model = CoxModel(
         beta=beta,

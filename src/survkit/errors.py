@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, the unknown-key check, and
-the one reader of the experiment config and the synth spec.
+"""Exception types shared across the toolkit, the seed and unknown-key
+checks, and the one reader of the experiment config and the synth spec.
 
 Validation problems (bad schema, bad cell, bad config) and computation
 problems (non-convergence, degenerate inputs) are kept distinct so the CLI
@@ -57,6 +57,13 @@ class ImputationWarning(UserWarning):
     """An imputation model is saturated: its target has no more observed
     rows than predictors, so its draws are near-exact linear combinations
     of the other columns."""
+
+
+def check_seed(seed):
+    """Raise a DataError unless `seed` is a non-negative integer (Python or
+    numpy), before a generator is seeded with it."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DataError(f"seed={seed!r} is not a non-negative integer")
 
 
 def check_keys(scope, doc, known, error=ConfigError):

@@ -30,8 +30,8 @@ from . import deepsurv as deepsurv_mod
 from .coxph import CoxParams, fit_coxph
 from .deephit import DeepHitParams, fit_deephit
 from .deepsurv import DeepSurvParams, fit_deepsurv
-from .errors import (ComputationError, ConfigError, DataError, check_keys, check_types, read_object,
-                     read_value)
+from .errors import (ComputationError, ConfigError, DataError, check_keys, check_seed, check_types,
+                     read_object, read_value)
 from .impute import apply_mice, fit_mice, mice_impute, pool_rubin
 from .metrics import (
     bootstrap_ci,
@@ -106,6 +106,7 @@ def split(ds, plan, seed):
     """
     test_fraction, kind, inner_size = _split_settings(plan)
     _, e = check_outcomes(ds.time, ds.event)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     strata = [np.flatnonzero(e == 1.0), np.flatnonzero(e == 0.0)]
     strata = [s for s in strata if len(s)]

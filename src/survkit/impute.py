@@ -61,7 +61,7 @@ import numpy as np
 from ._blas import blas_threads
 from .coxph import breslow_from_scores
 from .curves import CumHazardFn
-from .errors import ComputationError, DataError, ImputationWarning, SchemaError
+from .errors import ComputationError, DataError, ImputationWarning, SchemaError, check_seed
 from .tabular import SurvivalDataset, check_outcomes
 
 RIDGE = 1e-6
@@ -277,7 +277,7 @@ def mice_impute(ds, m, iterations, seed):
     """
     if m < 1:
         raise DataError("m must be >= 1")
-    _check_seed(seed)
+    check_seed(seed)
     start = _chain_start(ds, iterations)
     cov_idx = np.flatnonzero([c.role == "covariate" for c in ds.columns])
     rows, k = np.nonzero(ds.missing_mask[:, cov_idx])
@@ -446,11 +446,6 @@ def _chain_start(ds, iterations):
     return _ChainStart(ds, iterations, visit, means, hazard_fn, design, steps, gram)
 
 
-def _check_seed(seed):
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DataError(f"seed={seed!r} is not a non-negative integer")
-
-
 def _chain_sweeps(start, seed):
     """The sweeps of one chain from `start`, drawing from
     default_rng(seed + 100), written into `start.design` and `start.gram`
@@ -459,7 +454,7 @@ def _chain_sweeps(start, seed):
     `mice_impute` restores before each chain. The sweeps run at one BLAS
     thread, so their bits do not depend on the caller's thread count, and
     chains on worker processes do not oversubscribe the CPUs."""
-    _check_seed(seed)
+    check_seed(seed)
     # the chain works in the start's design, column-major as `_chain_setup`
     # made it: a C-order copy sends the steps' matrix products down another
     # BLAS path and moves the draws

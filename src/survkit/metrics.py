@@ -3,11 +3,10 @@
 Censoring weights use the Kaplan-Meier estimate G of the censoring
 distribution (event indicator flipped), the Graf estimator. Weights at an
 observed event time use the left limit G(t-), weights for being at risk at
-the horizon use G(t). IBS and tAUC weigh every sample with its own
-censoring KM, under which no subject the sample holds needs a zero
-weight. Only `brier_score` takes a censoring curve from its caller:
-subjects whose required weight is zero under it are dropped from the sum
-with a warning but stay in the denominator.
+the horizon use G(t). The Brier score, IBS and tAUC weigh each sample
+with its own censoring KM, under which no subject it holds needs a zero
+weight: G(c) = 0 only where everyone still at risk is censored at c, so
+nobody of the sample has an event or is at risk after c.
 
 Every metric also scores R resamples of the same subjects in one pass:
 `counts` is an (R, n) matrix of subject multiplicities (row r says how
@@ -20,14 +19,14 @@ and scores it in blocks of `ROW_CHUNK` rows.
 
 from __future__ import annotations
 
-import warnings
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import concordance_counts
 from .curves import SurvivalCurve
-from .errors import ComputationError, ConfigError, DataError
+from .errors import ComputationError, ConfigError, DataError, check_seed
 from .tabular import check_outcomes
 
 # replicates `bootstrap_ci` scores per metric call; bounds every metric's
@@ -129,47 +128,35 @@ def concordance_index(times, events, scores, counts=None):
         return (conc + 0.5 * tied) / comp
 
 
-def _mass_upto(w, t, grid):
-    """(R, G) sums of w[r, i] over the subjects with t_i <= grid[j]."""
-    order = np.argsort(t, kind="stable")
-    cum = np.zeros((len(w), len(t) + 1))
-    np.cumsum(w[:, order], axis=1, out=cum[:, 1:])
-    return cum[:, np.searchsorted(t[order], grid, side="right")]
+def _brier_grid(t, e, preds, grid, w):
+    """(R, G) IPCW Brier scores of R weighted samples at every grid time.
 
-
-def _brier_grid(t, e, preds, grid, w, censor_curve):
-    """IPCW Brier scores of R weighted samples at every grid time.
-
-    w (R, n) holds subject multiplicities, preds[i, j] is subject i's
-    predicted S(grid[j]), and censor_curve has one row per sample or one
-    for all. Events at or before grid[j] contribute S^2 / G(t_i-); subjects
-    still at risk contribute (1-S)^2 / G(grid[j]); censored-before-grid[j]
-    subjects contribute zero. Zero-weight terms are dropped but stay in
-    the denominator, the sample size. Returns the (R, G) scores and the
-    (R, G) counts of dropped terms.
+    w (R, n) holds subject multiplicities and preds[i, j] is subject i's
+    predicted S(grid[j]); each sample is weighed by its own censoring KM
+    G. Events at or before grid[j] contribute S^2 / G(t_i-); subjects still
+    at risk contribute (1-S)^2 / G(grid[j]); censored-before-grid[j]
+    subjects contribute zero. The denominator is the sample size. A
+    subject a sample holds never meets G = 0; one it leaves out (w = 0)
+    may, and the guarded divisions make it count for nothing.
     """
+    g = censoring_km(t, e, counts=w)
     died = (t[:, None] <= grid) & (e == 1.0)[:, None]
     alive = t[:, None] > grid
-    g_died = censor_curve.left(t)
-    g_alive = censor_curve(grid)
-    weighted = (g_died > 0) & (e == 1.0)
-    inv = np.divide(w, g_died, out=np.zeros_like(w), where=weighted)
+    g_died = g.left(t)
+    g_alive = g(grid)
+    inv = np.divide(w, g_died, out=np.zeros_like(w), where=(g_died > 0) & (e == 1.0))
     terms = np.zeros_like(preds)
     scores = inv @ np.square(preds, out=terms, where=died)
     terms.fill(0.0)
     np.subtract(1.0, preds, out=terms, where=alive)
     rest = w @ np.square(terms, out=terms)
     scores += np.divide(rest, g_alive, out=np.zeros_like(rest), where=g_alive > 0)
-    size = w.sum(axis=1, keepdims=True)
-    scores /= size
-    # zero-weight events up to grid[j], and everyone at risk where G(grid[j]) = 0
-    dropped = _mass_upto(np.where(weighted, 0.0, w * e), t, grid)
-    dropped += np.where(g_alive > 0, 0.0, size - _mass_upto(w, t, grid))
-    return scores, dropped
+    scores /= w.sum(axis=1, keepdims=True)
+    return scores
 
 
-def brier_score(times, events, surv_probs, horizon, censor_curve=None):
-    """IPCW Brier score at one horizon.
+def brier_score(times, events, surv_probs, horizon):
+    """IPCW Brier score at one horizon, weighed by the sample's censoring KM.
 
     surv_probs are the predicted S(horizon) per subject. Events at or
     before the horizon contribute S^2 / G(t_i-); subjects still at risk
@@ -185,14 +172,7 @@ def brier_score(times, events, surv_probs, horizon, censor_curve=None):
     horizon = float(horizon)
     if not np.isfinite(horizon):
         raise DataError("horizon must be finite")
-    if censor_curve is None:
-        censor_curve = censoring_km(t, e)
-    scores, dropped = _brier_grid(
-        t, e, s[:, None], np.array([horizon]), np.ones((1, len(t))), censor_curve
-    )
-    if dropped.any():
-        warnings.warn(f"dropped {int(dropped.sum())} observations with zero censoring weight")
-    return float(scores[0, 0])
+    return float(_brier_grid(t, e, s[:, None], np.array([horizon]), np.ones((1, len(t))))[0, 0])
 
 
 def _masked_trapezoid(y, x, mask):
@@ -208,45 +188,46 @@ def _masked_trapezoid(y, x, mask):
         return np.where(mask.sum(axis=1) >= 2, area / (x[last] - x[first]), np.nan)
 
 
-def integrated_brier(times, events, curves, t_range=None, counts=None):
+def integrated_brier(times, events, curves, counts=None):
     """Trapezoidal integral of the Brier score over an event-time grid.
 
-    `curves` is a SurvivalCurve with one row per subject.
-    The grid is the distinct event times inside t_range (default: from the
-    earliest event to the 90th percentile of follow-up); the integral is
+    `curves` is a SurvivalCurve with one row per subject. The grid is the
+    sample's distinct event times up to its 90th percentile of follow-up,
+    and the weights come from its own censoring KM; the integral is
     normalized by the grid span. Needs at least two grid points.
 
-    With `counts`, every sample takes its grid from its own event times and
-    follow-up and its weights from its own censoring KM; a sample with
-    fewer than two grid points gives NaN. All rows are scored in one pass.
+    With `counts`, every sample takes its grid and weights this way from
+    its own subjects; a sample with fewer than two grid points gives NaN.
+    All rows are scored in one pass.
     """
     t, e = check_outcomes(times, events)
     if len(curves) != len(t):
         raise DataError("need one predicted curve per subject")
     w = _count_rows(counts, len(t))
     ev = np.flatnonzero(e == 1.0)
-    if t_range is None and len(ev) == 0:
-        raise DataError("no events; cannot choose a default range")
+    if len(ev) == 0:
+        raise DataError("no events; cannot choose a grid")
     ev = ev[np.argsort(t[ev], kind="stable")]
     event_times, ev_starts = np.unique(t[ev], return_index=True)
     values = np.full(len(w), np.nan)
     if len(event_times) >= 2:
         preds = curves(event_times)
-        # a sample's grid: the event times it contains, inside its range
+        # a sample's grid: the event times it contains, up to its 90th
+        # percentile of follow-up
         grid = np.add.reduceat(w[:, ev], ev_starts, axis=1) > 0
-        if t_range is None:
-            grid &= event_times <= _row_quantiles(t, w, [0.9])
-        else:
-            grid &= (event_times >= float(t_range[0])) & (event_times <= float(t_range[1]))
+        grid &= event_times <= _row_quantiles(t, w, [0.9])
         if np.isnan(preds[:, grid.any(axis=0)]).any():
             raise DataError("curves must be complete at the event times")
         with np.errstate(invalid="ignore", divide="ignore"):
-            scores, _ = _brier_grid(t, e, preds, event_times, w, censoring_km(t, e, counts=counts))
+            scores = _brier_grid(t, e, preds, event_times, w)
         values = _masked_trapezoid(scores, event_times, grid)
     if counts is not None:
         return values
     if np.isnan(values[0]):
-        raise DataError("fewer than 2 event times in t_range; integral is undefined")
+        raise DataError(
+            "fewer than 2 event times up to the 90th percentile of follow-up; "
+            "integral is undefined"
+        )
     return float(values[0])
 
 
@@ -255,12 +236,12 @@ class TaucResult:
     """Kept horizons, their AUCs and the mean of one sample; with `counts`,
     (R, H) horizons and AUCs (NaN where skipped) and (R,) means."""
 
-    eval_times: np.ndarray
+    horizons: np.ndarray
     values: np.ndarray
     mean: float
 
 
-def _default_horizons(event_times, w):
+def _decile_horizons(event_times, w):
     """Each row's distinct deciles (10%..90%) of its event times, ascending,
     with NaN in place of repeats."""
     h = np.sort(_row_quantiles(event_times, w, DECILES), axis=1)
@@ -270,17 +251,18 @@ def _default_horizons(event_times, w):
     return h
 
 
-def cumulative_dynamic_auc(times, events, scores, eval_times=None, counts=None):
+def cumulative_dynamic_auc(times, events, scores, counts=None):
     """IPCW cumulative/dynamic AUC at each horizon, plus the plain mean.
 
-    Cases at horizon t are subjects with an event at or before t, weighted
-    by 1/G(t_i-). Controls are subjects still at risk after t. Score ties
-    count half. Horizons without both (weighted) cases and controls are
-    skipped. Defaults to the deciles (10%..90%) of the observed event times.
+    The horizons are the distinct deciles (10%..90%) of the sample's event
+    times. Cases at horizon t are subjects with an event at or before t,
+    weighted by 1/G(t_i-) under the sample's own censoring KM. Controls are
+    subjects still at risk after t. Score ties count half. Horizons without
+    both (weighted) cases and controls are skipped.
 
-    With `counts`, every sample takes its default horizons from its own
-    event times and its weights from its own censoring KM; a sample without
-    a usable horizon has a NaN mean. All rows are scored in one pass.
+    With `counts`, every sample takes its horizons and weights this way
+    from its own subjects; a sample without a usable horizon has a NaN
+    mean. All rows are scored in one pass.
     """
     t, e = check_outcomes(times, events)
     s = np.asarray(scores, dtype=float)
@@ -290,8 +272,8 @@ def cumulative_dynamic_auc(times, events, scores, eval_times=None, counts=None):
         raise DataError("scores must be complete")
     w = _count_rows(counts, len(t))
     event = e == 1.0
-    if eval_times is None and not event.any():
-        raise DataError("no events; cannot choose default horizons")
+    if not event.any():
+        raise DataError("no events; cannot choose horizons")
 
     # a case's wins: control mass with a lower score plus half the tied mass
     order = np.argsort(s, kind="stable")
@@ -303,11 +285,7 @@ def cumulative_dynamic_auc(times, events, scores, eval_times=None, counts=None):
     # a zero-weight subject of a sample may still meet G(t-) = 0
     g_case = censoring_km(t, e, counts=counts).left(t)
     inv = np.divide(1.0, g_case, out=np.zeros(np.shape(g_case)), where=g_case > 0)
-    if eval_times is None:
-        horizons = _default_horizons(t[event], w[:, event])
-    else:
-        eval_times = np.atleast_1d(np.asarray(eval_times, dtype=float))
-        horizons = np.broadcast_to(eval_times, (len(w), len(eval_times)))
+    horizons = _decile_horizons(t[event], w[:, event])
     values = np.full(horizons.shape, np.nan)
     for k in range(horizons.shape[1]):
         h = horizons[:, k : k + 1]
@@ -326,13 +304,11 @@ def cumulative_dynamic_auc(times, events, scores, eval_times=None, counts=None):
     with np.errstate(invalid="ignore"):
         mean = np.where(kept, values, 0.0).sum(axis=1) / kept.sum(axis=1)
     if counts is not None:
-        return TaucResult(
-            eval_times=np.where(kept, horizons, np.nan), values=values, mean=mean
-        )
+        return TaucResult(horizons=np.where(kept, horizons, np.nan), values=values, mean=mean)
     if not kept[0].any():
         raise ComputationError("no horizon had both cases and controls")
     return TaucResult(
-        eval_times=horizons[0, kept[0]], values=values[0, kept[0]], mean=float(mean[0])
+        horizons=horizons[0, kept[0]], values=values[0, kept[0]], mean=float(mean[0])
     )
 
 
@@ -352,13 +328,16 @@ def bootstrap_counts(events, n_boot, seed):
     Row 0 is the sample itself (all ones). Row r + 1 is replicate r: events
     and censored subjects are resampled separately (stratum sizes
     preserved), one `choice` per stratum from a generator seeded with
-    (seed, r), and the row counts how often each subject was drawn.
+    (seed, r), and the row counts how often each subject was drawn. An
+    n_boot that is not an integer >= 1 is a ConfigError, a seed that is
+    not a non-negative integer a DataError.
     """
     e = np.asarray(events, dtype=float)
     if e.ndim != 1 or len(e) == 0 or not np.isin(e, (0.0, 1.0)).all():
         raise DataError("events must be a non-empty 1-D array of 0/1")
-    if n_boot < 1:
-        raise ConfigError("n_boot must be >= 1")
+    if not isinstance(n_boot, numbers.Integral) or n_boot < 1:
+        raise ConfigError(f"n_boot={n_boot!r} is not an integer >= 1")
+    check_seed(seed)
     strata = [s for s in (np.flatnonzero(e == 1.0), np.flatnonzero(e == 0.0)) if len(s)]
     counts = np.ones((n_boot + 1, len(e)))
     for rep in range(n_boot):

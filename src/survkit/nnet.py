@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComputationError, DataError
+from .errors import ComputationError, DataError, check_seed
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -80,6 +80,7 @@ def init_mlp(layer_sizes, dropout=0.0, seed=0):
         raise DataError("layer sizes must be positive")
     if not 0.0 <= dropout < 1.0:
         raise DataError("dropout must be in [0, 1)")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     model = MlpModel(list(layer_sizes), np.zeros(_layer_ends(layer_sizes)[-1]), float(dropout))
     for w in model.weights:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComputationError, ConfigError, DataError, check_keys, read_object, read_value
+from .errors import (ComputationError, ConfigError, DataError, check_keys, check_seed, read_object,
+                     read_value)
 from .metrics import concordance_index
 from .tabular import ColumnSpec, SurvivalDataset
 
@@ -180,6 +181,7 @@ def generate(spec, seed=0):
     the true encoded coefficients, each row's linear predictor, and the
     oracle concordance of that predictor on the generated outcomes.
     """
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     n = spec.n
 

@@ -139,7 +139,7 @@ def test_final_nlpl_is_raw_likelihood_at_solution():
     assert model.final_nlpl == pytest.approx(raw, rel=1e-12)
 
 
-def test_separation_is_detected():
+def test_separation_is_detected(monkeypatch):
     """A separating covariate on a tiny scale walks beta past the bound.
 
     With a 0.01-scale group indicator the optimizer needs |beta| in the
@@ -149,8 +149,9 @@ def test_separation_is_detected():
     t = np.r_[np.arange(1.0, 11.0), np.arange(100.0, 110.0)]
     e = np.ones(20)
     g = np.r_[np.ones(10), np.zeros(10)] * 0.01
+    monkeypatch.setattr(coxph, "MAX_ITER", 20000)
     with pytest.warns(UserWarning, match="separation"):
-        model = fit_coxph(g[:, None], t, e, max_iter=20000)
+        model = fit_coxph(g[:, None], t, e)
     assert model.separation
     assert not model.converged
     assert model.baseline is None
@@ -333,13 +334,14 @@ def test_aliased_covariates_are_named_and_the_others_are_not():
 
 
 @pytest.mark.filterwarnings("ignore::survkit.errors.ScalingWarning")
-def test_a_regular_information_is_stored_as_its_inverse():
+def test_a_regular_information_is_stored_as_its_inverse(monkeypatch):
     """A full-rank fit stores np.linalg.inv of its information, bit for bit,
     also with badly scaled columns."""
     rng = np.random.default_rng(41)
     x, t, e = exponential_cohort(rng, [0.5, -0.3], 300, censor_scale=2.0)
     x = x * [1e-3, 1e3]
-    model = fit_coxph(x, t, e, max_iter=5000)
+    monkeypatch.setattr(coxph, "MAX_ITER", 5000)
+    model = fit_coxph(x, t, e)
     assert model.converged and model.aliased == []
     info = _efron_information(model.beta, x, efron_ties(t, e))
     assert model.covariance.tobytes() == np.linalg.inv(info).tobytes()

@@ -4,7 +4,6 @@ Every IPCW quantity is checked against a deliberately plain double-loop
 oracle written from the definitions, not against the library's own code.
 """
 
-import re
 import warnings
 
 import numpy as np
@@ -248,12 +247,11 @@ def test_ibs_matches_trapezoid_of_pointwise_brier():
     t, e = censored_sample(rng, n)
     drop = t + rng.random(n) * 3
     curves = step_curves(t, drop)
-    lo, hi = 1.0, float(np.quantile(t, 0.9))
     grid = np.unique(t[e == 1.0])
-    grid = grid[(grid >= lo) & (grid <= hi)]
+    grid = grid[grid <= np.quantile(t, 0.9)]
     scores = [brier_oracle(t, e, (u < drop).astype(float), u)[0] for u in grid]
     expected = np.trapezoid(scores, grid) / (grid[-1] - grid[0])
-    got = integrated_brier(t, e, curves, t_range=(lo, hi))
+    got = integrated_brier(t, e, curves)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -262,40 +260,18 @@ def test_ibs_needs_enough_grid():
         integrated_brier([1.0, 2.0], [1.0, 0.0], step_curves([1.0, 2.0], [1.0, 1.0]))
 
 
-def dropped_counts(fn):
-    """fn()'s value and the counts its zero-weight warnings report."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = fn()
-    counts = [
-        int(m.group(1))
-        for w in caught
-        if (m := re.search(r"dropped (\d+) observations", str(w.message)))
-    ]
-    return value, counts
-
-
-# Tied integer times 1..6; censoring knots on and between them, with
-# weights in [0.05, 1] (so abs 1e-12 is a tight check) and the last one at
-# G = 0 so the zero-weight drop runs; horizons before, at, between and
+# Tied integer times 1..6 with the largest one censored or not, so the
+# censoring KM reaches 0 in some cohorts; horizons before, at, between and
 # past the times.
-CENSOR_KNOTS = [1.0, 1.5, 2.0, 3.0, 3.5, 4.0, 5.0, 6.0]
 HORIZONS = np.r_[0.5, np.arange(1.0, 6.5, 0.5), 7.0]
 
 brier_cases = st.integers(2, 25).flatmap(
     lambda n: st.tuples(
         st.lists(st.integers(1, 6), min_size=n, max_size=n),
         st.lists(st.booleans(), min_size=n, max_size=n),
+        st.booleans(),
         st.lists(
             st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6), min_size=n, max_size=n
-        ),
-        st.lists(st.sampled_from(CENSOR_KNOTS), min_size=1, unique=True).flatmap(
-            lambda knots: st.tuples(
-                st.just(sorted(knots)),
-                st.lists(
-                    st.floats(0.05, 1.0), min_size=len(knots) - 1, max_size=len(knots) - 1
-                ),
-            )
         ),
     )
 )
@@ -304,24 +280,23 @@ brier_cases = st.integers(2, 25).flatmap(
 @settings(max_examples=200, deadline=None)
 @given(brier_cases)
 def test_brier_grid_matches_oracle_with_zero_weights(case):
-    times, events, rows, (knots, g_values) = case
+    """At tied times and at horizons where the censoring KM is 0, the score
+    is the double sum, and the double sum drops no term: no subject needs
+    a zero weight."""
+    times, events, last_censored, rows = case
     t = np.asarray(times, dtype=float)
     e = np.asarray(events, dtype=float)
+    if last_censored:
+        t[-1] = 6.0
+        e[-1] = 0.0
     curves = SurvivalCurve(
         times=np.arange(1.0, 7.0), values=-np.sort(-np.asarray(rows), axis=1), kind="step"
     )
-    g = SurvivalCurve(times=knots, values=[*sorted(g_values, reverse=True), 0.0], kind="step")
-
-    def oracle(u):
-        return brier_oracle(t, e, curves(np.array([u]))[:, 0], u, g)
-
     for u in HORIZONS:
-        got, counts = dropped_counts(
-            lambda: brier_score(t, e, curves(np.array([u]))[:, 0], u, censor_curve=g)
-        )
-        expected, dropped = oracle(u)
-        assert got == pytest.approx(expected, abs=1e-12)
-        assert counts == ([dropped] if dropped else [])
+        s = curves(np.array([u]))[:, 0]
+        expected, dropped = brier_oracle(t, e, s, u)
+        assert dropped == 0
+        assert brier_score(t, e, s, u) == pytest.approx(expected, abs=1e-12)
 
 
 # -- time-dependent AUC -------------------------------------------------------------
@@ -374,19 +349,22 @@ def test_tauc_matches_double_loop_oracle():
         n = int(rng.integers(15, 80))
         t, e = censored_sample(rng, n)
         s = np.round(rng.normal(size=n), 1)
-        horizons = np.quantile(t[e == 1.0], [0.3, 0.6]) if e.sum() > 1 else [t.mean()]
-        res = cumulative_dynamic_auc(t, e, s, eval_times=horizons)
+        horizons = np.unique(np.quantile(t[e == 1.0], DECILES))
+        res = cumulative_dynamic_auc(t, e, s)
         np.testing.assert_allclose(res.values, tauc_oracle(t, e, s, horizons)[0], atol=1e-12)
 
 
 def test_tauc_skips_degenerate_horizons():
-    t = np.array([1.0, 2.0, 3.0, 4.0])
+    t = np.array([1.0, 2.0, 2.0, 2.0])
     e = np.ones(4)
-    res = cumulative_dynamic_auc(t, e, -t, eval_times=[0.5, 2.0, 9.0])
-    # 0.5 has no cases yet, 9.0 has no controls left: only 2.0 survives
-    np.testing.assert_array_equal(res.eval_times, [2.0])
+    deciles = np.unique(np.quantile(t, DECILES))
+    assert deciles[-1] == 2.0
+    res = cumulative_dynamic_auc(t, e, -t)
+    # nobody is at risk after 2.0, so it has no controls: the others survive
+    np.testing.assert_array_equal(res.horizons, deciles[:-1])
+    # the one decile of [2, 2] has no controls either
     with pytest.raises(ComputationError):
-        cumulative_dynamic_auc(t, e, -t, eval_times=[0.5])
+        cumulative_dynamic_auc([2.0, 2.0], [1.0, 1.0], [0.0, 1.0])
 
 
 # -- bootstrap ----------------------------------------------------------------------
@@ -579,15 +557,16 @@ def test_batch_bootstrap_matches_per_replicate_oracle(case):
             lambda i: tauc_mean_oracle(t[i], e[i], s[i], censoring_km(t[i], e[i])),
         ),
     ):
-        got, warned = dropped_counts(batch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = batch()
         want = np.array([oracle(i)[0] for i in draws])
         np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
         np.testing.assert_allclose(got, want, rtol=1e-12)
-        assert warned == []
 
 
-# Tied times 1..6 with the largest one censored or not, and a range or
-# horizons reaching past every time.
+# Tied times 1..6 with the largest one censored or not, and horizons
+# reaching past every time.
 reach_cases = st.integers(2, 24).flatmap(
     lambda n: st.tuples(
         st.lists(st.integers(1, 6), min_size=n, max_size=n),
@@ -606,7 +585,8 @@ def test_own_censoring_km_never_drops_a_weighted_subject(case):
     """Under each sample's own censoring KM no subject it holds needs a zero
     weight: G(c) = 0 only where everyone still at risk is censored at c, so
     nobody of the sample has an event or is at risk after c. The oracles
-    count such drops from the definition on every expanded replicate."""
+    count such drops from the definition on every expanded replicate; the
+    metrics' guarded divisions rest on this."""
     times, events, last_censored, scores, horizons, seed = case
     t = np.asarray(times, dtype=float)
     e = np.asarray(events, dtype=float)
@@ -618,20 +598,11 @@ def test_own_censoring_km_never_drops_a_weighted_subject(case):
     curves = SurvivalCurve(
         times=np.arange(1.0, 7.0), values=np.full((len(t), 6), 0.5), kind="step"
     )
-    counts = bootstrap_counts(e, N_BOOT, seed)
     for i in [np.arange(len(t)), *legacy_draws(e, N_BOOT, seed)]:
         g = censoring_km(t[i], e[i])
         for u in np.unique(t[i][e[i] == 1.0]):
             assert brier_oracle(t[i], e[i], curves[i](np.array([u]))[:, 0], u, g)[1] == 0
         assert tauc_oracle(t[i], e[i], s[i], horizons, g)[1] == 0
-    for batch in (
-        lambda: integrated_brier(t, e, curves, t_range=(0.0, 7.0), counts=counts),
-        lambda: cumulative_dynamic_auc(t, e, s, eval_times=horizons, counts=counts),
-    ):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            batch()
-        assert caught == []
 
 
 def test_zero_weight_subject_past_a_zero_censoring_km_is_ignored():

@@ -1,6 +1,8 @@
 """The outcome contract: every fit, estimator and metric reads (times,
 events) through `tabular.check_outcomes`, so each public entry rejects the
-same bad outcomes with a DataError, and accepts the same good ones."""
+same bad outcomes with a DataError, and accepts the same good ones. Every
+entry that seeds a generator checks its seed through `errors.check_seed`
+in the same way."""
 
 import numpy as np
 import pytest
@@ -9,10 +11,11 @@ from survkit.coxph import fit_coxph, neg_log_partial_likelihood
 from survkit.curves import SurvivalCurve
 from survkit.deephit import DeepHitParams, fit_deephit
 from survkit.deepsurv import DeepSurvParams, fit_deepsurv
-from survkit.errors import DataError
+from survkit.errors import ConfigError, DataError
 from survkit.harness import SplitPlan, split
 from survkit.impute import apply_mice, fit_mice, nelson_aalen
 from survkit.metrics import (
+    bootstrap_counts,
     brier_score,
     censoring_km,
     concordance_index,
@@ -20,6 +23,8 @@ from survkit.metrics import (
     integrated_brier,
     kaplan_meier,
 )
+from survkit.nnet import init_mlp
+from survkit.synth import CovariateSpec, GeneratorSpec, generate
 from survkit.tabular import (
     ColumnSpec,
     SurvivalDataset,
@@ -157,3 +162,36 @@ def test_check_fit_inputs_rejects_a_covariate_matrix_of_the_wrong_shape():
         check_fit_inputs(x[:, 0], TIMES, EVENTS)
     with pytest.raises(DataError, match="no covariate columns"):
         check_fit_inputs(x[:, :0], TIMES, EVENTS)
+
+
+# entries taking a seed: call(seed)
+SEED_ENTRIES = {
+    "bootstrap_counts": lambda seed: bootstrap_counts(EVENTS, 5, seed),
+    "split": lambda seed: split(dataset(TIMES, EVENTS), SplitPlan(), seed),
+    "generate": lambda seed: generate(
+        GeneratorSpec(n=20, covariates=[CovariateSpec("a", "continuous", [0.0, 1.0])]), seed),
+    "init_mlp": lambda seed: init_mlp([2, 3, 1], seed=seed),
+    "fit_deepsurv": lambda seed: fit_deepsurv(
+        covariates(len(TIMES)), TIMES, EVENTS, DeepSurvParams(hidden=[4], epochs=1), seed),
+    "fit_deephit": lambda seed: fit_deephit(
+        covariates(len(TIMES)), TIMES, EVENTS, DeepHitParams(hidden=[4], n_bins=3, epochs=1), seed),
+    "fit_mice": lambda seed: fit_mice(dataset(TIMES, EVENTS), iterations=1, seed=seed),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SEED_ENTRIES))
+def test_seed_entry_accepts_a_numpy_integer(entry):
+    SEED_ENTRIES[entry](np.int64(3))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+@pytest.mark.parametrize("entry", sorted(SEED_ENTRIES))
+def test_seed_entry_rejects_any_other_seed(entry, seed):
+    with pytest.raises(DataError, match="is not a non-negative integer"):
+        SEED_ENTRIES[entry](seed)
+
+
+@pytest.mark.parametrize("n_boot", [0, 2.5, "5"])
+def test_bootstrap_counts_rejects_a_replicate_count_that_is_no_positive_integer(n_boot):
+    with pytest.raises(ConfigError, match="is not an integer >= 1"):
+        bootstrap_counts(EVENTS, n_boot, 0)

@@ -10,7 +10,8 @@ a keyword sets it, and so do a positional argument at its place, a `*` or
 call of a class is a call of its `__init__`. Names are matched, not
 resolved, so a method counts as reached when any attribute of that name is
 read, and an option as set when any call of that name sets it; the scans
-miss some unreached code but never flag reached code.
+miss some unreached code but never flag reached code. Every entry of
+`ALLOWED` and `ALLOWED_OPTIONS` must name a function or option that exists.
 """
 
 import ast
@@ -40,11 +41,6 @@ ALLOWED_OPTIONS = {
     "SurvivalDataset.missing_mask",
     # the README quick start passes it
     "fit_scaler.columns",
-    # library contract that tests exercise
-    "fit_coxph.max_iter",
-    "brier_score.censor_curve",
-    "integrated_brier.t_range",
-    "cumulative_dynamic_auc.eval_times",
 }
 
 
@@ -62,9 +58,11 @@ def _name(node):
     return None
 
 
-def test_every_function_is_reached_outside_the_tests():
-    defined = []  # (name, path, first line, last line)
-    used = {}  # name -> [(path, line)]
+def _functions():
+    """The package's functions as (name, path, first line, last line), and
+    every name read as {name: [(path, line)]}."""
+    defined = []
+    used = {}
     for path, tree in _trees():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -74,6 +72,11 @@ def test_every_function_is_reached_outside_the_tests():
                 used.setdefault(node.id, []).append((path, node.lineno))
             elif isinstance(node, ast.Attribute):
                 used.setdefault(node.attr, []).append((path, node.lineno))
+    return defined, used
+
+
+def test_every_function_is_reached_outside_the_tests():
+    defined, used = _functions()
 
     def reached(name, path, first, last):
         return any(not (p == path and first <= line <= last) for p, line in used.get(name, ()))
@@ -88,9 +91,12 @@ def test_every_function_is_reached_outside_the_tests():
     assert not unreached, f"functions no command or script reaches: {unreached}"
 
 
-def test_every_option_is_set_outside_the_tests():
-    options = []  # (label, called name, parameter, place among the passed arguments)
-    calls = {}  # called name -> [(positional count, any * or **, keywords)]
+def _options():
+    """The package's options as (label, called name, parameter, place among
+    the passed arguments), and every call as {called name: [(positional
+    count, any * or **, keywords)]}."""
+    options = []
+    calls = {}
     for path, tree in _trees():
         methods = {item: cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                    for item in cls.body if isinstance(item, ast.FunctionDef)}
@@ -122,6 +128,11 @@ def test_every_option_is_set_outside_the_tests():
                 keywords = {k.arg for k in node.keywords}
                 spread = None in keywords or any(isinstance(a, ast.Starred) for a in passed)
                 calls.setdefault(called, []).append((len(passed), spread, keywords))
+    return options, calls
+
+
+def test_every_option_is_set_outside_the_tests():
+    options, calls = _options()
 
     def set_by_a_call(called, param, place):
         return any(spread or param in keywords or (place is not None and place < count)
@@ -130,3 +141,10 @@ def test_every_option_is_set_outside_the_tests():
     unset = sorted(label for label, called, param, place in options
                    if label not in ALLOWED_OPTIONS and not set_by_a_call(called, param, place))
     assert not unset, f"options no command or script sets: {unset}"
+
+
+def test_every_allowed_entry_names_a_function_or_option():
+    functions = {name for name, *_ in _functions()[0]}
+    options = {label for label, *_ in _options()[0]}
+    assert not ALLOWED - functions, f"no such function: {sorted(ALLOWED - functions)}"
+    assert not ALLOWED_OPTIONS - options, f"no such option: {sorted(ALLOWED_OPTIONS - options)}"
