@@ -30,6 +30,7 @@ import datetime as dt
 import hashlib
 import json
 import sys
+import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -103,12 +104,15 @@ def _load_json(path, what):
 
 def _run(args):
     """Run the parsed command, then make its directory, write its files and
-    manifest.json, and print the directory's path. The command runs at one
-    BLAS thread, so its output bytes do not depend on the machine's thread
-    count, and the caller's count is restored on exit."""
+    manifest.json, with the command's wall-clock seconds, and print the
+    directory's path. The command runs at one BLAS thread, so its output
+    bytes do not depend on the machine's thread count, and the caller's
+    count is restored on exit."""
     with blas_threads(1) as threads:
         started = _utc_now()
+        t0 = time.perf_counter()
         run = args.func(args)
+        seconds = time.perf_counter() - t0
         if args.out:
             out_dir = Path(args.out)
         else:
@@ -125,6 +129,7 @@ def _run(args):
             "toolkit_version": __version__,
             "started_utc": started,
             "finished_utc": _utc_now(),
+            "wall_clock_seconds": seconds,
             "blas_threads": threads,
             **run.extra,
         })
@@ -226,8 +231,7 @@ def cmd_experiment(args):
             rows=[[pid, repr(float(t)), repr(float(s))]
                   for pid, times, row in series for t, s in zip(times, row)])
     return _Run(files, config_bytes, inputs, config.seed,
-                {"models": args.models, "plot_patients": args.plot_patients},
-                {"wall_clock_seconds": report.wall_clock_seconds})
+                {"models": args.models, "plot_patients": args.plot_patients})
 
 
 def cmd_synth(args):

@@ -10,15 +10,17 @@ s draws chain i from s+100+i; fold pipelines and model training in the
 grid use seed + 10000*(family_index+1) + 100*grid_index + fold_index; the
 final refit uses seed + 50000 + family_index; test-set bootstraps use
 seed + 300 + family_index. The family index is the family's place in
-FAMILY_REGISTRY (coxph 0, deepsurv 1, deephit 2), so a family's results do
-not depend on which other families run or in what order the config lists
-them. Every stage is reproducible in isolation.
+FAMILY_REGISTRY (coxph 0, deepsurv 1, deephit 2): the registry's order sets
+each family's seed offsets, so reordering it changes every report, while a
+family's results do not depend on which other families run or in what
+order the config lists them. Every stage is reproducible in isolation.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -150,6 +152,8 @@ class PrepConfig:
         check_types("prep", self)
         if self.impute_iterations < 1:
             raise DataError(f"impute_iterations must be >= 1, got {self.impute_iterations!r}")
+        if not 0.0 < self.prune_threshold <= 1.0:
+            raise DataError(f"prune_threshold must be in (0, 1], got {self.prune_threshold!r}")
 
 
 @dataclass
@@ -198,83 +202,59 @@ def fit_fold_pipeline(fit_ds, prep, seed):
     )
 
 
-# -- model family adapters -----------------------------------------------------
+# -- model families ---------------------------------------------------------------
 
-class _Family:
-    """Grid points read as `params_cls`; neural tie-breaks: size, then lr."""
+@dataclass(frozen=True)
+class Family:
+    """A model family as a record. `fit(x, times, events, params, seed,
+    names)` fits a model, `risk(model, x)` scores rows, `curves(model, x,
+    times)` predicts their survival curves, and grid ties go to the lower
+    `key(params)`. Each function looks its model function up when called,
+    so a wrapper rebound over that function later is the one reached.
+    Records hold lambdas and cannot be pickled: pass a family's name."""
+
+    name: str
+    params_cls: type
+    default_grid: dict
+    fit: Callable
+    risk: Callable
+    curves: Callable
+    key: Callable
 
     def make_params(self, d):
+        """The grid point `d` read as `params_cls`."""
         return read_object(self.name, self.params_cls, d)
 
-    def complexity(self, params):
-        return (sum(params.hidden), len(params.hidden))
 
-    def lr(self, params):
-        return params.lr
-
-
-class _CoxFamily(_Family):
-    name = "coxph"
-    params_cls = CoxParams
-    default_grid = {"l1": [0.0], "l2": [0.0]}
-
-    def fit(self, x, times, events, params, seed, names=None):
-        return fit_coxph(x, times, events, l1=params.l1, l2=params.l2, names=names)
-
-    def risk(self, model, x):
-        return model.linear_predictor(x)
-
-    def curves(self, model, x, times):
-        return coxph_mod.predict_survival(model, x, times)
-
-    def complexity(self, params):
-        # heavier penalties mean a smaller effective model
-        return (-(params.l1 + params.l2),)
-
-    def lr(self, params):
-        return 0.0
+def _size_then_lr(params):
+    # the neural tie-break: fewer units, then fewer layers, then the lower lr
+    return (sum(params.hidden), len(params.hidden), params.lr)
 
 
-class _DeepSurvFamily(_Family):
-    name = "deepsurv"
-    params_cls = DeepSurvParams
-    default_grid = {"hidden": [[64, 64]], "dropout": [0.1], "epochs": [75],
-                    "batch_size": [64], "lr": [0.1], "lr_decay": [0.7],
-                    "weight_decay": [0.05]}
-
-    def fit(self, x, times, events, params, seed, names=None):
-        return fit_deepsurv(x, times, events, params, seed)
-
-    def risk(self, model, x):
-        return deepsurv_mod.predict_risk(model, x)
-
-    def curves(self, model, x, times):
-        return deepsurv_mod.predict_survival(model, x, times)
-
-
-class _DeepHitFamily(_Family):
-    name = "deephit"
-    params_cls = DeepHitParams
-    default_grid = {"hidden": [[64, 128, 64]], "dropout": [0.1], "epochs": [25],
-                    "batch_size": [64], "lr": [0.005], "lr_decay": [0.7],
-                    "weight_decay": [0.05], "n_bins": [60]}
-
-    def fit(self, x, times, events, params, seed, names=None):
-        return fit_deephit(x, times, events, params, seed)
-
-    def risk(self, model, x):
-        return deephit_mod.predict_risk(model, x)
-
-    def curves(self, model, x, times):
-        # curves live on the model's own grid; evaluation clamps beyond it
-        return deephit_mod.predict_survival(model, x)
-
-
-FAMILY_REGISTRY = {
-    "coxph": _CoxFamily(),
-    "deepsurv": _DeepSurvFamily(),
-    "deephit": _DeepHitFamily(),
-}
+# the order sets each family's seed offsets (see the module docstring)
+FAMILY_REGISTRY = {family.name: family for family in (
+    Family("coxph", CoxParams, {"l1": [0.0], "l2": [0.0]},
+           fit=lambda x, t, e, p, seed, names: fit_coxph(x, t, e, l1=p.l1, l2=p.l2, names=names),
+           risk=lambda model, x: model.linear_predictor(x),
+           curves=lambda model, x, times: coxph_mod.predict_survival(model, x, times),
+           # heavier penalties mean a smaller effective model
+           key=lambda p: (-(p.l1 + p.l2),)),
+    Family("deepsurv", DeepSurvParams,
+           {"hidden": [[64, 64]], "dropout": [0.1], "epochs": [75], "batch_size": [64],
+            "lr": [0.1], "lr_decay": [0.7], "weight_decay": [0.05]},
+           fit=lambda x, t, e, p, seed, names: fit_deepsurv(x, t, e, p, seed),
+           risk=lambda model, x: deepsurv_mod.predict_risk(model, x),
+           curves=lambda model, x, times: deepsurv_mod.predict_survival(model, x, times),
+           key=_size_then_lr),
+    Family("deephit", DeepHitParams,
+           {"hidden": [[64, 128, 64]], "dropout": [0.1], "epochs": [25], "batch_size": [64],
+            "lr": [0.005], "lr_decay": [0.7], "weight_decay": [0.05], "n_bins": [60]},
+           fit=lambda x, t, e, p, seed, names: fit_deephit(x, t, e, p, seed),
+           risk=lambda model, x: deephit_mod.predict_risk(model, x),
+           # curves live on the model's own grid; evaluation clamps beyond it
+           curves=lambda model, x, times: deephit_mod.predict_survival(model, x),
+           key=_size_then_lr),
+)}
 
 
 # -- cross-validated evaluation -------------------------------------------------
@@ -285,7 +265,7 @@ def fit_and_apply(fit_ds, other_ds, family_name, params, prep, seed):
     pipeline). The one fit step of a CV fold and of the final refit."""
     pipeline = fit_fold_pipeline(fit_ds, prep, seed)
     model = FAMILY_REGISTRY[family_name].fit(
-        pipeline.x_fit, fit_ds.time, fit_ds.event, params, seed, names=pipeline.feature_names
+        pipeline.x_fit, fit_ds.time, fit_ds.event, params, seed, pipeline.feature_names
     )
     return pipeline, model, pipeline.transform(other_ds)
 
@@ -327,8 +307,8 @@ class GridResult:
 
 
 def grid_search(ds, folds, family_name, grid, prep, seed):
-    """Mean validation C-index over all grid points; ties prefer the
-    smaller model, then the lower learning rate, then grid order."""
+    """Mean validation C-index over all grid points; ties go to the lower
+    `family.key`, then to the earlier grid point."""
     family = FAMILY_REGISTRY[family_name]
     points = expand_grid(grid)
     entries = []
@@ -338,7 +318,7 @@ def grid_search(ds, folds, family_name, grid, prep, seed):
         scores = cv_evaluate(ds, folds, family_name, params, prep, seed + 100 * gi)
         mean = float(np.mean(scores))
         entries.append({"params": point, "fold_scores": scores, "mean_score": mean})
-        ranked.append((-mean, family.complexity(params), family.lr(params), gi))
+        ranked.append((-mean, family.key(params), gi))
     best = min(ranked)[-1]
     return GridResult(best_params=points[best], best_index=best, entries=entries)
 
@@ -476,7 +456,6 @@ class ExperimentConfig:
 @dataclass
 class ExperimentReport:
     content: dict
-    wall_clock_seconds: float = 0.0
     # family name -> (refit model, test-split covariates through its pipeline)
     fits: dict = field(default_factory=dict, repr=False)
     curve_times: np.ndarray = None  # the test split's distinct event times
@@ -521,11 +500,8 @@ def run_experiment(ds, config):
 
     `ds` must already be dummy-coded (numeric covariates). Returns an
     ExperimentReport whose canonical JSON bytes are identical across
-    same-seed reruns; timing lives outside the canonical content.
+    same-seed reruns.
     """
-    import time as _time
-
-    t0 = _time.perf_counter()
     if not config.families:
         raise ConfigError("no model families configured")
     seed = config.seed
@@ -594,6 +570,4 @@ def run_experiment(ds, config):
         },
         "families": families_out,
     }
-    report = ExperimentReport(content=content, fits=fits, curve_times=curve_times)
-    report.wall_clock_seconds = _time.perf_counter() - t0
-    return report
+    return ExperimentReport(content=content, fits=fits, curve_times=curve_times)

@@ -110,8 +110,11 @@ def prune_correlated(ds, threshold, priority=None):
     pair the column with the higher `priority` value is dropped (default:
     equal priority), ties broken toward the later schema position.
 
-    Returns (pruned dataset, report).
+    Returns (pruned dataset, report). A threshold outside (0, 1] is a
+    DataError: at 0 or below every pair exceeds it.
     """
+    if not 0.0 < threshold <= 1.0:
+        raise DataError(f"prune_threshold must be in (0, 1], got {threshold!r}")
     cand = [c.name for c in ds.columns if c.role == "covariate"]
     for name in cand:
         if ds.column(name).kind == "categorical":

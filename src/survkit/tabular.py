@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, SchemaError, check_keys
+from .errors import DataError, SchemaError, check_keys, check_types
 
 KINDS = ("continuous", "categorical", "binary")
 ROLES = ("covariate", "time", "event", "id", "center")
@@ -405,6 +405,9 @@ class InclusionRules:
     drop_missing_outcomes: bool = True
     exclude_levels: dict[str, list[str]] = field(default_factory=dict)
     exclude_early_events: float | None = None
+
+    def __post_init__(self):
+        check_types("inclusion", self)
 
 
 def apply_inclusion(ds, rules):

@@ -70,8 +70,20 @@ print(json.dumps({
     "uncovered": uncovered,
     "identities": spans.identities(tracer, workloads.expected_counts("smoke")),
     "layers": spans.layer_metrics(tracer),
+    "calls": [tracer.calls_under(*edge) for edge in json.loads(sys.argv[4])],
 }))
 """
+
+# (caller, callee) spans of each family's fit, risk and curve calls that the
+# harness makes through its family records; deepsurv's own curve and fit
+# calls reach its risk function too, so the caller is part of the check
+FAMILY_CALLS = [
+    *[("harness.fit_and_apply", f"{family}.fit") for family in ("coxph", "deepsurv", "deephit")],
+    *[(caller, f"{family}.predict_risk") for caller in ("harness.cv_evaluate", "harness.run_experiment")
+      for family in ("deepsurv", "deephit")],
+    *[("harness.run_experiment", f"{family}.predict_survival")
+      for family in ("coxph", "deepsurv", "deephit")],
+]
 
 
 def test_traced_experiment_covers_every_layer(tmp_path):
@@ -79,7 +91,7 @@ def test_traced_experiment_covers_every_layer(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
         [sys.executable, "-c", TRACED_RUN, str(ROOT / "survbench"), str(tmp_path),
-         json.dumps(SMOKE_OVERRIDES)],
+         json.dumps(SMOKE_OVERRIDES), json.dumps(FAMILY_CALLS)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
@@ -95,6 +107,8 @@ def test_traced_experiment_covers_every_layer(tmp_path):
     for name in ("deephit.predict_survival.curves", "coxph.predict_survival.s",
                  "curves.survival_curve.evals", "kernels.concordance.calls"):
         assert result["layers"][name] > 0, name
+    for edge, calls in zip(FAMILY_CALLS, result["calls"]):
+        assert calls > 0, edge
 
 
 # identify-factors on a small cohort, traced as TRACED_RUN traces the

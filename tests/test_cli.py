@@ -156,8 +156,10 @@ def test_version_flag_exits_zero(capsys):
 
 def test_manifest_records_blas_threads_and_mice_workers(tmp_path):
     """The manifest records the BLAS thread count a command ran at (None
-    without OpenBLAS) and, for the commands that impute, the worker count
-    of the MICE chains; neither reaches the command's other files."""
+    without OpenBLAS), its wall-clock seconds and, for the commands that
+    impute, the worker count of the MICE chains; none reaches the
+    command's other files. `test_experiment_end_to_end_and_rerun_bytes`
+    checks the experiment's seconds."""
     data, schema = write_cohort(tmp_path)
     cohort = ["--data", str(data), "--schema", str(schema), "--m", "3", "--iterations", "1"]
     for command in ("impute", "identify-factors"):
@@ -173,10 +175,11 @@ def test_manifest_records_blas_threads_and_mice_workers(tmp_path):
         manifest = json.loads((tmp_path / command / "manifest.json").read_text())
         assert {k: manifest.get(k) for k in ("blas_threads", "mice_workers")} == {
             "blas_threads": threads, "mice_workers": None, **extra}, command
+        assert manifest["wall_clock_seconds"] > 0.0, command
     for path in tmp_path.glob("*/*"):
         if path.name != "manifest.json":
-            assert b"blas_threads" not in path.read_bytes() and b"mice_workers" not in (
-                path.read_bytes()), path
+            for key in (b"blas_threads", b"mice_workers", b"wall_clock_seconds"):
+                assert key not in path.read_bytes(), path
 
 
 def test_main_restores_the_callers_blas_threads(tmp_path, capsys):
@@ -611,6 +614,9 @@ def test_experiment_rejects_wrong_typed_run_settings_before_any_fit(tmp_path, ca
         ({"seed": True}, "config: seed=True"),
         ({"n_boot": float("inf")}, "config: n_boot=inf"),
         ({"prep": {"prune_threshold": float("nan")}}, "prep: prune_threshold=nan"),
+        # at 0 or below every pair is correlated enough to prune
+        ({"prep": {"prune_threshold": -0.5}}, "prep: prune_threshold must be in (0, 1], got -0.5"),
+        ({"prep": {"prune_threshold": 0}}, "prep: prune_threshold must be in (0, 1], got 0.0"),
         ({"families": {"coxph": {"l1": ["nan"]}}}, "coxph: l1='nan'"),
         ({"families": {"deepsurv": {"lr": [float("inf")]}}}, "deepsurv: lr=inf"),
         # each grid value is range-checked at load, not at its own fit

@@ -193,6 +193,17 @@ def test_prune_requires_complete_covariates():
         prune_correlated(SurvivalDataset(ds.columns, values), 0.7)
 
 
+def test_prune_rejects_a_threshold_outside_zero_to_one():
+    """At a threshold of 0 or below every pair exceeds it and all but one
+    covariate would go; above 1 none could. Both are errors, not a run."""
+    ds = corr_ds()
+    for threshold in (-1.0, 0.0, 1.5, float("nan")):
+        with pytest.raises(DataError, match=r"prune_threshold must be in \(0, 1\]"):
+            prune_correlated(ds, threshold)
+    pruned, _ = prune_correlated(ds, 1.0)
+    assert pruned.column_names == ds.column_names
+
+
 def test_prune_skips_thin_overlap():
     cols = outcome_cols() + [
         ColumnSpec("a", "continuous"),
@@ -214,7 +225,7 @@ def test_prune_skips_a_constant_whose_std_is_not_zero():
     values = np.column_stack([rng.exponential(10.0, n) + 0.1, (rng.random(n) < 0.5).astype(float),
                               rng.normal(size=n), np.full(n, 0.3), rng.normal(size=n)])
     assert values[:, 3].std() != 0.0
-    _, report = prune_correlated(SurvivalDataset(cols, values), 0.0)
+    _, report = prune_correlated(SurvivalDataset(cols, values), 0.05)
     assert report["skipped_pairs"] == [
         {"pair": ["a", "flat"], "reason": "constant-on-overlap"},
         {"pair": ["flat", "c"], "reason": "constant-on-overlap"},
