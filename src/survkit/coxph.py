@@ -28,7 +28,7 @@ import numpy as np
 
 from ._kernels import efron_eval, efron_loss_grad, efron_ties
 from .curves import CumHazardFn, SurvivalCurve
-from .errors import ComputationError, DataError, ScalingWarning
+from .errors import ComputationError, DataError, ScalingWarning, check_types
 from .tabular import check_fit_inputs
 
 SEPARATION_BOUND = 50.0
@@ -57,6 +57,7 @@ class CoxParams:
     l2: float = 0.0
 
     def __post_init__(self):
+        check_types("CoxParams", self)
         if not (self.l1 >= 0.0 and self.l2 >= 0.0):
             raise DataError(f"l1 and l2 must be non-negative, got l1={self.l1!r}, l2={self.l2!r}")
 

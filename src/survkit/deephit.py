@@ -11,6 +11,7 @@ per-bin survival linearly, i.e. constant density within each bin.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -62,7 +63,7 @@ def make_time_grid(times, n_bins):
     t = np.asarray(times, dtype=float)
     if len(t) == 0 or np.isnan(t).any():
         raise DataError("times must be non-empty and complete")
-    if n_bins < 1:
+    if not isinstance(n_bins, numbers.Integral) or n_bins < 1:
         raise DataError("n_bins must be >= 1")
     qs = np.arange(1, n_bins + 1) / n_bins
     cuts = np.quantile(t, qs)
@@ -149,28 +150,21 @@ def deephit_loss(pmf, bin_labels, events, alpha=0.2, sigma=0.1):
 
 
 @dataclass
-class DeepHitParams:
+class DeepHitParams(nnet.TrainParams):
     hidden: list[int] = field(default_factory=lambda: [64, 128, 64])
-    n_bins: int = 60
-    dropout: float = 0.0
     epochs: int = 25
-    batch_size: int = 64
     lr: float = 0.005
-    lr_decay: float = 0.7
-    weight_decay: float = 0.0
+    n_bins: int = 60
     alpha: float = 0.2
     sigma: float = 0.1
     n_interp: int = 50
-
-    def __post_init__(self):
-        nnet._check_train_params(
-            self,
-            ("n_bins", self.n_bins >= 1, "at least 1"),
-            ("alpha", 0 <= self.alpha < math.inf, "non-negative and finite"),
-            ("sigma", self.sigma >= SIGMA_MIN,
-             f"at least {SIGMA_MIN:.6g}, below which the ranking loss overflows"),
-            ("n_interp", self.n_interp >= 2, "at least 2"),
-        )
+    _RULES = nnet.TrainParams._RULES + (
+        ("n_bins", lambda v: v >= 1, "at least 1"),
+        ("alpha", lambda v: v >= 0, "non-negative and finite"),
+        ("sigma", lambda v: v >= SIGMA_MIN,
+         f"at least {SIGMA_MIN:.6g}, below which the ranking loss overflows"),
+        ("n_interp", lambda v: v >= 2, "at least 2"),
+    )
 
 
 @dataclass

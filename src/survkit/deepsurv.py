@@ -22,18 +22,8 @@ from .errors import DataError
 from .tabular import check_fit_inputs
 
 
-@dataclass
-class DeepSurvParams:
-    hidden: list[int] = field(default_factory=lambda: [64, 64])
-    dropout: float = 0.0
-    epochs: int = 50
-    batch_size: int = 64
-    lr: float = 0.1
-    lr_decay: float = 0.7
-    weight_decay: float = 0.0
-
-    def __post_init__(self):
-        nnet._check_train_params(self)
+class DeepSurvParams(nnet.TrainParams):
+    """DeepSurv's parameters: the shared training fields, with their defaults."""
 
 
 @dataclass

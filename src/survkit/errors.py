@@ -6,9 +6,9 @@ problems (non-convergence, degenerate inputs) are kept distinct so the CLI
 can map them to different exit codes.
 """
 
-import math
 import numbers
 import re
+import sys
 from dataclasses import MISSING, fields, is_dataclass
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -95,28 +95,20 @@ def read_object(scope, cls, doc, **readers):
 
 
 def read_value(scope, key, kind, value):
-    """The JSON `value` of `key` read as the annotation `kind`: int or
-    float (a finite number, never a boolean or a string; 3.0 reads as the
-    int 3), bool, str, list[T], dict[str, T], T | None, object (any value)
-    or a dataclass, read by `read_object` in scope "{scope}: {key}" or, as
-    item i of a list, "{scope}: {key}[i]". A value `kind` rejects is a
-    ConfigError naming `key` and the whole value; any other annotation is
-    a TypeError."""
-    try:
-        return _read(f"{scope}: {key}", kind, value)
-    except ConfigError:  # from an object inside `value`, which names its own scope
-        raise
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"{scope}: {key}={value!r} is not a valid {_name(kind)}") from exc
+    """The JSON `value` of `key` reshaped by `_convert` (an object inside it
+    read in scope "{scope}: {key}", or "{scope}: {key}[i]" as item i of a
+    list), if `_holds` accepts it; else a ConfigError naming the value."""
+    out = _convert(f"{scope}: {key}", kind, value)
+    if not _holds(kind, out):
+        raise ConfigError(f"{scope}: {key}={value!r} is not a valid {_name(kind)}")
+    return out
 
 
 def check_types(scope, obj):
     """Raise a ConfigError naming `scope` and the first field of the
-    dataclass `obj` that holds neither its default nor a value of its
-    annotation. Values are checked, not converted: a bool is not a number,
-    an int is a float, a list or dict is not checked item by item, and a
-    dataclass annotation needs an instance. `read_object` builds only
-    objects that pass; this catches a dataclass constructed directly."""
+    dataclass `obj` that holds neither its default nor a value `_holds`
+    accepts. Values are checked, not converted, so this catches a
+    dataclass constructed directly; `read_object` builds only ones that pass."""
     hints = get_type_hints(type(obj))
     for f in fields(obj):
         value = getattr(obj, f.name)
@@ -125,38 +117,43 @@ def check_types(scope, obj):
 
 
 def _holds(kind, value):
+    """Whether `value` fits the annotation `kind`: int or float (a finite
+    number, never a boolean; an int is a float), bool, str, list[T] and
+    dict[str, T] (each item held to T), T | None, object (any value) or a
+    dataclass (an instance). Any other annotation is a TypeError."""
     origin, args = get_origin(kind), get_args(kind)
     if origin is UnionType and args[1:] == (type(None),):
         return value is None or _holds(args[0], value)
-    if kind is object:
-        return True
-    if kind in (int, float) and isinstance(value, bool):
-        return False
-    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(kind, origin or kind))
+    if origin is list:
+        return isinstance(value, list) and all(_holds(args[0], v) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(_holds(args[0], k) and _holds(args[1], v)
+                                               for k, v in value.items())
+    if kind in (int, float):
+        # compared, not converted: an int beyond the float range is not finite
+        return (isinstance(value, numbers.Integral if kind is int else numbers.Real)
+                and not isinstance(value, bool) and -sys.float_info.max <= value <= sys.float_info.max)
+    if kind in (bool, str, object) or is_dataclass(kind):
+        return isinstance(value, kind)
+    raise TypeError(f"no reader for the annotation {kind!r}")
 
 
 def _name(kind):
     return kind.__name__ if isinstance(kind, type) else re.sub(r"[\w.]+\.", "", str(kind))
 
 
-def _read(where, kind, value):
+def _convert(where, kind, value):
+    """`value` reshaped toward `kind` as JSON needs: objects read into their
+    dataclasses, items converted, integral floats made ints, ints floats."""
     origin, args = get_origin(kind), get_args(kind)
     if is_dataclass(kind):
         return read_object(where, kind, value)
-    if origin is UnionType and args[1:] == (type(None),):
-        return None if value is None else _read(where, args[0], value)
+    if origin is UnionType:
+        return None if value is None else _convert(where, args[0], value)
     if origin is list and isinstance(value, (list, tuple)):
-        return [_read(f"{where}[{i}]", args[0], v) for i, v in enumerate(value)]
+        return [_convert(f"{where}[{i}]", args[0], v) for i, v in enumerate(value)]
     if origin is dict and isinstance(value, dict):
-        return {_read(where, str, k): _read(where, args[1], v) for k, v in value.items()}
-    if kind in (bool, str) and isinstance(value, kind):
-        return value
-    if kind in (int, float) and isinstance(value, (int, float)) and not isinstance(value, bool):
-        out = kind(value)
-        if math.isfinite(out) and (kind is float or out == value):
-            return out
-    if kind is object:
-        return value
-    if origin in (list, dict) or kind in (bool, str, int, float):
-        raise ValueError(f"{value!r} is not a {kind}")
-    raise TypeError(f"{where}: no reader for the annotation {kind!r}")
+        return {k: _convert(where, args[1], v) for k, v in value.items()}
+    if kind in (int, float) and _holds(float, value) and (kind is float or int(value) == value):
+        return kind(value)
+    return value

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
@@ -368,7 +369,7 @@ def identify_factors(ds, m=10, iterations=10, seed=0):
     information is singular, naming the constant or aliased covariates.
     Rows follow covariate schema order.
     """
-    if m < 2:
+    if not isinstance(m, numbers.Integral) or m < 2:
         raise ConfigError("factor identification needs m >= 2 imputations")
     iset = mice_impute(ds, m, iterations, seed)
     names = ds.covariate_names

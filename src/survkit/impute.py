@@ -51,6 +51,7 @@ O(n q^2) for the Gram of the observed rows formed from scratch.
 from __future__ import annotations
 
 import mmap
+import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -275,7 +276,7 @@ def mice_impute(ds, m, iterations, seed):
     copies of the cohort. A dataset without missing cells yields m
     identical copies.
     """
-    if m < 1:
+    if not isinstance(m, numbers.Integral) or m < 1:
         raise DataError("m must be >= 1")
     check_seed(seed)
     start = _chain_start(ds, iterations)
@@ -425,7 +426,7 @@ def _chain_start(ds, iterations):
     the visit order and means, the design and its Gram, and one
     ImputationWarning per saturated target."""
     _check_numeric_covariates(ds)
-    if iterations < 1:
+    if not isinstance(iterations, numbers.Integral) or iterations < 1:
         raise DataError("iterations must be >= 1")
     hazard_fn = nelson_aalen(ds.time, ds.event)  # checks the outcomes
     targets = _target_columns(ds)

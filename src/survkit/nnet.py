@@ -18,12 +18,11 @@ model stamp only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComputationError, DataError, check_seed
+from .errors import ComputationError, DataError, check_seed, check_types
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -254,36 +253,48 @@ def epoch_batches(n, batch_size, rng):
     return [perm[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _check_train_params(params, *extra):
-    """DataError naming the first field of `params` out of range: the
-    training fields of DeepSurv and DeepHit, then the `extra` (field, in
-    range, range) rules of the caller. NaN is out of every range; an empty
+@dataclass
+class TrainParams:
+    """The training fields of DeepSurv and DeepHit, checked as built: a field
+    `check_types` rejects is a ConfigError, and the first one out of its
+    range (`_RULES`: field, test, range) a DataError naming it. An empty
     `hidden` is a network without hidden layers."""
-    if not all(w >= 1 for w in params.hidden):
-        raise DataError(f"hidden={params.hidden!r} has a width below 1")
-    for name, ok, what in (
-        ("epochs", params.epochs >= 1, "at least 1"),
-        ("batch_size", params.batch_size >= 1, "at least 1"),
-        ("lr", 0 < params.lr < math.inf, "positive and finite"),
-        ("dropout", 0 <= params.dropout < 1, "in [0, 1)"),
-        ("lr_decay", 0 < params.lr_decay < math.inf, "positive and finite"),
-        ("weight_decay", 0 <= params.weight_decay < math.inf, "non-negative and finite"),
-        *extra,
-    ):
-        if not ok:
-            raise DataError(f"{name} must be {what}, got {getattr(params, name)!r}")
+
+    hidden: list[int] = field(default_factory=lambda: [64, 64])
+    dropout: float = 0.0
+    epochs: int = 50
+    batch_size: int = 64
+    lr: float = 0.1
+    lr_decay: float = 0.7
+    weight_decay: float = 0.0
+    _RULES = (
+        ("epochs", lambda v: v >= 1, "at least 1"),
+        ("batch_size", lambda v: v >= 1, "at least 1"),
+        ("lr", lambda v: v > 0, "positive and finite"),
+        ("dropout", lambda v: 0 <= v < 1, "in [0, 1)"),
+        ("lr_decay", lambda v: v > 0, "positive and finite"),
+        ("weight_decay", lambda v: v >= 0, "non-negative and finite"),
+    )
+
+    def __post_init__(self):
+        check_types(type(self).__name__, self)
+        if not all(w >= 1 for w in self.hidden):
+            raise DataError(f"hidden={self.hidden!r} has a width below 1")
+        for name, ok, what in self._RULES:
+            if not ok(getattr(self, name)):
+                raise DataError(f"{name} must be {what}, got {getattr(self, name)!r}")
 
 
 def _train(x, n_out, params, seed, batch_loss, usable=None):
     """Minibatch Adam training of an MLP; returns (net, epoch loss sums, skipped).
 
-    `params` carries hidden, dropout, epochs, batch_size, lr, lr_decay and
-    weight_decay. Each epoch reshuffles the rows from a generator seeded
-    with (seed, 7, epoch); batch b of the epoch draws its dropout masks
-    from (seed, epoch, b), so the trajectory is a deterministic function of
-    (seed, data order). `batch_loss(outputs, idx)` returns the batch loss
-    and its gradient with respect to the outputs. Batches for which
-    `usable(idx)` is false are skipped before the forward pass and counted.
+    `params` is a `TrainParams`. Each epoch reshuffles the rows from a
+    generator seeded with (seed, 7, epoch); batch b of the epoch draws its
+    dropout masks from (seed, epoch, b), so the trajectory is a
+    deterministic function of (seed, data order). `batch_loss(outputs,
+    idx)` returns the batch loss and its gradient with respect to the
+    outputs. Batches for which `usable(idx)` is false are skipped before
+    the forward pass and counted.
     """
     net = init_mlp([x.shape[1], *params.hidden, n_out], params.dropout, seed)
     state = init_optimizer(net, params.lr, params.lr_decay, params.weight_decay)

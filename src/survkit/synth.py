@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ComputationError, ConfigError, DataError, check_keys, check_seed, read_object,
-                     read_value)
+from .errors import (ComputationError, ConfigError, DataError, _holds, check_keys, check_seed,
+                     check_types, read_object, read_value)
 from .metrics import concordance_index
 from .tabular import ColumnSpec, SurvivalDataset
 
@@ -48,6 +48,9 @@ class MissingRule:
     weights: list[float] = field(default_factory=list)
     center_shifts: list[float] | None = None
 
+    def __post_init__(self):
+        check_types("synth spec", self)
+
 
 @dataclass
 class GeneratorSpec:
@@ -64,7 +67,58 @@ class GeneratorSpec:
     center_probs: list[float] | None = None
 
     def __post_init__(self):
-        _validate_spec(self)
+        check_types("synth spec", self)
+        if self.n < 2:
+            raise ConfigError("n must be >= 2")
+        if self.shape <= 0 or self.scale <= 0:
+            raise ConfigError("shape and scale must be positive")
+        if not 0.0 <= self.censoring_fraction < 1.0:
+            raise ConfigError("censoring_fraction must be in [0, 1)")
+        if self.n_centers < 1:
+            raise ConfigError("n_centers must be >= 1")
+        probs = self.center_probs
+        if probs is not None and not (len(probs) == self.n_centers and min(probs) >= 0
+                                      and abs(sum(probs) - 1.0) <= 1e-9):
+            raise ConfigError("center_probs must be n_centers non-negative probabilities summing to 1")
+        for cov in self.covariates:
+            if cov.kind not in _KIND_KEYS:
+                raise ConfigError(f"{cov.name!r}: unknown kind {cov.kind!r}")
+            params = list(cov.params) if isinstance(cov.params, tuple) else cov.params
+            if not _holds(_PARAMS[cov.kind], params) or cov.kind == "continuous" and len(params) != 2:
+                raise ConfigError(f"covariate {cov.name!r}: params {cov.params!r} do not fit its kind")
+            if cov.kind == "binary" and not 0.0 <= cov.params <= 1.0:
+                raise ConfigError(f"covariate {cov.name!r}: p must be in [0, 1]")
+            if cov.kind == "continuous" and not cov.params[1] >= 0.0:
+                raise ConfigError(f"covariate {cov.name!r}: sd must be non-negative")
+            if cov.kind == "categorical" and not (min(params.values(), default=0) >= 0
+                                                  and abs(sum(params.values()) - 1.0) <= 1e-9):
+                raise ConfigError(f"{cov.name!r}: level probabilities must sum to 1")
+        names = [c.name for c in self.covariates]
+        if len(set(names)) != len(names):
+            raise ConfigError("duplicate covariate names")
+        unknown_beta = set(self.beta) - set(_encoded_names(self))
+        if unknown_beta:
+            raise ConfigError(f"beta names unknown encoded columns: {sorted(unknown_beta)}")
+        masked = {r.column for r in self.missing_rules}
+        unknown = masked - set(names)
+        if unknown:
+            raise ConfigError(f"missing rules name unknown columns: {sorted(unknown)}")
+        for rule in self.missing_rules:
+            if not 0.0 <= rule.target_rate < 1.0:
+                raise ConfigError(f"rule for {rule.column!r}: bad target rate")
+            if len(rule.drivers) != len(rule.weights):
+                raise ConfigError(f"rule for {rule.column!r}: drivers/weights length mismatch")
+            overlap = set(rule.drivers) & masked
+            if overlap:
+                raise ConfigError(
+                    f"rule for {rule.column!r} conditions on masked columns {sorted(overlap)}; "
+                    "MAR drivers must stay fully observed"
+                )
+            for d in rule.drivers:
+                if d not in names:
+                    raise ConfigError(f"rule for {rule.column!r}: unknown driver {d!r}")
+            if rule.center_shifts is not None and len(rule.center_shifts) != self.n_centers:
+                raise ConfigError(f"rule for {rule.column!r}: need one shift per center")
 
 
 @dataclass
@@ -77,58 +131,6 @@ class GroundTruth:
     median_followup: float
     seed: int
     encoded_names: list
-
-
-def _validate_spec(spec):
-    if spec.n < 2:
-        raise ConfigError("n must be >= 2")
-    if spec.shape <= 0 or spec.scale <= 0:
-        raise ConfigError("shape and scale must be positive")
-    if not 0.0 <= spec.censoring_fraction < 1.0:
-        raise ConfigError("censoring_fraction must be in [0, 1)")
-    if spec.n_centers < 1:
-        raise ConfigError("n_centers must be >= 1")
-    probs = spec.center_probs
-    if probs is not None and not (len(probs) == spec.n_centers and min(probs) >= 0
-                                  and abs(sum(probs) - 1.0) <= 1e-9):
-        raise ConfigError("center_probs must be n_centers non-negative probabilities summing to 1")
-    for cov in spec.covariates:
-        if cov.kind not in _KIND_KEYS:
-            raise ConfigError(f"{cov.name!r}: unknown kind {cov.kind!r}")
-        if cov.kind == "binary" and not 0.0 <= cov.params <= 1.0:
-            raise ConfigError(f"covariate {cov.name!r}: p must be in [0, 1]")
-        if cov.kind == "continuous" and not cov.params[1] >= 0.0:
-            raise ConfigError(f"covariate {cov.name!r}: sd must be non-negative")
-        if cov.kind == "categorical":
-            probs = np.array(list(cov.params.values()), dtype=float)
-            if abs(probs.sum() - 1.0) > 1e-9 or (probs < 0).any():
-                raise ConfigError(f"{cov.name!r}: level probabilities must sum to 1")
-    names = [c.name for c in spec.covariates]
-    if len(set(names)) != len(names):
-        raise ConfigError("duplicate covariate names")
-    unknown_beta = set(spec.beta) - set(_encoded_names(spec))
-    if unknown_beta:
-        raise ConfigError(f"beta names unknown encoded columns: {sorted(unknown_beta)}")
-    masked = {r.column for r in spec.missing_rules}
-    unknown = masked - set(names)
-    if unknown:
-        raise ConfigError(f"missing rules name unknown columns: {sorted(unknown)}")
-    for rule in spec.missing_rules:
-        if not 0.0 <= rule.target_rate < 1.0:
-            raise ConfigError(f"rule for {rule.column!r}: bad target rate")
-        if len(rule.drivers) != len(rule.weights):
-            raise ConfigError(f"rule for {rule.column!r}: drivers/weights length mismatch")
-        overlap = set(rule.drivers) & masked
-        if overlap:
-            raise ConfigError(
-                f"rule for {rule.column!r} conditions on masked columns {sorted(overlap)}; "
-                "MAR drivers must stay fully observed"
-            )
-        for d in rule.drivers:
-            if d not in names:
-                raise ConfigError(f"rule for {rule.column!r}: unknown driver {d!r}")
-        if rule.center_shifts is not None and len(rule.center_shifts) != spec.n_centers:
-            raise ConfigError(f"rule for {rule.column!r}: need one shift per center")
 
 
 def _encoded_names(spec):
@@ -279,8 +281,9 @@ def generate(spec, seed=0):
     return ds, truth
 
 
-# the keys a synth spec covariate takes besides `name` and `kind`
+# by kind: the keys a spec covariate takes besides `name` and `kind`, and its params' annotation
 _KIND_KEYS = {"continuous": ["mean", "sd"], "binary": ["p"], "categorical": ["levels"]}
+_PARAMS = {"continuous": list[float], "binary": float, "categorical": dict[str, float]}
 
 
 @dataclass
@@ -295,6 +298,7 @@ class CovariateKeys:
     levels: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        check_types("synth spec", self)
         if self.kind not in _KIND_KEYS:
             raise DataError(f"unknown kind {self.kind!r}")
 

@@ -4,7 +4,8 @@ Each script asserts, next to its timings, that the code it times gives the
 same bits as a reference (the Efron split and the concordance counts, the
 training step, the CSV writer and the load round trip, each completed
 imputation against its chain run on its own); these runs make
-those assertions part of the test suite. A tiny traced experiment checks
+those assertions part of the test suite, and `oracle_gaps.py` runs its tiny
+experiment through the CLI to exit code 0. A tiny traced experiment checks
 that survbench's tracer still covers every layer function, that the call
 counts match the config, that every per-layer metric it declares computes
 and that the prediction and scoring layers read non-zero. A small traced
@@ -12,6 +13,7 @@ and that the prediction and scoring layers read non-zero. A small traced
 same coverage and the `factors` workload's call counts.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -31,6 +33,7 @@ BENCHMARKS = ROOT / "benchmarks"
     ("bench_step.py", ["--steps", "5", "--repeats", "1"]),
     ("bench_io.py", ["--rows", "300", "--repeats", "1", "--imports", "1"]),
     ("bench_impute_memory.py", ["--rows", "300", "--m", "2,3", "--iterations", "1"]),
+    ("oracle_gaps.py", ["--seeds", "0", "--smoke"]),
 ])
 def test_benchmark_script_passes_its_checks(script, args):
     src = Path(survkit.__file__).resolve().parents[1]
@@ -48,6 +51,13 @@ SMOKE_OVERRIDES = {
     "families": {"coxph": {"l1": [0.008], "l2": [0.001]},
                  "deepsurv": {"epochs": [1]}, "deephit": {"epochs": [1]}},
 }
+
+def test_oracle_gaps_smoke_runs_these_overrides():
+    spec = importlib.util.spec_from_file_location("oracle_gaps", BENCHMARKS / "oracle_gaps.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.SMOKE_OVERRIDES == SMOKE_OVERRIDES
+
 
 # Runs in a fresh interpreter, as survbench/child.py does, so the tracer's
 # wrappers never reach this process. The tiny experiment is registered as a

@@ -52,8 +52,9 @@ def test_grid_validation():
         TimeGrid(cuts=np.array([0.0, 1.0]))
     with pytest.raises(DataError):
         make_time_grid([], 5)
-    with pytest.raises(DataError):
-        make_time_grid([1.0, 2.0], 0)
+    for n_bins in (0, 2.5, "3"):
+        with pytest.raises(DataError, match="n_bins must be >= 1"):
+            make_time_grid([1.0, 2.0], n_bins)
 
 
 def test_duplicate_quantiles_collapse_with_warning():

@@ -448,8 +448,9 @@ def test_identify_factors_recovers_signal():
 
 def test_identify_factors_needs_two_imputations():
     ds, _ = cohort(missing=True, n=120)
-    with pytest.raises(ConfigError, match="m >= 2"):
-        identify_factors(ds, m=1, iterations=2, seed=0)
+    for m in (1, 2.5, "3"):
+        with pytest.raises(ConfigError, match="m >= 2"):
+            identify_factors(ds, m=m, iterations=2, seed=0)
 
 
 def test_identify_factors_rejects_a_negative_seed_before_any_draw():

@@ -197,7 +197,7 @@ def test_prune_rejects_a_threshold_outside_zero_to_one():
     """At a threshold of 0 or below every pair exceeds it and all but one
     covariate would go; above 1 none could. Both are errors, not a run."""
     ds = corr_ds()
-    for threshold in (-1.0, 0.0, 1.5, float("nan")):
+    for threshold in (-1.0, 0.0, 1.5, float("nan"), "0.7", None):
         with pytest.raises(DataError, match=r"prune_threshold must be in \(0, 1\]"):
             prune_correlated(ds, threshold)
     pruned, _ = prune_correlated(ds, 1.0)

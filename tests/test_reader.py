@@ -3,19 +3,23 @@
 `errors.read_object` fills each dataclass from JSON by the annotations of
 its fields. Every dataclass it fills must read back from the JSON of a
 valid instance, so a field whose annotation the reader cannot read fails
-here rather than in a user's config.
+here rather than in a user's config. A value the reader refuses is refused
+alike when a caller builds the record directly (`errors.check_types`): both
+hold it to one rule, list and dict items included.
 """
 
 import dataclasses
 import json
+import math
+import re
 
 import pytest
 
 from survkit.coxph import CoxParams
 from survkit.deephit import DeepHitParams
 from survkit.deepsurv import DeepSurvParams
-from survkit.errors import read_object
-from survkit.harness import PrepConfig, SplitPlan
+from survkit.errors import ConfigError, check_types, read_object
+from survkit.harness import ExperimentConfig, PrepConfig, SplitPlan
 from survkit.synth import CovariateKeys, CovariateSpec, GeneratorSpec, MissingRule
 from survkit.tabular import InclusionRules
 
@@ -61,3 +65,89 @@ def test_an_annotation_the_reader_cannot_read_is_a_type_error():
 
     with pytest.raises(TypeError, match="no reader for the annotation"):
         read_object("test", Bare, {"widths": [1]})
+
+
+def test_check_types_refuses_an_annotation_outside_the_grammar():
+    @dataclasses.dataclass
+    class Bare:
+        widths: list = dataclasses.field(default_factory=list)
+
+    with pytest.raises(TypeError, match="no reader for the annotation"):
+        check_types("test", Bare(widths=[1]))
+
+
+NAN = math.nan
+
+# (record, field, a value of the wrong type): a quoted number, a fractional
+# int, a boolean number, NaN, and a list or dict holding a wrong item
+BAD_FIELDS = [
+    (SplitPlan, "test_fraction", "0.3"),
+    (SplitPlan, "test_fraction", True),
+    (SplitPlan, "test_fraction", NAN),
+    (PrepConfig, "impute_iterations", "3"),
+    (PrepConfig, "impute_iterations", 2.5),
+    (PrepConfig, "impute_iterations", True),
+    (PrepConfig, "prune_threshold", NAN),
+    (PrepConfig, "standardize", 0),
+    (InclusionRules, "drop_missing_outcomes", "true"),
+    (InclusionRules, "exclude_levels", {"g": "AB"}),
+    (InclusionRules, "exclude_levels", {"g": ["a", 1]}),
+    (InclusionRules, "exclude_early_events", "1.5"),
+    (InclusionRules, "exclude_early_events", True),
+    (InclusionRules, "exclude_early_events", NAN),
+    (CoxParams, "l1", "0"),
+    (CoxParams, "l1", None),
+    (CoxParams, "l2", True),
+    (CoxParams, "l2", NAN),
+    (DeepSurvParams, "hidden", [8.5]),
+    (DeepSurvParams, "hidden", ["64"]),
+    (DeepSurvParams, "hidden", [True]),
+    (DeepSurvParams, "epochs", 2.5),
+    (DeepSurvParams, "epochs", "3"),
+    (DeepSurvParams, "batch_size", True),
+    (DeepSurvParams, "lr", "0.1"),
+    (DeepSurvParams, "lr", NAN),
+    (DeepSurvParams, "dropout", math.inf),
+    (DeepHitParams, "hidden", [8, 4.5]),
+    (DeepHitParams, "n_bins", 2.5),
+    (DeepHitParams, "n_interp", 2.5),
+    (DeepHitParams, "n_interp", "50"),
+    (DeepHitParams, "alpha", True),
+    (DeepHitParams, "sigma", NAN),
+    (MissingRule, "target_rate", "0.1"),
+    (MissingRule, "target_rate", True),
+    (MissingRule, "target_rate", NAN),
+    (MissingRule, "drivers", [1]),
+    (MissingRule, "weights", ["0.5"]),
+    (MissingRule, "center_shifts", [0.0, NAN]),
+    (CovariateKeys, "name", 7),
+    (CovariateKeys, "mean", "0"),
+    (CovariateKeys, "sd", NAN),
+    (CovariateKeys, "p", True),
+    (CovariateKeys, "levels", {"a": "0.4"}),
+]
+
+
+@pytest.mark.parametrize("cls, key, bad", BAD_FIELDS,
+                         ids=[f"{c.__name__}.{k}={v!r}" for c, k, v in BAD_FIELDS])
+def test_a_value_is_refused_alike_built_directly_and_read_from_json(cls, key, bad):
+    instance = next(i for i in INSTANCES if type(i) is cls)
+    with pytest.raises(ConfigError, match=re.escape(f"{key}=")):
+        dataclasses.replace(instance, **{key: bad})
+    doc = {**json.loads(json.dumps(dataclasses.asdict(instance))), key: bad}
+    with pytest.raises(ConfigError, match=re.escape(f"{key}=")):
+        read_object("test", cls, doc)
+
+
+def test_an_int_beyond_the_float_range_is_refused_both_ways():
+    """10**400 is no finite number; converting it would overflow."""
+    for doc in ({"seed": 10**400}, {"split": {"test_fraction": 10**400}}):
+        with pytest.raises(ConfigError, match="is not a valid"):
+            ExperimentConfig.from_dict(doc)
+    with pytest.raises(ConfigError, match="seed="):
+        ExperimentConfig(seed=10**400)
+    with pytest.raises(ConfigError, match="test_fraction="):
+        SplitPlan(test_fraction=10**400)
+    # an int in range reads as a float
+    threshold = read_object("test", PrepConfig, {"prune_threshold": 1}).prune_threshold
+    assert threshold == 1.0 and type(threshold) is float

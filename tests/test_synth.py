@@ -178,6 +178,38 @@ def test_center_shifts_modulate_missingness():
 # -- spec round trip -----------------------------------------------------------------------
 
 
+def test_a_spec_record_built_directly_checks_its_types():
+    """A wrongly typed field or covariate params are a ConfigError as the
+    record is built, not a raw error inside the generator."""
+    cov = [CovariateSpec("x", "continuous", (0.0, 1.0))]
+    for build, message in (
+        (lambda: GeneratorSpec(n="5", covariates=cov), "synth spec: n='5' is not a valid int"),
+        (lambda: GeneratorSpec(n=5.5, covariates=cov), "synth spec: n=5.5 is not a valid int"),
+        (lambda: GeneratorSpec(n=50, covariates=cov, beta={"x": "1"}), "beta={'x': '1'}"),
+        (lambda: MissingRule("x", "0.1"), "synth spec: target_rate='0.1' is not a valid float"),
+        (lambda: MissingRule("x", 0.1, drivers=["b"], weights=(0.5,)), "weights=(0.5,)"),
+        (lambda: GeneratorSpec(n=50, covariates=[CovariateSpec("x", "binary", "0.5")]),
+         "covariate 'x': params '0.5' do not fit its kind"),
+        (lambda: GeneratorSpec(n=50, covariates=[CovariateSpec("x", "continuous", 1.0)]),
+         "covariate 'x': params 1.0 do not fit its kind"),
+        (lambda: GeneratorSpec(n=50, covariates=[CovariateSpec("x", "continuous", (0.0, 1.0, 2.0))]),
+         "covariate 'x': params (0.0, 1.0, 2.0) do not fit its kind"),
+        (lambda: GeneratorSpec(n=50, covariates=[CovariateSpec("x", "continuous", (0.0, float("nan")))]),
+         "covariate 'x': params (0.0, nan) do not fit its kind"),
+        (lambda: GeneratorSpec(n=50, covariates=[CovariateSpec("g", "categorical", {"a": "1"})]),
+         "covariate 'g': params {'a': '1'} do not fit its kind"),
+        (lambda: GeneratorSpec(n=50, covariates=[CovariateSpec("g", "categorical", ["a", "b"])]),
+         "covariate 'g': params ['a', 'b'] do not fit its kind"),
+        (lambda: GeneratorSpec(n=50, covariates=[CovariateSpec("g", "categorical", {})]),
+         "'g': level probabilities must sum to 1"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build()
+    # a (mean, sd) pair may be a list or a tuple of ints or floats
+    for pair in ([0, 1], (0.0, 2)):
+        GeneratorSpec(n=50, covariates=[CovariateSpec("x", "continuous", pair)])
+
+
 def test_spec_from_dict():
     doc = {
         "n": 100,
