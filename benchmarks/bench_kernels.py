@@ -11,12 +11,12 @@ rounded up to whole units, where long tied groups take them; `d_max` is the
 largest tied event count. `efron_loss_grad` is also timed on the 64-row
 minibatch shape DeepSurv trains on. The unweighted concordance counts
 (the sorted O(n log n) path) are timed on both kinds of times too, and on
-cohorts of up to WEIGHTED_MAX_N rows the script asserts that they equal
-the weighted path's counts for one row of ones. There the weighted counts
-(the blocked O(n^2) path) are also timed on the continuous times, with B
-rows of bootstrap multiplicities at once (the batch bootstrap's call), and
-the script asserts that each weighted row equals the unweighted counts of
-its expanded sample.
+cohorts of up to WEIGHTED_MAX_N (8000) rows the script asserts that they
+equal the weighted path's counts for one row of ones. There the weighted
+counts (the blocked O(n^2) path) are also timed on the continuous times,
+with B = 1 and B = 150 rows of bootstrap multiplicities at once (BOOTS; the
+batch bootstrap's call), and the script asserts that each weighted row
+equals the unweighted counts of its expanded sample.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--sizes 500,2000,8000,20000,200000] [--repeats 7]

@@ -34,6 +34,9 @@ class CovariateSpec:
     kind: str
     params: object
 
+    def __post_init__(self):
+        check_types("synth spec", self)
+
     def levels(self):
         return list(self.params.keys()) if self.kind == "categorical" else None
 

@@ -2,6 +2,7 @@
 and must honor the documented exit codes: 0 ok, 2 validation, 3 computation.
 """
 
+import argparse
 import csv
 import hashlib
 import json
@@ -16,8 +17,8 @@ import numpy as np
 import pytest
 
 import survkit
-from survkit import _blas
-from survkit.cli import _write_csv, main
+from survkit import _blas, cli
+from survkit.cli import _write_csv, build_parser, main
 from survkit.harness import ExperimentConfig, run_experiment
 from survkit.impute import mice_impute
 from survkit.preprocess import dummy_encode
@@ -891,3 +892,43 @@ def test_default_run_directory_name(tmp_path, monkeypatch, capsys):
     printed = capsys.readouterr().out.strip()
     assert re.fullmatch(r"runs/\d{8}T\d{6}Z_[0-9a-f]{8}", printed)
     assert (tmp_path / printed / "cohort.csv").exists()
+
+
+# -- the README as the command line's specification --------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# named in the README, which is why tests/test_reach.py keeps them
+README_LIBRARY_API = ("brier_score", "neg_log_partial_likelihood", "wald_stats", "summarize",
+                      "fit_scaler")
+
+
+def _names(text, name):
+    """Whether `text` names `name` as a whole token: `--models` does not name `--m`."""
+    return re.search(rf"(?<![\w<>-]){re.escape(name)}(?![\w<>-])", text) is not None
+
+
+def _cli_files():
+    """The output files `cli`'s docstring names; `a.csv/.svg` is two files."""
+    files = set()
+    for stem, exts in re.findall(r"([\w<>]+)((?:/?\.(?:csv|json|svg))+)", cli.__doc__):
+        files.update(f"{stem}.{ext}" for ext in exts.replace("/", "").split(".")[1:])
+    return files
+
+
+def test_readme_command_line_section_names_every_command_flag_file_and_exit_code():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {option for p in (parser, *commands.values()) for a in p._actions
+             for option in a.option_strings if option.startswith("--")}
+    files = _cli_files()
+    assert {"--plot-patients", "--ensure-like", "--version"} <= flags
+    assert {"manifest.json", "factors.csv", "curves_<family>.svg"} <= files
+
+    unnamed = ([f"survkit {c}" for c in commands if not _names(section, f"survkit {c}")]
+               + sorted(f for f in flags | files if not _names(section, f)))
+    assert unnamed == [], f"README's Command line section does not name {unnamed}"
+    assert re.findall(r"^\| (\d+) \|", section, re.M) == ["0", "2", "3"]
+    assert [name for name in README_LIBRARY_API if not _names(text, name)] == []

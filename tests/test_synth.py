@@ -186,6 +186,8 @@ def test_a_spec_record_built_directly_checks_its_types():
         (lambda: GeneratorSpec(n="5", covariates=cov), "synth spec: n='5' is not a valid int"),
         (lambda: GeneratorSpec(n=5.5, covariates=cov), "synth spec: n=5.5 is not a valid int"),
         (lambda: GeneratorSpec(n=50, covariates=cov, beta={"x": "1"}), "beta={'x': '1'}"),
+        (lambda: CovariateSpec(["x"], "binary", 0.5), "synth spec: name=['x'] is not a valid str"),
+        (lambda: CovariateSpec("x", ["binary"], 0.5), "synth spec: kind=['binary'] is not a valid str"),
         (lambda: MissingRule("x", "0.1"), "synth spec: target_rate='0.1' is not a valid float"),
         (lambda: MissingRule("x", 0.1, drivers=["b"], weights=(0.5,)), "weights=(0.5,)"),
         (lambda: GeneratorSpec(n=50, covariates=[CovariateSpec("x", "binary", "0.5")]),
