@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from survkit.deephit import _softmax, deephit_loss
+from survkit.deephit import DeepHitParams, _softmax, deephit_loss
 from survkit.deepsurv import deepsurv_loss
 from survkit.nnet import (
     ADAM_BETA1,
@@ -57,8 +57,10 @@ def models(x, times, events):
         value, g = deepsurv_loss(out[:, 0], times[idx], events[idx])
         return value, g[:, None]
 
+    ranking = DeepHitParams()
+
     def deephit(z, idx):
-        return deephit_loss(_softmax(z), labels[idx], events[idx])
+        return deephit_loss(_softmax(z), labels[idx], events[idx], ranking.alpha, ranking.sigma)
 
     return (
         ("deepsurv", [N_COVARIATES, 64, 64, 1], deepsurv),

@@ -77,7 +77,7 @@ def make_time_grid(times, n_bins):
     return TimeGrid(cuts=cuts)
 
 
-def deephit_loss(pmf, bin_labels, events, alpha=0.2, sigma=0.1):
+def deephit_loss(pmf, bin_labels, events, alpha, sigma):
     """Likelihood + alpha * ranking loss; gradient is wrt pre-softmax logits.
 
     Likelihood (mean per subject): events lose -log pmf[k]; censored lose

@@ -15,30 +15,46 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ComputationError, ConfigError, DataError, _holds, check_keys, check_seed,
-                     check_types, read_object, read_value)
+from .errors import (ComputationError, ConfigError, DataError, check_keys, check_seed, check_types,
+                     read_object, read_value)
 from .metrics import concordance_index
 from .tabular import ColumnSpec, SurvivalDataset
+
+# by kind: the fields a covariate reads besides `name` and `kind`
+_KIND_KEYS = {"continuous": ["mean", "sd"], "binary": ["p"], "categorical": ["levels"]}
 
 
 @dataclass
 class CovariateSpec:
-    """One generated covariate.
+    """One generated covariate; it reads only its kind's fields.
 
-    kind "continuous": params (mean, sd). kind "binary": params p. kind
-    "categorical": params is a {level: probability} mapping in declared
-    order.
+    kind "continuous": `mean` and `sd`. kind "binary": `p`. kind
+    "categorical": `levels`, a {level: probability} mapping in declared
+    order, the first level the reference. A continuous covariate's
+    (mean, sd) may also come as one tuple in `mean`'s place, as in
+    CovariateSpec("x", "continuous", (0.0, 1.0)).
     """
 
     name: str
     kind: str
-    params: object
+    mean: float = 0.0
+    sd: float = 1.0
+    p: float = 0.5
+    levels: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        if isinstance(self.mean, tuple) and len(self.mean) == 2:
+            self.mean, self.sd = self.mean
         check_types("synth spec", self)
-
-    def levels(self):
-        return list(self.params.keys()) if self.kind == "categorical" else None
+        if self.kind not in _KIND_KEYS:
+            raise DataError(f"unknown kind {self.kind!r}")
+        if self.kind == "binary" and not 0.0 <= self.p <= 1.0:
+            raise ConfigError(f"covariate {self.name!r}: p must be in [0, 1]")
+        if self.kind == "continuous" and not self.sd >= 0.0:
+            raise ConfigError(f"covariate {self.name!r}: sd must be non-negative")
+        if self.kind == "categorical" and not (min(self.levels.values(), default=0) >= 0
+                                               and abs(sum(self.levels.values()) - 1.0) <= 1e-9):
+            raise ConfigError(f"{self.name!r}: level probabilities must sum to 1")
 
 
 @dataclass
@@ -53,6 +69,10 @@ class MissingRule:
 
     def __post_init__(self):
         check_types("synth spec", self)
+        if not 0.0 <= self.target_rate < 1.0:
+            raise ConfigError(f"rule for {self.column!r}: bad target rate")
+        if len(self.drivers) != len(self.weights):
+            raise ConfigError(f"rule for {self.column!r}: drivers/weights length mismatch")
 
 
 @dataclass
@@ -83,19 +103,6 @@ class GeneratorSpec:
         if probs is not None and not (len(probs) == self.n_centers and min(probs) >= 0
                                       and abs(sum(probs) - 1.0) <= 1e-9):
             raise ConfigError("center_probs must be n_centers non-negative probabilities summing to 1")
-        for cov in self.covariates:
-            if cov.kind not in _KIND_KEYS:
-                raise ConfigError(f"{cov.name!r}: unknown kind {cov.kind!r}")
-            params = list(cov.params) if isinstance(cov.params, tuple) else cov.params
-            if not _holds(_PARAMS[cov.kind], params) or cov.kind == "continuous" and len(params) != 2:
-                raise ConfigError(f"covariate {cov.name!r}: params {cov.params!r} do not fit its kind")
-            if cov.kind == "binary" and not 0.0 <= cov.params <= 1.0:
-                raise ConfigError(f"covariate {cov.name!r}: p must be in [0, 1]")
-            if cov.kind == "continuous" and not cov.params[1] >= 0.0:
-                raise ConfigError(f"covariate {cov.name!r}: sd must be non-negative")
-            if cov.kind == "categorical" and not (min(params.values(), default=0) >= 0
-                                                  and abs(sum(params.values()) - 1.0) <= 1e-9):
-                raise ConfigError(f"{cov.name!r}: level probabilities must sum to 1")
         names = [c.name for c in self.covariates]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate covariate names")
@@ -107,10 +114,6 @@ class GeneratorSpec:
         if unknown:
             raise ConfigError(f"missing rules name unknown columns: {sorted(unknown)}")
         for rule in self.missing_rules:
-            if not 0.0 <= rule.target_rate < 1.0:
-                raise ConfigError(f"rule for {rule.column!r}: bad target rate")
-            if len(rule.drivers) != len(rule.weights):
-                raise ConfigError(f"rule for {rule.column!r}: drivers/weights length mismatch")
             overlap = set(rule.drivers) & masked
             if overlap:
                 raise ConfigError(
@@ -140,8 +143,7 @@ def _encoded_names(spec):
     out = []
     for cov in spec.covariates:
         if cov.kind == "categorical":
-            levels = cov.levels()
-            out.extend(f"{cov.name}={lv}" for lv in levels[1:])
+            out.extend(f"{cov.name}={lv}" for lv in list(cov.levels)[1:])
         else:
             out.append(cov.name)
     return out
@@ -194,18 +196,12 @@ def generate(spec, seed=0):
     encoded = {}
     for cov in spec.covariates:
         if cov.kind == "continuous":
-            mean, sd = cov.params
-            vals = rng.normal(mean, sd, size=n)
-            raw[cov.name] = vals
-            encoded[cov.name] = vals
+            raw[cov.name] = encoded[cov.name] = rng.normal(cov.mean, cov.sd, size=n)
         elif cov.kind == "binary":
-            vals = (rng.random(n) < float(cov.params)).astype(float)
-            raw[cov.name] = vals
-            encoded[cov.name] = vals
+            raw[cov.name] = encoded[cov.name] = (rng.random(n) < float(cov.p)).astype(float)
         else:
-            levels = cov.levels()
-            probs = np.array([cov.params[lv] for lv in levels], dtype=float)
-            codes = rng.choice(len(levels), size=n, p=probs)
+            levels = list(cov.levels)
+            codes = rng.choice(len(levels), size=n, p=np.array(list(cov.levels.values()), dtype=float))
             raw[cov.name] = codes.astype(float)
             for j, lv in enumerate(levels[1:], start=1):
                 encoded[f"{cov.name}={lv}"] = (codes == j).astype(float)
@@ -265,7 +261,8 @@ def generate(spec, seed=0):
         )
         data_cols.append(center.astype(float))
     for cov in spec.covariates:
-        columns.append(ColumnSpec(cov.name, cov.kind, role="covariate", levels=cov.levels()))
+        levels = list(cov.levels) if cov.kind == "categorical" else None
+        columns.append(ColumnSpec(cov.name, cov.kind, role="covariate", levels=levels))
         vals = raw[cov.name].copy()
         vals[mask[cov.name]] = np.nan
         data_cols.append(vals)
@@ -284,34 +281,10 @@ def generate(spec, seed=0):
     return ds, truth
 
 
-# by kind: the keys a spec covariate takes besides `name` and `kind`, and its params' annotation
-_KIND_KEYS = {"continuous": ["mean", "sd"], "binary": ["p"], "categorical": ["levels"]}
-_PARAMS = {"continuous": list[float], "binary": float, "categorical": dict[str, float]}
-
-
-@dataclass
-class CovariateKeys:
-    """One covariate object of a synth spec; it takes only its kind's keys."""
-
-    name: str
-    kind: str
-    mean: float = 0.0
-    sd: float = 1.0
-    p: float = 0.5
-    levels: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        check_types("synth spec", self)
-        if self.kind not in _KIND_KEYS:
-            raise DataError(f"unknown kind {self.kind!r}")
-
-
 def _read_covariates(docs):
-    covs = []
-    for i, c in enumerate(read_value("synth spec", "covariates", list[CovariateKeys], docs)):
-        check_keys(f"synth spec: covariates[{i}]", docs[i], ["name", "kind", *_KIND_KEYS[c.kind]])
-        params = {"continuous": (c.mean, c.sd), "binary": c.p, "categorical": c.levels}
-        covs.append(CovariateSpec(name=c.name, kind=c.kind, params=params[c.kind]))
+    covs = read_value("synth spec", "covariates", list[CovariateSpec], docs)
+    for i, cov in enumerate(covs):
+        check_keys(f"synth spec: covariates[{i}]", docs[i], ["name", "kind", *_KIND_KEYS[cov.kind]])
     return covs
 
 
@@ -330,21 +303,17 @@ def ensure_like(seed=0):
 
     Returns (dataset, ground truth, spec).
     """
-    continuous = [CovariateSpec(f"x{i:02d}", "continuous", (0.0, 1.0)) for i in range(1, 23)]
+    continuous = [CovariateSpec(f"x{i:02d}", "continuous", mean=0.0, sd=1.0) for i in range(1, 23)]
     binaries = [
-        CovariateSpec("b1", "binary", 0.35),
-        CovariateSpec("b2", "binary", 0.5),
-        CovariateSpec("b3", "binary", 0.2),
-        CovariateSpec("b4", "binary", 0.6),
+        CovariateSpec("b1", "binary", p=0.35),
+        CovariateSpec("b2", "binary", p=0.5),
+        CovariateSpec("b3", "binary", p=0.2),
+        CovariateSpec("b4", "binary", p=0.6),
     ]
     cats = [
-        CovariateSpec(
-            "grade", "categorical", {"g1": 0.4, "g2": 0.3, "g3": 0.2, "g4": 0.1}
-        ),
-        CovariateSpec(
-            "stage", "categorical", {"s1": 0.35, "s2": 0.3, "s3": 0.25, "s4": 0.1}
-        ),
-        CovariateSpec("site", "categorical", {"antrum": 0.5, "body": 0.3, "cardia": 0.2}),
+        CovariateSpec("grade", "categorical", levels={"g1": 0.4, "g2": 0.3, "g3": 0.2, "g4": 0.1}),
+        CovariateSpec("stage", "categorical", levels={"s1": 0.35, "s2": 0.3, "s3": 0.25, "s4": 0.1}),
+        CovariateSpec("site", "categorical", levels={"antrum": 0.5, "body": 0.3, "cardia": 0.2}),
     ]
     covs = continuous + binaries + cats
 

@@ -393,16 +393,15 @@ def save_csv(ds, path):
 
 @dataclass
 class InclusionRules:
-    """Row filters applied before any modeling.
+    """Row filters applied before any modeling, after the rows with a
+    missing time or event cell are dropped.
 
-    drop_missing_outcomes: remove rows with a missing time or event cell.
     exclude_levels: {column: [levels]} removes rows taking any listed level.
     exclude_early_events: removes rows with an event at or before the given
     time (generic guard against immediate postoperative deaths and similar;
     no default threshold).
     """
 
-    drop_missing_outcomes: bool = True
     exclude_levels: dict[str, list[str]] = field(default_factory=dict)
     exclude_early_events: float | None = None
 
@@ -411,19 +410,16 @@ class InclusionRules:
 
 
 def apply_inclusion(ds, rules):
-    """Apply inclusion rules in declared order; returns (dataset, audit).
+    """Drop rows with a missing outcome, then apply the inclusion rules in
+    declared order; returns (dataset, audit).
 
-    The audit lists (rule, n_dropped) in application order plus the total
-    row counts, so reports can state exactly why rows left the cohort.
+    The audit lists (rule, n_dropped) in application order, the first
+    always "drop_missing_outcomes", plus the total row counts, so reports
+    can state exactly why rows left the cohort.
     """
-    keep = np.ones(ds.n_rows, dtype=bool)
-    audit = {"n_before": int(ds.n_rows), "steps": []}
-
-    if rules.drop_missing_outcomes:
-        bad = np.isnan(ds.time) | np.isnan(ds.event)
-        dropped = int((bad & keep).sum())
-        keep &= ~bad
-        audit["steps"].append({"rule": "drop_missing_outcomes", "n_dropped": dropped})
+    keep = ~(np.isnan(ds.time) | np.isnan(ds.event))
+    audit = {"n_before": int(ds.n_rows),
+             "steps": [{"rule": "drop_missing_outcomes", "n_dropped": int((~keep).sum())}]}
 
     for name, levels in rules.exclude_levels.items():
         col = ds.column(name)
@@ -442,7 +438,7 @@ def apply_inclusion(ds, rules):
         )
 
     if rules.exclude_early_events is not None:
-        hit = (ds.event == 1.0) & (ds.time <= rules.exclude_early_events)  # False at NaN
+        hit = (ds.event == 1.0) & (ds.time <= rules.exclude_early_events)
         dropped = int((hit & keep).sum())
         keep &= ~hit
         audit["steps"].append(

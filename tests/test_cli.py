@@ -46,9 +46,9 @@ from survkit.tabular import (
 
 def write_cohort(tmp_path, n=200, missing=True, seed=2):
     covs = [
-        CovariateSpec("x1", "continuous", (0.0, 1.0)),
-        CovariateSpec("x2", "continuous", (0.0, 1.0)),
-        CovariateSpec("grade", "categorical", {"g1": 0.5, "g2": 0.3, "g3": 0.2}),
+        CovariateSpec("x1", "continuous", mean=0.0, sd=1.0),
+        CovariateSpec("x2", "continuous", mean=0.0, sd=1.0),
+        CovariateSpec("grade", "categorical", levels={"g1": 0.5, "g2": 0.3, "g3": 0.2}),
     ]
     rules = []
     if missing:
@@ -281,9 +281,9 @@ def test_impute_writes_each_completed_cell_as_drawn(tmp_path):
     which identify-factors takes a completed file as its cohort."""
     spec = GeneratorSpec(
         n=200,
-        covariates=[CovariateSpec("x1", "continuous", (0.0, 1.0)),
-                    CovariateSpec("b", "binary", 0.4),
-                    CovariateSpec("grade", "categorical", {"g1": 0.5, "g2": 0.3, "g3": 0.2})],
+        covariates=[CovariateSpec("x1", "continuous", mean=0.0, sd=1.0),
+                    CovariateSpec("b", "binary", p=0.4),
+                    CovariateSpec("grade", "categorical", levels={"g1": 0.5, "g2": 0.3, "g3": 0.2})],
         beta={"x1": 0.8, "b": -0.5},
         shape=1.0,
         scale=12.0,
@@ -679,8 +679,8 @@ def test_experiment_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
 
 @pytest.mark.parametrize("inclusion, message", [
     ({"exclude_early_events": "5"}, "inclusion: exclude_early_events='5'"),
-    (["drop_missing_outcomes"], "inclusion: ['drop_missing_outcomes'] is not an object"),
-    ({"drop_missing_outcomes": "false"}, "inclusion: drop_missing_outcomes='false'"),
+    (["exclude_levels"], "inclusion: ['exclude_levels'] is not an object"),
+    ({"drop_missing_outcomes": False}, "inclusion: unknown key 'drop_missing_outcomes'"),
 ])
 def test_experiment_rejects_malformed_inclusion_before_any_fit(tmp_path, capsys, monkeypatch,
                                                                inclusion, message):

@@ -72,7 +72,7 @@ def test_event_likelihood_hand_case():
     # single event in bin 1 of pmf (0.2, 0.3, 0.5): loss -log 0.3,
     # logit gradient p - onehot
     pmf = np.array([[0.2, 0.3, 0.5]])
-    value, grad = deephit_loss(pmf, [1], [1.0], alpha=0.0)
+    value, grad = deephit_loss(pmf, [1], [1.0], alpha=0.0, sigma=0.1)
     assert value == pytest.approx(-np.log(0.3))
     np.testing.assert_allclose(grad, [[0.2, -0.7, 0.5]], atol=1e-12)
 
@@ -80,7 +80,7 @@ def test_event_likelihood_hand_case():
 def test_censored_likelihood_hand_case():
     # censored in bin 0: survival mass is 0.3 + 0.5 = 0.8
     pmf = np.array([[0.2, 0.3, 0.5]])
-    value, grad = deephit_loss(pmf, [0], [0.0], alpha=0.0)
+    value, grad = deephit_loss(pmf, [0], [0.0], alpha=0.0, sigma=0.1)
     assert value == pytest.approx(-np.log(0.8))
     np.testing.assert_allclose(grad, [[0.2, -0.075, -0.125]], atol=1e-12)
     assert grad.sum() == pytest.approx(0.0, abs=1e-12)
@@ -110,7 +110,7 @@ def test_ranking_gradient_equals_a_pair_loop_bit_for_bit():
         e = (rng.random(n) < float(rng.choice([0.0, 0.5, 1.0]))).astype(float)
         sigma = float(rng.choice([SIGMA_MIN, 0.1, 1.0]))
         value, grad = deephit_loss(pmf, k, e, alpha=0.2, sigma=sigma)
-        like_value, like_grad = deephit_loss(pmf, k, e, alpha=0.0)
+        like_value, like_grad = deephit_loss(pmf, k, e, alpha=0.0, sigma=0.1)
 
         f_cum = np.cumsum(pmf, axis=1)
         g_f = np.zeros_like(pmf)
@@ -134,7 +134,7 @@ def test_ranking_gradient_equals_a_pair_loop_bit_for_bit():
 
 def test_alpha_zero_disables_ranking():
     pmf = np.array([[0.6, 0.4], [0.3, 0.7]])
-    v0, g0 = deephit_loss(pmf, [0, 1], [1.0, 1.0], alpha=0.0)
+    v0, g0 = deephit_loss(pmf, [0, 1], [1.0, 1.0], alpha=0.0, sigma=0.1)
     l_like = (-np.log(0.6) - np.log(0.7)) / 2
     assert v0 == pytest.approx(l_like, rel=1e-12)
 
@@ -143,7 +143,7 @@ def test_floored_probability_contributes_no_gradient():
     # event mass below the floor: finite loss, flat gradient for that row
     z = np.array([[40.0, -40.0, 0.0]])
     pmf = softmax(z)
-    value, grad = deephit_loss(pmf, [1], [1.0], alpha=0.0)
+    value, grad = deephit_loss(pmf, [1], [1.0], alpha=0.0, sigma=0.1)
     assert np.isfinite(value)
     np.testing.assert_array_equal(grad, np.zeros_like(grad))
 
@@ -151,11 +151,11 @@ def test_floored_probability_contributes_no_gradient():
 def test_loss_validation():
     pmf = np.array([[0.5, 0.5]])
     with pytest.raises(DataError):
-        deephit_loss(pmf, [2], [1.0])
+        deephit_loss(pmf, [2], [1.0], alpha=0.2, sigma=0.1)
     with pytest.raises(DataError):
-        deephit_loss(pmf, [0], [1.0], sigma=0.0)
+        deephit_loss(pmf, [0], [1.0], alpha=0.2, sigma=0.0)
     with pytest.raises(DataError):
-        deephit_loss(pmf, [0, 1], [1.0])
+        deephit_loss(pmf, [0, 1], [1.0], alpha=0.2, sigma=0.1)
 
 
 def test_overflowing_sigma_is_a_data_error_without_warnings():
@@ -177,7 +177,7 @@ def test_overflowing_sigma_is_a_data_error_without_warnings():
             fit_deephit(x, t, e, params, seed=0)
         # at the bound, the largest possible pair term and its gradient are finite
         value, grad = deephit_loss(np.array([[0.0, 1.0], [1.0, 0.0]]), [0, 1], [1.0, 0.0],
-                                   sigma=SIGMA_MIN)
+                                   alpha=0.2, sigma=SIGMA_MIN)
     assert np.isfinite(value) and np.isfinite(grad).all()
     assert 1.4e-3 < SIGMA_MIN < 1.43e-3
 

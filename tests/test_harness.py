@@ -58,11 +58,11 @@ from test_benchmarks import SMOKE_OVERRIDES
 def cohort(n=240, missing=True, seed=0, extra_null=True):
     """Small numeric cohort with real signal and optional MAR missingness."""
     covs = [
-        CovariateSpec("x1", "continuous", (0.0, 1.0)),
-        CovariateSpec("x2", "continuous", (0.0, 1.0)),
+        CovariateSpec("x1", "continuous", mean=0.0, sd=1.0),
+        CovariateSpec("x2", "continuous", mean=0.0, sd=1.0),
     ]
     if extra_null:
-        covs.append(CovariateSpec("x3", "continuous", (0.0, 1.0)))
+        covs.append(CovariateSpec("x3", "continuous", mean=0.0, sd=1.0))
     rules = []
     if missing:
         rules.append(MissingRule(column="x2", target_rate=0.2, drivers=["x1"], weights=[1.5]))
@@ -593,9 +593,9 @@ def test_config_rejects_unknown_family():
     (lambda: ExperimentConfig(split={"test_fraction": 0.2}), "config: split=.* is not a valid SplitPlan"),
     (lambda: InclusionRules(exclude_levels=["grade"]), r"inclusion: exclude_levels=\['grade'\]"),
     (lambda: InclusionRules(exclude_early_events="3"), "inclusion: exclude_early_events='3'"),
-    (lambda: InclusionRules(drop_missing_outcomes="no"), "inclusion: drop_missing_outcomes='no'"),
+    (lambda: InclusionRules(exclude_early_events=True), "inclusion: exclude_early_events=True"),
 ], ids=["seed", "n_boot", "impute_iterations", "split", "exclude_levels", "exclude_early_events",
-        "drop_missing_outcomes"])
+        "exclude_early_events_bool"])
 def test_a_config_built_directly_checks_its_field_types(build, message):
     """A library caller's value of the wrong type is a ConfigError naming
     the field at construction, not a raw TypeError there or an
@@ -674,19 +674,19 @@ def test_config_rejects_wrong_typed_run_settings():
 def test_inclusion_section_is_read_strictly():
     """The experiment config's `inclusion` section: a missing or null
     section keeps the defaults, and a non-object section (an empty list
-    included), an unknown key, a quoted boolean or a quoted threshold is a
-    ConfigError, not a raw numpy or attribute error or a truthy string."""
+    included), an unknown key (the removed `drop_missing_outcomes` too), a
+    quoted threshold or a boolean one is a ConfigError, not a raw numpy or
+    attribute error or a truthy string."""
     def inclusion(doc):
         return ExperimentConfig.from_dict({"inclusion": doc}).inclusion
 
     assert inclusion(None) == InclusionRules()
-    rules = inclusion({"drop_missing_outcomes": False, "exclude_levels": {"grade": ["g3"]},
-                       "exclude_early_events": 1})
-    assert rules == InclusionRules(False, {"grade": ["g3"]}, 1.0)
+    rules = inclusion({"exclude_levels": {"grade": ["g3"]}, "exclude_early_events": 1})
+    assert rules == InclusionRules({"grade": ["g3"]}, 1.0)
     for doc, message in (
-        (["drop_missing_outcomes"], "inclusion: .* is not an object"),
+        (["exclude_levels"], "inclusion: .* is not an object"),
         ([], r"inclusion: \[\] is not an object"),
-        ({"drop_missing_outcomes": "false"}, "inclusion: drop_missing_outcomes='false'"),
+        ({"drop_missing_outcomes": False}, "inclusion: unknown key 'drop_missing_outcomes'"),
         ({"exclude_early_events": "5"}, "inclusion: exclude_early_events='5'"),
         ({"exclude_levels": {"grade": "g3"}}, "inclusion: exclude_levels="),
         ({"exclude_early": 1}, "inclusion: unknown key 'exclude_early'"),

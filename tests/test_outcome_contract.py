@@ -169,7 +169,7 @@ SEED_ENTRIES = {
     "bootstrap_counts": lambda seed: bootstrap_counts(EVENTS, 5, seed),
     "split": lambda seed: split(dataset(TIMES, EVENTS), SplitPlan(), seed),
     "generate": lambda seed: generate(
-        GeneratorSpec(n=20, covariates=[CovariateSpec("a", "continuous", [0.0, 1.0])]), seed),
+        GeneratorSpec(n=20, covariates=[CovariateSpec("a", "continuous", mean=0.0, sd=1.0)]), seed),
     "init_mlp": lambda seed: init_mlp([2, 3, 1], seed=seed),
     "fit_deepsurv": lambda seed: fit_deepsurv(
         covariates(len(TIMES)), TIMES, EVENTS, DeepSurvParams(hidden=[4], epochs=1), seed),

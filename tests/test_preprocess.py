@@ -73,8 +73,8 @@ def test_encoding_map_json_round_trip(tmp_path):
     """`survkit impute` writes the cohort's encoding entries to encoding.json."""
     spec = GeneratorSpec(
         n=80,
-        covariates=[CovariateSpec("x", "continuous", (0.0, 1.0)),
-                    CovariateSpec("grade", "categorical", {"g1": 0.5, "g2": 0.3, "g3": 0.2})],
+        covariates=[CovariateSpec("x", "continuous", mean=0.0, sd=1.0),
+                    CovariateSpec("grade", "categorical", levels={"g1": 0.5, "g2": 0.3, "g3": 0.2})],
         beta={"x": 0.5},
         censoring_fraction=0.3,
     )

@@ -20,7 +20,7 @@ from survkit.deephit import DeepHitParams
 from survkit.deepsurv import DeepSurvParams
 from survkit.errors import ConfigError, check_types, read_object
 from survkit.harness import ExperimentConfig, PrepConfig, SplitPlan
-from survkit.synth import CovariateKeys, CovariateSpec, GeneratorSpec, MissingRule
+from survkit.synth import CovariateSpec, GeneratorSpec, MissingRule
 from survkit.tabular import InclusionRules
 
 RULE = MissingRule("x", 0.2, drivers=["b"], weights=[-0.5], center_shifts=[0.0, 0.3])
@@ -28,8 +28,7 @@ RULE = MissingRule("x", 0.2, drivers=["b"], weights=[-0.5], center_shifts=[0.0, 
 INSTANCES = [
     SplitPlan(test_fraction=0.3, inner={"kind": "holdout", "fraction": 0.1}),
     PrepConfig(impute_iterations=3, prune_threshold=0.9, standardize=False),
-    InclusionRules(drop_missing_outcomes=False, exclude_levels={"grade": ["g3", "g4"]},
-                   exclude_early_events=1.5),
+    InclusionRules(exclude_levels={"grade": ["g3", "g4"]}, exclude_early_events=1.5),
     InclusionRules(),
     CoxParams(l1=0.01, l2=0.2),
     DeepSurvParams(hidden=[], dropout=0.2, epochs=3, batch_size=16, lr=0.01, lr_decay=0.9,
@@ -38,7 +37,7 @@ INSTANCES = [
                   lr_decay=0.8, weight_decay=0.01, alpha=0.5, sigma=0.2, n_interp=20),
     RULE,
     MissingRule("b", 0.0),
-    CovariateKeys("grade", "categorical", levels={"a": 0.4, "b": 0.6}),
+    CovariateSpec("grade", "categorical", levels={"a": 0.4, "b": 0.6}),
 ]
 
 
@@ -50,7 +49,7 @@ def test_every_field_reads_back_from_its_json(instance):
 
 def test_a_generator_spec_reads_back_apart_from_its_covariates():
     """`covariates` takes its kind's keys and has its own reader."""
-    covariates = [CovariateSpec("x", "continuous", (0.0, 1.0)), CovariateSpec("b", "binary", 0.4)]
+    covariates = [CovariateSpec("x", "continuous", mean=0.0, sd=1.0), CovariateSpec("b", "binary", p=0.4)]
     spec = GeneratorSpec(n=50, covariates=covariates, beta={"x": 0.3, "b": -0.2}, shape=1.2,
                          scale=5.0, censoring_fraction=0.25, missing_rules=[RULE], n_centers=2,
                          center_probs=[0.7, 0.3])
@@ -89,7 +88,7 @@ BAD_FIELDS = [
     (PrepConfig, "impute_iterations", True),
     (PrepConfig, "prune_threshold", NAN),
     (PrepConfig, "standardize", 0),
-    (InclusionRules, "drop_missing_outcomes", "true"),
+    (InclusionRules, "exclude_early_events", [1.5]),
     (InclusionRules, "exclude_levels", {"g": "AB"}),
     (InclusionRules, "exclude_levels", {"g": ["a", 1]}),
     (InclusionRules, "exclude_early_events", "1.5"),
@@ -120,11 +119,11 @@ BAD_FIELDS = [
     (MissingRule, "drivers", [1]),
     (MissingRule, "weights", ["0.5"]),
     (MissingRule, "center_shifts", [0.0, NAN]),
-    (CovariateKeys, "name", 7),
-    (CovariateKeys, "mean", "0"),
-    (CovariateKeys, "sd", NAN),
-    (CovariateKeys, "p", True),
-    (CovariateKeys, "levels", {"a": "0.4"}),
+    (CovariateSpec, "name", 7),
+    (CovariateSpec, "mean", "0"),
+    (CovariateSpec, "sd", NAN),
+    (CovariateSpec, "p", True),
+    (CovariateSpec, "levels", {"a": "0.4"}),
 ]
 
 

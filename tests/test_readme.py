@@ -6,7 +6,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from survkit.harness import ExperimentConfig
-from survkit.synth import generate, spec_from_dict
+from survkit.synth import CovariateSpec, GeneratorSpec, MissingRule, generate, spec_from_dict
 from survkit.tabular import load_schema
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -52,6 +52,16 @@ def test_config_key_table_lists_every_field():
     table = text.split("| key | type | default | read |\n|---|---|---|---|\n", 1)[1]
     keys = re.findall(r"^\| `(\w+)` \|", table.split("\n\n", 1)[0], re.M)
     assert keys == [f.name for f in fields(ExperimentConfig)]
+
+
+def test_synth_spec_section_names_every_field():
+    """The README's "Synth spec" section names, in backticks, every field of
+    the three records a synth spec reads into: each key is its field's name."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n### Synth spec\n", 1)[1].split("\n### ", 1)[0]
+    named = set(re.findall(r"`(\w+)`", section))
+    for record in (GeneratorSpec, CovariateSpec, MissingRule):
+        assert [f.name for f in fields(record) if f.name not in named] == [], record.__name__
 
 
 def test_library_quick_start_runs(capsys):

@@ -1,13 +1,18 @@
 """Generator tests: marginal distributions, censoring control, ground truth."""
 
+import dataclasses
+import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from survkit.coxph import fit_coxph
-from survkit.errors import ConfigError
+from survkit.errors import ConfigError, DataError
 from survkit.synth import (
     CovariateSpec,
     GeneratorSpec,
@@ -22,8 +27,8 @@ def plain_spec(**kw):
     base = dict(
         n=2000,
         covariates=[
-            CovariateSpec("x1", "continuous", (0.0, 1.0)),
-            CovariateSpec("x2", "continuous", (0.0, 1.0)),
+            CovariateSpec("x1", "continuous", mean=0.0, sd=1.0),
+            CovariateSpec("x2", "continuous", mean=0.0, sd=1.0),
         ],
         beta={},
         shape=1.0,
@@ -106,7 +111,7 @@ def test_categorical_effects_enter_through_encoded_names():
     spec = plain_spec(
         n=3000,
         covariates=[
-            CovariateSpec("grade", "categorical", {"g1": 0.5, "g2": 0.3, "g3": 0.2}),
+            CovariateSpec("grade", "categorical", levels={"g1": 0.5, "g2": 0.3, "g3": 0.2}),
         ],
         beta={"grade=g3": 0.9},
         censoring_fraction=0.2,
@@ -178,38 +183,52 @@ def test_center_shifts_modulate_missingness():
 # -- spec round trip -----------------------------------------------------------------------
 
 
-def test_a_spec_record_built_directly_checks_its_types():
-    """A wrongly typed field or covariate params are a ConfigError as the
-    record is built, not a raw error inside the generator."""
-    cov = [CovariateSpec("x", "continuous", (0.0, 1.0))]
+def test_a_spec_record_built_directly_checks_its_fields():
+    """A wrongly typed or out-of-range field is a ConfigError as its record
+    is built, not a raw error inside the generator."""
+    cov = [CovariateSpec("x", "continuous", mean=0.0, sd=1.0)]
     for build, message in (
         (lambda: GeneratorSpec(n="5", covariates=cov), "synth spec: n='5' is not a valid int"),
         (lambda: GeneratorSpec(n=5.5, covariates=cov), "synth spec: n=5.5 is not a valid int"),
         (lambda: GeneratorSpec(n=50, covariates=cov, beta={"x": "1"}), "beta={'x': '1'}"),
-        (lambda: CovariateSpec(["x"], "binary", 0.5), "synth spec: name=['x'] is not a valid str"),
-        (lambda: CovariateSpec("x", ["binary"], 0.5), "synth spec: kind=['binary'] is not a valid str"),
+        (lambda: CovariateSpec(["x"], "binary", p=0.5), "synth spec: name=['x'] is not a valid str"),
+        (lambda: CovariateSpec("x", ["binary"], p=0.5), "synth spec: kind=['binary'] is not a valid str"),
         (lambda: MissingRule("x", "0.1"), "synth spec: target_rate='0.1' is not a valid float"),
         (lambda: MissingRule("x", 0.1, drivers=["b"], weights=(0.5,)), "weights=(0.5,)"),
-        (lambda: GeneratorSpec(n=50, covariates=[CovariateSpec("x", "binary", "0.5")]),
-         "covariate 'x': params '0.5' do not fit its kind"),
-        (lambda: GeneratorSpec(n=50, covariates=[CovariateSpec("x", "continuous", 1.0)]),
-         "covariate 'x': params 1.0 do not fit its kind"),
-        (lambda: GeneratorSpec(n=50, covariates=[CovariateSpec("x", "continuous", (0.0, 1.0, 2.0))]),
-         "covariate 'x': params (0.0, 1.0, 2.0) do not fit its kind"),
-        (lambda: GeneratorSpec(n=50, covariates=[CovariateSpec("x", "continuous", (0.0, float("nan")))]),
-         "covariate 'x': params (0.0, nan) do not fit its kind"),
-        (lambda: GeneratorSpec(n=50, covariates=[CovariateSpec("g", "categorical", {"a": "1"})]),
-         "covariate 'g': params {'a': '1'} do not fit its kind"),
-        (lambda: GeneratorSpec(n=50, covariates=[CovariateSpec("g", "categorical", ["a", "b"])]),
-         "covariate 'g': params ['a', 'b'] do not fit its kind"),
-        (lambda: GeneratorSpec(n=50, covariates=[CovariateSpec("g", "categorical", {})]),
+        (lambda: CovariateSpec("x", "binary", p="0.5"), "synth spec: p='0.5' is not a valid float"),
+        (lambda: CovariateSpec("x", "continuous", mean=[0.0, 1.0]), "mean=[0.0, 1.0] is not a valid float"),
+        (lambda: CovariateSpec("x", "continuous", (0.0, 1.0, 2.0)), "mean=(0.0, 1.0, 2.0) is not a valid"),
+        (lambda: CovariateSpec("x", "continuous", (0.0, float("nan"))), "sd=nan is not a valid float"),
+        (lambda: CovariateSpec("g", "categorical", levels={"a": "1"}), "levels={'a': '1'} is not a valid"),
+        (lambda: CovariateSpec("g", "categorical", levels=["a", "b"]), "levels=['a', 'b'] is not a valid"),
+        (lambda: CovariateSpec("g", "categorical", levels={}), "'g': level probabilities must sum to 1"),
+        (lambda: CovariateSpec("g", "categorical", levels={"a": 1.5, "b": -0.5}),
          "'g': level probabilities must sum to 1"),
+        (lambda: CovariateSpec("m", "binary", p=1.5), "covariate 'm': p must be in [0, 1]"),
+        (lambda: CovariateSpec("x", "continuous", sd=-1.0), "covariate 'x': sd must be non-negative"),
+        (lambda: MissingRule("x", 1.0), "rule for 'x': bad target rate"),
+        (lambda: MissingRule("x", 0.1, drivers=["b"]), "rule for 'x': drivers/weights length mismatch"),
     ):
         with pytest.raises(ConfigError, match=re.escape(message)):
             build()
-    # a (mean, sd) pair may be a list or a tuple of ints or floats
-    for pair in ([0, 1], (0.0, 2)):
-        GeneratorSpec(n=50, covariates=[CovariateSpec("x", "continuous", pair)])
+    with pytest.raises(DataError, match="unknown kind 'fancy'"):
+        CovariateSpec("x", "fancy")
+    # a (mean, sd) tuple of ints or floats may stand in `mean`'s place
+    for pair in ((0, 1), (0.0, 2)):
+        assert CovariateSpec("x", "continuous", pair) == CovariateSpec("x", "continuous", *pair)
+
+
+def test_a_field_outside_the_covariate_kind_is_never_read():
+    """Only a covariate's own kind's fields shape its column: a binary
+    covariate's `levels`, `mean` and `sd` change no byte, and its column
+    takes no levels."""
+    def cohort(binary):
+        return generate(plain_spec(n=200, covariates=[binary], beta={"b": 0.5}), seed=3)[0]
+
+    plain = cohort(CovariateSpec("b", "binary", p=0.3))
+    foreign = cohort(CovariateSpec("b", "binary", mean=5.0, sd=0.0, p=0.3, levels={"x": 1.0}))
+    assert foreign.values.tobytes() == plain.values.tobytes()
+    assert foreign.column("b").levels is None
 
 
 def test_spec_from_dict():
@@ -230,12 +249,13 @@ def test_spec_from_dict():
     }
     spec = spec_from_dict(doc)
     assert spec.n == 100
-    assert spec.covariates[0].params == (60.0, 8.0)
-    assert spec.covariates[2].params == {"a": 0.7, "b": 0.3}
+    assert spec.covariates == [CovariateSpec("age", "continuous", mean=60.0, sd=8.0),
+                               CovariateSpec("male", "binary", p=0.6),
+                               CovariateSpec("grade", "categorical", levels={"a": 0.7, "b": 0.3})]
     assert spec.missing_rules[0].column == "age"
     ds, truth = generate(spec, seed=1)
     assert ds.n_rows == 100
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape("synth spec: covariates[0]: unknown kind 'fancy'")):
         spec_from_dict({"n": 10, "covariates": [{"name": "x", "kind": "fancy"}]})
     # a key or a value the reader would ignore or misread is an error naming it
     age = doc["covariates"][0]
@@ -265,6 +285,15 @@ def test_spec_from_dict():
         ({"covariates": [{**age, "name": 7}]}, "synth spec: covariates[0]: name=7 is not a valid str"),
         # a number is a JSON number, never a numeric string
         ({"censoring_fraction": "0.25"}, "synth spec: censoring_fraction='0.25' is not a valid float"),
+        # a key of another kind is refused, whatever its value
+        ({"covariates": [{"name": "m", "kind": "binary", "mean": 0.0}]},
+         "synth spec: covariates[0]: unknown key 'mean' (known: name, kind, p)"),
+        ({"covariates": [{"name": "m", "kind": "binary", "levels": {"a": 1.0}}]},
+         "synth spec: covariates[0]: unknown key 'levels'"),
+        # a rule's own range rules read as they do when the rule is built directly
+        ({"missing_rules": [{"column": "age", "target_rate": 1.0}]}, "rule for 'age': bad target rate"),
+        ({"missing_rules": [{"column": "age", "target_rate": 0.1, "drivers": ["male"]}]},
+         "rule for 'age': drivers/weights length mismatch"),
     ):
         with pytest.raises(ConfigError, match=re.escape(message)):
             spec_from_dict({**doc, **bad})
@@ -281,6 +310,134 @@ def test_spec_from_dict():
     ):
         with pytest.raises(ConfigError, match=message):
             spec_from_dict({**doc, **bad})
+
+
+# by kind: the keys a spec document's covariate takes besides `name` and `kind`
+KIND_KEYS = {"continuous": ["mean", "sd"], "binary": ["p"], "categorical": ["levels"]}
+NUMBER = st.integers(-2, 2) | st.floats(-2.0, 2.0)
+LEVELS = st.sampled_from([{"a": 1.0}, {"a": 0.4, "b": 0.6}, {"a": 0.5, "b": 0.3, "c": 0.2}])
+# each a JSON value of the wrong type for some field, or a number no field takes
+WRONG = st.sampled_from([[0.5], {"a": 0.5}, "0.5", True, None, math.nan, math.inf, 10**400, 2.5])
+
+
+def pick(draw, valid, bad):
+    """A draw from `valid`, or about one time in twelve from `bad`."""
+    # not a bound: hypothesis draws 0 and 11 far more often than one time in twelve
+    return draw(bad if draw(st.integers(0, 11)) == 7 else valid)
+
+
+def degrade(draw, doc, foreign, keep):
+    """`doc` kept (`keep` times in `keep` + 3), or with one key dropped, a
+    `foreign` key added or one value replaced by a wrongly typed one."""
+    action = draw(st.sampled_from(["keep"] * keep + ["drop", "foreign", "wrong"]))
+    if action == "foreign":
+        doc[draw(st.sampled_from(foreign))] = draw(NUMBER | LEVELS)
+    elif action != "keep" and doc:
+        key = draw(st.sampled_from(sorted(doc)))
+        if action == "drop":
+            del doc[key]
+        else:
+            doc[key] = draw(WRONG)
+    return doc
+
+
+@st.composite
+def covariate_docs(draw, name):
+    kind = pick(draw, st.sampled_from(list(KIND_KEYS)), st.just("fancy"))
+    own = {"mean": draw(NUMBER), "sd": pick(draw, st.floats(0.0, 3.0), st.just(-0.5)),
+           "p": pick(draw, st.floats(0.0, 1.0), st.sampled_from([-0.1, 1.5])),
+           "levels": pick(draw, LEVELS, st.sampled_from([{}, {"a": 0.7, "b": 0.7}, {"a": 1.5, "b": -0.5}]))}
+    # a categorical covariate needs its levels; the other keys have defaults
+    keys = ["levels"] if kind == "categorical" else draw(
+        st.lists(st.sampled_from(KIND_KEYS.get(kind, ["mean"])), unique=True))
+    doc = {"name": name, "kind": kind, **{key: own[key] for key in keys}}
+    others = [key for keys in KIND_KEYS.values() for key in keys if key not in doc]
+    return degrade(draw, doc, [*others, "params"], keep=5)
+
+
+@st.composite
+def rule_docs(draw, names):
+    drivers = draw(st.lists(st.sampled_from(names), max_size=2))
+    doc = {"column": pick(draw, st.sampled_from(names), st.just("ghost")),
+           "target_rate": pick(draw, st.floats(0.0, 0.9), st.sampled_from([-0.1, 1.0])),
+           "drivers": drivers, "weights": [draw(NUMBER) for _ in range(pick(draw, st.just(len(drivers)),
+                                                                            st.just(len(drivers) + 1)))]}
+    if draw(st.booleans()):
+        doc["center_shifts"] = draw(st.lists(NUMBER, max_size=3))
+    return degrade(draw, doc, ["driver", "mean"], keep=8)
+
+
+@st.composite
+def spec_docs(draw):
+    """A synth spec document: covariates of each kind with their own keys,
+    missing rules and the top-level keys, now and then one of them out of
+    range, of the wrong type, missing or joined by a foreign key."""
+    names = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=3))
+    n_centers = pick(draw, st.integers(1, 3), st.just(0))
+    doc = {"n": pick(draw, st.integers(2, 50), st.integers(-1, 1)),
+           "covariates": [draw(covariate_docs(name)) for name in names],
+           "beta": {**draw(st.dictionaries(st.sampled_from(names), NUMBER, max_size=2)),
+                    **pick(draw, st.just({}), st.just({"zz": 0.5}))},
+           "shape": pick(draw, st.floats(0.1, 3.0), st.just(0.0)),
+           "scale": pick(draw, st.floats(0.1, 3.0), st.just(-1.0)),
+           "censoring_fraction": pick(draw, st.floats(0.0, 0.9), st.sampled_from([-0.1, 1.0])),
+           "missing_rules": draw(st.lists(rule_docs(names), max_size=2)),
+           "n_centers": n_centers}
+    if draw(st.booleans()):
+        doc["center_probs"] = pick(draw, st.just([1.0 / max(n_centers, 1)] * n_centers),
+                                   st.sampled_from([[0.7, 0.7], [1.5, -0.5], [1.0]]))
+    return degrade(draw, doc, ["censoring_fration", "params"], keep=13)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=spec_docs())
+def test_a_spec_document_reads_into_a_spec_or_a_config_error(doc):
+    try:
+        spec = spec_from_dict(doc)
+    except ConfigError:
+        return
+    assert isinstance(spec, GeneratorSpec)
+
+
+@st.composite
+def python_specs(draw):
+    """A valid GeneratorSpec built from records, each covariate holding
+    only its kind's fields."""
+    covariates = []
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(list(KIND_KEYS)), max_size=4))):
+        if kind == "continuous":
+            covariates.append(CovariateSpec(f"v{i}", kind, mean=draw(NUMBER), sd=draw(st.floats(0.0, 3.0))))
+        elif kind == "binary":
+            covariates.append(CovariateSpec(f"v{i}", kind, p=draw(st.floats(0.0, 1.0))))
+        else:
+            covariates.append(CovariateSpec(f"v{i}", kind, levels=draw(LEVELS)))
+    encoded = [name for c in covariates for name in
+               ([f"{c.name}={lv}" for lv in list(c.levels)[1:]] if c.kind == "categorical" else [c.name])]
+    names = [c.name for c in covariates]
+    masked = draw(st.lists(st.sampled_from(names), unique=True, max_size=2)) if names else []
+    observed = [name for name in names if name not in masked]
+    n_centers = draw(st.integers(1, 3))
+    rules = []
+    for column in masked:
+        drivers = draw(st.lists(st.sampled_from(observed), max_size=2)) if observed else []
+        rules.append(MissingRule(column, draw(st.floats(0.0, 0.9)), drivers,
+                                 [draw(NUMBER) for _ in drivers],
+                                 draw(st.none() | st.just([0.25] * n_centers))))
+    return GeneratorSpec(n=draw(st.integers(2, 50)), covariates=covariates,
+                         beta=draw(st.dictionaries(st.sampled_from(encoded), NUMBER)) if encoded else {},
+                         shape=draw(st.floats(0.1, 3.0)), scale=draw(st.floats(0.1, 100.0)),
+                         censoring_fraction=draw(st.floats(0.0, 0.9)), missing_rules=rules,
+                         n_centers=n_centers,
+                         center_probs=draw(st.none() | st.just([1.0 / n_centers] * n_centers)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=python_specs())
+def test_a_spec_built_in_python_equals_the_spec_read_from_its_json(spec):
+    doc = {**dataclasses.asdict(spec), "covariates": [
+        {"name": c.name, "kind": c.kind, **{key: getattr(c, key) for key in KIND_KEYS[c.kind]}}
+        for c in spec.covariates]}
+    assert spec_from_dict(json.loads(json.dumps(doc))) == spec
 
 
 # -- the bundled registry-like cohort ---------------------------------------------------------

@@ -481,11 +481,7 @@ def inclusion_fixture(tmp_path):
 
 def test_inclusion_rules_and_audit(tmp_path):
     ds = inclusion_fixture(tmp_path)
-    rules = InclusionRules(
-        drop_missing_outcomes=True,
-        exclude_levels={"grade": ["g3"]},
-        exclude_early_events=1.0,
-    )
+    rules = InclusionRules(exclude_levels={"grade": ["g3"]}, exclude_early_events=1.0)
     kept, audit = apply_inclusion(ds, rules)
     assert kept.patient_ids() == ["1", "5", "6", "8"]
     assert audit["n_before"] == 8
@@ -496,10 +492,6 @@ def test_inclusion_rules_and_audit(tmp_path):
         "exclude_levels:grade": 1,
         "exclude_early_events": 1,
     }
-    # a missing follow-up time is never an early event
-    kept, _ = apply_inclusion(ds, InclusionRules(drop_missing_outcomes=False,
-                                                 exclude_early_events=1.0))
-    assert kept.patient_ids() == ["1", "2", "3", "5", "6", "7", "8"]
 
 
 def test_inclusion_exclude_levels_validation(tmp_path):
