@@ -15,9 +15,8 @@ The two concordance paths are chosen by whether weights were passed.
 Unweighted counts sort the rows and count each event's later lower and
 equal scores by a bottom-up merge, O(n log n). Weighted counts stay on
 blocks of O(n^2) pair masks multiplied into all R rows by one BLAS matrix
-product each. At the bootstrap's shapes a weighted merge-tree count lost
-to it: 149 against 37 ms at (R, n) = (1001, 784), and 17.8 against
-12.5 ms at (151, 784), on a 2-CPU VM.
+product each: at the bootstrap's shapes, a weighted merge-tree count
+lost to these blocked masks.
 
 The Efron scan is a handful of gathers and cumulative sums over index
 arrays `efron_ties` builds once. Its per-group sums (tied-event sums of

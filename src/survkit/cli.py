@@ -59,7 +59,6 @@ class _Run:
     """What a command computed, for `_run` to write."""
 
     files: dict  # file name -> writer, called with the file's path
-    key: bytes  # the default directory's digest hashes these bytes
     inputs: list  # paths whose sha256 the manifest records
     seed: int
     echo: dict  # the manifest's "args"
@@ -93,11 +92,10 @@ def _write_csv(path, header, rows):
 
 
 def _load_json(path, what):
-    """(bytes, document) of the JSON file `path`; bytes that are not UTF-8
-    JSON text are a ConfigError naming `what`."""
-    data = Path(path).read_bytes()
+    """The document of the JSON file `path`; bytes that are not UTF-8 JSON
+    text are a ConfigError naming `what`."""
     try:
-        return data, json.loads(data)
+        return json.loads(Path(path).read_bytes())
     except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8 text
         raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
 
@@ -105,7 +103,9 @@ def _load_json(path, what):
 def _run(args):
     """Run the parsed command, then make its directory, write its files and
     manifest.json, with the command's wall-clock seconds, and print the
-    directory's path. The command runs at one BLAS thread, so its output
+    directory's path. The manifest records the run's identity (command,
+    args, seed and the sha256 of each input), and the default directory's
+    digest hashes it. The command runs at one BLAS thread, so its output
     bytes do not depend on the machine's thread count, and the caller's
     count is restored on exit."""
     with blas_threads(1) as threads:
@@ -113,19 +113,19 @@ def _run(args):
         t0 = time.perf_counter()
         run = args.func(args)
         seconds = time.perf_counter() - t0
+        identity = {"command": args.command, "args": run.echo, "seed": run.seed,
+                    "inputs": {str(p): _sha256_file(p) for p in run.inputs}}
         if args.out:
             out_dir = Path(args.out)
         else:
             stamp = dt.datetime.now(dt.timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-            out_dir = Path("runs") / f"{stamp}_{hashlib.sha256(run.key).hexdigest()[:8]}"
+            digest = hashlib.sha256(json.dumps(identity, sort_keys=True).encode()).hexdigest()
+            out_dir = Path("runs") / f"{stamp}_{digest[:8]}"
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, write in run.files.items():
             write(out_dir / name)
         _write_json(out_dir / "manifest.json", {
-            "command": args.command,
-            "args": run.echo,
-            "inputs": {str(p): _sha256_file(p) for p in run.inputs},
-            "seed": run.seed,
+            **identity,
             "toolkit_version": __version__,
             "started_utc": started,
             "finished_utc": _utc_now(),
@@ -152,11 +152,10 @@ def _save_completed(iset, i, path):
     save_csv(iset[i], path)
 
 
-def _cohort_run(args, tag, files):
+def _cohort_run(args, files):
     """The `_Run` of impute and identify-factors, which share their flags."""
-    return _Run(files, f"{tag}:{args.data}:{args.m}:{args.iterations}:{args.seed}".encode(),
-                [args.data, args.schema], args.seed, {"m": args.m, "iterations": args.iterations},
-                {"mice_workers": mice_workers(args.m)})
+    return _Run(files, [args.data, args.schema], args.seed,
+                {"m": args.m, "iterations": args.iterations}, {"mice_workers": mice_workers(args.m)})
 
 
 def cmd_impute(args):
@@ -170,7 +169,7 @@ def cmd_impute(args):
         for c in encoded.columns])
     files["imputation.json"] = partial(_write_json, doc={**iset.provenance(), "files": names})
     files["encoding.json"] = partial(_write_json, doc=entries, sort_keys=False)
-    return _cohort_run(args, "impute", files)
+    return _cohort_run(args, files)
 
 
 def cmd_identify_factors(args):
@@ -180,12 +179,11 @@ def cmd_identify_factors(args):
         _write_csv, header=["variable", "hr", "ci_low", "ci_high", "p_value", "significant"],
         rows=[[r.name, repr(r.hr), repr(r.hr_low), repr(r.hr_high), repr(r.p_value),
                "yes" if r.significant else "no"] for r in rows])
-    return _cohort_run(args, "factors", files)
+    return _cohort_run(args, files)
 
 
 def cmd_experiment(args):
-    config_bytes, doc = _load_json(args.config, "config")
-    config = ExperimentConfig.from_dict(doc)
+    config = ExperimentConfig.from_dict(_load_json(args.config, "config"))
 
     if args.models:
         wanted = [m.strip() for m in args.models.split(",") if m.strip()]
@@ -230,18 +228,15 @@ def cmd_experiment(args):
             _write_csv, header=["patient_id", "t", "S"],
             rows=[[pid, repr(float(t)), repr(float(s))]
                   for pid, times, row in series for t, s in zip(times, row)])
-    return _Run(files, config_bytes, inputs, config.seed,
-                {"models": args.models, "plot_patients": args.plot_patients})
+    return _Run(files, inputs, config.seed, {"models": args.models, "plot_patients": args.plot_patients})
 
 
 def cmd_synth(args):
-    inputs = []
     if args.ensure_like:
         ds, truth, _ = ensure_like(seed=args.seed)
         spec_echo = {"ensure_like": True}
     else:
-        spec_echo = _load_json(args.spec, "spec")[1]
-        inputs.append(args.spec)
+        spec_echo = _load_json(args.spec, "spec")
         ds, truth = generate(spec_from_dict(spec_echo), seed=args.seed)
     files = {
         "cohort.csv": partial(save_csv, ds),
@@ -249,8 +244,7 @@ def cmd_synth(args):
         "ground_truth.json": partial(
             _write_json, doc={**vars(truth), "eta": truth.eta.tolist()}, indent=None),
     }
-    return _Run(files, json.dumps(spec_echo, sort_keys=True).encode(), inputs, args.seed,
-                spec_echo)
+    return _Run(files, [] if args.ensure_like else [args.spec], args.seed, spec_echo)
 
 
 def _seed_flag(text):

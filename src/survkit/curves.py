@@ -8,7 +8,6 @@ carry leading subject axes; evaluation acts on the last axis.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,9 +132,7 @@ class SurvivalCurve:
     def __getitem__(self, idx):
         if self.values.ndim == 1:
             raise TypeError("a single-subject curve cannot be indexed")
-        sub = copy.copy(self)  # rows of a checked matrix need no re-check
-        sub.values = self.values[idx]
-        return sub
+        return SurvivalCurve(self.times, self.values[idx], self.kind)
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))

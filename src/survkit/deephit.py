@@ -29,6 +29,7 @@ LOG_FLOOR = 1e-12
 # 1/sigma <= L - log(L), since then 1/sigma + log(1/sigma) < L
 _LOG_MAX = np.log(np.finfo(float).max)
 SIGMA_MIN = 1.0 / (_LOG_MAX - np.log(_LOG_MAX))
+CURVE_POINTS = 50  # equidistant points of each predicted survival curve
 
 
 @dataclass
@@ -157,13 +158,11 @@ class DeepHitParams(nnet.TrainParams):
     n_bins: int = 60
     alpha: float = 0.2
     sigma: float = 0.1
-    n_interp: int = 50
     _RULES = nnet.TrainParams._RULES + (
         ("n_bins", lambda v: v >= 1, "at least 1"),
         ("alpha", lambda v: v >= 0, "non-negative and finite"),
         ("sigma", lambda v: v >= SIGMA_MIN,
          f"at least {SIGMA_MIN:.6g}, below which the ranking loss overflows"),
-        ("n_interp", lambda v: v >= 2, "at least 2"),
     )
 
 
@@ -204,21 +203,18 @@ def predict_pmf(model, x):
 
 def predict_survival(model, x):
     """Survival curves, one row per x row, on an equidistant grid of
-    `params.n_interp` points over [0, last cut].
+    CURVE_POINTS points over [0, last cut].
 
     Survival steps down by each bin's mass at the bin's right edge and is
     linearly interpolated inside bins (constant event density). S(0) = 1
     and the terminal value is 1 - sum(pmf) ~ 0.
     """
-    n_points = model.params.n_interp
-    if n_points < 2:
-        raise DataError("need at least 2 interpolation points")
     pmf = predict_pmf(model, x)
     cuts = model.grid.cuts
     knot_times = np.r_[0.0, cuts]
     surv_at_cuts = np.clip(1.0 - np.cumsum(pmf, axis=1), 0.0, 1.0)
     knots = np.minimum.accumulate(np.c_[np.ones(len(pmf)), surv_at_cuts], axis=1)
-    grid_t = np.linspace(0.0, cuts[-1], n_points)
+    grid_t = np.linspace(0.0, cuts[-1], CURVE_POINTS)
     values = interp_rows(grid_t, knot_times, knots)
     return SurvivalCurve(times=grid_t, values=values, kind="linear")
 

@@ -11,7 +11,7 @@ missing rate hits the rule's target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -26,13 +26,14 @@ _KIND_KEYS = {"continuous": ["mean", "sd"], "binary": ["p"], "categorical": ["le
 
 @dataclass
 class CovariateSpec:
-    """One generated covariate; it reads only its kind's fields.
+    """One generated covariate; it takes only its kind's fields.
 
     kind "continuous": `mean` and `sd`. kind "binary": `p`. kind
     "categorical": `levels`, a {level: probability} mapping in declared
-    order, the first level the reference. A continuous covariate's
-    (mean, sd) may also come as one tuple in `mean`'s place, as in
-    CovariateSpec("x", "continuous", (0.0, 1.0)).
+    order, the first level the reference. Another kind's field away from
+    its default is a DataError, worded as the reader's unknown key. A
+    continuous covariate's (mean, sd) may also come as one tuple in
+    `mean`'s place, as in CovariateSpec("x", "continuous", (0.0, 1.0)).
     """
 
     name: str
@@ -48,6 +49,11 @@ class CovariateSpec:
         check_types("synth spec", self)
         if self.kind not in _KIND_KEYS:
             raise DataError(f"unknown kind {self.kind!r}")
+        known = ["name", "kind", *_KIND_KEYS[self.kind]]
+        for f in sorted(fields(self), key=lambda f: f.name):
+            default = f.default if f.default_factory is MISSING else f.default_factory()
+            if f.name not in known and getattr(self, f.name) != default:
+                raise DataError(f"unknown key {f.name!r} (known: {', '.join(known)})")
         if self.kind == "binary" and not 0.0 <= self.p <= 1.0:
             raise ConfigError(f"covariate {self.name!r}: p must be in [0, 1]")
         if self.kind == "continuous" and not self.sd >= 0.0:
@@ -212,7 +218,14 @@ def generate(spec, seed=0):
         eta += float(b) * encoded[name]
 
     u = rng.random(n)
-    t_event = spec.scale * (-np.log(u) / np.exp(eta)) ** (1.0 / spec.shape)
+    with np.errstate(all="ignore"):
+        hazard = np.exp(eta)
+        if not np.all((hazard > 0) & (hazard < np.inf)):
+            raise ConfigError(f"exp(x . beta) leaves the float range (x . beta spans {eta.min():.6g} "
+                              f"to {eta.max():.6g}): shrink beta or the covariate scale (sd)")
+        t_event = spec.scale * (-np.log(u) / hazard) ** (1.0 / spec.shape)
+    if not np.isfinite(t_event).all():
+        raise ConfigError("an event time leaves the float range: shrink scale or raise shape")
 
     censor_rate = _solve_censor_rate(t_event, spec.censoring_fraction)
     if censor_rate > 0:

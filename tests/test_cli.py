@@ -642,7 +642,7 @@ def test_experiment_rejects_wrong_typed_run_settings_before_any_fit(tmp_path, ca
     ({"ensure_like": True}, "config: 'data' is not read when ensure_like is true"),
     ({**BUILT_IN, "inclusion": {}}, "config: 'inclusion' is not read when ensure_like is true"),
     ({"ensure_like_seed": 1}, "config: 'ensure_like_seed' is not read when ensure_like is false"),
-    ({"families": {"deephit": {"n_interp": [1]}}}, "deephit: n_interp must be at least 2"),
+    ({"families": {"deephit": {"n_interp": [50]}}}, "deephit: unknown key 'n_interp'"),
     ({"data": None}, "config needs data and schema paths"),
 ])
 def test_experiment_rejects_a_bad_config_key_before_loading_or_fitting(
@@ -860,6 +860,11 @@ def test_synth_requires_spec_or_builtin(tmp_path, capsys):
     ('{"n": 50, "n_centers": 2, "center_probs": [0.7, 0.7]}', "center_probs must be"),
     ('{"n": 50, "n_centers": 2, "center_probs": [0.5, 0.3, 0.2]}', "center_probs must be"),
     ('{"n": 50, "n_centers": 2, "center_probs": [1.5, -0.5]}', "center_probs must be"),
+    # out of float range, with no numpy warning, which the suite makes an error
+    ('{"n": 50, "covariates": [{"name": "x", "kind": "continuous", "mean": 0.0, "sd": 1000.0}],'
+     ' "beta": {"x": 2.0}}', "shrink beta or the covariate scale (sd)"),
+    ('{"n": 50, "covariates": [{"name": "x", "kind": "continuous"}], "beta": {"x": 2.0},'
+     ' "scale": 1e300, "shape": 0.01}', "an event time leaves the float range: shrink scale or raise shape"),
 ])
 def test_synth_rejects_a_malformed_spec(tmp_path, capsys, text, message):
     spec_path = tmp_path / "spec.json"
@@ -877,6 +882,9 @@ def test_synth_rejects_a_spec_that_is_not_utf8(tmp_path, capsys):
 
 
 def test_default_run_directory_name(tmp_path, monkeypatch, capsys):
+    """runs/<stamp>_<digest>, the digest the first 8 hex digits of sha256
+    over the manifest's command, args, seed and inputs (sorted-key JSON),
+    so two runs that differ only in --seed land in two directories."""
     monkeypatch.chdir(tmp_path)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({
@@ -887,11 +895,18 @@ def test_default_run_directory_name(tmp_path, monkeypatch, capsys):
         "scale": 10.0,
         "censoring_fraction": 0.0,
     }))
-    rc = main(["synth", "--spec", str(spec_path)])
-    assert rc == 0
-    printed = capsys.readouterr().out.strip()
-    assert re.fullmatch(r"runs/\d{8}T\d{6}Z_[0-9a-f]{8}", printed)
-    assert (tmp_path / printed / "cohort.csv").exists()
+    digests = []
+    for seed in ("1", "2"):
+        assert main(["synth", "--spec", str(spec_path), "--seed", seed]) == 0
+        printed = capsys.readouterr().out.strip()
+        assert re.fullmatch(r"runs/\d{8}T\d{6}Z_[0-9a-f]{8}", printed)
+        assert (tmp_path / printed / "cohort.csv").exists()
+        manifest = json.loads((tmp_path / printed / "manifest.json").read_text())
+        assert manifest["seed"] == int(seed)
+        identity = {k: manifest[k] for k in ("command", "args", "seed", "inputs")}
+        digests.append(hashlib.sha256(json.dumps(identity, sort_keys=True).encode()).hexdigest()[:8])
+        assert printed.endswith(f"_{digests[-1]}")
+    assert digests[0] != digests[1]
 
 
 # -- the README as the command line's specification --------------------------

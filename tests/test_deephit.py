@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from survkit.deephit import (
+    CURVE_POINTS,
     SIGMA_MIN,
     DeepHitParams,
     TimeGrid,
@@ -225,8 +226,7 @@ def ph_cohort(seed, n, beta=(0.8, -0.6)):
 
 def small_params(**kw):
     base = dict(hidden=[16], n_bins=12, dropout=0.0, epochs=20, batch_size=64,
-                lr=0.01, lr_decay=0.9, weight_decay=0.0, alpha=0.2, sigma=0.1,
-                n_interp=30)
+                lr=0.01, lr_decay=0.9, weight_decay=0.0, alpha=0.2, sigma=0.1)
     base.update(kw)
     return DeepHitParams(**base)
 
@@ -297,15 +297,13 @@ def test_risk_is_negative_mean_survival():
     np.testing.assert_allclose(risk, [-np.mean(c.values) for c in curves], rtol=1e-12)
 
 
-def test_predict_survival_validation():
-    """A curve needs two points; `n_interp` is its only resolution setting,
-    checked when the params are built and again at prediction."""
+def test_predict_survival_has_curve_points_over_the_grid():
+    """Every curve has CURVE_POINTS equidistant points from 0 to the last
+    cut; the resolution is no parameter."""
     x, t, e = ph_cohort(13, 100)
-    with pytest.raises(DataError, match="n_interp"):
-        small_params(epochs=2, n_interp=1)
+    with pytest.raises(TypeError, match="n_interp"):
+        small_params(epochs=2, n_interp=50)
     model = fit_deephit(x, t, e, small_params(epochs=2), seed=5)
-    model.params.n_interp = 1
-    with pytest.raises(DataError):
-        predict_survival(model, x[:2])
-    model.params.n_interp = 7
-    assert predict_survival(model, x[:2]).values.shape == (2, 7)
+    curves = predict_survival(model, x[:2])
+    assert curves.values.shape == (2, CURVE_POINTS)
+    np.testing.assert_array_equal(curves.times, np.linspace(0.0, model.grid.cuts[-1], CURVE_POINTS))

@@ -736,7 +736,7 @@ def test_config_rejects_every_key_it_would_not_read():
         ({"split": {"inner": {"kind": "kfold", "kk": 3}}}, "split.inner: unknown key 'kk'"),
         ({"split": {"inner": {"kind": "kfold", "fraction": 0.2}}}, "split.inner: unknown key 'fraction'"),
         ({"split": {"inner": {"kind": "holdout", "k": 3}}}, "split.inner: unknown key 'k'"),
-        ({"families": {"deephit": {"n_interp": [1]}}}, "deephit: n_interp must be at least 2"),
+        ({"families": {"deephit": {"n_interp": [50]}}}, "deephit: unknown key 'n_interp'"),
         # the range of every hyper-parameter, after its type
         ({"families": {"coxph": {"l2": [0.0, -0.5]}}}, "coxph: l1 and l2 must be non-negative"),
         ({"families": {"coxph": {"l1": [True]}}}, "coxph: l1=True"),

@@ -34,7 +34,7 @@ INSTANCES = [
     DeepSurvParams(hidden=[], dropout=0.2, epochs=3, batch_size=16, lr=0.01, lr_decay=0.9,
                    weight_decay=0.1),
     DeepHitParams(hidden=[8, 4], n_bins=12, dropout=0.3, epochs=4, batch_size=32, lr=0.02,
-                  lr_decay=0.8, weight_decay=0.01, alpha=0.5, sigma=0.2, n_interp=20),
+                  lr_decay=0.8, weight_decay=0.01, alpha=0.5, sigma=0.2),
     RULE,
     MissingRule("b", 0.0),
     CovariateSpec("grade", "categorical", levels={"a": 0.4, "b": 0.6}),
@@ -109,8 +109,8 @@ BAD_FIELDS = [
     (DeepSurvParams, "dropout", math.inf),
     (DeepHitParams, "hidden", [8, 4.5]),
     (DeepHitParams, "n_bins", 2.5),
-    (DeepHitParams, "n_interp", 2.5),
-    (DeepHitParams, "n_interp", "50"),
+    (DeepHitParams, "n_bins", "60"),
+    (DeepHitParams, "lr_decay", True),
     (DeepHitParams, "alpha", True),
     (DeepHitParams, "sigma", NAN),
     (MissingRule, "target_rate", "0.1"),

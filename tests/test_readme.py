@@ -5,6 +5,9 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+from survkit import nnet
+from survkit.coxph import CoxParams
+from survkit.deephit import DeepHitParams
 from survkit.harness import ExperimentConfig
 from survkit.synth import CovariateSpec, GeneratorSpec, MissingRule, generate, spec_from_dict
 from survkit.tabular import load_schema
@@ -62,6 +65,19 @@ def test_synth_spec_section_names_every_field():
     named = set(re.findall(r"`(\w+)`", section))
     for record in (GeneratorSpec, CovariateSpec, MissingRule):
         assert [f.name for f in fields(record) if f.name not in named] == [], record.__name__
+
+
+def test_family_key_rules_name_exactly_the_fields():
+    """The README's per-family key rules name, in backticks, exactly the
+    fields of `CoxParams`, of `nnet.TrainParams` (both neural families) and
+    the ones `DeepHitParams` adds, one bullet each: a field that is gone
+    and a field left out both fail."""
+    text = README.read_text(encoding="utf-8")
+    rules = text.split("an error naming the family and the key:\n", 1)[1].split("\n\n", 1)[0]
+    bullets = re.split(r"^- ", rules, flags=re.M)[1:]
+    shared = {f.name for f in fields(nnet.TrainParams)}
+    assert [set(re.findall(r"`(\w+)`", b)) for b in bullets] == [
+        {f.name for f in fields(CoxParams)}, shared, {f.name for f in fields(DeepHitParams)} - shared]
 
 
 def test_library_quick_start_runs(capsys):

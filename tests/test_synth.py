@@ -218,17 +218,29 @@ def test_a_spec_record_built_directly_checks_its_fields():
         assert CovariateSpec("x", "continuous", pair) == CovariateSpec("x", "continuous", *pair)
 
 
-def test_a_field_outside_the_covariate_kind_is_never_read():
-    """Only a covariate's own kind's fields shape its column: a binary
-    covariate's `levels`, `mean` and `sd` change no byte, and its column
-    takes no levels."""
-    def cohort(binary):
-        return generate(plain_spec(n=200, covariates=[binary], beta={"b": 0.5}), seed=3)[0]
+@pytest.mark.parametrize("kind, fields, message", [
+    ("binary", {"mean": 0.4}, "unknown key 'mean' (known: name, kind, p)"),
+    ("binary", {"sd": 0.0, "p": 0.3, "levels": {"x": 1.0}}, "unknown key 'levels'"),
+    ("continuous", {"p": 0.3}, "unknown key 'p' (known: name, kind, mean, sd)"),
+    ("categorical", {"levels": {"a": 1.0}, "sd": 2.0}, "unknown key 'sd' (known: name, kind, levels)"),
+])
+def test_a_field_outside_the_covariate_kind_is_refused(kind, fields, message):
+    """Another kind's field away from its default is the JSON reader's
+    unknown-key error on the Python path too, naming the first such field
+    in key order, as the reader does."""
+    with pytest.raises(DataError, match=re.escape(message)):
+        CovariateSpec("b", kind, **fields)
+    with pytest.raises(ConfigError, match=re.escape(f"synth spec: covariates[0]: {message}")):
+        spec_from_dict({"n": 10, "covariates": [{"name": "b", "kind": kind, **fields}]})
 
-    plain = cohort(CovariateSpec("b", "binary", p=0.3))
-    foreign = cohort(CovariateSpec("b", "binary", mean=5.0, sd=0.0, p=0.3, levels={"x": 1.0}))
-    assert foreign.values.tobytes() == plain.values.tobytes()
-    assert foreign.column("b").levels is None
+
+def test_a_positional_mean_cannot_leave_a_binary_p_at_its_default():
+    """CovariateSpec("b", "binary", 0.4) puts 0.4 in `mean`, which a binary
+    covariate never reads: refused, not a cohort with p = 0.5. Another
+    kind's field at its default changes nothing."""
+    with pytest.raises(DataError, match="unknown key 'mean'"):
+        CovariateSpec("b", "binary", 0.4)
+    assert CovariateSpec("b", "binary", mean=0.0, p=0.3) == CovariateSpec("b", "binary", p=0.3)
 
 
 def test_spec_from_dict():
