@@ -55,11 +55,10 @@ def _soft_threshold(z, a):
 class CoxParams:
     l1: float = 0.0
     l2: float = 0.0
+    _RULES = (("l1", lambda v: v >= 0, "non-negative"), ("l2", lambda v: v >= 0, "non-negative"))
 
     def __post_init__(self):
         check_types("CoxParams", self)
-        if not (self.l1 >= 0.0 and self.l2 >= 0.0):
-            raise DataError(f"l1 and l2 must be non-negative, got l1={self.l1!r}, l2={self.l2!r}")
 
 
 @dataclass
@@ -110,8 +109,7 @@ def fit_coxph(x, times, events, l1=0.0, l2=0.0, names=None):
     the constant or aliased columns, with a warning, and none is stored.
     """
     x, t, e = check_fit_inputs(x, times, events)
-    if l1 < 0 or l2 < 0:
-        raise DataError("penalties must be non-negative")
+    CoxParams(l1, l2)  # checks the penalties
     _maybe_warn_scaling(x)
     p = x.shape[1]
     if names is None:

@@ -11,7 +11,6 @@ per-bin survival linearly, i.e. constant density within each bin.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import nnet
 from .curves import SurvivalCurve, interp_rows
-from .errors import DataError
+from .errors import DataError, check_count
 from .tabular import check_fit_inputs
 
 LOG_FLOOR = 1e-12
@@ -64,8 +63,7 @@ def make_time_grid(times, n_bins):
     t = np.asarray(times, dtype=float)
     if len(t) == 0 or np.isnan(t).any():
         raise DataError("times must be non-empty and complete")
-    if not isinstance(n_bins, numbers.Integral) or n_bins < 1:
-        raise DataError("n_bins must be >= 1")
+    check_count("n_bins", n_bins, 1)
     qs = np.arange(1, n_bins + 1) / n_bins
     cuts = np.quantile(t, qs)
     cuts[-1] = t.max()

@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit, the seed and unknown-key
-checks, and the one reader of the experiment config and the synth spec.
+"""Exception types shared across the toolkit, the seed, count and
+unknown-key checks, every record's value rule (`check_types`), and the one
+reader of the experiment config and the synth spec.
 
 Validation problems (bad schema, bad cell, bad config) and computation
 problems (non-convergence, degenerate inputs) are kept distinct so the CLI
@@ -60,10 +61,16 @@ class ImputationWarning(UserWarning):
 
 
 def check_seed(seed):
-    """Raise a DataError unless `seed` is a non-negative integer (Python or
-    numpy), before a generator is seeded with it."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    """Raise a DataError unless `seed` is a non-negative integer (the
+    reader's int: never a boolean), before a generator is seeded with it."""
+    if not (_holds(int, seed) and seed >= 0):
         raise DataError(f"seed={seed!r} is not a non-negative integer")
+
+
+def check_count(name, value, least):
+    """Raise a DataError unless the count `name` is an int >= `least`."""
+    if not (_holds(int, value) and value >= least):
+        raise DataError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def check_keys(scope, doc, known, error=ConfigError):
@@ -107,13 +114,18 @@ def read_value(scope, key, kind, value):
 def check_types(scope, obj):
     """Raise a ConfigError naming `scope` and the first field of the
     dataclass `obj` that holds neither its default nor a value `_holds`
-    accepts. Values are checked, not converted, so this catches a
-    dataclass constructed directly; `read_object` builds only ones that pass."""
+    accepts, then a DataError for the first non-None field that fails its
+    row (field, test, what) of the class's `_RULES`. Values are checked,
+    not converted, so this catches a dataclass constructed directly."""
     hints = get_type_hints(type(obj))
     for f in fields(obj):
         value = getattr(obj, f.name)
         if value is not f.default and not _holds(hints[f.name], value):
             raise ConfigError(f"{scope}: {f.name}={value!r} is not a valid {_name(hints[f.name])}")
+    for name, ok, what in getattr(obj, "_RULES", ()):
+        value = getattr(obj, name)
+        if value is not None and not ok(value):
+            raise DataError(f"{name} must be {what}, got {value!r}")
 
 
 def _holds(kind, value):

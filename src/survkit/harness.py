@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
@@ -33,8 +32,8 @@ from . import deepsurv as deepsurv_mod
 from .coxph import CoxParams, fit_coxph
 from .deephit import DeepHitParams, fit_deephit
 from .deepsurv import DeepSurvParams, fit_deepsurv
-from .errors import (ComputationError, ConfigError, DataError, check_keys, check_seed, check_types,
-                     read_object, read_value)
+from .errors import (ComputationError, ConfigError, DataError, _convert, _holds, check_count, check_keys,
+                     check_seed, check_types, read_object)
 from .impute import apply_mice, fit_mice, mice_impute, pool_rubin
 from .metrics import (
     bootstrap_ci,
@@ -55,6 +54,7 @@ SIGNIFICANCE = 0.05
 class SplitPlan:
     test_fraction: float = 0.2
     inner: dict[str, object] = field(default_factory=lambda: {"kind": "kfold", "k": 5})
+    _RULES = (("test_fraction", lambda v: 0 < v < 1, "in (0, 1)"),)
 
     def __post_init__(self):
         check_types("split", self)
@@ -78,25 +78,26 @@ def _stratified_take(idx_by_stratum, fraction, rng):
     return np.sort(np.concatenate(take)), np.sort(np.concatenate(rest))
 
 
+# inner split kind -> (its size key, default, test, rule)
+_INNER_SIZES = {"kfold": ("k", 5, lambda v: v >= 2, ">= 2"),
+                "holdout": ("fraction", 0.15, lambda v: 0 < v < 1, "in (0, 1)")}
+
+
 def _split_settings(plan):
-    """(test fraction, inner kind, k or holdout fraction) of `plan`, each
-    checked; a bad value is a ConfigError."""
-    if not 0.0 < plan.test_fraction < 1.0:
-        raise ConfigError("test_fraction must be in (0, 1)")
+    """(test fraction, inner kind, k or holdout fraction) of `plan`, the size
+    read as the reader reads it; a bad inner kind, key or size is a DataError."""
     kind = plan.inner.get("kind", "kfold")
-    if kind == "kfold":
-        check_keys("split.inner", plan.inner, ["kind", "k"])
-        k = read_value("split", "k", int, plan.inner.get("k", 5))
-        if k < 2:
-            raise ConfigError("k must be >= 2")
-        return plan.test_fraction, kind, k
-    if kind == "holdout":
-        check_keys("split.inner", plan.inner, ["kind", "fraction"])
-        frac = read_value("split", "fraction", float, plan.inner.get("fraction", 0.15))
-        if not 0.0 < frac < 1.0:
-            raise ConfigError("holdout fraction must be in (0, 1)")
-        return plan.test_fraction, kind, frac
-    raise ConfigError(f"unknown inner split kind {kind!r}")
+    if kind not in _INNER_SIZES:
+        raise DataError(f"unknown inner split kind {kind!r}")
+    key, default, ok, what = _INNER_SIZES[kind]
+    check_keys("inner", plan.inner, ["kind", key], error=DataError)
+    raw = plan.inner.get(key, default)
+    size = _convert(key, type(default), raw)
+    if not _holds(type(default), size):
+        raise DataError(f"{key}={raw!r} is not a valid {type(default).__name__}")
+    if not ok(size):
+        raise DataError(f"{key} must be {what}, got {size!r}")
+    return plan.test_fraction, kind, size
 
 
 def split(ds, plan, seed):
@@ -148,13 +149,11 @@ class PrepConfig:
     impute_iterations: int = 10
     prune_threshold: float = 0.7
     standardize: bool = True
+    _RULES = (("impute_iterations", lambda v: v >= 1, ">= 1"),
+              ("prune_threshold", lambda v: 0 < v <= 1, "in (0, 1]"))
 
     def __post_init__(self):
         check_types("prep", self)
-        if self.impute_iterations < 1:
-            raise DataError(f"impute_iterations must be >= 1, got {self.impute_iterations!r}")
-        if not 0.0 < self.prune_threshold <= 1.0:
-            raise DataError(f"prune_threshold must be in (0, 1], got {self.prune_threshold!r}")
 
 
 @dataclass
@@ -369,8 +368,7 @@ def identify_factors(ds, m=10, iterations=10, seed=0):
     information is singular, naming the constant or aliased covariates.
     Rows follow covariate schema order.
     """
-    if not isinstance(m, numbers.Integral) or m < 2:
-        raise ConfigError("factor identification needs m >= 2 imputations")
+    check_count("m", m, 2)
     iset = mice_impute(ds, m, iterations, seed)
     names = ds.covariate_names
     fits = [_fit_imputation(iset, i) for i in range(len(iset))]
@@ -412,26 +410,27 @@ class ExperimentConfig:
     prep: PrepConfig = field(default_factory=PrepConfig)
     families: object = field(default_factory=dict)  # name -> grid object
     n_boot: int = 1000
+    _RULES = (("seed", lambda v: v >= 0, "a non-negative integer"),
+              ("ensure_like_seed", lambda v: v >= 0, "a non-negative integer"),
+              ("n_boot", lambda v: v >= 1, ">= 1"))
 
     def __post_init__(self):
         check_types("config", self)
-        for key in ("seed", "ensure_like_seed"):
-            if getattr(self, key) < 0:
-                raise DataError(f"{key}={getattr(self, key)!r} is not a non-negative integer")
-        if self.n_boot < 1:
-            raise DataError(f"n_boot must be >= 1, got {self.n_boot!r}")
         self.inclusion = self.inclusion or InclusionRules()
         if not isinstance(self.families, dict):
-            raise ConfigError(f"config: families={self.families!r} is not an object")
+            raise DataError(f"families={self.families!r} is not an object")
         for name, grid in self.families.items():
             if name not in FAMILY_REGISTRY:
-                raise ConfigError(f"unknown model family {name!r}")
+                raise DataError(f"families: unknown model family {name!r}")
             if not isinstance(grid, dict):
-                raise ConfigError(f"{name}: grid {grid!r} is not an object")
+                raise DataError(f"families: {name}: grid {grid!r} is not an object")
             # every grid point must make valid parameters before any fit runs
             family = FAMILY_REGISTRY[name]
-            for point in expand_grid(grid or family.default_grid):
-                family.make_params(point)
+            try:
+                for point in expand_grid(grid or family.default_grid):
+                    family.make_params(point)
+            except ConfigError as exc:
+                raise DataError(f"families: {exc}") from exc
 
     @classmethod
     def from_dict(cls, doc):

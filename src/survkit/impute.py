@@ -51,7 +51,6 @@ O(n q^2) for the Gram of the observed rows formed from scratch.
 from __future__ import annotations
 
 import mmap
-import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -62,7 +61,7 @@ import numpy as np
 from ._blas import blas_threads
 from .coxph import breslow_from_scores
 from .curves import CumHazardFn
-from .errors import ComputationError, DataError, ImputationWarning, SchemaError, check_seed
+from .errors import ComputationError, DataError, ImputationWarning, SchemaError, check_count, check_seed
 from .tabular import SurvivalDataset, check_outcomes
 
 RIDGE = 1e-6
@@ -276,8 +275,7 @@ def mice_impute(ds, m, iterations, seed):
     copies of the cohort. A dataset without missing cells yields m
     identical copies.
     """
-    if not isinstance(m, numbers.Integral) or m < 1:
-        raise DataError("m must be >= 1")
+    check_count("m", m, 1)
     check_seed(seed)
     start = _chain_start(ds, iterations)
     cov_idx = np.flatnonzero([c.role == "covariate" for c in ds.columns])
@@ -426,8 +424,7 @@ def _chain_start(ds, iterations):
     the visit order and means, the design and its Gram, and one
     ImputationWarning per saturated target."""
     _check_numeric_covariates(ds)
-    if not isinstance(iterations, numbers.Integral) or iterations < 1:
-        raise DataError("iterations must be >= 1")
+    check_count("iterations", iterations, 1)
     hazard_fn = nelson_aalen(ds.time, ds.event)  # checks the outcomes
     targets = _target_columns(ds)
     visit = [name for name, _ in targets]

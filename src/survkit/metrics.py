@@ -19,14 +19,13 @@ and scores it in blocks of `ROW_CHUNK` rows.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import concordance_counts
 from .curves import SurvivalCurve
-from .errors import ComputationError, ConfigError, DataError, check_seed
+from .errors import ComputationError, DataError, check_count, check_seed
 from .tabular import check_outcomes
 
 # replicates `bootstrap_ci` scores per metric call; bounds every metric's
@@ -329,14 +328,13 @@ def bootstrap_counts(events, n_boot, seed):
     and censored subjects are resampled separately (stratum sizes
     preserved), one `choice` per stratum from a generator seeded with
     (seed, r), and the row counts how often each subject was drawn. An
-    n_boot that is not an integer >= 1 is a ConfigError, a seed that is
-    not a non-negative integer a DataError.
+    n_boot that is not an integer >= 1 or a seed that is not a
+    non-negative integer is a DataError.
     """
     e = np.asarray(events, dtype=float)
     if e.ndim != 1 or len(e) == 0 or not np.isin(e, (0.0, 1.0)).all():
         raise DataError("events must be a non-empty 1-D array of 0/1")
-    if not isinstance(n_boot, numbers.Integral) or n_boot < 1:
-        raise ConfigError(f"n_boot={n_boot!r} is not an integer >= 1")
+    check_count("n_boot", n_boot, 1)
     check_seed(seed)
     strata = [s for s in (np.flatnonzero(e == 1.0), np.flatnonzero(e == 0.0)) if len(s)]
     counts = np.ones((n_boot + 1, len(e)))

@@ -255,10 +255,9 @@ def epoch_batches(n, batch_size, rng):
 
 @dataclass
 class TrainParams:
-    """The training fields of DeepSurv and DeepHit, checked as built: a field
-    `check_types` rejects is a ConfigError, and the first one out of its
-    range (`_RULES`: field, test, range) a DataError naming it. An empty
-    `hidden` is a network without hidden layers."""
+    """The training fields of DeepSurv and DeepHit, checked as built by
+    `check_types` against their types and `_RULES`. An empty `hidden` is a
+    network without hidden layers."""
 
     hidden: list[int] = field(default_factory=lambda: [64, 64])
     dropout: float = 0.0
@@ -268,6 +267,7 @@ class TrainParams:
     lr_decay: float = 0.7
     weight_decay: float = 0.0
     _RULES = (
+        ("hidden", lambda v: all(w >= 1 for w in v), "widths of at least 1"),
         ("epochs", lambda v: v >= 1, "at least 1"),
         ("batch_size", lambda v: v >= 1, "at least 1"),
         ("lr", lambda v: v > 0, "positive and finite"),
@@ -278,11 +278,6 @@ class TrainParams:
 
     def __post_init__(self):
         check_types(type(self).__name__, self)
-        if not all(w >= 1 for w in self.hidden):
-            raise DataError(f"hidden={self.hidden!r} has a width below 1")
-        for name, ok, what in self._RULES:
-            if not ok(getattr(self, name)):
-                raise DataError(f"{name} must be {what}, got {getattr(self, name)!r}")
 
 
 def _train(x, n_out, params, seed, batch_loss, usable=None):

@@ -10,14 +10,13 @@ covariates.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import DataError, SchemaError, _holds
 from .tabular import ColumnSpec, SurvivalDataset, drop_columns
 
 
@@ -114,7 +113,7 @@ def prune_correlated(ds, threshold, priority=None):
     Returns (pruned dataset, report). A threshold outside (0, 1] is a
     DataError: at 0 or below every pair exceeds it.
     """
-    if not (isinstance(threshold, numbers.Real) and 0.0 < threshold <= 1.0):
+    if not (_holds(float, threshold) and 0.0 < threshold <= 1.0):
         raise DataError(f"prune_threshold must be in (0, 1], got {threshold!r}")
     cand = [c.name for c in ds.columns if c.role == "covariate"]
     for name in cand:

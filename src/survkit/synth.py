@@ -42,6 +42,8 @@ class CovariateSpec:
     sd: float = 1.0
     p: float = 0.5
     levels: dict[str, float] = field(default_factory=dict)
+    # rows for every kind: another kind's `sd` and `p` stay at their defaults, which pass
+    _RULES = (("sd", lambda v: v >= 0, "non-negative"), ("p", lambda v: 0 <= v <= 1, "in [0, 1]"))
 
     def __post_init__(self):
         if isinstance(self.mean, tuple) and len(self.mean) == 2:
@@ -54,13 +56,9 @@ class CovariateSpec:
             default = f.default if f.default_factory is MISSING else f.default_factory()
             if f.name not in known and getattr(self, f.name) != default:
                 raise DataError(f"unknown key {f.name!r} (known: {', '.join(known)})")
-        if self.kind == "binary" and not 0.0 <= self.p <= 1.0:
-            raise ConfigError(f"covariate {self.name!r}: p must be in [0, 1]")
-        if self.kind == "continuous" and not self.sd >= 0.0:
-            raise ConfigError(f"covariate {self.name!r}: sd must be non-negative")
         if self.kind == "categorical" and not (min(self.levels.values(), default=0) >= 0
                                                and abs(sum(self.levels.values()) - 1.0) <= 1e-9):
-            raise ConfigError(f"{self.name!r}: level probabilities must sum to 1")
+            raise DataError(f"{self.name!r}: level probabilities must sum to 1")
 
 
 @dataclass
@@ -72,18 +70,17 @@ class MissingRule:
     drivers: list[str] = field(default_factory=list)
     weights: list[float] = field(default_factory=list)
     center_shifts: list[float] | None = None
+    _RULES = (("target_rate", lambda v: 0 <= v < 1, "in [0, 1)"),)
 
     def __post_init__(self):
         check_types("synth spec", self)
-        if not 0.0 <= self.target_rate < 1.0:
-            raise ConfigError(f"rule for {self.column!r}: bad target rate")
         if len(self.drivers) != len(self.weights):
-            raise ConfigError(f"rule for {self.column!r}: drivers/weights length mismatch")
+            raise DataError(f"rule for {self.column!r}: drivers/weights length mismatch")
 
 
 @dataclass
 class GeneratorSpec:
-    """A cohort to generate; a rule it breaks is a ConfigError as it is built."""
+    """A cohort to generate; a rule it breaks is a DataError as it is built."""
 
     n: int
     covariates: list[CovariateSpec] = field(default_factory=list)
@@ -94,43 +91,39 @@ class GeneratorSpec:
     missing_rules: list[MissingRule] = field(default_factory=list)
     n_centers: int = 1
     center_probs: list[float] | None = None
+    _RULES = (("n", lambda v: v >= 2, ">= 2"), ("shape", lambda v: v > 0, "positive"),
+              ("scale", lambda v: v > 0, "positive"),
+              ("censoring_fraction", lambda v: 0 <= v < 1, "in [0, 1)"),
+              ("n_centers", lambda v: v >= 1, ">= 1"))
 
     def __post_init__(self):
         check_types("synth spec", self)
-        if self.n < 2:
-            raise ConfigError("n must be >= 2")
-        if self.shape <= 0 or self.scale <= 0:
-            raise ConfigError("shape and scale must be positive")
-        if not 0.0 <= self.censoring_fraction < 1.0:
-            raise ConfigError("censoring_fraction must be in [0, 1)")
-        if self.n_centers < 1:
-            raise ConfigError("n_centers must be >= 1")
         probs = self.center_probs
         if probs is not None and not (len(probs) == self.n_centers and min(probs) >= 0
                                       and abs(sum(probs) - 1.0) <= 1e-9):
-            raise ConfigError("center_probs must be n_centers non-negative probabilities summing to 1")
+            raise DataError("center_probs must be n_centers non-negative probabilities summing to 1")
         names = [c.name for c in self.covariates]
         if len(set(names)) != len(names):
-            raise ConfigError("duplicate covariate names")
+            raise DataError("duplicate covariate names")
         unknown_beta = set(self.beta) - set(_encoded_names(self))
         if unknown_beta:
-            raise ConfigError(f"beta names unknown encoded columns: {sorted(unknown_beta)}")
+            raise DataError(f"beta names unknown encoded columns: {sorted(unknown_beta)}")
         masked = {r.column for r in self.missing_rules}
         unknown = masked - set(names)
         if unknown:
-            raise ConfigError(f"missing rules name unknown columns: {sorted(unknown)}")
+            raise DataError(f"missing rules name unknown columns: {sorted(unknown)}")
         for rule in self.missing_rules:
             overlap = set(rule.drivers) & masked
             if overlap:
-                raise ConfigError(
+                raise DataError(
                     f"rule for {rule.column!r} conditions on masked columns {sorted(overlap)}; "
                     "MAR drivers must stay fully observed"
                 )
             for d in rule.drivers:
                 if d not in names:
-                    raise ConfigError(f"rule for {rule.column!r}: unknown driver {d!r}")
+                    raise DataError(f"rule for {rule.column!r}: unknown driver {d!r}")
             if rule.center_shifts is not None and len(rule.center_shifts) != self.n_centers:
-                raise ConfigError(f"rule for {rule.column!r}: need one shift per center")
+                raise DataError(f"rule for {rule.column!r}: need one shift per center")
 
 
 @dataclass

@@ -84,9 +84,12 @@ class SurvivalDataset:
             np.asarray(missing_mask, dtype=bool), np.isnan(self.values)
         ):
             raise DataError("missing_mask must mark exactly the NaN cells of values")
-        if row_ids is None:
-            row_ids = np.arange(self.values.shape[0])
-        self.row_ids = np.asarray(row_ids, dtype=np.int64)
+        n = len(self.values)
+        ids = np.asarray(np.arange(n) if row_ids is None else row_ids)
+        if ids.shape != (n,) or ids.dtype.kind not in "iu":
+            raise DataError(f"row_ids must be a 1-D integer array of {n} ids, "
+                            f"got shape {ids.shape} of {ids.dtype}")
+        self.row_ids = ids.astype(np.int64, copy=False)
 
     @property
     def missing_mask(self):
@@ -195,15 +198,16 @@ def check_outcomes(times, events):
 
 def check_fit_inputs(x, times, events):
     """`check_outcomes` plus what a fit needs: x as an (n, p) float matrix
-    with p >= 1 and no NaN, and at least one event. Returns (x, t, e)."""
+    with p >= 1 and finite cells, and at least one event. Returns (x, t, e)."""
     t, e = check_outcomes(times, events)
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != len(t):
         raise DataError("x must be (n, p) with times and events of length n")
     if x.shape[1] == 0:
         raise DataError("no covariate columns")
-    if np.isnan(x).any():
-        raise DataError("covariates must be complete; impute first")
+    if not np.isfinite(x).all():  # one pass when the covariates are fine
+        raise DataError("covariates must be complete; impute first" if np.isnan(x).any()
+                        else "covariates must be finite")
     if not e.any():
         raise DataError("no events in the data")
     return x, t, e

@@ -607,9 +607,9 @@ def test_experiment_rejects_wrong_typed_run_settings_before_any_fit(tmp_path, ca
         ({"n_boot": 20.5}, "config: n_boot=20.5"),
         ({**BUILT_IN, "ensure_like_seed": 2.5}, "config: ensure_like_seed=2.5"),
         ({**BUILT_IN, "ensure_like_seed": "abc"}, "config: ensure_like_seed='abc'"),
-        ({"seed": -3}, "config: seed=-3 is not a non-negative integer"),
+        ({"seed": -3}, "config: seed must be a non-negative integer, got -3"),
         ({**BUILT_IN, "ensure_like_seed": -1},
-         "config: ensure_like_seed=-1 is not a non-negative integer"),
+         "config: ensure_like_seed must be a non-negative integer, got -1"),
         # a JSON boolean is not a number, and a number must be finite
         ({"n_boot": True}, "config: n_boot=True"),
         ({"seed": True}, "config: seed=True"),
@@ -621,9 +621,10 @@ def test_experiment_rejects_wrong_typed_run_settings_before_any_fit(tmp_path, ca
         ({"families": {"coxph": {"l1": ["nan"]}}}, "coxph: l1='nan'"),
         ({"families": {"deepsurv": {"lr": [float("inf")]}}}, "deepsurv: lr=inf"),
         # each grid value is range-checked at load, not at its own fit
-        ({"families": {"coxph": {"l1": [-1]}}}, "coxph: l1 and l2 must be non-negative"),
-        ({"families": {"deepsurv": {"epochs": [0]}}}, "deepsurv: epochs must be at least 1"),
-        ({"families": {"deephit": {"alpha": [-2]}}}, "deephit: alpha must be non-negative"),
+        ({"families": {"coxph": {"l1": [-1]}}}, "config: families: coxph: l1 must be non-negative, got -1.0"),
+        ({"families": {"deepsurv": {"epochs": [0]}}},
+         "config: families: deepsurv: epochs must be at least 1"),
+        ({"families": {"deephit": {"alpha": [-2]}}}, "config: families: deephit: alpha must be non-negative"),
     ):
         config = experiment_config(tmp_path, **overrides)
         out = tmp_path / "out"
@@ -638,7 +639,7 @@ def test_experiment_rejects_wrong_typed_run_settings_before_any_fit(tmp_path, ca
     ({"families": [1]}, "config: families=[1] is not an object"),
     ({"data": 5}, "config: data=5 is not a valid str"),
     ({"ensure_like": "no"}, "config: ensure_like='no' is not a valid bool"),
-    ({"split": {"inner": {"kind": "kfold", "kk": 3}}}, "split.inner: unknown key 'kk'"),
+    ({"split": {"inner": {"kind": "kfold", "kk": 3}}}, "config: split: inner: unknown key 'kk'"),
     ({"ensure_like": True}, "config: 'data' is not read when ensure_like is true"),
     ({**BUILT_IN, "inclusion": {}}, "config: 'inclusion' is not read when ensure_like is true"),
     ({"ensure_like_seed": 1}, "config: 'ensure_like_seed' is not read when ensure_like is false"),
@@ -851,7 +852,7 @@ def test_synth_requires_spec_or_builtin(tmp_path, capsys):
     ('{"n": 50, "covariates": [{"name": "g", "kind": "categorical", "levels": ["a", "b"]}]}',
      "synth spec: covariates[0]: levels=['a', 'b'] is not a valid dict[str, float]"),
     ('{"n": 50, "covariates": [{"name": "m", "kind": "binary", "p": 1.5}]}',
-     "covariate 'm': p must be in [0, 1]"),
+     "synth spec: covariates[0]: p must be in [0, 1], got 1.5"),
     ('{"n": 50, "n_centers": 5, "covariates": [{"name": "a", "kind": "binary"}],'
      ' "missing_rules": [{"column": "a", "target_rate": 0.1, "center_shifts": "12345"}]}',
      "synth spec: missing_rules[0]: center_shifts='12345' is not a valid"),

@@ -15,7 +15,7 @@ from survkit.coxph import (
     predict_survival,
     wald_stats,
 )
-from survkit.errors import ComputationError, DataError, ScalingWarning
+from survkit.errors import ComputationError, ConfigError, DataError, ScalingWarning
 from survkit.impute import nelson_aalen
 
 
@@ -161,8 +161,12 @@ def test_input_validation():
     x = np.array([[1.0], [2.0]])
     with pytest.raises(DataError):
         fit_coxph(x, [1.0], [1.0, 0.0])
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="l1 must be non-negative, got -0.1"):
         fit_coxph(x, [1.0, 2.0], [1.0, 0.0], l1=-0.1)
+    # a penalty is checked as CoxParams checks it: a non-finite one is no float
+    for penalty in ({"l1": float("nan")}, {"l2": float("inf")}):
+        with pytest.raises(ConfigError, match="is not a valid float"):
+            fit_coxph(x, [1.0, 2.0], [1.0, 0.0], **penalty)
     with pytest.raises(DataError):
         fit_coxph(x, [1.0, 2.0], [1.0, 0.0], names=["a", "b"])
     with pytest.raises(DataError):

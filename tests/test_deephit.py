@@ -53,8 +53,8 @@ def test_grid_validation():
         TimeGrid(cuts=np.array([0.0, 1.0]))
     with pytest.raises(DataError):
         make_time_grid([], 5)
-    for n_bins in (0, 2.5, "3"):
-        with pytest.raises(DataError, match="n_bins must be >= 1"):
+    for n_bins in (0, 2.5, "3", True):
+        with pytest.raises(DataError, match="n_bins must be an integer >= 1"):
             make_time_grid([1.0, 2.0], n_bins)
 
 

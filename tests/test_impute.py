@@ -169,13 +169,17 @@ def test_impute_validation():
         mice_impute(ds, m=2, iterations=0, seed=0)
     with pytest.raises(DataError, match="iterations"):
         fit_mice(ds, iterations=0, seed=0)
-    # a count that is not an integer keeps its error and message
-    for m, iterations, message in ((2.5, 2, "m must be >= 1"), (2, 2.5, "iterations must be >= 1"),
-                                   ("2", 2, "m must be >= 1")):
+    # a count that is not an integer, a boolean included, is a DataError naming it
+    for m, iterations, message in ((2.5, 2, "m must be an integer >= 1, got 2.5"),
+                                   (2, 2.5, "iterations must be an integer >= 1, got 2.5"),
+                                   ("2", 2, "m must be an integer >= 1, got '2'"),
+                                   (True, 2, "m must be an integer >= 1, got True"),
+                                   (2, True, "iterations must be an integer >= 1, got True")):
         with pytest.raises(DataError, match=message):
             mice_impute(ds, m=m, iterations=iterations, seed=0)
-    with pytest.raises(DataError, match="iterations must be >= 1"):
-        fit_mice(ds, iterations="3", seed=0)
+    for iterations in ("3", True):
+        with pytest.raises(DataError, match="iterations must be an integer >= 1"):
+            fit_mice(ds, iterations=iterations, seed=0)
     assert len(mice_impute(ds, m=np.int64(2), iterations=np.int64(1), seed=0)) == 2
     cat = [
         ColumnSpec("months", "continuous", role="time"),

@@ -4,6 +4,8 @@ same bad outcomes with a DataError, and accepts the same good ones. Every
 entry that seeds a generator checks its seed through `errors.check_seed`
 in the same way."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from survkit.coxph import fit_coxph, neg_log_partial_likelihood
 from survkit.curves import SurvivalCurve
 from survkit.deephit import DeepHitParams, fit_deephit
 from survkit.deepsurv import DeepSurvParams, fit_deepsurv
-from survkit.errors import ConfigError, DataError
+from survkit.errors import DataError
 from survkit.harness import SplitPlan, split
 from survkit.impute import apply_mice, fit_mice, nelson_aalen
 from survkit.metrics import (
@@ -154,6 +156,18 @@ def test_fits_reject_nan_covariates_and_event_free_data(entry):
         FITS[entry](covariates(len(TIMES)), TIMES, np.zeros(len(TIMES)))
 
 
+@pytest.mark.parametrize("entry", sorted(FITS))
+def test_fits_reject_an_infinite_covariate_with_no_warning(entry):
+    """One infinite cell is an input error, found before any arithmetic
+    could warn or a fit could fail on a non-finite step."""
+    x = covariates(len(TIMES))
+    x[3, 0] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="covariates must be finite"):
+            FITS[entry](x, TIMES, EVENTS)
+
+
 def test_check_fit_inputs_rejects_a_covariate_matrix_of_the_wrong_shape():
     x = covariates(len(TIMES))
     with pytest.raises(DataError, match="x must be"):
@@ -184,14 +198,14 @@ def test_seed_entry_accepts_a_numpy_integer(entry):
     SEED_ENTRIES[entry](np.int64(3))
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", None, True])
 @pytest.mark.parametrize("entry", sorted(SEED_ENTRIES))
 def test_seed_entry_rejects_any_other_seed(entry, seed):
     with pytest.raises(DataError, match="is not a non-negative integer"):
         SEED_ENTRIES[entry](seed)
 
 
-@pytest.mark.parametrize("n_boot", [0, 2.5, "5"])
+@pytest.mark.parametrize("n_boot", [0, 2.5, "5", True])
 def test_bootstrap_counts_rejects_a_replicate_count_that_is_no_positive_integer(n_boot):
-    with pytest.raises(ConfigError, match="is not an integer >= 1"):
+    with pytest.raises(DataError, match="n_boot must be an integer >= 1, got "):
         bootstrap_counts(EVENTS, n_boot, 0)

@@ -126,7 +126,7 @@ def test_categorical_effects_enter_through_encoded_names():
 
 
 def test_beta_naming_is_validated():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError, match=re.escape("beta names unknown encoded columns: ['nope']")):
         generate(plain_spec(beta={"nope": 1.0}), seed=0)
 
 
@@ -184,8 +184,9 @@ def test_center_shifts_modulate_missingness():
 
 
 def test_a_spec_record_built_directly_checks_its_fields():
-    """A wrongly typed or out-of-range field is a ConfigError as its record
-    is built, not a raw error inside the generator."""
+    """A wrongly typed field is a ConfigError, and an out-of-range one a
+    DataError, as its record is built, not a raw error inside the
+    generator."""
     cov = [CovariateSpec("x", "continuous", mean=0.0, sd=1.0)]
     for build, message in (
         (lambda: GeneratorSpec(n="5", covariates=cov), "synth spec: n='5' is not a valid int"),
@@ -201,15 +202,20 @@ def test_a_spec_record_built_directly_checks_its_fields():
         (lambda: CovariateSpec("x", "continuous", (0.0, float("nan"))), "sd=nan is not a valid float"),
         (lambda: CovariateSpec("g", "categorical", levels={"a": "1"}), "levels={'a': '1'} is not a valid"),
         (lambda: CovariateSpec("g", "categorical", levels=["a", "b"]), "levels=['a', 'b'] is not a valid"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build()
+    for build, message in (
         (lambda: CovariateSpec("g", "categorical", levels={}), "'g': level probabilities must sum to 1"),
         (lambda: CovariateSpec("g", "categorical", levels={"a": 1.5, "b": -0.5}),
          "'g': level probabilities must sum to 1"),
-        (lambda: CovariateSpec("m", "binary", p=1.5), "covariate 'm': p must be in [0, 1]"),
-        (lambda: CovariateSpec("x", "continuous", sd=-1.0), "covariate 'x': sd must be non-negative"),
-        (lambda: MissingRule("x", 1.0), "rule for 'x': bad target rate"),
+        (lambda: CovariateSpec("m", "binary", p=1.5), "p must be in [0, 1], got 1.5"),
+        (lambda: CovariateSpec("x", "continuous", sd=-1.0), "sd must be non-negative, got -1.0"),
+        (lambda: MissingRule("x", 1.0), "target_rate must be in [0, 1), got 1.0"),
         (lambda: MissingRule("x", 0.1, drivers=["b"]), "rule for 'x': drivers/weights length mismatch"),
+        (lambda: GeneratorSpec(n=1, covariates=cov), "n must be >= 2, got 1"),
     ):
-        with pytest.raises(ConfigError, match=re.escape(message)):
+        with pytest.raises(DataError, match=re.escape(message)):
             build()
     with pytest.raises(DataError, match="unknown kind 'fancy'"):
         CovariateSpec("x", "fancy")
@@ -302,23 +308,26 @@ def test_spec_from_dict():
          "synth spec: covariates[0]: unknown key 'mean' (known: name, kind, p)"),
         ({"covariates": [{"name": "m", "kind": "binary", "levels": {"a": 1.0}}]},
          "synth spec: covariates[0]: unknown key 'levels'"),
-        # a rule's own range rules read as they do when the rule is built directly
-        ({"missing_rules": [{"column": "age", "target_rate": 1.0}]}, "rule for 'age': bad target rate"),
+        # a rule's own range rules read as they do when the rule is built directly,
+        # after the path of the rule
+        ({"missing_rules": [{"column": "age", "target_rate": 1.0}]},
+         "synth spec: missing_rules[0]: target_rate must be in [0, 1), got 1.0"),
         ({"missing_rules": [{"column": "age", "target_rate": 0.1, "drivers": ["male"]}]},
-         "rule for 'age': drivers/weights length mismatch"),
+         "synth spec: missing_rules[0]: rule for 'age': drivers/weights length mismatch"),
     ):
         with pytest.raises(ConfigError, match=re.escape(message)):
             spec_from_dict({**doc, **bad})
     # range rules fail at load, not when the cohort is generated
     male = doc["covariates"][1]
-    with pytest.raises(ConfigError, match=re.escape("covariate 'male': p must be in")):
+    with pytest.raises(ConfigError, match=re.escape(
+            "synth spec: covariates[1]: p must be in [0, 1], got 1.5")):
         spec_from_dict({**doc, "covariates": [age, {**male, "p": 1.5}, doc["covariates"][2]]})
     # center probabilities are checked as level probabilities are, not by numpy
     for bad, message in (
-        ({"n_centers": 0}, "n_centers must be >= 1"),
-        ({"n_centers": 2, "center_probs": [0.7, 0.7]}, "center_probs must be"),
-        ({"n_centers": 2, "center_probs": [0.5, 0.3, 0.2]}, "center_probs must be"),
-        ({"n_centers": 2, "center_probs": [1.5, -0.5]}, "center_probs must be"),
+        ({"n_centers": 0}, "synth spec: n_centers must be >= 1, got 0"),
+        ({"n_centers": 2, "center_probs": [0.7, 0.7]}, "synth spec: center_probs must be"),
+        ({"n_centers": 2, "center_probs": [0.5, 0.3, 0.2]}, "synth spec: center_probs must be"),
+        ({"n_centers": 2, "center_probs": [1.5, -0.5]}, "synth spec: center_probs must be"),
     ):
         with pytest.raises(ConfigError, match=message):
             spec_from_dict({**doc, **bad})

@@ -461,6 +461,20 @@ def test_dataset_shape_validation():
         SurvivalDataset(cols, np.zeros((2, 6)), np.zeros((3, 6), dtype=bool))
 
 
+@pytest.mark.parametrize("row_ids", [[7], [0.5, 1.7, 2.2], [0, 1, np.nan], ["a", "b", "c"],
+                                     [True, False, True], [[0, 1, 2]]],
+                         ids=["too_few", "fractional", "nan", "strings", "booleans", "2-D"])
+def test_dataset_row_ids_are_one_integer_per_row(row_ids):
+    """Row ids are a 1-D integer array with one id per row: no other shape
+    or type is truncated, cast, or left to fail later in `subset_rows`."""
+    values = np.zeros((3, 6))
+    with pytest.raises(DataError, match="row_ids must be a 1-D integer array of 3 ids"):
+        SurvivalDataset(demo_columns(), values, row_ids=row_ids)
+    ds = SurvivalDataset(demo_columns(), values, row_ids=np.array([9, 4, 5], dtype=np.int32))
+    assert ds.row_ids.dtype == np.int64
+    np.testing.assert_array_equal(subset_rows(ds, [2]).row_ids, [5])
+
+
 # -- inclusion rules ---------------------------------------------------------------
 
 
